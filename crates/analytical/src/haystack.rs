@@ -1,7 +1,7 @@
 //! HayStack-style fully-associative LRU model based on exact stack distances.
 
 use cache_model::MemBlock;
-use scop::{for_each_access, Scop};
+use scop::{compile, Scop};
 use std::collections::HashMap;
 
 /// The stack-distance profile of an access sequence.
@@ -80,8 +80,9 @@ impl HaystackModel {
     /// Computes the stack-distance profile of a SCoP's access sequence.
     pub fn analyze(&self, scop: &Scop) -> StackDistanceProfile {
         let mut analyzer = StackDistanceAnalyzer::new();
-        for_each_access(scop, |acc| {
-            analyzer.record(MemBlock::of_address(acc.address, self.line_size));
+        let compiled = compile(scop);
+        compiled.for_each_access(&mut compiled.new_scratch(), |_, address, _| {
+            analyzer.record(MemBlock::of_address(address, self.line_size));
         });
         analyzer.finish()
     }

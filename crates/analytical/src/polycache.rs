@@ -2,7 +2,7 @@
 
 use crate::haystack::StackDistanceAnalyzer;
 use cache_model::{CacheConfig, HierarchyConfig, MemBlock};
-use scop::{for_each_access, Scop};
+use scop::{compile, Scop};
 
 /// Miss counts of the PolyCache-style model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -76,9 +76,10 @@ impl PolyCacheModel {
         let mut l1 = PerSetLru::new(&self.config.l1);
         let mut l2 = PerSetLru::new(&self.config.l2);
         let mut result = PolyCacheResult::default();
-        for_each_access(scop, |acc| {
+        let compiled = compile(scop);
+        compiled.for_each_access(&mut compiled.new_scratch(), |_, address, _| {
             result.accesses += 1;
-            let block = MemBlock::of_address(acc.address, line_size);
+            let block = MemBlock::of_address(address, line_size);
             if !l1.access(block) {
                 result.l1_misses += 1;
                 if !l2.access(block) {

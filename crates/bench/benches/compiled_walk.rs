@@ -1,8 +1,9 @@
 //! Compiled walk vs reference walk: the strength-reduced, run-batched
 //! access stream against the per-iteration affine evaluation it replaces.
 //!
-//! Two kernels, both on the classic (non-warping) backend so nothing but
-//! the walker differs between the timed sides:
+//! Two kernels, both simulated classically (non-warping) on a prebuilt
+//! SCoP — [`simulate::simulate`] against [`simulate::simulate_reference`]
+//! — so nothing but the walker differs between the timed sides:
 //!
 //!   * a 64 MiB streaming kernel (`A[i] = 0` over 8 M doubles) — the
 //!     best case for run batching: a single-access loop body compiles
@@ -25,7 +26,9 @@
 
 use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use engine::{Backend, Engine, KernelSpec, SimReport, SimRequest, WalkMode};
+use engine::KernelSpec;
+use scop::Scop;
+use simulate::{simulate, simulate_reference, MultiLevelSystem, SimulationResult};
 use std::time::{Duration, Instant};
 
 /// 8 M doubles = 64 MiB: the streaming footprint the ≥4× gate runs at.
@@ -59,23 +62,28 @@ fn tiled_kernel() -> KernelSpec {
     )
 }
 
-fn run(engine: &Engine, kernel: KernelSpec) -> (Duration, SimReport) {
-    let request = SimRequest::new(kernel, memory(), Backend::Classic);
+/// The walker under test: the compiled walk or the reference oracle.
+type Walker = fn(&Scop, &mut MultiLevelSystem) -> SimulationResult;
+
+const COMPILED: Walker = simulate;
+const REFERENCE: Walker = simulate_reference;
+
+fn run(walker: Walker, scop: &Scop) -> (Duration, SimulationResult) {
+    let mut system = MultiLevelSystem::new(memory());
     let start = Instant::now();
-    let report = engine.run(&request).expect("kernel simulates");
-    (start.elapsed(), report)
+    let result = walker(scop, &mut system);
+    (start.elapsed(), result)
 }
 
 /// Bit-exactness on both kernels, then the ≥4× wall-clock gate on the
 /// streaming kernel.  A bench that times two walkers that disagree would
 /// be advertising a speedup of the wrong answer.
-fn assert_contract(compiled: &Engine, reference: &Engine) {
-    for kernel in [streaming_kernel(), tiled_kernel()] {
-        let name = kernel.name().to_string();
-        let (_, fast) = run(compiled, kernel.clone());
-        let (_, slow) = run(reference, kernel);
+fn assert_contract(stream: &Scop, tiled: &Scop) {
+    for (name, scop) in [("stream", stream), ("tiled_gemm", tiled)] {
+        let (_, fast) = run(COMPILED, scop);
+        let (_, slow) = run(REFERENCE, scop);
         assert_eq!(
-            fast.result.accesses, slow.result.accesses,
+            fast.accesses, slow.accesses,
             "{name}: walks disagree on the access count"
         );
         assert_eq!(
@@ -84,8 +92,8 @@ fn assert_contract(compiled: &Engine, reference: &Engine) {
         );
     }
     // Time the gate after the equivalence runs, so both sides are warm.
-    let (fast_time, _) = run(compiled, streaming_kernel());
-    let (slow_time, _) = run(reference, streaming_kernel());
+    let (fast_time, _) = run(COMPILED, stream);
+    let (slow_time, _) = run(REFERENCE, stream);
     let speedup = slow_time.as_secs_f64() / fast_time.as_secs_f64().max(1e-9);
     assert!(
         speedup >= 4.0,
@@ -95,23 +103,19 @@ fn assert_contract(compiled: &Engine, reference: &Engine) {
 }
 
 fn bench(c: &mut Criterion) {
-    let compiled = Engine::new();
-    let reference = Engine::new().with_walk(WalkMode::Reference);
-    assert_contract(&compiled, &reference);
+    let stream = streaming_kernel().build().expect("stream builds");
+    let tiled = tiled_kernel().build().expect("tiled gemm builds");
+    assert_contract(&stream, &tiled);
     let mut group = c.benchmark_group("compiled_walk");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(400));
-    for (label, kernel) in [
-        ("stream", streaming_kernel()),
-        ("tiled_gemm", tiled_kernel()),
-    ] {
-        group.bench_with_input(BenchmarkId::new("compiled", label), &kernel, |b, k| {
-            b.iter(|| run(&compiled, k.clone()).1.levels[0].misses)
-        });
-        group.bench_with_input(BenchmarkId::new("reference", label), &kernel, |b, k| {
-            b.iter(|| run(&reference, k.clone()).1.levels[0].misses)
-        });
+    for (label, scop) in [("stream", &stream), ("tiled_gemm", &tiled)] {
+        for (side, walker) in [("compiled", COMPILED), ("reference", REFERENCE)] {
+            group.bench_with_input(BenchmarkId::new(side, label), scop, |b, scop| {
+                b.iter(|| run(walker, scop).1.levels[0].misses)
+            });
+        }
     }
     group.finish();
 }

@@ -4,19 +4,17 @@
 //! A kernel that re-sweeps a 4 KiB array fits entirely into the 32 KiB L1:
 //! after the first time step every access hits L1 and the outer levels keep
 //! the symbolic labels they were filled with during warm-up — *frozen*.
-//! Under current-iterator label normalisation those frozen labels drift
-//! away from every later match attempt, so warping degenerated to explicit
-//! simulation of all `T × N` accesses (this is the gap the fig13 bench had
-//! to be designed around: its kernel deliberately *overflows* the L1 to
-//! keep the outer labels fresh).  With epoch-relative keys the frozen
-//! levels match as bit-identical, the time loop warps, and the end-to-end
-//! time stays near-flat across a 256 KiB → 64 MiB outer-level sweep.
+//! Normalised by the current iterator, those frozen labels would drift
+//! away from every later match attempt and warping would degenerate to
+//! explicit simulation of all `T × N` accesses.  With epoch-relative keys
+//! the frozen levels match as bit-identical, the time loop warps, and the
+//! end-to-end time stays near-flat across a 256 KiB → 64 MiB outer-level
+//! sweep.
 //!
 //! Before timing anything the bench asserts the acceptance criteria once:
 //! on the 64 MiB outer level the warping backend applies at least one warp,
 //! renormalises at least one frozen level, and reports miss counts
-//! bit-identical to classic simulation — while the legacy pipeline
-//! (`--label-renorm off`) applies none.
+//! bit-identical to classic simulation.
 //!
 //! Run with `cargo bench --bench fig_l1_resident`; CI compiles it via
 //! `cargo bench --no-run`.
@@ -25,7 +23,6 @@ use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use engine::{Backend, Engine, KernelSpec, SimRequest};
 use std::time::Duration;
-use warping::WarpingOptions;
 
 /// A long-running kernel whose 4 KiB working set is L1-resident: the inner
 /// sweep is short enough that the only warping opportunity is the time
@@ -48,13 +45,6 @@ fn memory(outer_kib: u64) -> MemoryConfig {
     )
 }
 
-fn legacy() -> WarpingOptions {
-    WarpingOptions {
-        label_renorm: false,
-        ..WarpingOptions::default()
-    }
-}
-
 const SWEEP_KIB: [u64; 4] = [256, 2048, 16 * 1024, 64 * 1024];
 
 fn assert_acceptance(engine: &Engine) {
@@ -68,11 +58,7 @@ fn assert_acceptance(engine: &Engine) {
         ))
         .expect("classic request");
     let warping = engine
-        .run(&SimRequest::new(
-            kernel.clone(),
-            memory.clone(),
-            Backend::warping(),
-        ))
+        .run(&SimRequest::new(kernel, memory, Backend::warping()))
         .expect("warping request");
     assert_eq!(
         warping.levels, classic.levels,
@@ -83,15 +69,6 @@ fn assert_acceptance(engine: &Engine) {
     assert!(
         stats.stale_label_renorms >= 1,
         "the frozen outer levels must be matched via renormalisation"
-    );
-    let frozen = engine
-        .run(&SimRequest::new(kernel, memory, Backend::Warping(legacy())))
-        .expect("legacy warping request");
-    assert_eq!(frozen.levels, classic.levels);
-    assert_eq!(
-        frozen.warping.expect("warping stats").warps,
-        0,
-        "current-iterator normalisation never matches this kernel"
     );
 }
 
@@ -120,20 +97,6 @@ fn bench_l1_resident(criterion: &mut Criterion) {
             },
         );
     }
-    // The legacy pipeline at one sweep point: it simulates all 10M accesses
-    // explicitly, the gap this figure quantifies.
-    let reference = memory(256);
-    group.bench_with_input(
-        BenchmarkId::new("warping-legacy", "256K"),
-        &reference,
-        |b, memory| {
-            b.iter(|| {
-                let request =
-                    SimRequest::new(kernel.clone(), memory.clone(), Backend::Warping(legacy()));
-                black_box(engine.run(&request).expect("legacy request"))
-            })
-        },
-    );
     group.finish();
 }
 

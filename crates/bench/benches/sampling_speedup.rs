@@ -20,8 +20,7 @@
 //! amortised) a single sampled run beats a single classic run by ≥5×.
 //! (The gate was ≥10× against the per-iteration reference walk; the
 //! compiled walk lifted the classic baseline itself by ~2×, so the
-//! sampler's *relative* edge shrank while both absolute times dropped —
-//! the `sampled-reference-walk` rows record the walker's own share.)
+//! sampler's *relative* edge shrank while both absolute times dropped.)
 //! A bench that lies about accuracy would otherwise happily report a
 //! beautiful speedup.
 //!
@@ -30,7 +29,7 @@
 
 use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use engine::{Backend, Engine, KernelSpec, SamplingOptions, SimReport, SimRequest, WalkMode};
+use engine::{Backend, Engine, KernelSpec, SamplingOptions, SimReport, SimRequest};
 use std::time::{Duration, Instant};
 
 /// Footprints swept, in bytes: 256 KiB, 1 MiB, 4 MiB, 16 MiB, 64 MiB.
@@ -119,10 +118,6 @@ fn assert_contract(engine: &Engine) {
 fn bench(c: &mut Criterion) {
     let engine = Engine::new();
     assert_contract(&engine);
-    // The same sampled backend on the reference (per-iteration) walk, so
-    // the recorded gap between `sampled` and `sampled-reference-walk`
-    // rows is the compiled walk's end-to-end gain on this backend.
-    let reference = Engine::new().with_walk(WalkMode::Reference);
     let mut group = c.benchmark_group("sampling_speedup");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
@@ -132,11 +127,6 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("sampled", footprint),
             &footprint,
             |b, &fp| b.iter(|| run(&engine, fp, Backend::Sampled(options())).1.levels[0].misses),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sampled-reference-walk", footprint),
-            &footprint,
-            |b, &fp| b.iter(|| run(&reference, fp, Backend::Sampled(options())).1.levels[0].misses),
         );
         // Classic at the top sizes is slow; time it where a sample fits.
         if footprint <= 1 << 22 {

@@ -24,9 +24,7 @@
 //!                                    trace,sampled]
 //!                        [--levels SPEC] [--threads N]
 //!                        [--fingerprint-filter on|off]
-//!                        [--label-renorm on|off]
-//!                        [--sample-rate F] [--warmup N]
-//!                        [--walk compiled|reference] [--json]
+//!                        [--sample-rate F] [--warmup N] [--json]
 //!
 //!           --levels describes the memory system as a comma-separated list
 //!           of cache levels, innermost first.  Each level is
@@ -57,14 +55,9 @@
 //!           on a 64 MiB L3, guarding the sparse store's occupancy
 //!           tracking).
 //!
-//!           --label-renorm on|off toggles epoch-relative label
-//!           renormalisation (`WarpingOptions::label_renorm`).  `off`
-//!           restores current-iterator normalisation, under which frozen
-//!           outer-level labels block matching on L1-resident kernels.
-//!           Miss counts are bit-identical either way; the `renorms`
-//!           column (frozen levels matched per applied warp) shows what
-//!           `on` finds that `off` cannot (CI asserts both facts on an
-//!           L1-resident grid over a 64 MiB L3).
+//!           Warping rows also carry a `renorms` column: frozen outer
+//!           levels matched through epoch-relative labels, summed over
+//!           applied warps.
 //!
 //!           --sample-rate F and --warmup N tune the `sampled` backend
 //!           (`SamplingOptions`): F is the target fraction of outer-loop
@@ -76,16 +69,6 @@
 //!           an explanation before anything simulates.  Sampled rows
 //!           report approximation stats in `--json` output (`approx`:
 //!           sampled fraction, per-level error bounds, interval counts).
-//!
-//!           --walk compiled|reference selects the access-stream walker
-//!           for every backend (`Engine::with_walk`).  `compiled` (the
-//!           default) lowers each kernel once into strength-reduced
-//!           per-loop address deltas and run-batched cache updates;
-//!           `reference` keeps the original per-iteration affine
-//!           evaluation.  Counts are bit-identical either way — CI
-//!           asserts exactly that on a depth-3 grid — so `reference`
-//!           exists as the differential oracle and for bisecting
-//!           compiled-walk regressions, not as a tuning knob.
 //!
 //!   explore sweep a parametric kernel family across tile-size bindings ×
 //!           memory hierarchies × replacement policies:
@@ -152,7 +135,7 @@
 
 use bench_suite::*;
 use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
-use engine::{Backend, Engine, KernelSpec, SimRequest, WalkMode};
+use engine::{Backend, Engine, KernelSpec, SimRequest};
 use polybench::{Dataset, Kernel};
 
 fn main() {
@@ -179,10 +162,8 @@ fn main() {
     let mut levels = LevelsSpec::default();
     let mut threads: Option<usize> = None;
     let mut fingerprint_filter: Option<bool> = None;
-    let mut label_renorm: Option<bool> = None;
     let mut sample_rate: Option<f64> = None;
     let mut warmup: Option<u32> = None;
-    let mut walk = WalkMode::default();
     let mut json = false;
     let mut i = 1;
     while i < args.len() {
@@ -247,14 +228,6 @@ fn main() {
                     _ => die("--fingerprint-filter expects `on` or `off`"),
                 });
             }
-            "--label-renorm" => {
-                i += 1;
-                label_renorm = Some(match args.get(i).map(String::as_str) {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => die("--label-renorm expects `on` or `off`"),
-                });
-            }
             "--sample-rate" => {
                 i += 1;
                 let rate: f64 = args
@@ -280,14 +253,6 @@ fn main() {
                 levels = parse_levels(args.get(i).map(String::as_str).unwrap_or(""))
                     .unwrap_or_else(|e| die(&e));
             }
-            "--walk" => {
-                i += 1;
-                walk = match args.get(i).map(String::as_str) {
-                    Some("compiled") => WalkMode::Compiled,
-                    Some("reference") => WalkMode::Reference,
-                    _ => die("--walk expects `compiled` or `reference`"),
-                };
-            }
             "--hierarchy" => die(
                 "--hierarchy was replaced by the depth-N `--levels` spec; use \
                  `--levels l1l2` for the old two-level configuration",
@@ -297,19 +262,14 @@ fn main() {
         }
         i += 1;
     }
-    if fingerprint_filter.is_some() || label_renorm.is_some() {
+    if let Some(filter) = fingerprint_filter {
         // Applies to the warping backend only; the other backends have no
         // match pipeline to toggle.
         backends = backends
             .into_iter()
             .map(|backend| match backend {
                 Backend::Warping(mut options) => {
-                    if let Some(filter) = fingerprint_filter {
-                        options.fingerprint_filter = filter;
-                    }
-                    if let Some(renorm) = label_renorm {
-                        options.label_renorm = renorm;
-                    }
+                    options.fingerprint_filter = filter;
                     Backend::Warping(options)
                 }
                 other => other,
@@ -377,7 +337,7 @@ fn main() {
             fig12_text,
         ),
         "verify" => verify(&config),
-        "grid" => grid(&config, &policies, &backends, &levels, threads, walk, json),
+        "grid" => grid(&config, &policies, &backends, &levels, threads, json),
         "all" => {
             emit(
                 json,
@@ -532,7 +492,6 @@ fn grid(
     backends: &[Backend],
     levels: &LevelsSpec,
     threads: Option<usize>,
-    walk: WalkMode,
     json: bool,
 ) {
     let kernels: Vec<KernelSpec> = config
@@ -545,7 +504,7 @@ fn grid(
         .map(|&policy| levels.memory(policy))
         .collect();
     let requests = SimRequest::grid(&kernels, &memories, backends);
-    let mut engine = Engine::new().with_walk(walk);
+    let mut engine = Engine::new();
     if let Some(threads) = threads {
         engine = engine.with_threads(threads);
     }
@@ -1659,8 +1618,8 @@ fn print_usage() {
          [--policies lru,fifo,plru,qlru] \
          [--backends classic,warping,haystack,polycache,trace,sampled] \
          [--levels l1:32K:8:64,l2:256K:8:64,l3:2M:16:64 | l1 | l1l2 | l1l2l3] \
-         [--threads N] [--fingerprint-filter on|off] [--label-renorm on|off] \
-         [--sample-rate F] [--warmup N] [--walk compiled|reference] [--json]\n\
+         [--threads N] [--fingerprint-filter on|off] \
+         [--sample-rate F] [--warmup N] [--json]\n\
          \x20      harness serve [--addr HOST:PORT] [--cache-cap N] [--workers N] \
          [--exact-budget N] [--debug-hash]\n\
          \x20      harness explore [--sweep TI=4,8;TJ=4,8] [--bind NI=32,...] \

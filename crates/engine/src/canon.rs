@@ -305,7 +305,7 @@ mod tests {
 
         let mut other = base.clone();
         other.backend = Backend::Warping(WarpingOptions {
-            label_renorm: false,
+            eager_attempts: WarpingOptions::DEFAULT.eager_attempts + 1,
             ..WarpingOptions::default()
         });
         assert_ne!(base_hash, other.canonical_hash(), "warping options");

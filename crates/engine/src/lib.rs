@@ -55,17 +55,16 @@ pub use canon::CanonicalHash;
 pub use report::{ApproxStats, SimReport, WarpingStats};
 pub use request::{dataset_by_name, Backend, KernelSpec, SimRequest};
 pub use sampling::{Calibration, SamplingOptions, PPM};
-pub use simulate::WalkMode;
 pub use warping::WarpHints;
 
 use analytical::{HaystackModel, PolyCacheModel};
 use cache_model::{LevelStats, ReplacementPolicy, WritePolicy};
-use simulate::{simulate_with_walk, MultiLevelSystem, SimulationResult};
+use simulate::{simulate, MultiLevelSystem, SimulationResult};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use trace_sim::{generate_trace_with, simulate_trace_memory};
+use trace_sim::{generate_trace, simulate_trace_memory};
 use warping::WarpingSimulator;
 
 /// Why a request could not be served.
@@ -164,7 +163,6 @@ pub struct WarmOutcome {
 #[derive(Clone, Debug)]
 pub struct Engine {
     threads: usize,
-    walk: WalkMode,
 }
 
 impl Default for Engine {
@@ -178,7 +176,6 @@ impl Engine {
     pub fn new() -> Self {
         Engine {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            walk: WalkMode::default(),
         }
     }
 
@@ -194,31 +191,13 @@ impl Engine {
         self.threads
     }
 
-    /// Overrides how the simulating backends step through the iteration
-    /// space.  The default is [`WalkMode::Compiled`] (the
-    /// compile-once/walk-many fast path); [`WalkMode::Reference`] restores
-    /// the literal per-access walk of Algorithm 1.  Every backend produces
-    /// bit-identical counts in both modes — the reference walk exists as
-    /// the differential oracle, reachable from the harness via
-    /// `--walk reference`.
-    pub fn with_walk(mut self, walk: WalkMode) -> Self {
-        self.walk = walk;
-        self
-    }
-
-    /// The walk mode granted to simulating backends.
-    pub fn walk(&self) -> WalkMode {
-        self.walk
-    }
-
     /// Serves one request: builds the kernel, dispatches to the backend and
     /// reports the unified outcome.
     ///
     /// The engine's thread budget ([`Engine::with_threads`]) is granted to
-    /// the backend: a warping request with
-    /// [`WarpingOptions::parallel_warp`](warping::WarpingOptions) enabled
-    /// applies warps across levels (and across sets within large levels) in
-    /// parallel.  Results are bit-identical for every budget.
+    /// the backend: a warping request applies warps across levels (and
+    /// across sets within large levels) in parallel.  Results are
+    /// bit-identical for every budget.
     ///
     /// # Errors
     ///
@@ -284,7 +263,7 @@ impl Engine {
         let (result, warping, exact, approx) = match &request.backend {
             Backend::Classic => {
                 let mut system = MultiLevelSystem::new(memory.clone());
-                let result = simulate_with_walk(&scop, &mut system, self.walk);
+                let result = simulate(&scop, &mut system);
                 (result, None, true, None)
             }
             Backend::Warping(options) => {
@@ -297,8 +276,7 @@ impl Engine {
                         message,
                     })?
                     .with_options(*options)
-                    .with_threads(backend_threads)
-                    .with_walk(self.walk);
+                    .with_threads(backend_threads);
                 if let Some(hints) = &ctx.warp_hints {
                     simulator = simulator.with_hints(hints.clone());
                 }
@@ -384,7 +362,7 @@ impl Engine {
                 let (result, approx, cal) = loop {
                     warm.sampled_attempts += 1;
                     let (result, approx, cal) =
-                        sampling::run_sampled_with(&scop, memory, &opts, prior, self.walk);
+                        sampling::run_sampled_with(&scop, memory, &opts, prior);
                     let worst = approx
                         .per_level_error_bound
                         .iter()
@@ -422,7 +400,7 @@ impl Engine {
                 (result, None, exact, Some(approx))
             }
             Backend::Trace => {
-                let trace = generate_trace_with(&scop, self.walk);
+                let trace = generate_trace(&scop);
                 let levels = simulate_trace_memory(&trace, memory);
                 let result = SimulationResult {
                     accesses: trace.len() as u64,
@@ -461,9 +439,8 @@ impl Engine {
     ///
     /// The thread budget is shared with the backends' own parallelism:
     /// batch-level fan-out takes precedence, so when several requests run
-    /// concurrently each of them applies warps sequentially
-    /// (`parallel_warp` stays dormant rather than oversubscribing the
-    /// machine).  A batch that collapses to the sequential path — fewer
+    /// concurrently each of them applies warps sequentially rather than
+    /// oversubscribing the machine.  A batch that collapses to the sequential path — fewer
     /// than two requests, or an engine with one thread — grants each
     /// request the full budget, exactly like [`Engine::run`].  Either way
     /// the reported counts are bit-identical.

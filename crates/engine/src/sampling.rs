@@ -88,12 +88,11 @@
 //! reproduces the classic backend bit-for-bit.
 
 use crate::report::ApproxStats;
-use cache_model::{Access, LevelStats, MemBlock, MemoryConfig, MultiLevelState, StateSnapshot};
+use cache_model::{LevelStats, MemBlock, MemoryConfig, MultiLevelState, StateSnapshot};
 use scop::{
-    compile, for_each_access_at, for_each_run_at, CompiledLoop, CompiledNode, LoopNode, Node, Scop,
-    WalkScratch,
+    compile, for_each_run_at, CompiledLoop, CompiledNode, LoopNode, Node, Scop, WalkScratch,
 };
-use simulate::{simulate_with_walk, MultiLevelSystem, SimulationResult, WalkMode};
+use simulate::{simulate, MultiLevelSystem, SimulationResult};
 use warping::fingerprint::concrete_fingerprint;
 
 /// One million: the denominator of [`SamplingOptions::rate_ppm`].
@@ -273,13 +272,12 @@ pub(crate) fn run_sampled_with(
     memory: &MemoryConfig,
     options: &SamplingOptions,
     prior: Option<&Calibration>,
-    walk: WalkMode,
 ) -> (SimulationResult, ApproxStats, CalibrationOutcome) {
     let depth = memory.depth();
     if options.rate_ppm >= PPM {
         // Full rate: run the classic path verbatim so the counts are
         // bit-identical by construction, not merely by argument.
-        let result = simulate_with_walk(scop, &mut MultiLevelSystem::new(memory.clone()), walk);
+        let result = simulate(scop, &mut MultiLevelSystem::new(memory.clone()));
         return (
             result,
             ApproxStats::exact(depth),
@@ -287,12 +285,9 @@ pub(crate) fn run_sampled_with(
         );
     }
     // The compiled twin of the SCoP: the exact and measured intervals
-    // replay its run stream (batched same-line updates), the reference
-    // mode replays Algorithm 1 per access.  Counts are bit-identical.
-    let compiled = (walk == WalkMode::Compiled).then(|| compile(scop));
-    let scratch = compiled
-        .as_ref()
-        .map_or_else(WalkScratch::default, |c| c.new_scratch());
+    // replay its run stream (batched same-line updates).
+    let compiled = compile(scop);
+    let scratch = compiled.new_scratch();
     let mut sampler = Sampler {
         config: memory,
         options: *options,
@@ -318,20 +313,12 @@ pub(crate) fn run_sampled_with(
         seeded: false,
         fallback: false,
         measured_cal: None,
-        cur: None,
         scratch,
     };
-    for (idx, root) in scop.roots().iter().enumerate() {
-        let croot = compiled.as_ref().map(|c| &c.roots()[idx]);
-        match root {
-            Node::Loop(l) => {
-                let cl = croot.and_then(|c| match c {
-                    CompiledNode::Loop(cl) => Some(cl),
-                    CompiledNode::Access(_) => None,
-                });
-                sampler.run_loop(l, cl);
-            }
-            access => sampler.run_node_exact(access, croot),
+    for (root, croot) in scop.roots().iter().zip(compiled.roots()) {
+        match (root, croot) {
+            (Node::Loop(l), CompiledNode::Loop(cl)) => sampler.run_loop(l, cl),
+            _ => sampler.run_node_exact(croot),
         }
     }
     sampler.finish()
@@ -363,9 +350,6 @@ struct Sampler<'a> {
     fallback: bool,
     /// Calibration measured by the largest sampled loop so far.
     measured_cal: Option<Calibration>,
-    /// The compiled twin of the loop currently being sampled (compiled
-    /// walk only); `None` replays the reference per-access walk.
-    cur: Option<&'a CompiledLoop>,
     /// Reusable compiled-walk scratch (iteration vector + per-slot base
     /// addresses), kept across intervals so resumptions allocate nothing.
     scratch: WalkScratch,
@@ -390,42 +374,27 @@ impl<'a> Sampler<'a> {
     }
 
     /// Simulates a non-loop root exactly, counts trusted.
-    fn run_node_exact(&mut self, node: &Node, cnode: Option<&CompiledNode>) {
+    fn run_node_exact(&mut self, node: &CompiledNode) {
         let stamp = self.clock;
         let config = self.config;
         let mut local = vec![LevelStats::default(); self.totals.len()];
         let state = &mut self.state;
-        let scratch = &mut self.scratch;
-        self.simulated += match cnode {
-            Some(c) => for_each_run_at(c, &[], scratch, |run| {
-                state.access_run_stamped(
-                    config, run.base, run.stride, run.count, run.kind, stamp, &mut local,
-                );
-            }),
-            None => for_each_access_at(node, &[], |acc| {
-                state
-                    .access_stamped(
-                        config,
-                        Access {
-                            address: acc.address,
-                            kind: acc.kind,
-                        },
-                        stamp,
-                    )
-                    .record_into(&mut local);
-            }),
-        };
+        self.simulated += for_each_run_at(node, &[], &mut self.scratch, |run| {
+            state.access_run_stamped(
+                config, run.base, run.stride, run.count, run.kind, stamp, &mut local,
+            );
+        });
         merge(&mut self.totals, &local);
         self.clock += 1;
     }
 
-    /// Simulates outer iterations `range` of `l` (stamped with their
-    /// absolute iteration numbers `base + idx`) and returns the local
-    /// per-level counts.  When `counted`, they are also merged into the
-    /// totals; a warm-up pass discards them.
+    /// Simulates outer iterations `range` of the compiled loop `cl`
+    /// (stamped with their absolute iteration numbers `base + idx`) and
+    /// returns the local per-level counts.  When `counted`, they are also
+    /// merged into the totals; a warm-up pass discards them.
     fn run_iters(
         &mut self,
-        l: &LoopNode,
+        cl: &CompiledLoop,
         iters: &OuterIters,
         base: i64,
         range: std::ops::Range<usize>,
@@ -433,41 +402,16 @@ impl<'a> Sampler<'a> {
     ) -> Vec<LevelStats> {
         let mut local = vec![LevelStats::default(); self.totals.len()];
         let config = self.config;
-        let cur = self.cur;
         for idx in range {
             let stamp = base + idx as i64;
             let state = &mut self.state;
-            match cur {
-                // Compiled replay: the loop's compiled children mirror
-                // `l.children` one to one, so the run stream covers the
-                // same accesses in the same order, batched by cache line.
-                Some(cl) => {
-                    let scratch = &mut self.scratch;
-                    for child in cl.children() {
-                        self.simulated += for_each_run_at(child, iters.at(idx), scratch, |run| {
-                            state.access_run_stamped(
-                                config, run.base, run.stride, run.count, run.kind, stamp,
-                                &mut local,
-                            );
-                        });
-                    }
-                }
-                None => {
-                    for child in &l.children {
-                        self.simulated += for_each_access_at(child, iters.at(idx), |acc| {
-                            state
-                                .access_stamped(
-                                    config,
-                                    Access {
-                                        address: acc.address,
-                                        kind: acc.kind,
-                                    },
-                                    stamp,
-                                )
-                                .record_into(&mut local);
-                        });
-                    }
-                }
+            let scratch = &mut self.scratch;
+            for child in cl.children() {
+                self.simulated += for_each_run_at(child, iters.at(idx), scratch, |run| {
+                    state.access_run_stamped(
+                        config, run.base, run.stride, run.count, run.kind, stamp, &mut local,
+                    );
+                });
             }
         }
         if counted {
@@ -499,14 +443,14 @@ impl<'a> Sampler<'a> {
     /// measured schedule.
     fn trace_prefix(
         &mut self,
-        l: &LoopNode,
+        cl: &CompiledLoop,
         iters: &OuterIters,
         base: i64,
         range: std::ops::Range<usize>,
         trace: &mut Vec<u64>,
     ) {
         for idx in range {
-            let local = self.run_iters(l, iters, base, idx..idx + 1, true);
+            let local = self.run_iters(cl, iters, base, idx..idx + 1, true);
             let mut signature = 0xcbf2_9ce4_8422_2325u64;
             for stats in &local {
                 signature = (signature ^ stats.misses).wrapping_mul(0x0000_0100_0000_01b3);
@@ -517,10 +461,8 @@ impl<'a> Sampler<'a> {
     }
 
     /// Samples one top-level loop (or simulates it exactly when it is too
-    /// small for sampling to pay off).  `cl` is the loop's compiled twin
-    /// (compiled walk only).
-    fn run_loop(&mut self, l: &LoopNode, cl: Option<&'a CompiledLoop>) {
-        self.cur = cl;
+    /// small for sampling to pay off).  `cl` is the loop's compiled twin.
+    fn run_loop(&mut self, l: &LoopNode, cl: &CompiledLoop) {
         let iters = outer_iterations(l);
         let total = iters.len();
         let base = self.clock;
@@ -537,7 +479,7 @@ impl<'a> Sampler<'a> {
             None => full_prefix,
         };
         let mut trace = Vec::with_capacity(full_prefix);
-        self.trace_prefix(l, &iters, base, 0..prefix, &mut trace);
+        self.trace_prefix(cl, &iters, base, 0..prefix, &mut trace);
         let mut loop_seeded = false;
         // Validation skips the donor's settle depth: those iterations are
         // the cold-start fill, whose signatures are not periodic on any
@@ -551,7 +493,7 @@ impl<'a> Sampler<'a> {
             Some(_) => {
                 self.seeded = true;
                 self.fallback = true;
-                self.trace_prefix(l, &iters, base, prefix..full_prefix, &mut trace);
+                self.trace_prefix(cl, &iters, base, prefix..full_prefix, &mut trace);
                 prefix = full_prefix;
                 detect_period(&trace)
             }
@@ -568,7 +510,7 @@ impl<'a> Sampler<'a> {
         let n = remaining / p;
         let stride = self.interval_stride();
         if n < MIN_INTERVALS || stride <= 1 {
-            self.run_iters(l, &iters, base, prefix..total, true);
+            self.run_iters(cl, &iters, base, prefix..total, true);
             return;
         }
 
@@ -616,7 +558,7 @@ impl<'a> Sampler<'a> {
             let deficit = (full_prefix - prefix) / p;
             let budget = (c.stable_depth + deficit + STABLE_STREAK as usize).min(n);
             while stable < budget && streak < STABLE_STREAK {
-                self.run_iters(l, &iters, base, grow_range(stable), true);
+                self.run_iters(cl, &iters, base, grow_range(stable), true);
                 stable += 1;
                 let occ = occupancy(&self.state);
                 if occ == occ_prev {
@@ -634,7 +576,7 @@ impl<'a> Sampler<'a> {
         while stable < n && streak < STABLE_STREAK {
             let step = stride.min(n - stable);
             self.run_iters(
-                l,
+                cl,
                 &iters,
                 base,
                 grow_range(stable).start..grow_range(stable + step - 1).end,
@@ -652,7 +594,7 @@ impl<'a> Sampler<'a> {
         }
         let n_rest = n - stable;
         if n_rest < MIN_INTERVALS {
-            self.run_iters(l, &iters, base, (prefix + stable * p)..total, true);
+            self.run_iters(cl, &iters, base, (prefix + stable * p)..total, true);
             return;
         }
         self.period = self.period.max(p as u64);
@@ -734,11 +676,11 @@ impl<'a> Sampler<'a> {
                         let live = self.live_levels(shorizon);
                         let warmup = (self.options.warmup as usize * live).min(sgap);
                         for w in (sj - warmup)..sj {
-                            self.run_iters(l, &iters, base, interval_range(w), false);
+                            self.run_iters(cl, &iters, base, interval_range(w), false);
                         }
                     }
                     shorizon = start_stamp(sj);
-                    let probe = self.run_iters(l, &iters, base, interval_range(sj), false);
+                    let probe = self.run_iters(cl, &iters, base, interval_range(sj), false);
                     let g = sgap as u64;
                     for (level, tally) in shadow.iter_mut().enumerate() {
                         let (b, a) = (&left[level], &probe[level]);
@@ -754,7 +696,7 @@ impl<'a> Sampler<'a> {
                     let tgap = tj - prev_end;
                     if tgap > 0 {
                         let local = self.run_iters(
-                            l,
+                            cl,
                             &iters,
                             base,
                             interval_range(prev_end).start..interval_range(tj).start,
@@ -764,7 +706,7 @@ impl<'a> Sampler<'a> {
                         self.measured_intervals += tgap as u64;
                     }
                     horizon = start_stamp(tj);
-                    let stats = self.run_iters(l, &iters, base, interval_range(tj), true);
+                    let stats = self.run_iters(cl, &iters, base, interval_range(tj), true);
                     fingerprints.push(concrete_fingerprint(self.state.levels()));
                     merge(&mut truth, &stats);
                     measured.push(stats);
@@ -788,11 +730,11 @@ impl<'a> Sampler<'a> {
                 let live = self.live_levels(horizon);
                 let warmup = (self.options.warmup as usize * live).min(gap);
                 for w in (j - warmup)..j {
-                    self.run_iters(l, &iters, base, interval_range(w), false);
+                    self.run_iters(cl, &iters, base, interval_range(w), false);
                 }
             }
             horizon = start_stamp(j);
-            let stats = self.run_iters(l, &iters, base, interval_range(j), true);
+            let stats = self.run_iters(cl, &iters, base, interval_range(j), true);
             fingerprints.push(concrete_fingerprint(self.state.levels()));
             measured.push(stats);
             gaps.push(gap);
@@ -823,7 +765,7 @@ impl<'a> Sampler<'a> {
         self.measured_intervals += schedule.len() as u64;
 
         // Phase 3: the ragged tail that fills no whole interval.
-        self.run_iters(l, &iters, base, (prefix + n * p)..total, true);
+        self.run_iters(cl, &iters, base, (prefix + n * p)..total, true);
 
         // Extrapolate the gaps from their bracketing measurements and
         // accumulate the error bound.
@@ -1042,8 +984,9 @@ fn outer_iterations(l: &LoopNode) -> OuterIters {
             if l.domain.contains(&i) {
                 iters.flat.extend_from_slice(&i);
             }
-            *i.last_mut()
-                .expect("loop domains have at least one dimension") += l.stride;
+            if !step(&mut i, l.stride) {
+                break;
+            }
         }
         return iters;
     }
@@ -1058,10 +1001,26 @@ fn outer_iterations(l: &LoopNode) -> OuterIters {
         if l.domain.contains(&i) {
             iters.flat.extend_from_slice(&i);
         }
-        *i.last_mut()
-            .expect("loop domains have at least one dimension") += l.stride;
+        if !step(&mut i, l.stride) {
+            break;
+        }
     }
     iters
+}
+
+/// Advances the innermost iterator by `stride`; `false` when that would
+/// step past the `i64` range, which ends the loop.
+fn step(i: &mut [i64], stride: i64) -> bool {
+    let last = i
+        .last_mut()
+        .expect("loop domains have at least one dimension");
+    match last.checked_add(stride) {
+        Some(next) => {
+            *last = next;
+            true
+        }
+        None => false,
+    }
 }
 
 /// Whether the trace is `p`-periodic beyond its first (coldest)
@@ -1290,7 +1249,7 @@ mod tests {
         let memory = memory();
         let options = SamplingOptions::DEFAULT;
         let donor = streaming().build().expect("donor builds");
-        let (_, _, cold) = run_sampled_with(&donor, &memory, &options, None, WalkMode::Compiled);
+        let (_, _, cold) = run_sampled_with(&donor, &memory, &options, None);
         assert!(!cold.seeded && !cold.fallback);
         let cal = cold.measured.expect("a sampled run measures a calibration");
         assert!(cal.period >= 1 && cal.intervals > 0);
@@ -1302,18 +1261,8 @@ mod tests {
         )
         .build()
         .expect("neighbour builds");
-        let classic = simulate_with_walk(
-            &neighbour,
-            &mut MultiLevelSystem::new(memory.clone()),
-            WalkMode::Compiled,
-        );
-        let (result, approx, out) = run_sampled_with(
-            &neighbour,
-            &memory,
-            &options,
-            Some(&cal),
-            WalkMode::Compiled,
-        );
+        let classic = simulate(&neighbour, &mut MultiLevelSystem::new(memory.clone()));
+        let (result, approx, out) = run_sampled_with(&neighbour, &memory, &options, Some(&cal));
         assert!(out.seeded, "a usable prior must be consulted");
         assert!(!out.fallback, "a same-shape neighbour validates cleanly");
         for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
@@ -1325,8 +1274,7 @@ mod tests {
         assert_eq!(classic.accesses, result.accesses);
         // The seeded schedule does strictly less exact work than a cold
         // run of the same kernel — that is the whole point.
-        let (_, cold_approx, _) =
-            run_sampled_with(&neighbour, &memory, &options, None, WalkMode::Compiled);
+        let (_, cold_approx, _) = run_sampled_with(&neighbour, &memory, &options, None);
         assert!(
             approx.measured_intervals < cold_approx.measured_intervals,
             "seeded {} vs cold {}",
@@ -1342,7 +1290,7 @@ mod tests {
         let memory = memory();
         let options = SamplingOptions::DEFAULT;
         let donor = streaming().build().expect("donor builds");
-        let (_, _, cold) = run_sampled_with(&donor, &memory, &options, None, WalkMode::Compiled);
+        let (_, _, cold) = run_sampled_with(&donor, &memory, &options, None);
         let cal = cold.measured.expect("donor calibration");
 
         // A triangular kernel has an aperiodic behaviour signature: the
@@ -1356,43 +1304,12 @@ mod tests {
         )
         .build()
         .expect("tri builds");
-        let (cold_result, cold_approx, cold_out) =
-            run_sampled_with(&tri, &memory, &options, None, WalkMode::Compiled);
+        let (cold_result, cold_approx, cold_out) = run_sampled_with(&tri, &memory, &options, None);
         assert!(!cold_out.seeded);
-        let (result, approx, out) =
-            run_sampled_with(&tri, &memory, &options, Some(&cal), WalkMode::Compiled);
+        let (result, approx, out) = run_sampled_with(&tri, &memory, &options, Some(&cal));
         assert!(out.seeded, "the prior was consulted");
         assert!(out.fallback, "a foreign prior must fail validation");
         assert_eq!(result, cold_result);
         assert_eq!(approx, cold_approx);
-    }
-
-    #[test]
-    fn compiled_and_reference_walks_sample_bit_identically() {
-        // The walk mode changes how intervals are replayed (batched runs
-        // vs per-access), not which intervals are measured or what they
-        // count: result, bounds and calibration must all coincide.
-        let memory = memory();
-        let options = SamplingOptions::DEFAULT;
-        let kernels = [
-            streaming().build().expect("streaming builds"),
-            KernelSpec::source(
-                "mixed",
-                "double A[4096];\n\
-                 for (i = 4095; i >= 0; i -= 1) if (i >= 64) A[i] = A[i];\n\
-                 for (j = 0; j < 100; j += 3) A[j] = 0;",
-            )
-            .build()
-            .expect("mixed builds"),
-        ];
-        for (idx, scop) in kernels.iter().enumerate() {
-            let (c_result, c_approx, c_out) =
-                run_sampled_with(scop, &memory, &options, None, WalkMode::Compiled);
-            let (r_result, r_approx, r_out) =
-                run_sampled_with(scop, &memory, &options, None, WalkMode::Reference);
-            assert_eq!(c_result, r_result, "kernel {idx}");
-            assert_eq!(c_approx, r_approx, "kernel {idx}");
-            assert_eq!(c_out.measured, r_out.measured, "kernel {idx}");
-        }
     }
 }

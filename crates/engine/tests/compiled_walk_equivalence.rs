@@ -6,15 +6,20 @@
 //!
 //!   * emit the exact access stream of the reference walk, address by
 //!     address and kind by kind, and
-//!   * produce bit-identical [`SimReport`]s through every simulating
-//!     backend (classic, warping, trace, sampled) of the engine.
+//!   * leave every backend of the engine reporting what the reference
+//!     stream implies: classic, warping and trace the counts of
+//!     [`simulate::simulate_reference`], sampled counts within their
+//!     reported bound, HayStack the stack-distance profile of the reference
+//!     block stream and PolyCache a per-set LRU replay of it.
 //!
-//! `Engine::with_walk(WalkMode::Reference)` is the oracle — the same
-//! engine, same backends, same kernels, with only the walker swapped.
+//! The reference walk ([`scop::for_each_access`]) is the oracle: every
+//! backend consumes the compiled stream, so nothing else can vouch for it.
 
-use cache_model::{AccessKind, CacheConfig, MemoryConfig, ReplacementPolicy};
-use engine::{Backend, Engine, KernelSpec, SimRequest, WalkMode};
+use analytical::HaystackModel;
+use cache_model::{AccessKind, CacheConfig, MemBlock, MemoryConfig, ReplacementPolicy};
+use engine::{Backend, Engine, KernelSpec, SimRequest};
 use proptest::prelude::*;
+use simulate::{simulate_reference, MultiLevelSystem};
 
 /// The kernel shapes under test; each is stamped out from the same small
 /// parameter tuple so shrinking stays meaningful.
@@ -111,14 +116,35 @@ fn memory(depth: usize, policy: ReplacementPolicy) -> MemoryConfig {
     MemoryConfig::new(levels).expect("hierarchy is compatible")
 }
 
-/// Every simulating backend (the analytical models have no walk).
-fn backends() -> Vec<Backend> {
-    vec![
-        Backend::Classic,
-        Backend::warping(),
-        Backend::Trace,
-        Backend::Sampled(engine::SamplingOptions::DEFAULT),
-    ]
+/// Per-level miss counts of an inclusive LRU hierarchy replayed set by
+/// set over `addresses`: each set is an MRU-first stack of blocks, and a
+/// level is consulted only when the level above it misses.
+fn lru_replay(addresses: &[u64], levels: &[CacheConfig]) -> Vec<u64> {
+    let mut sets: Vec<Vec<Vec<MemBlock>>> = levels
+        .iter()
+        .map(|level| vec![Vec::new(); level.num_sets()])
+        .collect();
+    let mut misses = vec![0; levels.len()];
+    for &address in addresses {
+        for (idx, level) in levels.iter().enumerate() {
+            let block = MemBlock::of_address(address, level.line_size());
+            let stack = &mut sets[idx][(block.0 % level.num_sets() as u64) as usize];
+            let hit = match stack.iter().position(|b| *b == block) {
+                Some(pos) => {
+                    stack.remove(pos);
+                    true
+                }
+                None => false,
+            };
+            stack.insert(0, block);
+            stack.truncate(level.assoc());
+            if hit {
+                break;
+            }
+            misses[idx] += 1;
+        }
+    }
+    misses
 }
 
 proptest! {
@@ -147,7 +173,7 @@ proptest! {
         prop_assert_eq!(reference, lowered, "{:?} n={} step={} mult={}", shape, n, step, mult);
     }
 
-    /// Every backend reports the same outcome under either walk.
+    /// Every backend reports what the reference stream implies.
     #[test]
     fn every_backend_is_walk_invariant(
         shape in arb_shape(),
@@ -157,23 +183,58 @@ proptest! {
         depth in prop::sample::select(vec![2usize, 3]),
         policy in arb_policy(),
     ) {
-        let compiled = Engine::new().with_threads(1);
-        let reference = Engine::new().with_threads(1).with_walk(WalkMode::Reference);
-        for backend in backends() {
-            let request = SimRequest::new(
-                kernel(shape, n, step, mult),
-                memory(depth, policy),
-                backend,
-            );
-            let fast = compiled.run(&request).expect("compiled walk runs");
-            let slow = reference.run(&request).expect("reference walk runs");
-            prop_assert!(
-                fast.same_outcome(&slow),
-                "{:?} n={} step={} mult={} depth={} policy={:?} backend={}: \
-                 {:?} vs {:?}",
-                shape, n, step, mult, depth, policy, request.backend,
-                fast.result, slow.result
-            );
+        let spec = kernel(shape, n, step, mult);
+        let scop = spec.build().expect("kernel builds");
+        let memory = memory(depth, policy);
+        let tag = format!("{shape:?} n={n} step={step} mult={mult} depth={depth} policy={policy:?}");
+        let engine = Engine::new().with_threads(1);
+        let run = |memory: &MemoryConfig, backend: Backend| {
+            engine
+                .run(&SimRequest::new(spec.clone(), memory.clone(), backend))
+                .expect("request runs")
+        };
+
+        let reference = simulate_reference(&scop, &mut MultiLevelSystem::new(memory.clone()));
+        for backend in [Backend::Classic, Backend::warping(), Backend::Trace] {
+            let report = run(&memory, backend);
+            prop_assert_eq!(&report.result, &reference, "{} backend={}", tag, report.backend);
         }
+        let sampled = run(&memory, Backend::Sampled(engine::SamplingOptions::DEFAULT));
+        let approx = sampled.approx.expect("sampled reports carry bounds");
+        prop_assert_eq!(sampled.result.accesses, reference.accesses, "{}", tag);
+        for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
+            let err = sampled.result.levels[level]
+                .misses
+                .abs_diff(reference.levels[level].misses);
+            prop_assert!(err <= *bound, "{} level {}: error {} > bound {}", tag, level, err, bound);
+        }
+
+        let mut addresses = Vec::new();
+        scop::for_each_access(&scop, |access| addresses.push(access.address));
+
+        let l1 = memory.levels()[0].clone();
+        let haystack = run(&MemoryConfig::from(l1.clone()), Backend::Haystack);
+        let profile = HaystackModel::new(l1.line_size()).analyze_blocks(
+            addresses.iter().map(|&a| MemBlock::of_address(a, l1.line_size())),
+        );
+        let lines = l1.num_sets() * l1.assoc();
+        prop_assert_eq!(haystack.result.accesses, profile.accesses, "{}", tag);
+        prop_assert_eq!(haystack.result.levels[0].misses, profile.misses(lines), "{}", tag);
+
+        let lru: Vec<CacheConfig> = memory.levels()[..2]
+            .iter()
+            .map(|level| {
+                CacheConfig::with_sets(
+                    level.num_sets(),
+                    level.assoc(),
+                    level.line_size(),
+                    ReplacementPolicy::Lru,
+                )
+            })
+            .collect();
+        let polycache = run(&MemoryConfig::new(lru.clone()).expect("valid"), Backend::PolyCache);
+        let misses: Vec<u64> = polycache.result.levels.iter().map(|l| l.misses).collect();
+        prop_assert_eq!(polycache.result.accesses, addresses.len() as u64, "{}", tag);
+        prop_assert_eq!(misses, lru_replay(&addresses, &lru), "{}", tag);
     }
 }

@@ -604,7 +604,10 @@ fn walk_loop_dynamic(
                 walk(child, scratch, visit, count);
             }
         }
-        let next = v + l.stride;
+        // Stepping out of the `i64` range ends the loop.
+        let Some(next) = v.checked_add(l.stride) else {
+            break;
+        };
         if (l.stride > 0 && next > v_end) || (l.stride < 0 && next < v_end) {
             break;
         }

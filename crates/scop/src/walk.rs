@@ -89,7 +89,11 @@ fn walk_node<'a>(
                             walk_node(child, &i, pool, visit, count);
                         }
                     }
-                    i[d] += l.stride;
+                    // Stepping out of the `i64` range ends the loop.
+                    let Some(next) = i[d].checked_add(l.stride) else {
+                        break;
+                    };
+                    i[d] = next;
                 }
             } else {
                 pool.push(end);
@@ -173,7 +177,10 @@ fn walk_node_capped(
                             }
                         }
                     }
-                    i[d] += l.stride;
+                    let Some(next) = i[d].checked_add(l.stride) else {
+                        break;
+                    };
+                    i[d] = next;
                 }
             } else {
                 pool.push(end);

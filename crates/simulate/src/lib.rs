@@ -41,21 +41,6 @@ use cache_model::{
 use scop::{compile, for_each_access, Scop};
 use serde::{Serialize, Value};
 
-/// Which SCoP traversal drives a simulation.
-///
-/// Both walks produce the identical access stream; the compiled walk
-/// strength-reduces addresses, hoists bounds/guards and batches
-/// same-line accesses (see `scop::compile`), while the reference walk
-/// is the literal Algorithm 1 kept as the differential oracle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum WalkMode {
-    /// The compile-once/walk-many path (the default everywhere).
-    #[default]
-    Compiled,
-    /// The per-access reference walk of Algorithm 1.
-    Reference,
-}
-
 /// The result of simulating a SCoP against a memory system: per-level
 /// hit/miss counters for every level of the hierarchy, L1 first.  No level's
 /// statistics are ever dropped, whatever the depth.
@@ -315,38 +300,22 @@ impl MemorySystem for MultiLevelSystem {
 /// statistics.  The memory system is *not* reset first, so simulations
 /// can be composed, as discussed at the end of §4 of the paper.
 ///
-/// Uses the compiled walk; [`simulate_reference`] (or
-/// [`simulate_with_walk`] with [`WalkMode::Reference`]) runs the literal
+/// Uses the compiled walk; [`simulate_reference`] runs the literal
 /// Algorithm 1 with bit-identical results.
 pub fn simulate<M: MemorySystem>(scop: &Scop, memory: &mut M) -> SimulationResult {
-    simulate_with_walk(scop, memory, WalkMode::Compiled)
-}
-
-/// Simulates a SCoP with an explicit [`WalkMode`].
-pub fn simulate_with_walk<M: MemorySystem>(
-    scop: &Scop,
-    memory: &mut M,
-    walk: WalkMode,
-) -> SimulationResult {
-    match walk {
-        WalkMode::Compiled => {
-            let compiled = compile(scop);
-            let mut scratch = compiled.new_scratch();
-            compiled.for_each_run(&mut scratch, |run| {
-                memory.access_run(run.base, run.stride, run.count, run.kind);
-            });
-        }
-        WalkMode::Reference => {
-            for_each_access(scop, |acc| memory.access(acc.address, acc.kind));
-        }
-    }
+    let compiled = compile(scop);
+    let mut scratch = compiled.new_scratch();
+    compiled.for_each_run(&mut scratch, |run| {
+        memory.access_run(run.base, run.stride, run.count, run.kind);
+    });
     memory.result()
 }
 
 /// Simulates a SCoP with the reference walk of Algorithm 1 — the
 /// differential oracle the compiled path is diffed against.
 pub fn simulate_reference<M: MemorySystem>(scop: &Scop, memory: &mut M) -> SimulationResult {
-    simulate_with_walk(scop, memory, WalkMode::Reference)
+    for_each_access(scop, |acc| memory.access(acc.address, acc.kind));
+    memory.result()
 }
 
 /// Simulates a SCoP on a fresh N-level memory system.

@@ -23,8 +23,7 @@ use cache_model::{
     Access, CacheConfig, CacheState, HierarchyConfig, HierarchyStats, LevelStats, MemoryConfig,
     MultiLevelState, ReplacementPolicy,
 };
-use scop::{compile, elaborate, for_each_access, parse_program, ElaborateOptions, Scop};
-use simulate::WalkMode;
+use scop::{compile, elaborate, parse_program, ElaborateOptions, Scop};
 
 /// Materialises the complete memory-access trace of a SCoP.
 ///
@@ -32,34 +31,20 @@ use simulate::WalkMode;
 /// in execution order.  For large problem sizes this is deliberately
 /// expensive — it models the trace-generation overhead of binary
 /// instrumentation (QEMU in the paper's Dinero IV baseline).
-///
-/// Uses the compiled walk; [`generate_trace_with`] selects the walk
-/// explicitly (the streams are identical).
 pub fn generate_trace(scop: &Scop) -> Vec<Access> {
-    generate_trace_with(scop, WalkMode::Compiled)
+    let mut trace = Vec::new();
+    visit_accesses(scop, |access| trace.push(access));
+    trace
 }
 
-/// Materialises the trace with an explicit [`WalkMode`].
-pub fn generate_trace_with(scop: &Scop, walk: WalkMode) -> Vec<Access> {
-    let mut trace = Vec::new();
-    match walk {
-        WalkMode::Compiled => {
-            let compiled = compile(scop);
-            let mut scratch = compiled.new_scratch();
-            compiled.for_each_access(&mut scratch, |_, address, kind| {
-                trace.push(Access { address, kind });
-            });
-        }
-        WalkMode::Reference => {
-            for_each_access(scop, |acc| {
-                trace.push(Access {
-                    address: acc.address,
-                    kind: acc.kind,
-                })
-            });
-        }
-    }
-    trace
+/// Visits every dynamic access of `scop` in execution order through the
+/// compiled walk.
+fn visit_accesses(scop: &Scop, mut visit: impl FnMut(Access)) {
+    let compiled = compile(scop);
+    let mut scratch = compiled.new_scratch();
+    compiled.for_each_access(&mut scratch, |_, address, kind| {
+        visit(Access { address, kind })
+    });
 }
 
 /// Simulates a trace against a single cache level and returns its
@@ -164,14 +149,8 @@ impl HardwareReference {
     pub fn measure_scop(&self, scop: &Scop) -> MeasuredKernel {
         let mut state = CacheState::new(&self.config);
         let mut stats = LevelStats::default();
-        for_each_access(scop, |acc| {
-            stats.record(state.access(
-                &self.config,
-                Access {
-                    address: acc.address,
-                    kind: acc.kind,
-                },
-            ));
+        visit_accesses(scop, |access| {
+            stats.record(state.access(&self.config, access));
         });
         let misses = perturb(stats.misses, self.perturbation, scop.footprint_bytes());
         MeasuredKernel {
@@ -296,22 +275,6 @@ mod tests {
         let m = reference.measure_source(source).unwrap();
         // Each iteration: read s, read A[i], write s.
         assert_eq!(m.accesses, 300);
-    }
-
-    #[test]
-    fn compiled_and_reference_traces_are_identical() {
-        for src in [
-            "double A[1000]; double B[1000];\n\
-             for (i = 1; i < 999; i++) B[i-1] = A[i-1] + A[i];",
-            "double A[10]; for (i = 9; i >= 0; i -= 3) if (i < 7) A[i] = 0;",
-        ] {
-            let scop = parse_scop(src).unwrap();
-            assert_eq!(
-                generate_trace_with(&scop, WalkMode::Compiled),
-                generate_trace_with(&scop, WalkMode::Reference),
-                "{src}"
-            );
-        }
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //! block shift is zero or the level saw no traffic during the matched
 //! chunk).  This is what lets kernels whose working set fits in the L1 warp
 //! over arbitrarily large outer levels: the outer levels' labels froze
-//! during warm-up, and under current-iterator normalisation ([
-//! `WarpingOptions::label_renorm`] = `false`) their keys would drift apart
-//! forever even though the states are physically identical.
+//! during warm-up; normalised by the current iterator instead, their keys
+//! would drift apart forever even though the states are physically
+//! identical.
 
 use crate::fingerprint::MAX_TRACKED_DIMS;
 use crate::key::CanonicalKey;
@@ -47,7 +47,7 @@ use scop::{
     compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, EntryBounds, LoopNode, Node,
     Scop,
 };
-use simulate::{SimulationResult, WalkMode};
+use simulate::SimulationResult;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -88,14 +88,13 @@ pub struct WarpingOutcome {
     /// [`match_attempts`](WarpingOutcome::match_attempts).
     pub exact_key_builds: u64,
     /// Number of levels, summed over applied warps, whose stale (frozen)
-    /// labels were matched through epoch renormalisation — levels holding
+    /// labels were matched through epoch normalisation — levels holding
     /// lines that stopped being touched and were recognised as bit-identical
-    /// instead of blocking the match.  The warps the pre-epoch,
-    /// current-iterator normalisation could never find (frozen
-    /// *descendant* labels, e.g. L1-resident kernels over big hierarchies)
-    /// always show up here; a frozen level holding only non-descendant
+    /// instead of blocking the match.  Every warp that needs a frozen
+    /// *descendant* label (e.g. L1-resident kernels over big hierarchies)
+    /// shows up here; a frozen level holding only non-descendant
     /// (absolutely encoded) lines also counts, even though an identity
-    /// (zero-shift) warp over it could have matched under the old
+    /// (zero-shift) warp over it would match under current-iterator
     /// normalisation too.
     pub stale_label_renorms: u64,
     /// Wall-clock nanoseconds spent applying warps (counter extrapolation
@@ -206,24 +205,6 @@ pub struct WarpingOptions {
     /// exhaustive key-per-attempt pipeline (useful for differential testing
     /// and ablation); results are bit-identical either way.
     pub fingerprint_filter: bool,
-    /// Whether canonical keys normalise each level's descendant labels by
-    /// that level's epoch (the warped-iterator stamp of the last access
-    /// that wrote a label there) instead of the current iterator value.
-    /// Epoch normalisation makes *frozen* labels — outer-level lines that
-    /// stopped being touched because the working set fits further in —
-    /// shift-invariant, unlocking warps on L1-resident kernels over big
-    /// hierarchies.  Disabling it restores the pre-epoch pipeline (every
-    /// level normalised by the current iterator); miss counts are
-    /// bit-identical either way — renormalisation only changes *which*
-    /// states are recognised as matching, never what a warp extrapolates.
-    pub label_renorm: bool,
-    /// Whether warp application may fan out across levels (and across sets
-    /// within large levels) over the simulator's [thread
-    /// budget](WarpingSimulator::with_threads).  The rewrite of each set is
-    /// independent, so the resulting state — and every simulation count —
-    /// is bit-identical to the sequential rewrite.  Depth-1 or small
-    /// configurations fall back to the sequential path automatically.
-    pub parallel_warp: bool,
 }
 
 impl Default for WarpingOptions {
@@ -242,8 +223,6 @@ impl WarpingOptions {
         min_trip_count: 24,
         max_fruitless_attempts: 512,
         fingerprint_filter: true,
-        label_renorm: true,
-        parallel_warp: true,
     };
 
     /// Checks the options for values that would make the simulator loop or
@@ -364,12 +343,6 @@ pub struct WarpingSimulator {
     /// Donor hints from a similar earlier run (see [`WarpHints`]); `None`
     /// runs the cold schedule.
     hints: Option<WarpHints>,
-    /// How the explicit (non-warped) iterations step through the SCoP:
-    /// the compiled walk hoists loop bounds and guards (see
-    /// [`scop::compile`]), the reference walk re-derives them per entry.
-    /// The match-attempt schedule — and every count — is bit-identical
-    /// either way.
-    walk: WalkMode,
     /// Depths at which this run applied at least one warp.
     warped_depths: HashSet<usize>,
     /// Depths at which some loop exhausted its fruitless budget.
@@ -419,7 +392,6 @@ impl WarpingSimulator {
             warp_apply_ns: 0,
             fruitless: HashMap::new(),
             hints: None,
-            walk: WalkMode::default(),
             warped_depths: HashSet::new(),
             exhausted_depths: HashSet::new(),
         })
@@ -445,22 +417,12 @@ impl WarpingSimulator {
     }
 
     /// Grants the simulator a thread budget for parallel warp application
-    /// (clamped to at least 1; the default is 1, i.e. sequential).  Only
-    /// effective when [`WarpingOptions::parallel_warp`] is enabled; results
-    /// are bit-identical for every budget.
+    /// (clamped to at least 1; the default is 1, i.e. sequential).  Warp
+    /// application fans out across levels, and across sets within large
+    /// levels, up to this budget; the rewrite of each set is independent,
+    /// so results are bit-identical for every budget.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.warp_threads = threads.max(1);
-        self
-    }
-
-    /// Selects how the explicit (non-warped) iterations walk the SCoP.
-    /// The default is [`WalkMode::Compiled`]: loop bounds and access
-    /// guards are hoisted once per run, so exact loops skip the
-    /// per-iteration membership checks.  [`WalkMode::Reference`] restores
-    /// the literal per-entry lexmin/lexmax stepping; every simulation
-    /// count is bit-identical either way.
-    pub fn with_walk(mut self, walk: WalkMode) -> Self {
-        self.walk = walk;
         self
     }
 
@@ -511,9 +473,8 @@ impl WarpingSimulator {
         // The compiled tree mirrors the source tree node for node, so the
         // explicit walk steps both in lockstep and consults the compiled
         // side for hoisted bounds and guards.
-        let compiled = (self.walk == WalkMode::Compiled).then(|| compile(scop));
-        for (idx, root) in scop.roots().iter().enumerate() {
-            let croot = compiled.as_ref().map(|c| &c.roots()[idx]);
+        let compiled = compile(scop);
+        for (root, croot) in scop.roots().iter().zip(compiled.roots()) {
             self.simulate_node(root, croot, &[], &mut ctx);
         }
         self.outcome()
@@ -547,33 +508,21 @@ impl WarpingSimulator {
     fn simulate_node<'a>(
         &mut self,
         node: &'a Node,
-        cnode: Option<&CompiledNode>,
+        cnode: &CompiledNode,
         outer: &[i64],
         ctx: &mut RunCtx<'a>,
     ) {
-        match node {
-            Node::Access(a) => {
-                let ca = cnode.and_then(|c| match c {
-                    CompiledNode::Access(ca) => Some(ca),
-                    CompiledNode::Loop(_) => None,
-                });
-                self.simulate_access(a, ca, outer);
-            }
-            Node::Loop(l) => {
-                let cl = cnode.and_then(|c| match c {
-                    CompiledNode::Loop(cl) => Some(cl),
-                    CompiledNode::Access(_) => None,
-                });
-                self.simulate_loop(l, cl, outer, ctx);
-            }
+        match (node, cnode) {
+            (Node::Access(a), CompiledNode::Access(ca)) => self.simulate_access(a, ca, outer),
+            (Node::Loop(l), CompiledNode::Loop(cl)) => self.simulate_loop(l, cl, outer, ctx),
+            _ => unreachable!("the compiled tree mirrors the source tree"),
         }
     }
 
-    fn simulate_access(&mut self, access: &AccessNode, ca: Option<&CompiledAccess>, outer: &[i64]) {
+    fn simulate_access(&mut self, access: &AccessNode, ca: &CompiledAccess, outer: &[i64]) {
         // A hoisted-trivial guard means membership is implied by the
         // enclosing exact loops — skip the per-point union-set check.
-        let guard_free = ca.is_some_and(|c| c.guard_is_trivial());
-        if !guard_free && !access.domain.contains(outer) {
+        if !ca.guard_is_trivial() && !access.domain.contains(outer) {
             return;
         }
         let address = access.address_at(outer);
@@ -631,20 +580,12 @@ impl WarpingSimulator {
     /// `depth` with current warped-iterator value `v`: each level's epoch on
     /// the warped dimension, falling back to `v` for levels without a stamp
     /// that deep (empty levels, or levels last written by a shallower
-    /// access — the fallback reproduces the pre-epoch behaviour for them).
-    /// With [`WarpingOptions::label_renorm`] disabled every level
-    /// normalises by `v`, restoring the old pipeline bit for bit.
+    /// access — the fallback normalises them by the current iterator).
     fn epoch_normalizers(&self, depth: usize, v: i64) -> Vec<i64> {
         let dim = depth - 1;
         self.levels
             .iter()
-            .map(|level| {
-                if self.options.label_renorm {
-                    level.epoch_at(dim).unwrap_or(v)
-                } else {
-                    v
-                }
-            })
+            .map(|level| level.epoch_at(dim).unwrap_or(v))
             .collect()
     }
 
@@ -661,26 +602,26 @@ impl WarpingSimulator {
     fn simulate_loop<'a>(
         &mut self,
         loop_node: &'a LoopNode,
-        cl: Option<&CompiledLoop>,
+        cl: &CompiledLoop,
         outer: &[i64],
         ctx: &mut RunCtx<'a>,
     ) {
         let depth = loop_node.depth;
         // Hoisted bounds: an exact entry interval makes the per-iteration
         // domain checks redundant, and an exactly-empty entry returns
-        // without the lexmin/lexmax searches the reference path pays.
-        let bounds = cl.map(|c| c.entry_bounds(outer));
-        if matches!(bounds, Some(EntryBounds::Empty)) {
+        // without the lexmin/lexmax searches.
+        let bounds = cl.entry_bounds(outer);
+        if matches!(bounds, EntryBounds::Empty) {
             return;
         }
-        let exact = matches!(bounds, Some(EntryBounds::Exact(..)));
+        let exact = matches!(bounds, EntryBounds::Exact(..));
         if loop_node.stride < 0 {
             // Decreasing loops walk lexmax-first.  They are simulated
             // explicitly: warp matching assumes increasing iterators (the
             // match map stores the *earlier* state), and extending it to
             // negative periods is an open ROADMAP item.
             let (mut i, v_lo) = match bounds {
-                Some(EntryBounds::Exact(lo, hi)) => {
+                EntryBounds::Exact(lo, hi) => {
                     let mut i = Vec::with_capacity(depth);
                     i.extend_from_slice(outer);
                     i.push(hi);
@@ -698,16 +639,20 @@ impl WarpingSimulator {
             };
             while i[depth - 1] >= v_lo {
                 if exact || loop_node.domain.contains(&i) {
-                    for (idx, child) in loop_node.children.iter().enumerate() {
-                        self.simulate_node(child, cl.map(|c| &c.children()[idx]), &i, ctx);
+                    for (child, cchild) in loop_node.children.iter().zip(cl.children()) {
+                        self.simulate_node(child, cchild, &i, ctx);
                     }
                 }
-                i[depth - 1] += loop_node.stride;
+                // Stepping below `i64::MIN` ends the loop.
+                let Some(next) = i[depth - 1].checked_add(loop_node.stride) else {
+                    return;
+                };
+                i[depth - 1] = next;
             }
             return;
         }
         let (mut i, v_last) = match bounds {
-            Some(EntryBounds::Exact(lo, hi)) => {
+            EntryBounds::Exact(lo, hi) => {
                 let mut i = Vec::with_capacity(depth);
                 i.extend_from_slice(outer);
                 i.push(lo);
@@ -775,11 +720,15 @@ impl WarpingSimulator {
                 }
             }
             if exact || loop_node.domain.contains(&i) {
-                for (idx, child) in loop_node.children.iter().enumerate() {
-                    self.simulate_node(child, cl.map(|c| &c.children()[idx]), &i, ctx);
+                for (child, cchild) in loop_node.children.iter().zip(cl.children()) {
+                    self.simulate_node(child, cchild, &i, ctx);
                 }
             }
-            i[depth - 1] += loop_node.stride;
+            // Stepping past `i64::MAX` ends the loop.
+            let Some(next) = i[depth - 1].checked_add(loop_node.stride) else {
+                break;
+            };
+            i[depth - 1] = next;
             iteration_index += 1;
         }
         if warpable {
@@ -934,11 +883,7 @@ impl WarpingSimulator {
         // also what explicit simulation of the warped window would have
         // produced (the window never touches them).
         let total_shift = plan.byte_shift_per_chunk * plan.chunks;
-        let budget = if self.options.parallel_warp {
-            self.warp_threads
-        } else {
-            1
-        };
+        let budget = self.warp_threads;
         // Fan out across levels only when the budget covers one thread per
         // *rotating* level (frozen levels spawn no work and do not dilute
         // the budget); a smaller budget stays sequential across levels
@@ -986,7 +931,7 @@ impl WarpingSimulator {
             }
         }
         // Telemetry: frozen levels that actually hold stale lines are the
-        // matches the pre-epoch normalisation could never have made.
+        // matches only epoch normalisation can make.
         self.stale_label_renorms += self
             .levels
             .iter()
@@ -1299,7 +1244,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_warp_application_is_bit_identical() {
+    fn threaded_warp_application_is_bit_identical() {
         // The arrays exceed every level, so all three levels reach a
         // periodic steady state and warp; the 4096-set L3 crosses the
         // per-set parallelisation threshold.
@@ -1373,48 +1318,6 @@ mod tests {
                 hinted.match_attempts,
                 cold.match_attempts
             );
-        }
-    }
-
-    #[test]
-    fn compiled_and_reference_walks_produce_identical_outcomes() {
-        // The walk mode only changes how explicit iterations derive
-        // bounds and guards; every count — including the match-attempt
-        // telemetry, which depends on the attempt schedule — must be
-        // bit-identical.
-        let kernels = [
-            stencil(4000),
-            parse_scop(
-                "double A[200][200]; double x[200]; double c[200];\n\
-                 for (i = 0; i < 200; i++) {\n\
-                   c[i] = 0;\n\
-                   for (j = i; j < 200; j++) c[i] = c[i] + A[i][j] * x[j];\n\
-                 }",
-            )
-            .unwrap(),
-            parse_scop(
-                "double A[3000]; double B[3000];\n\
-                 for (i = 1; i < 2999; i++) if (i < 1500) B[i-1] = A[i-1] + A[i];",
-            )
-            .unwrap(),
-            parse_scop(
-                "double A[4000];\n\
-                 for (i = 3999; i >= 0; i -= 2) A[i] = A[i];",
-            )
-            .unwrap(),
-        ];
-        let memory = WarpingMemory::two_level(
-            CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
-            CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Plru),
-        );
-        for (idx, scop) in kernels.iter().enumerate() {
-            let compiled = WarpingSimulator::new(memory.clone())
-                .with_walk(WalkMode::Compiled)
-                .run(scop);
-            let reference = WarpingSimulator::new(memory.clone())
-                .with_walk(WalkMode::Reference)
-                .run(scop);
-            assert_eq!(compiled, reference, "kernel {idx}");
         }
     }
 

@@ -130,7 +130,7 @@ proptest! {
     }
 
     #[test]
-    fn parallel_warp_equals_sequential_warp(
+    fn threaded_warp_equals_sequential_warp(
         steps in proptest::collection::vec(arb_step(), 1..40),
         policy in arb_policy(),
     ) {

@@ -9,11 +9,10 @@
 //! warping degenerates to explicit simulation.  Epoch-relative keys fix
 //! that; these tests pin down both directions:
 //!
-//! 1. **Exactness** — warping with label renormalisation equals classic
+//! 1. **Exactness** — warping with epoch-relative keys equals classic
 //!    simulation bit for bit (per-level hit/miss counts) on randomly
 //!    generated L1-resident kernels over depth-2/3 hierarchies and all four
-//!    replacement policies, and renormalisation on/off never changes a
-//!    count either.
+//!    replacement policies.
 //! 2. **Effectiveness** — a regression kernel that previously never
 //!    matched (tiny working set, deep hierarchy, inner loop too short to
 //!    amortise warping on its own) now warps at the time loop, with the
@@ -23,7 +22,7 @@ use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use proptest::prelude::*;
 use scop::parse_scop;
 use simulate::simulate_memory;
-use warping::{WarpingOptions, WarpingSimulator};
+use warping::WarpingSimulator;
 
 /// An L1-resident kernel: an outer time loop re-sweeping arrays that fit
 /// comfortably into the innermost cache level.
@@ -69,7 +68,7 @@ fn l1_resident_kernel_warps_over_a_64_mib_outer_level() {
     let memory = memory(3, ReplacementPolicy::Lru, 64 * 1024);
     let reference = simulate_memory(&scop, &memory);
 
-    let renormalised = WarpingSimulator::new(memory.clone()).run(&scop);
+    let renormalised = WarpingSimulator::new(memory).run(&scop);
     assert_eq!(
         renormalised.result, reference,
         "warping must stay bit-exact while warping the time loop"
@@ -88,22 +87,6 @@ fn l1_resident_kernel_warps_over_a_64_mib_outer_level() {
         renormalised.warped_accesses,
         reference.accesses
     );
-
-    // The pre-epoch pipeline (normalise by the current iterator) never
-    // matches this kernel: the frozen labels drift on every attempt.
-    let legacy = WarpingSimulator::new(memory)
-        .with_options(WarpingOptions {
-            label_renorm: false,
-            ..WarpingOptions::default()
-        })
-        .run(&scop);
-    assert_eq!(legacy.result, reference, "legacy mode is still exact");
-    assert_eq!(
-        legacy.warps, 0,
-        "without renormalisation the kernel never matches — the gap this \
-         refactor closes"
-    );
-    assert_eq!(legacy.stale_label_renorms, 0);
 }
 
 #[test]
@@ -126,9 +109,8 @@ fn arb_policy() -> impl Strategy<Value = ReplacementPolicy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random L1-resident kernels over depth-2/3 hierarchies: warping (with
-    /// and without label renormalisation) equals classic simulation bit for
-    /// bit, per level.
+    /// Random L1-resident kernels over depth-2/3 hierarchies: warping equals
+    /// classic simulation bit for bit, per level.
     #[test]
     fn warping_equals_classic_on_l1_resident_kernels(
         arrays in 1usize..=2,
@@ -144,22 +126,14 @@ proptest! {
         let scop = parse_scop(&source).unwrap();
         let memory = memory(depth, policy, outer_kib);
         let reference = simulate_memory(&scop, &memory);
-        for renorm in [true, false] {
-            let outcome = WarpingSimulator::new(memory.clone())
-                .with_options(WarpingOptions {
-                    label_renorm: renorm,
-                    ..WarpingOptions::default()
-                })
-                .run(&scop);
-            prop_assert_eq!(
-                &outcome.result,
-                &reference,
-                "label_renorm={} policy={} depth={} source:\n{}",
-                renorm,
-                policy,
-                depth,
-                source
-            );
-        }
+        let outcome = WarpingSimulator::new(memory).run(&scop);
+        prop_assert_eq!(
+            &outcome.result,
+            &reference,
+            "policy={} depth={} source:\n{}",
+            policy,
+            depth,
+            source
+        );
     }
 }

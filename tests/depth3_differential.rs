@@ -48,15 +48,14 @@ fn warping_equals_classic_on_three_levels() {
 }
 
 #[test]
-fn fingerprint_filter_and_parallel_warp_are_stat_neutral_at_depth_3() {
-    // The two-phase match pipeline (fingerprint filter on, parallel warp
-    // application on — the defaults) must produce per-level statistics
-    // bit-identical to the exhaustive key-per-attempt pipeline of the
-    // depth-N core, which itself is proven equal to classic simulation.
+fn fingerprint_filter_is_stat_neutral_at_depth_3() {
+    // The two-phase match pipeline (fingerprint filter on, the default)
+    // must produce per-level statistics bit-identical to the exhaustive
+    // key-per-attempt pipeline of the depth-N core, which itself is proven
+    // equal to classic simulation.
     let engine = Engine::new();
     let exhaustive_options = WarpingOptions {
         fingerprint_filter: false,
-        parallel_warp: false,
         ..WarpingOptions::default()
     };
     for kernel in KERNELS {
