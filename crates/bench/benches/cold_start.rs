@@ -1,15 +1,24 @@
 //! Cold-start cost vs. outer-level size.
 //!
-//! Before the sparse cache-state store, `CacheState::new` allocated every
-//! (empty) set up front: constructing a simulator over a 64 MiB outer level
-//! cost ~6 ms — once per `SimRequest`, multiplying under batch fan-out —
-//! even when the kernel would touch a handful of sets.  With the sparse
-//! store (touched sets only, plus one shared empty-set template),
-//! construction is O(1) in the number of sets, so both series below must
-//! stay flat across the 256 KiB → 64 MiB sweep:
+//! A cache state that allocated every (empty) set up front made
+//! constructing a simulator over a 64 MiB outer level cost ~6 ms — once per
+//! `SimRequest`, multiplying under batch fan-out — even when the kernel
+//! would touch a handful of sets.  Neither store does that now:
+//!
+//! * symbolic warping keeps the sparse `CacheState` (touched sets only,
+//!   plus one shared empty-set template): construction is O(1) in the
+//!   number of sets;
+//! * the classic `MultiLevelSystem` (like the trace and sampled backends)
+//!   runs on the flat concrete store, `FlatLevel`: one zeroed directory of
+//!   four bytes per set, whose pages stay untouched until a set fills,
+//!   plus rows appended per filled set.
+//!
+//! Both series below must therefore stay flat across the 256 KiB → 64 MiB
+//! sweep:
 //!
 //! * `construct` — bare state construction plus a first access, for the
-//!   warping simulator and the classic `MultiLevelSystem`;
+//!   warping simulator, the classic `MultiLevelSystem` and the bare
+//!   `MultiLevelState`;
 //! * `engine_run` — `Engine::run` end-to-end on a tiny kernel, where the
 //!   construction cost used to dominate.
 //!

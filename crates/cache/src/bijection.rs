@@ -79,8 +79,8 @@ impl ShiftBijection {
     pub fn apply_to_levels(
         &self,
         config: &crate::MemoryConfig,
-        state: &MultiLevelState<MemBlock>,
-    ) -> MultiLevelState<MemBlock> {
+        state: &MultiLevelState,
+    ) -> MultiLevelState {
         assert_eq!(
             config.depth(),
             state.depth(),
@@ -91,7 +91,13 @@ impl ShiftBijection {
                 .levels()
                 .iter()
                 .zip(state.levels())
-                .map(|(level, cache)| self.apply_to_cache(level, cache))
+                .map(|(level, flat)| {
+                    let rot = self.set_rotation(level.num_sets());
+                    flat.relabel(
+                        |set| rotate_index(set, rot, level.num_sets()),
+                        |b| self.apply(b),
+                    )
+                })
                 .collect(),
         )
     }
@@ -146,6 +152,31 @@ mod tests {
         // UpCache(π(c), π(b))
         let mut rhs = pi.apply_to_cache(&config, &c);
         rhs.access_block(&config, pi.apply(b));
+        assert_eq!(lhs, rhs);
+    }
+
+    /// Corollary 5 on the flat concrete store: the same commutation over a
+    /// three-level hierarchy, with the renaming applied by `apply_to_levels`.
+    #[test]
+    fn data_independence_on_flat_levels() {
+        let config = crate::MemoryConfig::new(vec![
+            CacheConfig::with_sets(2, 2, 64, ReplacementPolicy::Plru),
+            CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Qlru),
+            CacheConfig::with_sets(8, 4, 64, ReplacementPolicy::Lru),
+        ])
+        .unwrap();
+        let pi = ShiftBijection::new(3);
+        let mut c = MultiLevelState::new(&config);
+        for b in [0u64, 1, 4, 5, 2, 8, 0, 16] {
+            c.access_block(&config, MemBlock(b));
+        }
+        let b = MemBlock(6);
+        let mut updated = c.clone();
+        let out_original = updated.access_block(&config, b);
+        let lhs = pi.apply_to_levels(&config, &updated);
+        let mut rhs = pi.apply_to_levels(&config, &c);
+        let out_renamed = rhs.access_block(&config, pi.apply(b));
+        assert_eq!(out_original, out_renamed);
         assert_eq!(lhs, rhs);
     }
 }

@@ -1,14 +1,16 @@
 //! Two-level cache hierarchies.
 //!
 //! [`HierarchyConfig`] and [`HierarchyState`] predate the N-level
-//! [`MemoryConfig`](crate::MemoryConfig)/[`MultiLevelState`] pair and are
-//! kept as thin compatibility shims: the state delegates every access to
-//! the shared N-level walk, and new code should construct a `MemoryConfig`
-//! directly.
+//! [`MemoryConfig`](crate::MemoryConfig)/[`MultiLevelState`](crate::MultiLevelState)
+//! pair.  [`HierarchyState`] stays as the vocabulary of the
+//! data-independence theorems: two sparse [`CacheState`]s driven by the
+//! reference walk [`walk_access`], whose per-set logic is the
+//! [`SetState`](crate::SetState) reference the flat concrete store is
+//! diffed against.  Simulators construct a `MemoryConfig` instead.
 
 use crate::block::{Access, AccessKind, MemBlock};
 use crate::cache::{CacheConfig, CacheState, LevelStats};
-use crate::multilevel::{walk_access, MultiAccessOutcome, MultiLevelState};
+use crate::multilevel::MultiAccessOutcome;
 
 /// Write policy of a cache level.
 ///
@@ -120,42 +122,69 @@ impl From<MultiAccessOutcome> for AccessOutcome {
     }
 }
 
-/// The state of a two-level non-inclusive non-exclusive hierarchy, generic
-/// over the line payload.
+/// Walks one access from the L1 outwards over `(config, state)` pairs of
+/// sparse [`CacheState`]s: each level is consulted until one hits.  With
+/// `fill == false` (a write under no-write-allocate) a missing block is
+/// classified without being inserted, while a present block is still
+/// accessed so the replacement-policy state advances.
 ///
-/// Compatibility shim over [`MultiLevelState`]: every access delegates to
-/// the shared N-level walk.
+/// This is the reference inclusive walk: [`HierarchyState`] runs on it, and
+/// the differential suites drive it next to
+/// [`MultiLevelState`](crate::MultiLevelState).
+pub fn walk_access<'a, I>(levels: I, block: MemBlock, fill: bool) -> MultiAccessOutcome
+where
+    I: Iterator<Item = (&'a CacheConfig, &'a mut CacheState<MemBlock>)>,
+{
+    let mut consulted = 0;
+    let mut hit = false;
+    for (config, state) in levels {
+        consulted += 1;
+        hit = if fill {
+            state.access_block(config, block)
+        } else {
+            state.classify_block(config, block) && state.access_block(config, block)
+        };
+        if hit {
+            break;
+        }
+    }
+    MultiAccessOutcome {
+        levels_consulted: consulted,
+        hit,
+    }
+}
+
+/// The state of a two-level non-inclusive non-exclusive hierarchy, generic
+/// over the line payload: two sparse [`CacheState`]s driven by
+/// [`walk_access`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct HierarchyState<B> {
-    inner: MultiLevelState<B>,
+    l1: CacheState<B>,
+    l2: CacheState<B>,
 }
 
 impl<B: Clone> HierarchyState<B> {
     /// An empty hierarchy with the geometry of `config`.
     pub fn new(config: &HierarchyConfig) -> Self {
         HierarchyState {
-            inner: MultiLevelState::from_levels(vec![
-                CacheState::new(&config.l1),
-                CacheState::new(&config.l2),
-            ]),
+            l1: CacheState::new(&config.l1),
+            l2: CacheState::new(&config.l2),
         }
     }
 
     /// Assembles a hierarchy state from explicit per-level states.
     pub fn from_levels(l1: CacheState<B>, l2: CacheState<B>) -> Self {
-        HierarchyState {
-            inner: MultiLevelState::from_levels(vec![l1, l2]),
-        }
+        HierarchyState { l1, l2 }
     }
 
     /// The L1 state.
     pub fn l1(&self) -> &CacheState<B> {
-        self.inner.level(0)
+        &self.l1
     }
 
     /// The L2 state.
     pub fn l2(&self) -> &CacheState<B> {
-        self.inner.level(1)
+        &self.l2
     }
 }
 
@@ -163,26 +192,19 @@ impl HierarchyState<MemBlock> {
     /// Performs a read access to a block (Equation 24 of the paper):
     /// the L2 is only consulted — and updated — when the L1 misses.
     pub fn access_block(&mut self, config: &HierarchyConfig, block: MemBlock) -> AccessOutcome {
-        let configs = [&config.l1, &config.l2];
-        walk_access(
-            configs.into_iter().zip(self.inner.levels_mut().iter_mut()),
-            block,
-            true,
-        )
-        .into()
+        self.walk(config, block, true)
     }
 
     /// Performs an access honouring the hierarchy's write policy.
     pub fn access(&mut self, config: &HierarchyConfig, access: Access) -> AccessOutcome {
         let block = config.l1.block_of_address(access.address);
         let fill = access.kind != AccessKind::Write || config.write_policy.allocates_on_write();
-        let configs = [&config.l1, &config.l2];
-        walk_access(
-            configs.into_iter().zip(self.inner.levels_mut().iter_mut()),
-            block,
-            fill,
-        )
-        .into()
+        self.walk(config, block, fill)
+    }
+
+    fn walk(&mut self, config: &HierarchyConfig, block: MemBlock, fill: bool) -> AccessOutcome {
+        let levels = [(&config.l1, &mut self.l1), (&config.l2, &mut self.l2)];
+        walk_access(levels.into_iter(), block, fill).into()
     }
 }
 

@@ -8,35 +8,38 @@
 //! * replacement policies satisfying the data-independence property
 //!   (Property 1): [`ReplacementPolicy::Lru`], [`ReplacementPolicy::Fifo`],
 //!   [`ReplacementPolicy::Plru`] and [`ReplacementPolicy::Qlru`],
-//! * individual cache sets ([`SetState`]), set-associative caches with modulo
-//!   placement ([`CacheConfig`], [`CacheState`] — a sparse store of the
-//!   touched sets plus one shared empty-set template, so construction is
-//!   O(1) and clone/rotation cost O(occupied sets)),
+//! * individual cache sets ([`SetState`], generic over the line payload:
+//!   the reference update logic of every policy),
+//! * two cache stores with modulo placement ([`CacheConfig`]):
+//!   - [`FlatLevel`], the **flat concrete store** behind every concrete
+//!     simulator (classic, trace, sampled): a zeroed per-set directory plus
+//!     a slab of `assoc`-wide tag rows with packed policy metadata,
+//!     bit-identical to [`SetState`];
+//!   - [`CacheState`], the **sparse store** of touched sets plus one shared
+//!     empty-set template, generic over the payload so that symbolic
+//!     warping reuses the [`SetState`] logic on labelled lines and rotates
+//!     sets in O(occupied),
 //! * the depth-N memory system: [`MemoryConfig`] describes any number of
 //!   non-inclusive non-exclusive cache levels (with write-allocate and
 //!   no-write-allocate write policies, conversions from [`CacheConfig`] and
 //!   [`HierarchyConfig`], and JSON (de)serialization) and
-//!   [`MultiLevelState`] simulates them through one inclusive access path
-//!   shared by every simulator ([`HierarchyConfig`]/[`HierarchyState`]
-//!   remain as thin two-level compatibility shims),
-//! * block bijections and rotations ([`bijection`]) used to state and test
-//!   the data-independence theorems.
-//!
-//! Cache states are generic over the line payload `B` so that the warping
-//! simulator can reuse the exact same update logic for *symbolic* cache
-//! states (payloads carrying both a concrete block and a symbolic label).
+//!   [`MultiLevelState`] simulates them on flat levels through one inclusive
+//!   access path,
+//! * block bijections and rotations ([`bijection`]) and the two-level
+//!   [`HierarchyState`] on the reference [`walk_access`], used to state and
+//!   test the data-independence theorems.
 //!
 //! # Example
 //!
 //! ```
-//! use cache_model::{CacheConfig, CacheState, ReplacementPolicy, MemBlock};
+//! use cache_model::{CacheConfig, MemBlock, MemoryConfig, MultiLevelState, ReplacementPolicy};
 //!
 //! // The running example of the paper: 4 sets, associativity 2, LRU.
-//! let config = CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Lru);
-//! let mut cache = CacheState::new(&config);
+//! let config = MemoryConfig::from(CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Lru));
+//! let mut cache = MultiLevelState::new(&config);
 //! let a = MemBlock(0);
-//! assert!(!cache.access_block(&config, a)); // cold miss
-//! assert!(cache.access_block(&config, a));  // hit
+//! assert!(!cache.access_block(&config, a).hit); // cold miss
+//! assert!(cache.access_block(&config, a).hit);  // hit
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,6 +48,7 @@
 pub mod bijection;
 mod block;
 mod cache;
+mod flat;
 mod hierarchy;
 mod memory;
 mod multilevel;
@@ -53,7 +57,10 @@ mod set;
 
 pub use block::{Access, AccessKind, MemBlock};
 pub use cache::{CacheConfig, CacheState, LevelStats};
-pub use hierarchy::{AccessOutcome, HierarchyConfig, HierarchyState, HierarchyStats, WritePolicy};
+pub use flat::{FlatLevel, FlatSet, MAX_ASSOC, MAX_SETS};
+pub use hierarchy::{
+    walk_access, AccessOutcome, HierarchyConfig, HierarchyState, HierarchyStats, WritePolicy,
+};
 pub use memory::{MemoryConfig, MemoryConfigError};
 pub use multilevel::{MultiAccessOutcome, MultiLevelState, StateSnapshot};
 pub use policy::{PolicyState, ReplacementPolicy};

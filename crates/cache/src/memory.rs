@@ -9,6 +9,7 @@
 //! reports can travel over the wire.
 
 use crate::cache::CacheConfig;
+use crate::flat::{MAX_ASSOC, MAX_SETS};
 use crate::hierarchy::{HierarchyConfig, WritePolicy};
 use crate::policy::ReplacementPolicy;
 use serde::{Deserialize, Serialize, Value};
@@ -55,6 +56,28 @@ pub enum MemoryConfigError {
     /// The levels disagree on their write-allocate flags; one write policy
     /// applies across the whole hierarchy.
     MixedWriteAllocation,
+    /// A PLRU level whose associativity is not a power of two (the PLRU
+    /// tree needs one leaf per way).
+    PlruAssociativity {
+        /// Index of the offending level.
+        level: usize,
+        /// Its associativity.
+        assoc: usize,
+    },
+    /// A level with more than [`MAX_SETS`] sets.
+    TooManySets {
+        /// Index of the offending level.
+        level: usize,
+        /// Its set count.
+        sets: usize,
+    },
+    /// A level with more than [`MAX_ASSOC`] ways.
+    TooManyWays {
+        /// Index of the offending level.
+        level: usize,
+        /// Its associativity.
+        assoc: usize,
+    },
 }
 
 impl fmt::Display for MemoryConfigError {
@@ -79,6 +102,21 @@ impl fmt::Display for MemoryConfigError {
                 f,
                 "all levels must agree on write allocation; set one policy with with_write_policy"
             ),
+            MemoryConfigError::PlruAssociativity { level, assoc } => write!(
+                f,
+                "level {} uses PLRU with associativity {assoc}, which is not a power of two",
+                level + 1
+            ),
+            MemoryConfigError::TooManySets { level, sets } => write!(
+                f,
+                "level {} has {sets} sets; at most {MAX_SETS} are supported",
+                level + 1
+            ),
+            MemoryConfigError::TooManyWays { level, assoc } => write!(
+                f,
+                "level {} has associativity {assoc}; at most {MAX_ASSOC} ways are supported",
+                level + 1
+            ),
         }
     }
 }
@@ -93,7 +131,9 @@ impl MemoryConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if the list is empty, the levels disagree on the
+    /// Returns an error if the list is empty, a level has more than
+    /// [`MAX_SETS`] sets or [`MAX_ASSOC`] ways, a PLRU level's
+    /// associativity is not a power of two, the levels disagree on the
     /// line size, a level's set count is not a multiple of its
     /// predecessor's, or the levels disagree on write allocation (the
     /// hierarchy applies one policy across all levels — resolve the
@@ -102,6 +142,18 @@ impl MemoryConfig {
     pub fn new(levels: Vec<CacheConfig>) -> Result<Self, MemoryConfigError> {
         if levels.is_empty() {
             return Err(MemoryConfigError::NoLevels);
+        }
+        for (level, config) in levels.iter().enumerate() {
+            let (sets, assoc) = (config.num_sets(), config.assoc());
+            if sets > MAX_SETS {
+                return Err(MemoryConfigError::TooManySets { level, sets });
+            }
+            if assoc > MAX_ASSOC {
+                return Err(MemoryConfigError::TooManyWays { level, assoc });
+            }
+            if config.policy() == ReplacementPolicy::Plru && !assoc.is_power_of_two() {
+                return Err(MemoryConfigError::PlruAssociativity { level, assoc });
+            }
         }
         for (i, pair) in levels.windows(2).enumerate() {
             if pair[0].line_size() != pair[1].line_size() {
@@ -472,6 +524,42 @@ mod tests {
             MemoryConfig::new(vec![l1(), fewer_sets]).unwrap_err(),
             MemoryConfigError::SetCountNotMultiple { level: 0 }
         );
+    }
+
+    #[test]
+    fn validation_rejects_unsupported_geometries() {
+        let level = |sets: usize, assoc: usize, policy| {
+            MemoryConfig::new(vec![l1(), CacheConfig::with_sets(sets, assoc, 64, policy)])
+        };
+        assert_eq!(
+            level(64, 3, ReplacementPolicy::Plru).unwrap_err(),
+            MemoryConfigError::PlruAssociativity { level: 1, assoc: 3 }
+        );
+        assert_eq!(
+            level(1 << 40, 8, ReplacementPolicy::Lru).unwrap_err(),
+            MemoryConfigError::TooManySets {
+                level: 1,
+                sets: 1 << 40
+            }
+        );
+        assert_eq!(
+            level(64, 1 << 40, ReplacementPolicy::Lru).unwrap_err(),
+            MemoryConfigError::TooManyWays {
+                level: 1,
+                assoc: 1 << 40
+            }
+        );
+        // The limits themselves, non-power-of-two LRU ways and a
+        // fully-associative 4096-way level stay legal.
+        assert!(level(MAX_SETS, 8, ReplacementPolicy::Lru).is_ok());
+        assert!(level(64, MAX_ASSOC, ReplacementPolicy::Lru).is_ok());
+        assert!(level(64, 3, ReplacementPolicy::Qlru).is_ok());
+        let full = CacheConfig::fully_associative(4096, 64, ReplacementPolicy::Plru);
+        assert!(MemoryConfig::new(vec![full]).is_ok());
+        // The wire path surfaces the same errors.
+        let json = r#"{"levels":[{"sets":1,"assoc":3,"line_size":64,"policy":"plru"}]}"#;
+        let err = serde_json::from_str::<MemoryConfig>(json).unwrap_err();
+        assert!(err.to_string().contains("power of two"), "{err}");
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! The N-level cache state: one inclusive access/classify path shared by
-//! every simulator.
+//! The N-level concrete cache state: one inclusive access path shared by
+//! every concrete simulator (classic, trace, sampled).
 //!
-//! [`MultiLevelState`] generalizes the old `CacheState` vs. `HierarchyState`
-//! dual: an ordered list of per-level states (L1 first) driven by a
-//! [`MemoryConfig`].  On a miss at level `i` the access is forwarded to
-//! level `i + 1`; the hierarchy-wide write policy decides whether write
-//! misses allocate.  `HierarchyState` remains as a thin compatibility shim
-//! delegating to this type.
+//! [`MultiLevelState`] is an ordered list of [`FlatLevel`] stores (L1
+//! first) driven by a [`MemoryConfig`].  On a miss at level `i` the access
+//! is forwarded to level `i + 1`; the hierarchy-wide write policy decides
+//! whether write misses allocate.
 
 use crate::block::{Access, AccessKind, MemBlock};
-use crate::cache::{CacheState, LevelStats};
+use crate::cache::LevelStats;
+use crate::flat::FlatLevel;
 use crate::memory::MemoryConfig;
 
 /// The outcome of an access walking an N-level hierarchy from the L1
@@ -45,60 +44,29 @@ impl MultiAccessOutcome {
     }
 }
 
-/// Walks one access from the L1 outwards over `(config, state)` pairs: each
-/// level is consulted until one hits.  With `fill == false` (a write under
-/// no-write-allocate) a missing block is classified without being inserted,
-/// while a present block is still accessed so the replacement-policy state
-/// advances.
-///
-/// This is the single inclusive access path behind [`MultiLevelState`] and
-/// the legacy `HierarchyState` shim.
-pub(crate) fn walk_access<'a, I>(levels: I, block: MemBlock, fill: bool) -> MultiAccessOutcome
-where
-    I: Iterator<Item = (&'a crate::cache::CacheConfig, &'a mut CacheState<MemBlock>)>,
-{
-    let mut consulted = 0;
-    let mut hit = false;
-    for (config, state) in levels {
-        consulted += 1;
-        hit = if fill {
-            state.access_block(config, block)
-        } else {
-            state.classify_block(config, block) && state.access_block(config, block)
-        };
-        if hit {
-            break;
-        }
-    }
-    MultiAccessOutcome {
-        levels_consulted: consulted,
-        hit,
-    }
-}
-
-/// The state of an N-level non-inclusive non-exclusive hierarchy, generic
-/// over the line payload.  Level 0 is the L1.
+/// The state of an N-level non-inclusive non-exclusive hierarchy of
+/// concrete blocks, one [`FlatLevel`] per level.  Level 0 is the L1.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct MultiLevelState<B> {
-    levels: Vec<CacheState<B>>,
+pub struct MultiLevelState {
+    levels: Vec<FlatLevel>,
 }
 
-impl<B: Clone> MultiLevelState<B> {
-    /// An empty hierarchy with the geometry of `config`.  O(depth), not
-    /// O(total sets): each level is a sparse [`CacheState`] that allocates
-    /// nothing until a set is touched.
+impl MultiLevelState {
+    /// An empty hierarchy with the geometry of `config`.  Each level costs
+    /// one zeroed directory of four bytes per set and nothing else until a
+    /// set is filled.
     pub fn new(config: &MemoryConfig) -> Self {
         MultiLevelState {
-            levels: config.levels().iter().map(CacheState::new).collect(),
+            levels: config.levels().iter().map(FlatLevel::new).collect(),
         }
     }
 
-    /// Assembles a state from per-level cache states (L1 first).
+    /// Assembles a state from per-level stores (L1 first).
     ///
     /// # Panics
     ///
     /// Panics if `levels` is empty.
-    pub fn from_levels(levels: Vec<CacheState<B>>) -> Self {
+    pub fn from_levels(levels: Vec<FlatLevel>) -> Self {
         assert!(!levels.is_empty(), "a hierarchy needs at least one level");
         MultiLevelState { levels }
     }
@@ -108,50 +76,64 @@ impl<B: Clone> MultiLevelState<B> {
         self.levels.len()
     }
 
-    /// The per-level states, L1 first.
-    pub fn levels(&self) -> &[CacheState<B>] {
+    /// The per-level stores, L1 first.
+    pub fn levels(&self) -> &[FlatLevel] {
         &self.levels
     }
 
-    /// The state of level `idx` (0 is the L1).
-    pub fn level(&self, idx: usize) -> &CacheState<B> {
+    /// The store of level `idx` (0 is the L1).
+    pub fn level(&self, idx: usize) -> &FlatLevel {
         &self.levels[idx]
     }
 
-    /// Mutable access to the state of level `idx`.
-    pub fn level_mut(&mut self, idx: usize) -> &mut CacheState<B> {
-        &mut self.levels[idx]
+    /// Walks one access from the L1 outwards: each level is consulted
+    /// until one hits.  With `fill == false` (a write under
+    /// no-write-allocate) a missing block is classified without being
+    /// inserted, while a present block is still accessed so the
+    /// replacement-policy state advances.
+    #[inline]
+    fn walk(&mut self, block: MemBlock, fill: bool) -> MultiAccessOutcome {
+        for (idx, level) in self.levels.iter_mut().enumerate() {
+            if level.access(block, fill) {
+                return MultiAccessOutcome {
+                    levels_consulted: idx + 1,
+                    hit: true,
+                };
+            }
+        }
+        MultiAccessOutcome {
+            levels_consulted: self.levels.len(),
+            hit: false,
+        }
     }
 
-    /// Mutable access to all per-level states, L1 first.
-    pub fn levels_mut(&mut self) -> &mut [CacheState<B>] {
-        &mut self.levels
+    /// Stamps `stamp` into every level the outcome wrote: all consulted
+    /// levels under an allocating walk, only a hitting level otherwise.
+    #[inline]
+    fn stamp(&mut self, outcome: MultiAccessOutcome, fill: bool, stamp: i64) {
+        if fill {
+            for level in &mut self.levels[..outcome.levels_consulted] {
+                level.stamp_epoch(stamp);
+            }
+        } else if outcome.hit {
+            self.levels[outcome.levels_consulted - 1].stamp_epoch(stamp);
+        }
     }
-}
 
-impl MultiLevelState<MemBlock> {
     /// Performs a read access to a block (Equation 24 of the paper,
     /// generalized to N levels): level `i + 1` is only consulted — and
-    /// updated — when level `i` misses.
-    pub fn access_block(&mut self, config: &MemoryConfig, block: MemBlock) -> MultiAccessOutcome {
-        walk_access(
-            config.levels().iter().zip(self.levels.iter_mut()),
-            block,
-            true,
-        )
+    /// updated — when level `i` misses.  The configuration is the one the
+    /// state was built from.
+    pub fn access_block(&mut self, _config: &MemoryConfig, block: MemBlock) -> MultiAccessOutcome {
+        self.walk(block, true)
     }
 
     /// Performs an access honouring the hierarchy-wide write policy: under
     /// no-write-allocate, a write is classified at each level without
     /// filling, and forwarded outward on a miss.
     pub fn access(&mut self, config: &MemoryConfig, access: Access) -> MultiAccessOutcome {
-        let block = config.l1().block_of_address(access.address);
-        let fill = access.kind != AccessKind::Write || config.write_policy().allocates_on_write();
-        walk_access(
-            config.levels().iter().zip(self.levels.iter_mut()),
-            block,
-            fill,
-        )
+        let block = self.levels[0].block_of_address(access.address);
+        self.walk(block, fills(config, access.kind))
     }
 
     /// Performs an access like [`MultiLevelState::access`] and additionally
@@ -167,15 +149,9 @@ impl MultiLevelState<MemBlock> {
         access: Access,
         stamp: i64,
     ) -> MultiAccessOutcome {
-        let fill = access.kind != AccessKind::Write || config.write_policy().allocates_on_write();
+        let fill = fills(config, access.kind);
         let outcome = self.access(config, access);
-        if fill {
-            for level in self.levels.iter_mut().take(outcome.levels_consulted) {
-                level.stamp_epoch(&[stamp]);
-            }
-        } else if outcome.hit {
-            self.levels[outcome.levels_consulted - 1].stamp_epoch(&[stamp]);
-        }
+        self.stamp(outcome, fill, stamp);
         outcome
     }
 
@@ -196,6 +172,7 @@ impl MultiLevelState<MemBlock> {
     ///
     /// The result is bit-identical to calling [`MultiLevelState::access`]
     /// `count` times (the differential suites assert this).
+    #[inline]
     pub fn access_run(
         &mut self,
         config: &MemoryConfig,
@@ -229,6 +206,7 @@ impl MultiLevelState<MemBlock> {
     }
 
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn run_impl(
         &mut self,
         config: &MemoryConfig,
@@ -239,14 +217,17 @@ impl MultiLevelState<MemBlock> {
         stamp: Option<i64>,
         stats: &mut [LevelStats],
     ) {
-        let line = config.l1().line_size() as i64;
-        let fill = kind != AccessKind::Write || config.write_policy().allocates_on_write();
+        let line = config.line_size() as i64;
+        let fill = fills(config, kind);
         let mut addr = base as i64;
         let mut remaining = count;
         while remaining > 0 {
             // Size of the group of consecutive accesses on addr's line.
             let group = if stride == 0 {
                 remaining
+            } else if remaining == 1 || stride.unsigned_abs() >= line as u64 {
+                // One access left, or every access lands on a new line.
+                1
             } else {
                 let line_base = addr.div_euclid(line) * line;
                 let span = if stride > 0 {
@@ -259,26 +240,16 @@ impl MultiLevelState<MemBlock> {
                 };
                 remaining.min(span as u64)
             };
-            let block = config.l1().block_of_address(addr as u64);
+            let block = self.levels[0].block_of_address(addr as u64);
             let mut outcome = MultiAccessOutcome {
                 levels_consulted: 0,
                 hit: false,
             };
             for _ in 0..group.min(2) {
-                outcome = walk_access(
-                    config.levels().iter().zip(self.levels.iter_mut()),
-                    block,
-                    fill,
-                );
+                outcome = self.walk(block, fill);
                 outcome.record_into(stats);
                 if let Some(stamp) = stamp {
-                    if fill {
-                        for level in self.levels.iter_mut().take(outcome.levels_consulted) {
-                            level.stamp_epoch(&[stamp]);
-                        }
-                    } else if outcome.hit {
-                        self.levels[outcome.levels_consulted - 1].stamp_epoch(&[stamp]);
-                    }
+                    self.stamp(outcome, fill, stamp);
                 }
             }
             // The state is now a fixed point for this block: replicate
@@ -295,6 +266,12 @@ impl MultiLevelState<MemBlock> {
     }
 }
 
+/// Whether an access of `kind` fills on a miss under `config`'s write
+/// policy.
+fn fills(config: &MemoryConfig, kind: AccessKind) -> bool {
+    kind != AccessKind::Write || config.write_policy().allocates_on_write()
+}
+
 /// An epoch-aware snapshot of a [`MultiLevelState`].
 ///
 /// A snapshot captures the full hierarchy state plus, per level, the epoch
@@ -306,13 +283,15 @@ impl MultiLevelState<MemBlock> {
 /// region — safe to carry forward unchanged, exactly the frozen-level
 /// argument of relative-label addressing).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StateSnapshot<B> {
-    levels: Vec<CacheState<B>>,
+pub struct StateSnapshot {
+    levels: Vec<FlatLevel>,
 }
 
-impl<B: Clone> StateSnapshot<B> {
-    /// Captures the current state of `state`, epochs included.
-    pub fn capture(state: &MultiLevelState<B>) -> Self {
+impl StateSnapshot {
+    /// Captures the current state of `state`, epochs included.  O(touched
+    /// rows): [`FlatLevel`]'s clone copies the slab and rebuilds a zeroed
+    /// directory.
+    pub fn capture(state: &MultiLevelState) -> Self {
         StateSnapshot {
             levels: state.levels.clone(),
         }
@@ -326,11 +305,7 @@ impl<B: Clone> StateSnapshot<B> {
     /// The scalar epoch of level `idx`: the stamp of its last payload
     /// write, or `i64::MIN` if the level was never stamped.
     pub fn level_epoch(&self, idx: usize) -> i64 {
-        self.levels[idx]
-            .epoch()
-            .first()
-            .copied()
-            .unwrap_or(i64::MIN)
+        self.levels[idx].epoch()
     }
 
     /// Indices of levels whose last payload write predates `horizon` —
@@ -348,7 +323,7 @@ impl<B: Clone> StateSnapshot<B> {
     }
 
     /// Reconstructs a [`MultiLevelState`] from the snapshot.
-    pub fn restore(&self) -> MultiLevelState<B> {
+    pub fn restore(&self) -> MultiLevelState {
         MultiLevelState {
             levels: self.levels.clone(),
         }

@@ -120,6 +120,16 @@ impl<B: Clone> SetState<B> {
         }
     }
 
+    /// A set with the given lines and policy metadata (the flat store's
+    /// conversion into the reference representation).
+    pub(crate) fn from_parts(lines: Vec<Option<B>>, policy_state: PolicyState) -> Self {
+        SetState {
+            lines,
+            policy_state,
+            version: 0,
+        }
+    }
+
     /// Applies a function to every payload, keeping positions and policy
     /// state.  Used to concretise symbolic states and to apply bijections.
     pub fn map_payloads<C>(&self, mut f: impl FnMut(&B) -> C) -> SetState<C> {

@@ -1,0 +1,250 @@
+//! Differential suite: the flat concrete store against the `SetState`
+//! reference.
+//!
+//! `MultiLevelState` keeps one `FlatLevel` (set directory + row slab with
+//! packed policy metadata) per level.  This suite drives it next to a
+//! `Vec<CacheState<MemBlock>>` walked by the reference `walk_access`, over
+//! random access and run streams, for all four policies, both write
+//! policies, power-of-two and other set counts and line sizes,
+//! associativity 1 and 128-way PLRU (multi-word tree bits), at depths 1 to
+//! 3.  After every step the two must agree on each access's outcome, the
+//! per-level counters, the per-level epochs and every set's lines and
+//! policy metadata.
+
+use cache_model::{
+    walk_access, Access, AccessKind, CacheConfig, CacheState, LevelStats, MemBlock, MemoryConfig,
+    MultiLevelState, ReplacementPolicy, WritePolicy,
+};
+use proptest::prelude::*;
+
+/// The reference hierarchy: sparse `CacheState`s on the `SetState` logic.
+struct Reference {
+    config: MemoryConfig,
+    levels: Vec<CacheState<MemBlock>>,
+    stats: Vec<LevelStats>,
+}
+
+impl Reference {
+    fn new(config: &MemoryConfig) -> Self {
+        Reference {
+            config: config.clone(),
+            levels: config.levels().iter().map(CacheState::new).collect(),
+            stats: vec![LevelStats::default(); config.depth()],
+        }
+    }
+
+    fn access(&mut self, access: Access, stamp: i64) -> cache_model::MultiAccessOutcome {
+        let block = self.config.l1().block_of_address(access.address);
+        let fill =
+            access.kind != AccessKind::Write || self.config.write_policy().allocates_on_write();
+        let outcome = walk_access(
+            self.config.levels().iter().zip(self.levels.iter_mut()),
+            block,
+            fill,
+        );
+        outcome.record_into(&mut self.stats);
+        let written = if fill {
+            0..outcome.levels_consulted
+        } else if outcome.hit {
+            outcome.levels_consulted - 1..outcome.levels_consulted
+        } else {
+            0..0
+        };
+        for level in &mut self.levels[written] {
+            level.stamp_epoch(&[stamp]);
+        }
+        outcome
+    }
+}
+
+fn assert_same(flat: &MultiLevelState, stats: &[LevelStats], reference: &Reference) {
+    assert_eq!(stats, &reference.stats[..], "per-level counters diverged");
+    for (idx, (level, sparse)) in flat.levels().iter().zip(&reference.levels).enumerate() {
+        let epoch = sparse.epoch().first().copied().unwrap_or(i64::MIN);
+        assert_eq!(level.epoch(), epoch, "level {idx}: epoch diverged");
+        assert_eq!(level.occupied_len(), sparse.occupied_len(), "level {idx}");
+        for set in 0..level.num_sets() {
+            assert_eq!(
+                level.set_state(set),
+                *sparse.set(set),
+                "level {idx}, set {set} diverged"
+            );
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Access {
+        addr: u64,
+        write: bool,
+    },
+    Run {
+        base: u64,
+        stride: i64,
+        count: u64,
+        write: bool,
+    },
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    (
+        0u8..3,
+        0u64..(48 * 64),
+        prop::bool::ANY,
+        -130i64..130,
+        0u64..40,
+    )
+        .prop_map(|(kind, addr, write, stride, count)| match kind {
+            0 => Step::Access { addr, write },
+            _ => Step::Run {
+                // Keep every address of a backward run non-negative.
+                base: addr + (stride.unsigned_abs() * count),
+                stride,
+                count,
+                write,
+            },
+        })
+}
+
+/// A depth-1..=3 memory system: set counts grow by ×1, ×2 or ×3 per level
+/// from a power-of-two or non-power-of-two L1, on a power-of-two or other
+/// line size.
+fn arb_memory() -> impl Strategy<Value = MemoryConfig> {
+    (
+        prop::sample::select(ReplacementPolicy::ALL.to_vec()),
+        prop::sample::select(vec![1usize, 2, 3, 4]),
+        prop::sample::select(vec![1usize, 2, 3, 4, 8]),
+        prop::sample::select(vec![8u64, 48, 64]),
+        1usize..=3,
+        (1usize..=3, 1usize..=3),
+        prop::bool::ANY,
+    )
+        .prop_map(
+            |(policy, sets, assoc, line, depth, (grow2, grow3), allocate)| {
+                // PLRU needs a power-of-two associativity.
+                let assoc = if policy == ReplacementPolicy::Plru && assoc == 3 {
+                    4
+                } else {
+                    assoc
+                };
+                let levels: Vec<CacheConfig> = [1, grow2, grow2 * grow3]
+                    .iter()
+                    .take(depth)
+                    .enumerate()
+                    .map(|(i, grow)| CacheConfig::with_sets(sets * grow, assoc << i, line, policy))
+                    .collect();
+                let write_policy = if allocate {
+                    WritePolicy::WriteBackWriteAllocate
+                } else {
+                    WritePolicy::WriteThroughNoAllocate
+                };
+                MemoryConfig::new(levels)
+                    .expect("geometries are valid")
+                    .with_write_policy(write_policy)
+                    .normalized()
+            },
+        )
+}
+
+/// Drives both models through `steps`, comparing after every step.
+fn check(config: &MemoryConfig, steps: &[Step]) {
+    let mut flat = MultiLevelState::new(config);
+    let mut stats = vec![LevelStats::default(); config.depth()];
+    let mut reference = Reference::new(config);
+    for (stamp, step) in steps.iter().enumerate() {
+        let stamp = stamp as i64;
+        let kind = |write: bool| {
+            if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            }
+        };
+        match *step {
+            Step::Access { addr, write } => {
+                let access = Access {
+                    address: addr,
+                    kind: kind(write),
+                };
+                let outcome = flat.access_stamped(config, access, stamp);
+                outcome.record_into(&mut stats);
+                assert_eq!(outcome, reference.access(access, stamp), "{step:?}");
+            }
+            Step::Run {
+                base,
+                stride,
+                count,
+                write,
+            } => {
+                flat.access_run_stamped(
+                    config,
+                    base,
+                    stride,
+                    count,
+                    kind(write),
+                    stamp,
+                    &mut stats,
+                );
+                for k in 0..count {
+                    let address = (base as i64 + k as i64 * stride) as u64;
+                    reference.access(
+                        Access {
+                            address,
+                            kind: kind(write),
+                        },
+                        stamp,
+                    );
+                }
+            }
+        }
+        assert_same(&flat, &stats, &reference);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn flat_store_matches_the_set_state_reference(
+        config in arb_memory(),
+        steps in proptest::collection::vec(arb_step(), 1..40),
+    ) {
+        check(&config, &steps);
+    }
+
+    /// 128 ways need two words of PLRU tree bits per row (127 nodes).
+    #[test]
+    fn wide_plru_rows_match_the_reference(
+        allocate in prop::bool::ANY,
+        steps in proptest::collection::vec(arb_step(), 1..60),
+    ) {
+        let l1 = CacheConfig::with_sets(1, 128, 16, ReplacementPolicy::Plru)
+            .with_write_allocate(allocate);
+        let l2 = CacheConfig::with_sets(2, 128, 16, ReplacementPolicy::Plru)
+            .with_write_allocate(allocate);
+        let config = MemoryConfig::new(vec![l1, l2]).expect("valid");
+        check(&config, &steps);
+    }
+}
+
+#[test]
+fn snapshots_restore_the_exact_state() {
+    let config = MemoryConfig::new(vec![
+        CacheConfig::with_sets(3, 2, 48, ReplacementPolicy::Qlru),
+        CacheConfig::with_sets(6, 4, 48, ReplacementPolicy::Plru),
+    ])
+    .unwrap();
+    let mut state = MultiLevelState::new(&config);
+    let mut stats = vec![LevelStats::default(); 2];
+    state.access_run_stamped(&config, 0, 40, 30, AccessKind::Read, 1, &mut stats);
+    let snap = cache_model::StateSnapshot::capture(&state);
+    let restored = snap.restore();
+    assert_eq!(restored, state);
+    for (a, b) in restored.levels().iter().zip(state.levels()) {
+        assert_eq!(a.epoch(), b.epoch());
+        for set in 0..a.num_sets() {
+            assert_eq!(a.set_state(set), b.set_state(set));
+        }
+    }
+}

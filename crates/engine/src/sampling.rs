@@ -88,7 +88,7 @@
 //! reproduces the classic backend bit-for-bit.
 
 use crate::report::ApproxStats;
-use cache_model::{LevelStats, MemBlock, MemoryConfig, MultiLevelState, StateSnapshot};
+use cache_model::{LevelStats, MemoryConfig, MultiLevelState, StateSnapshot};
 use scop::{
     compile, for_each_run_at, CompiledLoop, CompiledNode, LoopNode, Node, Scop, WalkScratch,
 };
@@ -330,7 +330,7 @@ struct Sampler<'a> {
     /// Calibration prior from a neighbouring family instance, already
     /// depth-checked; `None` runs the cold path.
     prior: Option<&'a Calibration>,
-    state: MultiLevelState<MemBlock>,
+    state: MultiLevelState,
     /// Extrapolated per-level totals (measured + estimated).
     totals: Vec<LevelStats>,
     /// Accumulated per-level miss-count error bounds.
@@ -369,7 +369,7 @@ impl<'a> Sampler<'a> {
         self.state
             .levels()
             .iter()
-            .filter(|lvl| lvl.epoch().first().copied().unwrap_or(i64::MIN) >= horizon)
+            .filter(|lvl| lvl.epoch() >= horizon)
             .count()
     }
 
@@ -524,15 +524,11 @@ impl<'a> Sampler<'a> {
         // intervals walked; a kernel that never reaches steady state is
         // simply simulated exactly — slow but sound.
         let grow_range = |i: usize| (prefix + i * p)..(prefix + (i + 1) * p);
-        let occupancy = |state: &MultiLevelState<MemBlock>| -> Vec<u64> {
+        let occupancy = |state: &MultiLevelState| -> Vec<u64> {
             state
                 .levels()
                 .iter()
-                .map(|lvl| {
-                    lvl.occupied_entries()
-                        .map(|(_, set)| set.lines().iter().flatten().count() as u64)
-                        .sum()
-                })
+                .map(|lvl| lvl.occupied_lines())
                 .collect()
         };
         let mut stable = 0usize;

@@ -10,7 +10,9 @@
 //!   extents, array sizes, access offsets, cache geometry, replacement
 //!   policy, write policy or backend.
 
-use cache_model::{CacheConfig, HierarchyConfig, MemoryConfig, ReplacementPolicy, WritePolicy};
+use cache_model::{
+    CacheConfig, HierarchyConfig, MemoryConfig, MemoryConfigError, ReplacementPolicy, WritePolicy,
+};
 use engine::{Backend, KernelSpec, SimRequest};
 use proptest::prelude::*;
 
@@ -163,16 +165,24 @@ proptest! {
     ) {
         let l1 = CacheConfig::with_sets(sets, assoc, 64, policy);
         let l2 = CacheConfig::with_sets(sets * 16, 16, 64, policy);
-        // The same single-level system, two constructors.
-        let single_a = MemoryConfig::single(l1.clone());
-        let single_b = MemoryConfig::new(vec![l1.clone()]).expect("one level is valid");
-        // The same two-level system, two constructors.
-        let two_a = MemoryConfig::from(HierarchyConfig::new(l1.clone(), l2.clone()));
-        let two_b = MemoryConfig::new(vec![l1, l2]).expect("two levels are valid");
-        for (left, right) in [(single_a, single_b), (two_a, two_b)] {
-            let a = request(render(&shape, &spelling), left, Backend::Classic);
-            let b = request(render(&shape, &spelling), right, Backend::Classic);
-            prop_assert_eq!(a.canonical_hash(), b.canonical_hash());
+        if policy == ReplacementPolicy::Plru && !assoc.is_power_of_two() {
+            // Not a simulable geometry: the validating constructor says so.
+            prop_assert_eq!(
+                MemoryConfig::new(vec![l1]).unwrap_err(),
+                MemoryConfigError::PlruAssociativity { level: 0, assoc }
+            );
+        } else {
+            // The same single-level system, two constructors.
+            let single_a = MemoryConfig::single(l1.clone());
+            let single_b = MemoryConfig::new(vec![l1.clone()]).expect("one level is valid");
+            // The same two-level system, two constructors.
+            let two_a = MemoryConfig::from(HierarchyConfig::new(l1.clone(), l2.clone()));
+            let two_b = MemoryConfig::new(vec![l1, l2]).expect("two levels are valid");
+            for (left, right) in [(single_a, single_b), (two_a, two_b)] {
+                let a = request(render(&shape, &spelling), left, Backend::Classic);
+                let b = request(render(&shape, &spelling), right, Backend::Classic);
+                prop_assert_eq!(a.canonical_hash(), b.canonical_hash());
+            }
         }
     }
 

@@ -20,6 +20,7 @@
 //! worker never strands queued jobs, which stealing guarantees.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -32,7 +33,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub struct PoolCounters {
     /// Number of worker threads.
     pub workers: u64,
-    /// Jobs executed to completion.
+    /// Jobs run, including jobs that panicked (the panic is contained and
+    /// the worker keeps serving).
     pub executed: u64,
     /// Jobs a worker took from another worker's deque.
     pub steals: u64,
@@ -96,7 +98,11 @@ impl Shared {
     fn worker_loop(&self, own: usize) {
         loop {
             if let Some(job) = self.next_job(own) {
-                job();
+                // A panicking job must not take its worker down with it:
+                // the thread would be gone for good and the jobs queued on
+                // it stranded.  Jobs own everything they touch, so nothing
+                // half-updated outlives the unwind.
+                let _ = catch_unwind(AssertUnwindSafe(job));
                 self.executed.fetch_add(1, Ordering::SeqCst);
                 continue;
             }
@@ -262,5 +268,26 @@ mod tests {
         release_tx.send(()).expect("owner still blocked");
         drop(pool);
         assert!(steals >= 1, "the second job can only have been stolen");
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_serving() {
+        let pool = WorkerPool::new(1);
+        let (tx, rx) = mpsc::channel();
+        pool.spawn(|| panic!("job failure"));
+        for i in 0..5usize {
+            let tx = tx.clone();
+            pool.spawn(move || tx.send(i).expect("receiver alive"));
+        }
+        drop(tx);
+        let seen: Vec<usize> = rx.iter().collect();
+        assert_eq!(seen, (0..5).collect::<Vec<_>>());
+        // The counter is bumped after each job returns; give the last one
+        // a moment.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while pool.counters().executed < 6 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(pool.counters().executed, 6, "the panicked job counts too");
     }
 }

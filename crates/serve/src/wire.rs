@@ -39,6 +39,8 @@ use crate::{ServeStats, Served, SimService};
 use engine::{Backend, MemoryConfig, SimRequest};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -229,8 +231,28 @@ impl WaitGroup {
     }
 }
 
+/// Signals its [`WaitGroup`] when dropped, so a line job counts as done on
+/// every path out of it, unwinding included.
+struct JobDone(Arc<WaitGroup>);
+
+impl Drop for JobDone {
+    fn drop(&mut self) {
+        self.0.done();
+    }
+}
+
+/// The text of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message")
+}
+
 /// Enqueues one request on the pool; its envelope streams out when it
-/// finishes.
+/// finishes.  A simulation that panics is answered with an error envelope
+/// like any other failure.
 fn spawn_request<W>(
     service: &Arc<SimService>,
     writer: &Arc<Mutex<W>>,
@@ -243,13 +265,17 @@ fn spawn_request<W>(
 {
     let service = service.clone();
     let writer = writer.clone();
-    let jobs = jobs.clone();
     let arrived = Instant::now();
     jobs.add();
+    let done = JobDone(jobs.clone());
     service.clone().pool().spawn(move || {
+        let _done = done;
         let queue_ns = arrived.elapsed().as_nanos() as u64;
-        let envelope = match service.submit_queued(&request, Some(queue_ns)) {
-            Ok((report, served)) => {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            service.submit_queued(&request, Some(queue_ns))
+        }));
+        let envelope = match outcome {
+            Ok(Ok((report, served))) => {
                 let mut fields = vec![
                     ("id".to_string(), id),
                     ("served".to_string(), Value::Str(served.label().to_string())),
@@ -278,10 +304,20 @@ fn spawn_request<W>(
                 fields.push(("report".to_string(), report.serialize_value()));
                 Value::Object(fields)
             }
-            Err(error) => error_envelope(id, error.to_string()),
+            Ok(Err(error)) => error_envelope(id, error.to_string()),
+            Err(payload) => {
+                // The unwind skipped `submit_queued`'s own error count.
+                service.errors.fetch_add(1, Ordering::SeqCst);
+                error_envelope(
+                    id,
+                    format!(
+                        "internal error: the simulation panicked: {}",
+                        panic_message(&*payload)
+                    ),
+                )
+            }
         };
         write_line(&writer, &envelope);
-        jobs.done();
     });
 }
 
@@ -389,6 +425,7 @@ where
 mod tests {
     use super::*;
     use crate::ServeConfig;
+    use engine::Engine;
     use std::io::Cursor;
 
     const KERNEL: &str = "double A[32]; for (i = 0; i < 32; i++) A[i] = A[i];";
@@ -735,5 +772,93 @@ mod tests {
                 .and_then(Value::as_u64),
             Some(1)
         );
+    }
+
+    fn copy_request(id: u64, level: &str) -> String {
+        format!(
+            r#"{{"id":{id},"request":{{"kernel":{{"type":"source","name":"copy","code":"double A[64]; for (i = 0; i < 64; i++) A[i] = A[i];"}},"memory":{{"levels":[{level}]}},"backend":"classic"}}}}"#
+        )
+    }
+
+    #[test]
+    fn unsupported_geometries_get_error_envelopes_and_serving_continues() {
+        let service = Arc::new(SimService::new(ServeConfig {
+            workers: 1,
+            cache_capacity: 8,
+            exact_budget: None,
+            warm_paths: true,
+        }));
+        let input = [
+            copy_request(
+                1,
+                r#"{"sets":1,"assoc":1099511627776,"line_size":64,"policy":"lru"}"#,
+            ),
+            copy_request(2, r#"{"sets":1,"assoc":3,"line_size":64,"policy":"plru"}"#),
+            copy_request(
+                3,
+                r#"{"sets":1099511627776,"assoc":1,"line_size":64,"policy":"lru"}"#,
+            ),
+            copy_request(4, r#"{"sets":4,"assoc":2,"line_size":64,"policy":"lru"}"#),
+        ]
+        .join("\n");
+        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        serve_lines(&service, Cursor::new(input), sink.clone()).expect("serving succeeds");
+        let lines = lines_of(&sink);
+        assert_eq!(lines.len(), 5, "four replies plus the stats trailer");
+        for (id, needle) in [(1, "ways"), (2, "power of two"), (3, "sets")] {
+            let error = lines[id - 1]
+                .get("error")
+                .and_then(Value::as_str)
+                .expect("error envelope");
+            assert!(error.contains(needle), "line {id}: {error}");
+            assert_eq!(
+                lines[id - 1].get("id").and_then(Value::as_u64),
+                Some(id as u64)
+            );
+        }
+        let report = lines[3].get("report").expect("the valid line is answered");
+        assert_eq!(lines[3].get("id").and_then(Value::as_u64), Some(4));
+        assert!(report.get("levels").is_some());
+        assert!(lines[4].get("serve_stats").is_some());
+    }
+
+    #[test]
+    fn a_panicking_simulation_gets_an_error_envelope_and_eof_drains() {
+        let service = Arc::new(
+            SimService::new(ServeConfig {
+                workers: 1,
+                cache_capacity: 8,
+                exact_budget: None,
+                warm_paths: true,
+            })
+            .with_runner(|request| match request.kernel.name().as_str() {
+                "boom" => panic!("simulator bug"),
+                _ => Engine::new().run(request),
+            }),
+        );
+        let level = r#"{"sets":4,"assoc":2,"line_size":64,"policy":"lru"}"#;
+        let input = format!(
+            "{}\n{}\n",
+            copy_request(1, level).replace(r#""name":"copy""#, r#""name":"boom""#),
+            copy_request(2, level)
+        );
+        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        serve_lines(&service, Cursor::new(input), sink.clone()).expect("serving succeeds");
+        let lines = lines_of(&sink);
+        assert_eq!(lines.len(), 3, "two replies plus the stats trailer");
+        let by_id = |id: u64| {
+            lines
+                .iter()
+                .find(|line| line.get("id").and_then(Value::as_u64) == Some(id))
+                .expect("every request is answered")
+        };
+        let error = by_id(1)
+            .get("error")
+            .and_then(Value::as_str)
+            .expect("error");
+        assert!(error.contains("simulator bug"), "{error}");
+        assert!(by_id(2).get("report").is_some(), "the worker survived");
+        let trailer = lines[2].get("serve_stats").expect("stats trailer");
+        assert_eq!(trailer.get("errors").and_then(Value::as_u64), Some(1));
     }
 }

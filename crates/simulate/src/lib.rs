@@ -6,17 +6,15 @@
 //! and applied to a cache model.  Its runtime is proportional to the number
 //! of memory accesses — it is the baseline that warping accelerates.
 //!
-//! The cache model is abstracted behind the [`MemorySystem`] trait.  The
-//! canonical implementation is the depth-N [`MultiLevelSystem`], driven by a
-//! [`MemoryConfig`]; [`SingleCacheSystem`] and [`TwoLevelSystem`] remain as
-//! compatibility shims for the legacy one- and two-level entry points.
+//! The cache model is abstracted behind the [`MemorySystem`] trait,
+//! implemented by [`MultiLevelSystem`] for a [`MemoryConfig`] of any depth.
 //!
 //! # Example
 //!
 //! ```
-//! use cache_model::{CacheConfig, ReplacementPolicy};
+//! use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 //! use scop::parse_scop;
-//! use simulate::{simulate, SingleCacheSystem};
+//! use simulate::{simulate, MultiLevelSystem};
 //!
 //! let scop = parse_scop(
 //!     "double A[1000]; double B[1000];
@@ -25,7 +23,7 @@
 //! // A two-line fully-associative LRU cache with 8-byte lines: the paper's
 //! // running example (each array cell occupies a full cache line).
 //! let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-//! let mut memory = SingleCacheSystem::new(config);
+//! let mut memory = MultiLevelSystem::new(MemoryConfig::from(config));
 //! let result = simulate(&scop, &mut memory);
 //! assert_eq!(result.accesses, 3 * 998);
 //! assert_eq!(result.l1().misses, 3 + 2 * 997);
@@ -35,8 +33,7 @@
 #![warn(missing_docs)]
 
 use cache_model::{
-    AccessKind, CacheConfig, CacheState, HierarchyConfig, HierarchyState, HierarchyStats,
-    LevelStats, MemBlock, MemoryConfig, MultiLevelState,
+    AccessKind, CacheConfig, HierarchyConfig, LevelStats, MemoryConfig, MultiLevelState,
 };
 use scop::{compile, for_each_access, Scop};
 use serde::{Serialize, Value};
@@ -113,138 +110,28 @@ pub trait MemorySystem {
     }
 }
 
-/// A single set-associative (or fully-associative) cache level.
-///
-/// Compatibility shim: equivalent to a depth-1 [`MultiLevelSystem`].
-#[derive(Clone, Debug)]
-pub struct SingleCacheSystem {
-    config: CacheConfig,
-    state: CacheState<MemBlock>,
-    stats: LevelStats,
-    accesses: u64,
-}
-
-impl SingleCacheSystem {
-    /// An empty cache with the given configuration.
-    pub fn new(config: CacheConfig) -> Self {
-        let state = CacheState::new(&config);
-        SingleCacheSystem {
-            config,
-            state,
-            stats: LevelStats::default(),
-            accesses: 0,
-        }
-    }
-
-    /// The cache configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// The current cache state (for inspection in tests).
-    pub fn state(&self) -> &CacheState<MemBlock> {
-        &self.state
-    }
-}
-
-impl MemorySystem for SingleCacheSystem {
-    fn access(&mut self, address: u64, kind: AccessKind) {
-        let hit = self
-            .state
-            .access(&self.config, cache_model::Access { address, kind });
-        self.stats.record(hit);
-        self.accesses += 1;
-    }
-
-    fn result(&self) -> SimulationResult {
-        SimulationResult {
-            accesses: self.accesses,
-            levels: vec![self.stats],
-        }
-    }
-
-    fn reset(&mut self) {
-        self.state = CacheState::new(&self.config);
-        self.stats = LevelStats::default();
-        self.accesses = 0;
-    }
-}
-
-/// A two-level non-inclusive non-exclusive hierarchy.
-///
-/// Compatibility shim: equivalent to a depth-2 [`MultiLevelSystem`].
-#[derive(Clone, Debug)]
-pub struct TwoLevelSystem {
-    config: HierarchyConfig,
-    state: HierarchyState<MemBlock>,
-    stats: HierarchyStats,
-    accesses: u64,
-}
-
-impl TwoLevelSystem {
-    /// An empty hierarchy with the given configuration.
-    pub fn new(config: HierarchyConfig) -> Self {
-        let state = HierarchyState::new(&config);
-        TwoLevelSystem {
-            config,
-            state,
-            stats: HierarchyStats::default(),
-            accesses: 0,
-        }
-    }
-
-    /// The hierarchy configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-}
-
-impl MemorySystem for TwoLevelSystem {
-    fn access(&mut self, address: u64, kind: AccessKind) {
-        let outcome = self
-            .state
-            .access(&self.config, cache_model::Access { address, kind });
-        self.stats.record(outcome);
-        self.accesses += 1;
-    }
-
-    fn result(&self) -> SimulationResult {
-        SimulationResult {
-            accesses: self.accesses,
-            levels: vec![self.stats.l1, self.stats.l2],
-        }
-    }
-
-    fn reset(&mut self) {
-        self.state = HierarchyState::new(&self.config);
-        self.stats = HierarchyStats::default();
-        self.accesses = 0;
-    }
-}
-
 /// An N-level non-inclusive non-exclusive memory system driven by a
 /// [`MemoryConfig`]: the single simulation code path behind every depth,
 /// and the memory model of the `engine` facade's `Backend::Classic`.
 ///
 /// On a miss at level `i` the access is forwarded to level `i + 1`; write
-/// misses allocate according to the configuration's write policy.  For one-
-/// and two-level configurations the hit/miss counts are bit-for-bit those of
-/// the legacy systems.
+/// misses allocate according to the configuration's write policy.
 #[derive(Clone, Debug)]
 pub struct MultiLevelSystem {
     /// Configuration with the write-allocate flag of every level normalized
     /// to the hierarchy-wide write policy.
     config: MemoryConfig,
-    state: MultiLevelState<MemBlock>,
+    state: MultiLevelState,
     stats: Vec<LevelStats>,
     accesses: u64,
 }
 
 impl MultiLevelSystem {
     /// An empty memory system with the given configuration.  Construction
-    /// is independent of the cache sizes (the per-level states are sparse),
-    /// so building one system per request — as `Engine::run_batch` does —
-    /// stays cheap even for 64 MiB outer levels.
+    /// costs one zeroed set directory per level (four bytes per set, whose
+    /// pages stay untouched until a set fills), so building one system per
+    /// request — as `Engine::run_batch` does — stays cheap even for 64 MiB
+    /// outer levels.
     pub fn new(config: MemoryConfig) -> Self {
         let config = config.normalized();
         let state = MultiLevelState::new(&config);
@@ -408,7 +295,7 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let mut memory = SingleCacheSystem::new(config);
+        let mut memory = MultiLevelSystem::new(MemoryConfig::from(config));
         let first = simulate(&stencil(), &mut memory);
         memory.reset();
         let second = simulate(&stencil(), &mut memory);
@@ -416,34 +303,18 @@ mod tests {
     }
 
     #[test]
-    fn multi_level_system_matches_legacy_systems() {
-        let scop = stencil();
-        for policy in ReplacementPolicy::ALL {
-            let single = CacheConfig::with_sets(4, 2, 8, policy);
-            let mut legacy = SingleCacheSystem::new(single.clone());
-            let mut multi = MultiLevelSystem::new(MemoryConfig::from(single));
-            assert_eq!(simulate(&scop, &mut multi), simulate(&scop, &mut legacy));
-        }
-        let hierarchy = HierarchyConfig::new(
-            CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru),
-            CacheConfig::fully_associative(1024, 8, ReplacementPolicy::Lru),
-        );
-        let mut legacy = TwoLevelSystem::new(hierarchy.clone());
-        let mut multi = MultiLevelSystem::new(MemoryConfig::from(hierarchy));
-        assert_eq!(simulate(&scop, &mut multi), simulate(&scop, &mut legacy));
-    }
-
-    #[test]
     fn write_policy_overrides_per_level_flags() {
-        // The hierarchy-wide write policy governs, exactly as in the legacy
-        // TwoLevelSystem, even if a level's own flag disagrees.
+        // The hierarchy-wide write policy governs, even if a level's own
+        // flag disagrees: a write-allocate hierarchy whose L1 says
+        // no-write-allocate still fills on the 8 write misses.
         let scop = parse_scop("double A[64]; for (i = 0; i < 64; i++) A[i] = 0;").unwrap();
-        let l1 = CacheConfig::fully_associative(4, 8, ReplacementPolicy::Lru).no_write_allocate();
-        let l2 = CacheConfig::fully_associative(64, 8, ReplacementPolicy::Lru);
+        let l1 = CacheConfig::fully_associative(4, 64, ReplacementPolicy::Lru).no_write_allocate();
+        let l2 = CacheConfig::fully_associative(64, 64, ReplacementPolicy::Lru);
         let hierarchy = HierarchyConfig::new(l1, l2);
-        let mut legacy = TwoLevelSystem::new(hierarchy.clone());
         let mut multi = MultiLevelSystem::new(MemoryConfig::from(hierarchy));
-        assert_eq!(simulate(&scop, &mut multi), simulate(&scop, &mut legacy));
+        let result = simulate(&scop, &mut multi);
+        assert_eq!(result.l1().misses, 8);
+        assert_eq!(result.l1().hits, 56);
     }
 
     #[test]
@@ -521,7 +392,7 @@ mod tests {
     fn composition_without_reset_keeps_state() {
         let config = CacheConfig::fully_associative(64, 8, ReplacementPolicy::Lru);
         let scop = parse_scop("double A[32]; for (i = 0; i < 32; i++) A[i] = A[i];").unwrap();
-        let mut memory = SingleCacheSystem::new(config);
+        let mut memory = MultiLevelSystem::new(MemoryConfig::from(config));
         let first = simulate(&scop, &mut memory);
         assert_eq!(first.l1().misses, 32);
         // Second run hits everywhere because the cache is still warm.

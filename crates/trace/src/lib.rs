@@ -20,7 +20,7 @@
 #![warn(missing_docs)]
 
 use cache_model::{
-    Access, CacheConfig, CacheState, HierarchyConfig, HierarchyStats, LevelStats, MemoryConfig,
+    Access, CacheConfig, HierarchyConfig, HierarchyStats, LevelStats, MemoryConfig,
     MultiLevelState, ReplacementPolicy,
 };
 use scop::{compile, elaborate, parse_program, ElaborateOptions, Scop};
@@ -48,20 +48,17 @@ fn visit_accesses(scop: &Scop, mut visit: impl FnMut(Access)) {
 }
 
 /// Simulates a trace against a single cache level and returns its
-/// statistics.
+/// statistics.  Thin wrapper over [`simulate_trace_memory`]; the level's
+/// own write-allocate flag sets the write policy.
 pub fn simulate_trace(trace: &[Access], config: &CacheConfig) -> LevelStats {
-    let mut state = CacheState::new(config);
-    let mut stats = LevelStats::default();
-    for access in trace {
-        stats.record(state.access(config, *access));
-    }
-    stats
+    simulate_trace_memory(trace, &MemoryConfig::single(config.clone()))[0]
 }
 
 /// Simulates a trace against an N-level memory system, returning the
 /// statistics of every level (L1 first).  This is the single trace-replay
-/// path behind both [`simulate_trace_hierarchy`] and the engine's trace
-/// backend, whatever the depth.  The replay state is sparse, so the cost is
+/// path behind [`simulate_trace`], [`simulate_trace_hierarchy`] and the
+/// engine's trace backend, whatever the depth.  The replay state is the
+/// flat concrete store: beyond one zeroed directory per level, the cost is
 /// the trace length plus the touched sets — never the cache capacity.
 pub fn simulate_trace_memory(trace: &[Access], config: &MemoryConfig) -> Vec<LevelStats> {
     let config = config.normalized();
@@ -147,10 +144,11 @@ impl HardwareReference {
     /// "Measures" an already-elaborated SCoP (which should include scalar
     /// accesses for maximum fidelity).
     pub fn measure_scop(&self, scop: &Scop) -> MeasuredKernel {
-        let mut state = CacheState::new(&self.config);
+        let memory = MemoryConfig::single(self.config.clone());
+        let mut state = MultiLevelState::new(&memory);
         let mut stats = LevelStats::default();
         visit_accesses(scop, |access| {
-            stats.record(state.access(&self.config, access));
+            stats.record(state.access(&memory, access).hit);
         });
         let misses = perturb(stats.misses, self.perturbation, scop.footprint_bytes());
         MeasuredKernel {

@@ -75,7 +75,9 @@
 //! sets of an 8 MiB L3.
 
 use crate::symstate::SymLine;
-use cache_model::{CacheState, MemBlock, PolicyState, SetState};
+use cache_model::{
+    CacheState, FlatLevel, FlatSet, MemBlock, PolicyState, ReplacementPolicy, SetState,
+};
 use std::collections::{HashMap, HashSet};
 
 /// Number of candidate warped dimensions a digest covers.  Loops nested
@@ -204,10 +206,43 @@ pub fn digest_set(set: &SetState<SymLine>) -> SetDigest {
 /// the replacement-policy metadata verbatim.  Absolute block numbers are
 /// deliberately dropped, so a streaming kernel that advances through memory
 /// at a constant rate digests identically from one period to the next.
+///
+/// This is the reference encoding over [`SetState`]; [`digest_flat_set`]
+/// computes the same value on the flat concrete store.
 pub fn digest_concrete_set(set: &SetState<MemBlock>) -> u64 {
+    let lines = set.lines().iter().copied();
+    match set.policy_state() {
+        PolicyState::None => digest_concrete(lines, 0, std::iter::empty()),
+        PolicyState::PlruBits(bits) => digest_concrete(lines, 1, bits.iter().map(|&b| b.into())),
+        PolicyState::Ages(ages) => digest_concrete(lines, 2, ages.iter().map(|&a| a.into())),
+    }
+}
+
+/// [`digest_concrete_set`] on one occupied set of a [`FlatLevel`]: the same
+/// `u64` as the digest of the equivalent [`SetState`].
+pub fn digest_flat_set(set: &FlatSet<'_>) -> u64 {
+    let lines = set.lines();
+    match set.policy() {
+        ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+            digest_concrete(lines, 0, std::iter::empty())
+        }
+        ReplacementPolicy::Plru => digest_concrete(lines, 1, set.plru_bits().map(u64::from)),
+        ReplacementPolicy::Qlru => digest_concrete(lines, 2, set.ages().iter().map(|&a| a.into())),
+    }
+}
+
+/// The concrete-set encoding shared by [`digest_concrete_set`] and
+/// [`digest_flat_set`]: the lines in policy order, then the policy tag
+/// (`TAG_POLICY[policy]`) and its metadata words (PLRU tree bits or QLRU
+/// ages; none for LRU/FIFO).
+fn digest_concrete(
+    lines: impl Iterator<Item = Option<MemBlock>>,
+    policy: usize,
+    metadata: impl Iterator<Item = u64>,
+) -> u64 {
     let mut h = FNV_OFFSET;
     let mut prev_block: Option<u64> = None;
-    for line in set.lines() {
+    for line in lines {
         match line {
             None => h = mix(h, TAG_EMPTY_LINE),
             Some(block) => {
@@ -219,44 +254,34 @@ pub fn digest_concrete_set(set: &SetState<MemBlock>) -> u64 {
             }
         }
     }
-    match set.policy_state() {
-        PolicyState::None => h = mix(h, TAG_POLICY[0]),
-        PolicyState::PlruBits(bits) => {
-            h = mix(h, TAG_POLICY[1]);
-            for b in bits {
-                h = mix(h, u64::from(*b));
-            }
-        }
-        PolicyState::Ages(ages) => {
-            h = mix(h, TAG_POLICY[2]);
-            for a in ages {
-                h = mix(h, u64::from(*a));
-            }
-        }
+    h = mix(h, TAG_POLICY[policy]);
+    for word in metadata {
+        h = mix(h, word);
     }
     finalize(h)
 }
 
 /// A shift- and rotation-invariant fingerprint of a whole concrete
-/// hierarchy (per-level states, L1 first).  Per level the occupied-set
-/// digests are combined by wrapping sum — invariant under any permutation
-/// of the sets, a superset of the rotations a moving working set induces —
-/// plus the occupied-set count; levels are then mixed in order.
+/// hierarchy (per-level flat stores, L1 first).  Per level the
+/// occupied-set digests are combined by wrapping sum — invariant under any
+/// permutation of the sets, a superset of the rotations a moving working
+/// set induces — plus the occupied-set count; levels are then mixed in
+/// order.
 ///
 /// Interval samplers use this as the boundary detector: when the
 /// fingerprint at the end of outer iteration `t` equals the one at
 /// `t - p`, the cache is plausibly `p`-periodic and `p` outer iterations
 /// make a representative interval.  Collisions merely pick a poorer
 /// interval; counts are still measured, so accuracy is unaffected.
-pub fn concrete_fingerprint(levels: &[CacheState<MemBlock>]) -> u64 {
+pub fn concrete_fingerprint(levels: &[FlatLevel]) -> u64 {
     let mut h = FNV_OFFSET;
-    for state in levels {
+    for level in levels {
         let mut sum = 0u64;
-        for (_, set) in state.occupied_entries() {
-            sum = sum.wrapping_add(digest_concrete_set(set));
+        for set in level.occupied_sets() {
+            sum = sum.wrapping_add(digest_flat_set(&set));
         }
         h = mix(h, sum);
-        h = mix(h, state.occupied_len() as u64);
+        h = mix(h, level.occupied_len() as u64);
     }
     finalize(h)
 }
@@ -453,11 +478,11 @@ mod tests {
         use cache_model::CacheConfig;
         let config = CacheConfig::with_sets(8, 2, 64, ReplacementPolicy::Lru);
         let touch = |blocks: &[u64]| {
-            let mut state = CacheState::new(&config);
+            let mut level = FlatLevel::new(&config);
             for &b in blocks {
-                state.access_block(&config, MemBlock(b));
+                level.access(MemBlock(b), true);
             }
-            state
+            level
         };
         // A streaming working set and the same set shifted uniformly by a
         // whole number of blocks digest identically: the set indices rotate
@@ -486,5 +511,58 @@ mod tests {
             concrete_fingerprint(&[a.clone(), fewer.clone()]),
             concrete_fingerprint(&[fewer, a])
         );
+    }
+
+    /// The flat-store fingerprint is the one the `SetState` reference
+    /// encoding gives over the same accesses, for every policy (including
+    /// multi-word PLRU tree bits), so sampled interval choices do not
+    /// depend on the store.
+    #[test]
+    fn concrete_fingerprint_equals_the_set_state_reference() {
+        use cache_model::CacheConfig;
+        let reference = |levels: &[CacheState<MemBlock>]| {
+            let mut h = FNV_OFFSET;
+            for state in levels {
+                let mut sum = 0u64;
+                for (_, set) in state.occupied_entries() {
+                    sum = sum.wrapping_add(digest_concrete_set(set));
+                }
+                h = mix(h, sum);
+                h = mix(h, state.occupied_len() as u64);
+            }
+            finalize(h)
+        };
+        for policy in ReplacementPolicy::ALL {
+            for (sets, assoc) in [(8, 2), (3, 4), (1, 128)] {
+                let configs = [
+                    CacheConfig::with_sets(sets, assoc, 64, policy),
+                    CacheConfig::with_sets(sets * 2, assoc, 64, policy),
+                ];
+                let mut flat: Vec<FlatLevel> = configs.iter().map(FlatLevel::new).collect();
+                let mut sparse: Vec<CacheState<MemBlock>> =
+                    configs.iter().map(CacheState::new).collect();
+                let mut x = 7u64;
+                for step in 0..600 {
+                    // A small LCG over a working set larger than the levels.
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let block = MemBlock((x >> 33) % 300);
+                    cache_model::walk_access(configs.iter().zip(sparse.iter_mut()), block, true);
+                    for level in &mut flat {
+                        if level.access(block, true) {
+                            break;
+                        }
+                    }
+                    if step % 50 == 0 {
+                        assert_eq!(
+                            concrete_fingerprint(&flat),
+                            reference(&sparse),
+                            "{policy} {sets}x{assoc} after {step} accesses"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

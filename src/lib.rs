@@ -15,8 +15,8 @@
 //!   Quad-age-LRU replacement policies, write policies, and the depth-N
 //!   memory system: [`MemoryConfig`](cache_model::MemoryConfig) describes
 //!   any number of cache levels and
-//!   [`MultiLevelState`](cache_model::MultiLevelState) simulates them
-//!   through one inclusive access path.
+//!   [`MultiLevelState`](cache_model::MultiLevelState) simulates them on
+//!   the flat concrete store through one inclusive access path.
 //! * [`simulate`] — classic, non-warping cache simulation (Algorithm 1).
 //! * [`warping`] — the paper's contribution: warping symbolic cache
 //!   simulation (Algorithm 2).
@@ -96,7 +96,7 @@ pub mod prelude {
     pub use scop::{parse_scop, ElaborateOptions, Scop};
     pub use simulate::{
         simulate, simulate_hierarchy, simulate_memory, simulate_single, MemorySystem,
-        MultiLevelSystem, SimulationResult, SingleCacheSystem, TwoLevelSystem,
+        MultiLevelSystem, SimulationResult,
     };
     pub use trace_sim::{dinero_style_simulation, generate_trace, HardwareReference};
     pub use warping::{WarpingMemory, WarpingOptions, WarpingOutcome, WarpingSimulator};
