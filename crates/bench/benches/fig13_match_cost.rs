@@ -5,7 +5,7 @@
 //! incremental warp-match pipeline, every match attempt encoded *every set
 //! of every level* into the canonical key, so the simulation time of the
 //! warping backend grew linearly with the L3 size even though the kernel
-//! never touches most of it.  With per-set fingerprints, dirty-set tracking
+//! never touches most of it.  With per-set fingerprints, dirty-row tracking
 //! and sparse keys, the match-attempt cost depends only on the occupied
 //! sets: the warping series should stay flat across the size sweep (the
 //! classic backend is the L3-size-independent reference).

@@ -52,7 +52,7 @@
 //!           cheap fingerprint phase (`WarpingOptions::fingerprint_filter`).
 //!           `off` restores the exhaustive key-per-attempt pipeline; miss
 //!           counts are bit-identical either way (CI asserts exactly that
-//!           on a 64 MiB L3, guarding the sparse store's occupancy
+//!           on a 64 MiB L3, guarding the symbolic store's occupancy
 //!           tracking).
 //!
 //!           Warping rows also carry a `renorms` column: frozen outer

@@ -221,15 +221,14 @@ impl LevelStats {
 /// Equality and hashing ignore *how* a state was touched: a set that was
 /// touched but left empty (e.g. by a no-write-allocate write miss through
 /// [`CacheState::set_mut`]) compares equal to one that was never touched.
-/// They also ignore the [level epoch](CacheState::epoch), which — like the
-/// per-set [content version](SetState::content_version) — is bookkeeping
-/// about *when* the state was last written, not content.
+/// They also ignore the [level epoch](CacheState::epoch), which is
+/// bookkeeping about *when* the state was last written, not content.
 ///
 /// # The level epoch
 ///
-/// Consumers that store logical timestamps in their payloads (the warping
-/// simulator labels every line with the iteration vector that loaded it)
-/// need a per-level reference point to compare those timestamps against:
+/// Consumers that store logical timestamps in their payloads (symbolic
+/// labels carry the iteration vector that loaded the line) need a
+/// per-level reference point to compare those timestamps against:
 /// a line that stopped being touched keeps a frozen label, and comparing
 /// frozen labels against a *global* clock makes physically identical states
 /// look different.  The state therefore carries a **level-local epoch** —
@@ -237,9 +236,8 @@ impl LevelStats {
 /// or hit promotion) via [`CacheState::stamp_epoch`] — relative to which
 /// per-line labels can be renormalised.  The epoch is carried through
 /// [`clone`](Clone::clone), [`CacheState::map_payloads`],
-/// [`CacheState::rotate_sets`] and [`CacheState::permute_sets`], survives
-/// [`CacheState::take_entries`] (which drains the sets, not the clock), and
-/// can be advanced wholesale with [`CacheState::shift_epoch`] when every
+/// [`CacheState::rotate_sets`] and [`CacheState::permute_sets`], and can be
+/// advanced wholesale with [`CacheState::shift_epoch`] when every
 /// payload timestamp moves uniformly (a warp).
 #[derive(Clone, Debug)]
 pub struct CacheState<B> {
@@ -345,26 +343,6 @@ impl<B: Clone> CacheState<B> {
         assert!(idx < self.num_sets, "set index out of range");
         let template = &self.template;
         self.occupied.entry(idx).or_insert_with(|| template.clone())
-    }
-
-    /// Replaces the state of cache set `idx` wholesale (marking it
-    /// touched).  Used by the warping simulator to land transformed sets on
-    /// their rotated positions without materialising a template first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn insert_set(&mut self, idx: usize, set: SetState<B>) {
-        assert!(idx < self.num_sets, "set index out of range");
-        self.occupied.insert(idx, set);
-    }
-
-    /// Removes and returns every touched set as `(index, set)` pairs in
-    /// ascending index order, leaving the state empty.  O(occupied); the
-    /// building block of warp application, which moves all occupied sets to
-    /// rotated positions at once.
-    pub fn take_entries(&mut self) -> Vec<(usize, SetState<B>)> {
-        std::mem::take(&mut self.occupied).into_iter().collect()
     }
 
     /// All cache sets as `(index, set)` pairs, including untouched ones
@@ -628,22 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn take_entries_drains_and_insert_set_lands() {
-        let config = CacheConfig::with_sets(4, 1, 1, ReplacementPolicy::Lru);
-        let mut cache = CacheState::new(&config);
-        cache.access_block(&config, MemBlock(1));
-        cache.access_block(&config, MemBlock(2));
-        let entries = cache.take_entries();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(cache.occupied_len(), 0);
-        for (idx, set) in entries {
-            cache.insert_set((idx + 1) % 4, set);
-        }
-        assert_eq!(cache.occupied_indices().collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(cache.set(2).lines()[0], Some(MemBlock(1)));
-    }
-
-    #[test]
     fn epoch_is_stamped_shifted_carried_and_ignored_by_eq() {
         let config = CacheConfig::with_sets(4, 1, 1, ReplacementPolicy::Lru);
         let mut cache: CacheState<MemBlock> = CacheState::new(&config);
@@ -661,11 +623,8 @@ mod tests {
         assert_eq!(cache.permute_sets(|i| i).epoch(), &[3, 12]);
         assert_eq!(cache.map_payloads(|b| b.0).epoch(), &[3, 12]);
         assert_eq!(cache.clone().epoch(), &[3, 12]);
-        // ... surviving a drain (the epoch is a clock, not content) ...
-        let mut drained = cache.clone();
-        let _ = drained.take_entries();
-        assert_eq!(drained.epoch(), &[3, 12]);
-        // ... and ignored by equality and hashing, like set versions.
+        // ... and ignored by equality and hashing: it is a clock, not
+        // content.
         let mut other = cache.clone();
         other.stamp_epoch(&[99]);
         assert_eq!(cache, other);

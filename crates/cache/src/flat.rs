@@ -1,8 +1,9 @@
-//! The flat concrete cache store.
+//! The flat cache store.
 //!
 //! [`FlatLevel`] is the storage behind [`MultiLevelState`](crate::MultiLevelState)
-//! and therefore behind every concrete simulator (classic, trace, sampled).
-//! It holds `MemBlock`s only and is laid out for the per-access update:
+//! and therefore behind every concrete simulator (classic, trace, sampled),
+//! and the tag store under warping's symbolic levels.  It holds `MemBlock`s
+//! only and is laid out for the per-access update:
 //!
 //! * a per-set **directory** (`Vec<u32>`: 0 = untouched, otherwise the row
 //!   index + 1), allocated zeroed so that construction is cheap and the
@@ -14,9 +15,12 @@
 //!   recently used / last-in line), exactly like [`SetState`].
 //!
 //! Every update is bit-identical to the [`SetState`] logic, which stays the
-//! reference (`tests/flat_vs_sparse.rs` diffs the two).  The sparse
-//! [`CacheState`](crate::CacheState) remains the store of symbolic warping,
-//! which needs O(occupied) set rotations.
+//! reference (`tests/flat_vs_sparse.rs` diffs the two).  [`FlatLevel::touch`]
+//! reports where each access left its line ([`Touch`]), so data kept
+//! parallel to the rows — the symbolic labels of warping — follows the
+//! replacement policy without a second copy of its logic, and
+//! [`FlatLevel::shift_rows`] moves the rows in place when a warp rotates
+//! the sets.
 
 use crate::block::MemBlock;
 use crate::cache::CacheConfig;
@@ -85,6 +89,27 @@ impl FlatLevel {
     ///
     /// [`MemoryConfig::new`]: crate::MemoryConfig::new
     pub fn new(config: &CacheConfig) -> Self {
+        // Room for every row up to 8 MiB of tags: the slab then grows
+        // without reallocating, and pages the rows never reach stay
+        // untouched.
+        FlatLevel::with_tag_capacity(config, (config.num_sets() * config.assoc()).min(1 << 20))
+    }
+
+    /// [`FlatLevel::new`] without the up-front room for the tag slab, which
+    /// then grows as rows are appended.  For levels that allocate data of
+    /// their own as they fill (warping's label slab): there a large
+    /// reservation fragments the heap, and 96 tiled-gemm warping runs on
+    /// 32 KiB and 32 KiB + 1 MiB levels peaked about 0.3 MiB higher
+    /// (`VmHWM`) with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the geometries [`FlatLevel::new`] rejects.
+    pub fn unreserved(config: &CacheConfig) -> Self {
+        FlatLevel::with_tag_capacity(config, 0)
+    }
+
+    fn with_tag_capacity(config: &CacheConfig, tags: usize) -> Self {
         let (num_sets, assoc, line_size) = (config.num_sets(), config.assoc(), config.line_size());
         assert!(num_sets <= MAX_SETS, "{num_sets} sets exceed {MAX_SETS}");
         assert!(assoc <= MAX_ASSOC, "{assoc} ways exceed {MAX_ASSOC}");
@@ -116,10 +141,7 @@ impl FlatLevel {
             },
             dir: vec![0; num_sets],
             row_sets: Vec::new(),
-            // Room for every row up to 8 MiB of tags: the slab then grows
-            // without reallocating, and pages the rows never reach stay
-            // untouched.
-            tags: Vec::with_capacity((num_sets * assoc).min(1 << 20)),
+            tags: Vec::with_capacity(tags),
             plru: Vec::new(),
             ages: Vec::new(),
             epoch: i64::MIN,
@@ -142,7 +164,7 @@ impl FlatLevel {
 
     /// The cache set a block maps to (modulo placement).
     #[inline]
-    fn index(&self, block: MemBlock) -> usize {
+    pub fn index(&self, block: MemBlock) -> usize {
         (match self.set_mask {
             Some(mask) => block.0 & mask,
             None => block.0 % self.num_sets as u64,
@@ -172,19 +194,29 @@ impl FlatLevel {
     /// address on one-byte lines maps there.
     #[inline]
     pub fn access(&mut self, block: MemBlock, fill: bool) -> bool {
+        matches!(self.touch(block, fill), Touch::Hit(_))
+    }
+
+    /// [`FlatLevel::access`], reporting where the access left its line:
+    /// the row, the way it was found in or written to, and whether the row
+    /// rotated ways `0..=way` (see [`Slot`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on block `u64::MAX`, like [`FlatLevel::access`].
+    #[inline]
+    pub fn touch(&mut self, block: MemBlock, fill: bool) -> Touch {
         let set = self.index(block);
         let tag = block
             .0
             .checked_add(1)
             .expect("block u64::MAX (a negative address on one-byte lines) has no tag");
         let row = match self.dir[set] {
-            0 => {
-                if fill {
-                    let row = self.push_row(set);
-                    self.on_miss(row, tag);
-                }
-                return false;
+            0 if fill => {
+                let row = self.push_row(set);
+                return Touch::Fill(self.on_miss(row, tag));
             }
+            0 => return Touch::Bypass,
             r => r as usize - 1,
         };
         let base = row * self.assoc;
@@ -192,16 +224,9 @@ impl FlatLevel {
             .iter()
             .position(|&t| t == tag)
         {
-            Some(way) => {
-                self.on_hit(row, way);
-                true
-            }
-            None => {
-                if fill {
-                    self.on_miss(row, tag);
-                }
-                false
-            }
+            Some(way) => Touch::Hit(self.on_hit(row, way)),
+            None if fill => Touch::Fill(self.on_miss(row, tag)),
+            None => Touch::Bypass,
         }
     }
 
@@ -221,27 +246,40 @@ impl FlatLevel {
 
     /// [`SetState::on_hit`] on row `row`.
     #[inline]
-    fn on_hit(&mut self, row: usize, way: usize) {
-        match self.policy {
+    fn on_hit(&mut self, row: usize, way: usize) -> Slot {
+        let rotated = match self.policy {
             ReplacementPolicy::Lru => {
                 let base = row * self.assoc;
                 rotate_in(&mut self.tags[base..=base + way]);
+                true
             }
-            ReplacementPolicy::Fifo => {}
-            ReplacementPolicy::Plru => self.plru_touch(row, way),
-            ReplacementPolicy::Qlru => self.ages[row * self.assoc + way] = 0,
-        }
+            ReplacementPolicy::Fifo => false,
+            ReplacementPolicy::Plru => {
+                self.plru_touch(row, way);
+                false
+            }
+            ReplacementPolicy::Qlru => {
+                self.ages[row * self.assoc + way] = 0;
+                false
+            }
+        };
+        Slot { row, way, rotated }
     }
 
     /// [`SetState::on_miss_insert`] of `tag` on row `row`.
     #[inline]
-    fn on_miss(&mut self, row: usize, tag: u64) {
+    fn on_miss(&mut self, row: usize, tag: u64) -> Slot {
         let assoc = self.assoc;
         let tags = &mut self.tags[row * assoc..][..assoc];
         match self.policy {
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
                 rotate_in(tags);
                 tags[0] = tag;
+                Slot {
+                    row,
+                    way: assoc - 1,
+                    rotated: true,
+                }
             }
             ReplacementPolicy::Plru => {
                 let words = self.plru_words;
@@ -251,6 +289,11 @@ impl FlatLevel {
                     .unwrap_or_else(|| plru_victim(&self.plru[row * words..][..words], assoc));
                 tags[victim] = tag;
                 self.plru_touch(row, victim);
+                Slot {
+                    row,
+                    way: victim,
+                    rotated: false,
+                }
             }
             ReplacementPolicy::Qlru => {
                 let ages = &mut self.ages[row * assoc..][..assoc];
@@ -267,6 +310,11 @@ impl FlatLevel {
                 };
                 tags[victim] = tag;
                 ages[victim] = 2;
+                Slot {
+                    row,
+                    way: victim,
+                    rotated: false,
+                }
             }
         }
     }
@@ -297,7 +345,8 @@ impl FlatLevel {
         self.tags.iter().filter(|&&t| t != 0).count() as u64
     }
 
-    /// The occupied sets in slab (first-fill) order.  O(occupied).
+    /// The occupied sets in slab (first-fill) order: the `n`-th item is
+    /// [row](FlatLevel::row) `n`.  O(occupied).
     pub fn occupied_sets(&self) -> impl Iterator<Item = FlatSet<'_>> + '_ {
         (0..self.row_sets.len()).map(move |row| self.row(row))
     }
@@ -308,9 +357,18 @@ impl FlatLevel {
     ///
     /// Panics if `idx` is out of range.
     pub fn set(&self, idx: usize) -> Option<FlatSet<'_>> {
+        self.row_of(idx).map(|row| self.row(row))
+    }
+
+    /// The row of set `idx`, or `None` if it was never filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn row_of(&self, idx: usize) -> Option<usize> {
         match self.dir[idx] {
             0 => None,
-            r => Some(self.row(r as usize - 1)),
+            r => Some(r as usize - 1),
         }
     }
 
@@ -327,7 +385,13 @@ impl FlatLevel {
         }
     }
 
-    fn row(&self, row: usize) -> FlatSet<'_> {
+    /// Row `row` of the slab (rows are numbered in first-fill order, as
+    /// [`Touch`] reports them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not below [`FlatLevel::occupied_len`].
+    pub fn row(&self, row: usize) -> FlatSet<'_> {
         let (assoc, words) = (self.assoc, self.plru_words);
         FlatSet {
             index: self.row_sets[row] as usize,
@@ -362,6 +426,41 @@ impl FlatLevel {
             *tag = block_map(MemBlock(*tag - 1)).0 + 1;
         }
         out
+    }
+
+    /// The in-place form of [`relabel`](FlatLevel::relabel) for a uniform
+    /// block shift, as a warp applies it: every occupied set `s` moves to
+    /// `(s + rotation) % num_sets`, and every line for which
+    /// `shifts(slot, block)` holds (`slot = row * assoc + way`) has its
+    /// block advanced by `block_shift`.  `shifts` sees every occupied line
+    /// once, in slab order.  Rows keep their slab index, so data kept
+    /// parallel to them stays aligned.  O(occupied).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shifted block leaves `0..u64::MAX`.
+    pub fn shift_rows(
+        &mut self,
+        rotation: usize,
+        block_shift: i64,
+        mut shifts: impl FnMut(usize, MemBlock) -> bool,
+    ) {
+        for &set in &self.row_sets {
+            self.dir[set as usize] = 0;
+        }
+        for (row, set) in self.row_sets.iter_mut().enumerate() {
+            let moved = (*set as usize + rotation) % self.num_sets;
+            *set = moved as u32;
+            self.dir[moved] = row as u32 + 1;
+        }
+        for (slot, tag) in self.tags.iter_mut().enumerate() {
+            if *tag != 0 && shifts(slot, MemBlock(*tag - 1)) {
+                *tag = tag
+                    .checked_add_signed(block_shift)
+                    .filter(|&t| t != 0)
+                    .expect("a shifted block stays in 0..u64::MAX");
+            }
+        }
     }
 
     /// Row indices ordered by set index: the slab-order-free view equality
@@ -437,6 +536,44 @@ impl fmt::Debug for FlatLevel {
                     .collect::<Vec<_>>(),
             )
             .finish()
+    }
+}
+
+/// Where an access left its line, as [`FlatLevel::touch`] reports it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Touch {
+    /// The block was cached.
+    Hit(Slot),
+    /// The block missed and was inserted.
+    Fill(Slot),
+    /// The block missed and was not inserted (a no-write-allocate write
+    /// miss); nothing changed.
+    Bypass,
+}
+
+/// The line an access touched: its row, the way the block was found in
+/// (hit) or written to (fill), and whether the row rotated ways `0..=way`
+/// right by one, which LRU hits and LRU and FIFO fills do to bring the
+/// line to way 0.  Data kept parallel to the ways follows the policy by
+/// applying the same move.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Slot {
+    /// The row (slab index) of the set.
+    pub row: usize,
+    /// The way of the line before the access reordered the row.
+    pub way: usize,
+    /// Whether ways `0..=way` rotated right by one.
+    pub rotated: bool,
+}
+
+impl Slot {
+    /// The way that holds the touched line after the access.
+    pub fn line(&self) -> usize {
+        if self.rotated {
+            0
+        } else {
+            self.way
+        }
     }
 }
 

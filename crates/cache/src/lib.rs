@@ -11,14 +11,16 @@
 //! * individual cache sets ([`SetState`], generic over the line payload:
 //!   the reference update logic of every policy),
 //! * two cache stores with modulo placement ([`CacheConfig`]):
-//!   - [`FlatLevel`], the **flat concrete store** behind every concrete
-//!     simulator (classic, trace, sampled): a zeroed per-set directory plus
-//!     a slab of `assoc`-wide tag rows with packed policy metadata,
-//!     bit-identical to [`SetState`];
-//!   - [`CacheState`], the **sparse store** of touched sets plus one shared
-//!     empty-set template, generic over the payload so that symbolic
-//!     warping reuses the [`SetState`] logic on labelled lines and rotates
-//!     sets in O(occupied),
+//!   - [`FlatLevel`], the **flat store** behind every simulator: a zeroed
+//!     per-set directory plus a slab of `assoc`-wide tag rows with packed
+//!     policy metadata, bit-identical to [`SetState`].  Concrete simulation
+//!     (classic, trace, sampled) uses it directly; warping keeps its
+//!     symbolic labels in a slab parallel to its rows, kept in step through
+//!     [`FlatLevel::touch`] and [`FlatLevel::shift_rows`];
+//!   - [`CacheState`], the **sparse reference store** of touched sets plus
+//!     one shared empty-set template, generic over the payload: the
+//!     [`SetState`] logic the flat store is tested against, and the store
+//!     of the data-independence theorems ([`bijection`]),
 //! * the depth-N memory system: [`MemoryConfig`] describes any number of
 //!   non-inclusive non-exclusive cache levels (with write-allocate and
 //!   no-write-allocate write policies, conversions from [`CacheConfig`] and
@@ -57,7 +59,7 @@ mod set;
 
 pub use block::{Access, AccessKind, MemBlock};
 pub use cache::{CacheConfig, CacheState, LevelStats};
-pub use flat::{FlatLevel, FlatSet, MAX_ASSOC, MAX_SETS};
+pub use flat::{FlatLevel, FlatSet, Slot, Touch, MAX_ASSOC, MAX_SETS};
 pub use hierarchy::{
     walk_access, AccessOutcome, HierarchyConfig, HierarchyState, HierarchyStats, WritePolicy,
 };

@@ -5,19 +5,14 @@ use crate::policy::{PolicyState, ReplacementPolicy};
 /// The state of a single cache set of associativity `k`, generic over the
 /// line payload `B`.
 ///
-/// For concrete simulation the payload is a [`MemBlock`](crate::MemBlock);
-/// the warping simulator instead stores payloads that carry both a concrete
-/// block and a symbolic label, reusing the exact same update logic.
+/// This is the reference update logic of every policy: the flat store
+/// ([`FlatLevel`](crate::FlatLevel)) is tested against it.  For concrete
+/// simulation the payload is a [`MemBlock`](crate::MemBlock); a payload
+/// that also carries a symbolic label reuses the same logic.
 ///
 /// For LRU and FIFO the replacement state is encoded in the order of the
 /// lines (index 0 holds the most-recently-used / last-in block); PLRU and
 /// Quad-age LRU keep lines at stable positions and use the [`PolicyState`].
-///
-/// Every mutation bumps a [content version](SetState::content_version)
-/// counter, so incremental consumers (e.g. the warping simulator's set
-/// digests) can detect stale derived data without re-reading the lines.
-/// The version is bookkeeping, not content: it is ignored by `PartialEq`
-/// and `Hash`.
 ///
 /// ```
 /// use cache_model::{ReplacementPolicy, SetState};
@@ -28,25 +23,10 @@ use crate::policy::{PolicyState, ReplacementPolicy};
 /// assert!(!set.access(ReplacementPolicy::Lru, 'c')); // evicts 'b'
 /// assert!(!set.access(ReplacementPolicy::Lru, 'b'));
 /// ```
-#[derive(Clone, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SetState<B> {
     lines: Vec<Option<B>>,
     policy_state: PolicyState,
-    version: u64,
-}
-
-impl<B: PartialEq> PartialEq for SetState<B> {
-    fn eq(&self, other: &Self) -> bool {
-        // The version counter is mutation bookkeeping, not content.
-        self.lines == other.lines && self.policy_state == other.policy_state
-    }
-}
-
-impl<B: std::hash::Hash> std::hash::Hash for SetState<B> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.lines.hash(state);
-        self.policy_state.hash(state);
-    }
 }
 
 impl<B> SetState<B> {
@@ -75,33 +55,11 @@ impl<B> SetState<B> {
         self.lines.iter().all(Option::is_none)
     }
 
-    /// A counter that increases on every mutation of the set (hit updates,
-    /// miss fills and in-place payload edits through [`SetState::line_mut`]).
-    ///
-    /// Consumers that cache data derived from the set's content — such as
-    /// the warping simulator's per-set digests — compare versions instead of
-    /// line arrays to decide whether their cache is stale.  Clones inherit
-    /// the version; [`SetState::map_payloads`] resets it, since the result is
-    /// a fresh set.
-    pub fn content_version(&self) -> u64 {
-        self.version
-    }
-
     /// Finds the line whose payload satisfies `pred`.
     pub fn find(&self, mut pred: impl FnMut(&B) -> bool) -> Option<usize> {
         self.lines
             .iter()
             .position(|l| l.as_ref().is_some_and(&mut pred))
-    }
-
-    /// Mutable access to the payload of line `idx`, if it is occupied.
-    ///
-    /// Mutating the payload does not affect the replacement state; this is
-    /// used by the warping simulator to refresh symbolic labels in place.
-    /// Counts as a mutation for [`SetState::content_version`].
-    pub fn line_mut(&mut self, idx: usize) -> Option<&mut B> {
-        self.version += 1;
-        self.lines[idx].as_mut()
     }
 }
 
@@ -116,7 +74,6 @@ impl<B: Clone> SetState<B> {
         SetState {
             lines: vec![None; assoc],
             policy_state: policy.initial_state(assoc),
-            version: 0,
         }
     }
 
@@ -126,17 +83,15 @@ impl<B: Clone> SetState<B> {
         SetState {
             lines,
             policy_state,
-            version: 0,
         }
     }
 
     /// Applies a function to every payload, keeping positions and policy
-    /// state.  Used to concretise symbolic states and to apply bijections.
+    /// state.  Used to apply bijections.
     pub fn map_payloads<C>(&self, mut f: impl FnMut(&B) -> C) -> SetState<C> {
         SetState {
             lines: self.lines.iter().map(|l| l.as_ref().map(&mut f)).collect(),
             policy_state: self.policy_state.clone(),
-            version: 0,
         }
     }
 
@@ -147,7 +102,6 @@ impl<B: Clone> SetState<B> {
     /// Panics if `idx` is out of range or the line is empty.
     pub fn on_hit(&mut self, policy: ReplacementPolicy, idx: usize) {
         assert!(self.lines[idx].is_some(), "hit on an empty line");
-        self.version += 1;
         match policy {
             ReplacementPolicy::Lru => {
                 // Move the hit line to the front, shifting the younger ones.
@@ -176,7 +130,6 @@ impl<B: Clone> SetState<B> {
     /// payload if the set was full.  Returns `(line, evicted)` where `line`
     /// is the position at which the payload now resides.
     pub fn on_miss_insert(&mut self, policy: ReplacementPolicy, payload: B) -> (usize, Option<B>) {
-        self.version += 1;
         match policy {
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
                 let evicted = self.lines.pop().expect("associativity is positive").clone();

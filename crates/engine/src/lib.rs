@@ -195,9 +195,8 @@ impl Engine {
     /// reports the unified outcome.
     ///
     /// The engine's thread budget ([`Engine::with_threads`]) is granted to
-    /// the backend: a warping request applies warps across levels (and
-    /// across sets within large levels) in parallel.  Results are
-    /// bit-identical for every budget.
+    /// the backend: a warping request applies warps to its rotating levels
+    /// in parallel.  Results are bit-identical for every budget.
     ///
     /// # Errors
     ///

@@ -221,6 +221,10 @@ pub struct ServeStats {
     pub cache_capacity: u64,
     /// Submissions that returned an error (errors are never cached).
     pub errors: u64,
+    /// Wire lines answered with an error envelope before any submission:
+    /// unparsable lines, family requests whose family or bindings do not
+    /// resolve, and failed family registrations.
+    pub rejected: u64,
     /// Submissions rewritten onto the sampling backend because their kernel
     /// exceeded the exact-simulation budget
     /// ([`ServeConfig::exact_budget`]).  Counts every degraded submission,
@@ -281,6 +285,7 @@ pub struct SimService {
     requests: AtomicU64,
     simulated: AtomicU64,
     errors: AtomicU64,
+    rejected: AtomicU64,
     degraded: AtomicU64,
 }
 
@@ -311,6 +316,7 @@ impl SimService {
             requests: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
         }
     }
@@ -689,6 +695,7 @@ impl SimService {
             cache_entries: cache.entries,
             cache_capacity: cache.capacity,
             errors: self.errors.load(Ordering::SeqCst),
+            rejected: self.rejected.load(Ordering::SeqCst),
             degraded: self.degraded.load(Ordering::SeqCst),
             workers: pool.workers,
             steals: pool.steals,

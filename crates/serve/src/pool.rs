@@ -123,7 +123,9 @@ impl Shared {
 }
 
 /// The work-stealing pool.  Dropping it drains every queued job, then joins
-/// the workers.
+/// the workers — all but the dropping thread itself when the last owner
+/// lets go inside one of the pool's own jobs: that worker is detached and
+/// exits on its own once the job returns and the queue is empty.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -201,8 +203,13 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wakeup.notify_all();
+        // Joining the current thread would fail with a deadlock error, so
+        // a worker dropping the pool leaves its own handle detached.
+        let current = std::thread::current().id();
         for handle in self.workers.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -268,6 +275,34 @@ mod tests {
         release_tx.send(()).expect("owner still blocked");
         drop(pool);
         assert!(steals >= 1, "the second job can only have been stolen");
+    }
+
+    #[test]
+    fn a_job_dropping_the_last_owner_joins_the_other_workers() {
+        // The pool is dropped on one of its own workers: that worker must
+        // not try to join itself (std panics with "Resource deadlock
+        // avoided"), and every other worker must still be joined.
+        let pool = Arc::new(WorkerPool::new(3));
+        let shared = Arc::clone(&pool.shared);
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        let last_owner = Arc::clone(&pool);
+        pool.spawn(move || {
+            release_rx.recv().expect("the caller lets go first");
+            drop(last_owner);
+            // Reached only if dropping the pool did not panic; by now the
+            // other two workers have been joined and the pool is gone, so
+            // only this worker's loop and this job hold the shared state.
+            done_tx
+                .send(Arc::strong_count(&shared))
+                .expect("test alive");
+        });
+        drop(pool);
+        release_tx.send(()).expect("job waiting");
+        let holders = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the job must finish without panicking");
+        assert_eq!(holders, 2, "the other workers must have been joined");
     }
 
     #[test]

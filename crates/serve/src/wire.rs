@@ -241,6 +241,13 @@ impl Drop for JobDone {
     }
 }
 
+/// Answers a line the service never saw with its error envelope and counts
+/// it in [`ServeStats::rejected`](crate::ServeStats::rejected).
+fn reject<W: Write>(service: &SimService, writer: &Mutex<W>, envelope: Value) {
+    service.rejected.fetch_add(1, Ordering::SeqCst);
+    write_line(writer, &envelope);
+}
+
 /// The text of a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
@@ -381,16 +388,20 @@ where
                     let request = SimRequest::new(kernel, memory, backend);
                     spawn_request(service, &writer, &jobs, options, id, request);
                 }
-                Err(message) => write_line(&writer, &error_envelope(id, message)),
+                Err(message) => reject(service, &writer, error_envelope(id, message)),
             },
             Ok(Line::RegisterFamily { name, code }) => {
-                let envelope = match service.register_family(&name, &code) {
-                    Ok(stats) => {
-                        Value::Object(vec![("registered".to_string(), stats.serialize_value())])
-                    }
-                    Err(message) => error_envelope(Value::UInt(index as u64 + 1), message),
-                };
-                write_line(&writer, &envelope);
+                match service.register_family(&name, &code) {
+                    Ok(stats) => write_line(
+                        &writer,
+                        &Value::Object(vec![("registered".to_string(), stats.serialize_value())]),
+                    ),
+                    Err(message) => reject(
+                        service,
+                        &writer,
+                        error_envelope(Value::UInt(index as u64 + 1), message),
+                    ),
+                }
             }
             Ok(Line::Families) => {
                 let families = service
@@ -410,9 +421,7 @@ where
                 shutdown = true;
                 break;
             }
-            Err((id, message)) => {
-                write_line(&writer, &error_envelope(id, message));
-            }
+            Err((id, message)) => reject(service, &writer, error_envelope(id, message)),
         }
     }
     jobs.wait();
@@ -533,6 +542,49 @@ mod tests {
         assert_eq!(lines[0].get("id").and_then(Value::as_u64), Some(1));
         assert!(lines[1].get("serve_stats").is_some());
         assert!(lines[2].get("serve_stats").is_some());
+    }
+
+    #[test]
+    fn rejected_lines_are_counted_apart_from_requests_and_errors() {
+        let service = Arc::new(SimService::with_engine(
+            Engine::new().with_threads(1),
+            ServeConfig {
+                workers: 1,
+                cache_capacity: 4,
+                exact_budget: None,
+                warm_paths: true,
+            },
+        ));
+        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        let input = format!("{{not json\n{}\n", request_line(1));
+        let (stats, _) =
+            serve_lines(&service, Cursor::new(input), sink.clone()).expect("serving succeeds");
+        assert_eq!(
+            (stats.rejected, stats.requests, stats.errors),
+            (1, 1, 0),
+            "{stats:?}"
+        );
+        let trailer = lines_of(&sink).pop().expect("a trailer");
+        let trailer = trailer.get("serve_stats").expect("stats trailer");
+        assert_eq!(trailer.get("rejected").and_then(Value::as_u64), Some(1));
+        assert_eq!(trailer.get("requests").and_then(Value::as_u64), Some(1));
+        assert_eq!(trailer.get("errors").and_then(Value::as_u64), Some(0));
+
+        // An unknown family and a template that does not parse are rejected
+        // too, and never reach the request counters.
+        let unknown = format!(
+            r#"{{"id":2,"request":{{"family":"{}","bindings":{{"N":4}},"memory":{{"levels":[{{"sets":1,"assoc":8,"line_size":8,"policy":"lru"}}]}},"backend":"classic"}}}}"#,
+            "0".repeat(16)
+        );
+        let bad_template = r#"{"cmd":"register_family","name":"bad","code":"for ("}"#;
+        let input = format!("{unknown}\n{bad_template}\n");
+        let (stats, _) = serve_lines(&service, Cursor::new(input), Sink(Arc::default()))
+            .expect("serving succeeds");
+        assert_eq!(
+            (stats.rejected, stats.requests, stats.errors),
+            (3, 1, 0),
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -545,3 +545,46 @@ fn calibration_cache_invalidates_on_hierarchy_or_policy_change() {
     assert_eq!(stats.calibration_misses, 3);
     assert_eq!(service.calibration_stats().len(), 3);
 }
+
+/// The caller drops its handle while a job on the service's own pool still
+/// holds one, so the last handle — and with it the pool — is dropped on the
+/// pool's only worker.  The worker must not try to join itself: the job
+/// still gets its reply and runs to its end without panicking.
+#[test]
+fn dropping_the_last_handle_inside_a_job_does_not_panic() {
+    let service = Arc::new(SimService::with_engine(
+        Engine::new().with_threads(1),
+        ServeConfig {
+            workers: 1,
+            cache_capacity: 16,
+            exact_budget: None,
+            warm_paths: true,
+        },
+    ));
+    let (released_tx, released_rx) = std::sync::mpsc::channel::<()>();
+    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let held = Arc::clone(&service);
+    service.pool().spawn(move || {
+        released_rx.recv().expect("the caller lets go first");
+        reply_tx
+            .send(held.submit(&request(KERNEL)))
+            .expect("test alive");
+        // The last handle: the service and its pool are dropped right here,
+        // on the pool's worker.
+        drop(held);
+        done_tx.send(()).expect("test alive");
+    });
+    drop(service);
+    released_tx.send(()).expect("job waiting");
+    let timeout = std::time::Duration::from_secs(30);
+    let (report, served) = reply_rx
+        .recv_timeout(timeout)
+        .expect("the reply arrives")
+        .expect("the request is served");
+    assert_eq!(served, Served::Simulated);
+    assert!(report.result.accesses > 0);
+    done_rx
+        .recv_timeout(timeout)
+        .expect("dropping the service on its own worker must not panic");
+}

@@ -63,22 +63,21 @@
 //!
 //! # Incrementality
 //!
-//! [`FingerprintTracker`] maintains the per-set digests and their sums
-//! across state mutations with dirty-set tracking: an access dirties one
-//! set (detected via the [content
-//! version](cache_model::SetState::content_version) hook of the cache
-//! crate), a warp dirties the occupied sets and *rotates* the stored digest
-//! array alongside the state (the sums are unchanged by rotation).  Dirty
-//! digests are recomputed lazily when a fingerprint is next requested, so
-//! the cost of keeping fingerprints fresh is proportional to the number of
-//! sets touched since the last match attempt — not to the total number of
-//! sets of an 8 MiB L3.
+//! [`FingerprintTracker`] maintains one digest per row of a symbolic level
+//! (a row is an occupied set; every other set shares the empty set's
+//! digest) and their sums, with a per-row dirty bit and a list of the dirty
+//! rows.  The level marks a row dirty whenever it writes a label there — a
+//! hit promotion or a fill — and a warp marks every row dirty, since it
+//! shifts tags and labels in place.  Rotating the sets moves no row and
+//! leaves every sum unchanged.  Dirty digests are recomputed lazily when a
+//! fingerprint is next requested, so the cost of keeping fingerprints
+//! fresh is proportional to the number of rows touched since the last
+//! match attempt — not to the total number of sets of an 8 MiB L3.
 
-use crate::symstate::SymLine;
+use crate::symstate::{SymLabel, SymLevel, SymSet};
 use cache_model::{
-    CacheState, FlatLevel, FlatSet, MemBlock, PolicyState, ReplacementPolicy, SetState,
+    CacheConfig, FlatLevel, FlatSet, MemBlock, PolicyState, ReplacementPolicy, SetState,
 };
-use std::collections::{HashMap, HashSet};
 
 /// Number of candidate warped dimensions a digest covers.  Loops nested
 /// deeper than this cannot use the fingerprint filter and fall back to
@@ -118,13 +117,47 @@ impl SetDigest {
     }
 }
 
-/// Digests one set of a symbolic cache state.  See the module documentation
-/// for the invariances this encoding guarantees.
-pub fn digest_set(set: &SetState<SymLine>) -> SetDigest {
+/// Digests one occupied set of a symbolic level.  See the module
+/// documentation for the invariances this encoding guarantees.
+pub fn digest_set(set: &SymSet<'_>) -> SetDigest {
+    let flat = set.flat();
+    match flat.policy() {
+        ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+            digest_words(set.lines(), 0, std::iter::empty())
+        }
+        ReplacementPolicy::Plru => digest_words(set.lines(), 1, flat.plru_bits().map(u64::from)),
+        ReplacementPolicy::Qlru => {
+            digest_words(set.lines(), 2, flat.ages().iter().map(|&a| a.into()))
+        }
+    }
+}
+
+/// [`digest_set`] on a set given as its labelled lines in policy order and
+/// its policy metadata in the reference representation: the same digest
+/// for the same content, whatever store holds it.
+pub fn digest_lines<'a>(
+    lines: impl IntoIterator<Item = Option<SymLabel<'a>>>,
+    policy: &PolicyState,
+) -> SetDigest {
+    match policy {
+        PolicyState::None => digest_words(lines, 0, std::iter::empty()),
+        PolicyState::PlruBits(bits) => digest_words(lines, 1, bits.iter().map(|&b| b.into())),
+        PolicyState::Ages(ages) => digest_words(lines, 2, ages.iter().map(|&a| a.into())),
+    }
+}
+
+/// The symbolic-set encoding shared by [`digest_set`] and
+/// [`digest_lines`]: the labelled lines in policy order, then the policy
+/// tag (`TAG_POLICY[policy]`) and its metadata words (PLRU tree bits or
+/// QLRU ages; none for LRU/FIFO).
+fn digest_words<'a>(
+    lines: impl IntoIterator<Item = Option<SymLabel<'a>>>,
+    policy: usize,
+    metadata: impl Iterator<Item = u64>,
+) -> SetDigest {
     let mut words = [FNV_OFFSET; MAX_TRACKED_DIMS];
-    let mut prev_block: Option<u64> = None;
-    let mut prev_line: Option<&SymLine> = None;
-    for line in set.lines() {
+    let mut prev: Option<SymLabel<'a>> = None;
+    for line in lines {
         match line {
             None => {
                 for w in &mut words {
@@ -144,11 +177,12 @@ pub fn digest_set(set: &SetState<SymLine>) -> SetDigest {
                         }
                     }
                 }
-                // The excluded dimension re-enters as a pairwise difference
-                // when the neighbouring line carries the same node: the pair
-                // is then uniformly both-descendant or both-stale, so every
-                // label shift the canonical key factors out cancels.
-                if let Some(p) = prev_line {
+                if let Some(p) = prev {
+                    // The excluded dimension re-enters as a pairwise
+                    // difference when the neighbouring line carries the
+                    // same node: the pair is then uniformly both-descendant
+                    // or both-stale, so every label shift the canonical key
+                    // factors out cancels.
                     if p.node == l.node {
                         for (d, w) in words.iter_mut().enumerate() {
                             if let (Some(a), Some(b)) = (l.iter.get(d), p.iter.get(d)) {
@@ -156,41 +190,23 @@ pub fn digest_set(set: &SetState<SymLine>) -> SetDigest {
                             }
                         }
                     }
-                }
-                // Consecutive block differences are invariant under the
-                // uniform block shift of a warp; absolute blocks are not.
-                if let Some(prev) = prev_block {
-                    let diff = l.block.0.wrapping_sub(prev);
+                    // Consecutive block differences are invariant under the
+                    // uniform block shift of a warp; absolute blocks are not.
+                    let diff = l.block.0.wrapping_sub(p.block.0);
                     for w in &mut words {
                         *w = mix(*w, diff);
                     }
                 }
-                prev_block = Some(l.block.0);
-                prev_line = Some(l);
+                prev = Some(l);
             }
         }
     }
-    match set.policy_state() {
-        PolicyState::None => {
-            for w in &mut words {
-                *w = mix(*w, TAG_POLICY[0]);
-            }
-        }
-        PolicyState::PlruBits(bits) => {
-            for w in &mut words {
-                *w = mix(*w, TAG_POLICY[1]);
-                for b in bits {
-                    *w = mix(*w, u64::from(*b));
-                }
-            }
-        }
-        PolicyState::Ages(ages) => {
-            for w in &mut words {
-                *w = mix(*w, TAG_POLICY[2]);
-                for a in ages {
-                    *w = mix(*w, u64::from(*a));
-                }
-            }
+    for w in &mut words {
+        *w = mix(*w, TAG_POLICY[policy]);
+    }
+    for word in metadata {
+        for w in &mut words {
+            *w = mix(*w, word);
         }
     }
     for w in &mut words {
@@ -286,94 +302,98 @@ pub fn concrete_fingerprint(levels: &[FlatLevel]) -> u64 {
     finalize(h)
 }
 
-/// Rebuilds the level fingerprint words from scratch — the reference the
-/// incremental [`FingerprintTracker`] is tested against.
-pub fn rebuild_level_fingerprint(state: &CacheState<SymLine>) -> [u64; MAX_TRACKED_DIMS] {
-    let mut sums = [0u64; MAX_TRACKED_DIMS];
-    for (_, set) in state.sets() {
-        let digest = digest_set(set);
-        for (s, w) in sums.iter_mut().zip(digest.0) {
+/// Rebuilds the level fingerprint words of a symbolic level from scratch —
+/// the reference the incremental [`FingerprintTracker`] is tested against.
+pub fn rebuild_level_fingerprint(level: &SymLevel) -> [u64; MAX_TRACKED_DIMS] {
+    let empty = empty_digest(&level.config);
+    let untouched = (level.config.num_sets() - level.occupied_len()) as u64;
+    let mut sums = empty.0.map(|w| w.wrapping_mul(untouched));
+    for set in level.sets() {
+        for (s, w) in sums.iter_mut().zip(digest_set(&set).0) {
             *s = s.wrapping_add(w);
         }
     }
     sums
 }
 
-/// Incrementally maintained per-set digests and rolling level fingerprints
-/// of one symbolic cache level.
+/// The digest every never-filled set of a level with geometry `config`
+/// shares: empty lines and the initial policy metadata.
+fn empty_digest(config: &CacheConfig) -> SetDigest {
+    digest_lines(
+        std::iter::repeat_n(None, config.assoc()),
+        &config.policy().initial_state(config.assoc()),
+    )
+}
+
+/// Incrementally maintained per-row digests and rolling level fingerprints
+/// of one symbolic level.
 ///
-/// The tracker mirrors the cache state's sparse representation: digests are
-/// stored only for sets whose content diverged from the shared empty
-/// template, so construction is O(1) and memory is proportional to the
-/// sets ever touched — not to the total number of sets of a 64 MiB level.
+/// Digests are kept for the level's rows (its occupied sets, in first-fill
+/// order) in a `Vec`, with a per-row dirty bit and a list of the dirty
+/// rows; every never-filled set shares one template digest.  Construction
+/// is O(1) and memory is proportional to the rows — not to the total
+/// number of sets of a 64 MiB level.
 #[derive(Clone, Debug)]
 pub struct FingerprintTracker {
     /// The digest every set in its initial (empty) state shares.
     empty: SetDigest,
-    /// Digests of sets that diverged from the empty template.
-    digests: HashMap<usize, SetDigest>,
-    dirty_flag: HashSet<usize>,
-    dirty: Vec<usize>,
+    /// One digest per row, current unless the row is dirty.
+    digests: Vec<SetDigest>,
+    /// One dirty bit per row.
+    dirty: Vec<bool>,
+    /// The rows whose dirty bit is set.
+    dirty_rows: Vec<usize>,
     sums: [u64; MAX_TRACKED_DIMS],
 }
 
 impl FingerprintTracker {
-    /// A tracker over a fresh (all-empty) state.  Every set of a fresh
-    /// state is identical, so one template digest covers them all and
-    /// construction does no per-set digesting or allocation.
-    pub fn new(state: &CacheState<SymLine>) -> Self {
-        let empty = digest_set(state.set(0));
-        debug_assert!(state.occupied_indices().next().is_none());
-        let num_sets = state.num_sets();
-        let mut sums = [0u64; MAX_TRACKED_DIMS];
-        for (s, w) in sums.iter_mut().zip(empty.0) {
-            *s = w.wrapping_mul(num_sets as u64);
-        }
+    /// A tracker over an empty level with geometry `config`.  Every set of
+    /// an empty level is identical, so one template digest covers them all
+    /// and construction does no per-set digesting or allocation.
+    pub fn new(config: &CacheConfig) -> Self {
+        let empty = empty_digest(config);
+        let num_sets = config.num_sets() as u64;
         FingerprintTracker {
             empty,
-            digests: HashMap::new(),
-            dirty_flag: HashSet::new(),
+            digests: Vec::new(),
             dirty: Vec::new(),
-            sums,
+            dirty_rows: Vec::new(),
+            sums: empty.0.map(|w| w.wrapping_mul(num_sets)),
         }
     }
 
-    /// Marks one set's digest as possibly stale.
-    pub fn mark_dirty(&mut self, set: usize) {
-        if self.dirty_flag.insert(set) {
-            self.dirty.push(set);
+    /// Marks one row's digest as possibly stale.  A row beyond the ones
+    /// seen so far is new: its set was in the initial state until now.
+    #[inline]
+    pub fn mark_dirty(&mut self, row: usize) {
+        if row >= self.digests.len() {
+            self.digests.resize(row + 1, self.empty);
+            self.dirty.resize(row + 1, false);
+        }
+        if !self.dirty[row] {
+            self.dirty[row] = true;
+            self.dirty_rows.push(row);
         }
     }
 
-    /// Recomputes the digests of all dirty sets and updates the rolling
-    /// sums.  O(dirty sets), independent of the total number of sets.
-    ///
-    /// Every dirty set is recomputed unconditionally: content versions are
-    /// only comparable within one `SetState` instance, and warp application
-    /// replaces sets wholesale (resetting their version), so a version
-    /// match across a flush proves nothing about staleness.
-    pub fn flush(&mut self, state: &CacheState<SymLine>) {
-        for &s in &self.dirty {
-            self.dirty_flag.remove(&s);
-            let set = state.set(s);
-            let digest = digest_set(set);
-            // A set a warp vacated reverts to the shared empty digest; drop
-            // its entry so the map tracks only diverged sets.
-            let old = if set.is_empty() && digest == self.empty {
-                self.digests.remove(&s).unwrap_or(self.empty)
-            } else {
-                self.digests.insert(s, digest).unwrap_or(self.empty)
-            };
-            for ((sum, old), new) in self.sums.iter_mut().zip(old.0).zip(digest.0) {
+    /// Recomputes the digests of all dirty rows with `digest` and updates
+    /// the rolling sums.  O(dirty rows), independent of the total number
+    /// of sets.
+    pub fn flush(&mut self, mut digest: impl FnMut(usize) -> SetDigest) {
+        for &row in &self.dirty_rows {
+            self.dirty[row] = false;
+            let new = digest(row);
+            let old = std::mem::replace(&mut self.digests[row], new);
+            for ((sum, old), new) in self.sums.iter_mut().zip(old.0).zip(new.0) {
                 *sum = sum.wrapping_sub(old).wrapping_add(new);
             }
         }
-        self.dirty.clear();
+        self.dirty_rows.clear();
     }
 
-    /// Whether all digests are up to date (no pending dirty sets).
+    /// Whether all digests are up to date (no pending dirty rows).
     pub fn is_flushed(&self) -> bool {
-        self.dirty.is_empty()
+        self.dirty_rows.is_empty()
     }
 
     /// The rolling level fingerprint for excluded dimension `d`, or `None`
@@ -392,17 +412,16 @@ impl FingerprintTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::{MemBlock, ReplacementPolicy};
+    use cache_model::CacheState;
 
-    fn line(node: usize, iter: &[i64], block: u64) -> SymLine {
-        SymLine {
-            block: MemBlock(block),
-            node,
-            iter: iter.to_vec(),
-        }
+    /// A reference line: `(block, node, iter)`.
+    type Line = (u64, usize, Vec<i64>);
+
+    fn line(node: usize, iter: &[i64], block: u64) -> Line {
+        (block, node, iter.to_vec())
     }
 
-    fn set_of(lines: &[Option<SymLine>]) -> SetState<SymLine> {
+    fn set_of(lines: &[Option<Line>]) -> SetState<Line> {
         let mut set = SetState::new(ReplacementPolicy::Lru, lines.len());
         // Insert back to front so the final line order matches `lines`.
         for l in lines.iter().rev().flatten() {
@@ -411,27 +430,81 @@ mod tests {
         set
     }
 
+    fn digest(set: &SetState<Line>) -> SetDigest {
+        let lines = set.lines().iter().map(|l| {
+            l.as_ref().map(|(block, node, iter)| SymLabel {
+                block: MemBlock(*block),
+                node: *node,
+                iter,
+            })
+        });
+        digest_lines(lines, set.policy_state())
+    }
+
+    /// The digest words of a fixed access history, for every policy, as
+    /// the set-by-set store computed them: fingerprints (and so every
+    /// match-map slot) do not depend on the store.
+    #[test]
+    fn digest_words_are_pinned() {
+        use cache_model::AccessKind;
+        let pinned = [
+            (ReplacementPolicy::Lru, 0xa7f1_fcd6_3430_fd3d_u64),
+            (ReplacementPolicy::Fifo, 0x2ad6_916b_0f6f_b549),
+            (ReplacementPolicy::Plru, 0x5bc9_d379_1a37_2566),
+            (ReplacementPolicy::Qlru, 0x3030_4b8d_7b83_f934),
+        ];
+        for (policy, expected) in pinned {
+            let mut level = SymLevel::new(CacheConfig::with_sets(4, 4, 64, policy));
+            let mut x = 12345u64;
+            let mut fold = 0u64;
+            for step in 0..400u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let depth = 1 + ((x >> 24) % 3) as usize;
+                let iter: Vec<i64> = (0..depth)
+                    .map(|d| ((x >> (40 + 3 * d)) % 7) as i64 - 2)
+                    .collect();
+                let kind = if (x >> 50).is_multiple_of(4) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let node = ((x >> 20) % 3) as usize;
+                level.access(MemBlock((x >> 33) % 40), kind, node, &iter);
+                if step % 97 == 96 {
+                    level.prepare_match();
+                    for d in 0..MAX_TRACKED_DIMS {
+                        let word = level.fingerprint(d).unwrap();
+                        fold = (fold ^ word).wrapping_mul(FNV_PRIME).rotate_left(7);
+                    }
+                }
+            }
+            assert_eq!(fold, expected, "{policy}");
+        }
+    }
+
     #[test]
     fn digest_excludes_only_the_excluded_dim() {
         let a = set_of(&[Some(line(0, &[5, 7], 10)), None]);
         let b = set_of(&[Some(line(0, &[6, 7], 10)), None]);
         let c = set_of(&[Some(line(0, &[5, 8], 10)), None]);
         // Shifting dim 0 changes every word except word 0.
-        assert_eq!(digest_set(&a).word(0), digest_set(&b).word(0));
-        assert_ne!(digest_set(&a).word(1), digest_set(&b).word(1));
+        assert_eq!(digest(&a).word(0), digest(&b).word(0));
+        assert_ne!(digest(&a).word(1), digest(&b).word(1));
         // Shifting dim 1 changes every word except word 1.
-        assert_eq!(digest_set(&a).word(1), digest_set(&c).word(1));
-        assert_ne!(digest_set(&a).word(0), digest_set(&c).word(0));
+        assert_eq!(digest(&a).word(1), digest(&c).word(1));
+        assert_ne!(digest(&a).word(0), digest(&c).word(0));
     }
 
     #[test]
     fn digest_is_invariant_under_uniform_block_shift() {
         let a = set_of(&[Some(line(0, &[5], 10)), Some(line(1, &[5], 26))]);
         let b = set_of(&[Some(line(0, &[6], 14)), Some(line(1, &[6], 30))]);
-        assert_eq!(digest_set(&a).word(0), digest_set(&b).word(0));
+        assert_eq!(digest(&a).word(0), digest(&b).word(0));
         // A non-uniform shift changes the block differences.
         let c = set_of(&[Some(line(0, &[6], 14)), Some(line(1, &[6], 34))]);
-        assert_ne!(digest_set(&a).word(0), digest_set(&c).word(0));
+        assert_ne!(digest(&a).word(0), digest(&c).word(0));
     }
 
     #[test]
@@ -440,20 +513,20 @@ mod tests {
         // 0 differs between spacing 1 and spacing 2) ...
         let a = set_of(&[Some(line(0, &[5], 10)), Some(line(0, &[4], 26))]);
         let b = set_of(&[Some(line(0, &[5], 10)), Some(line(0, &[3], 26))]);
-        assert_ne!(digest_set(&a).word(0), digest_set(&b).word(0));
+        assert_ne!(digest(&a).word(0), digest(&b).word(0));
         // ... while a uniform label shift — what the epoch-relative key
         // factors out, for live and frozen levels alike — cancels pairwise.
         let shifted = set_of(&[Some(line(0, &[9], 10)), Some(line(0, &[8], 26))]);
-        assert_eq!(digest_set(&a).word(0), digest_set(&shifted).word(0));
+        assert_eq!(digest(&a).word(0), digest(&shifted).word(0));
         // Mixed-node neighbours contribute no pair: one side could be a
         // stale (absolute) label, so their spacing must stay out of the
         // digest to preserve "equal keys ⟹ equal fingerprints".
         let c = set_of(&[Some(line(0, &[5], 10)), Some(line(1, &[4], 26))]);
         let d = set_of(&[Some(line(0, &[5], 10)), Some(line(1, &[3], 26))]);
-        assert_eq!(digest_set(&c).word(0), digest_set(&d).word(0));
+        assert_eq!(digest(&c).word(0), digest(&d).word(0));
         assert_ne!(
-            digest_set(&c).word(1),
-            digest_set(&d).word(1),
+            digest(&c).word(1),
+            digest(&d).word(1),
             "other words still see the absolute value"
         );
     }
@@ -463,19 +536,18 @@ mod tests {
         let a = set_of(&[Some(line(0, &[5], 10)), None]);
         let other_node = set_of(&[Some(line(1, &[5], 10)), None]);
         let empty = set_of(&[None, None]);
-        assert_ne!(digest_set(&a).word(0), digest_set(&other_node).word(0));
-        assert_ne!(digest_set(&a).word(0), digest_set(&empty).word(0));
+        assert_ne!(digest(&a).word(0), digest(&other_node).word(0));
+        assert_ne!(digest(&a).word(0), digest(&empty).word(0));
 
         let mut qlru = SetState::new(ReplacementPolicy::Qlru, 2);
         qlru.on_miss_insert(ReplacementPolicy::Qlru, line(0, &[5], 10));
-        let once = digest_set(&qlru);
+        let once = digest(&qlru);
         qlru.on_hit(ReplacementPolicy::Qlru, 0); // age 2 -> 0
-        assert_ne!(once.word(0), digest_set(&qlru).word(0));
+        assert_ne!(once.word(0), digest(&qlru).word(0));
     }
 
     #[test]
     fn concrete_fingerprint_is_shift_invariant_and_discriminating() {
-        use cache_model::CacheConfig;
         let config = CacheConfig::with_sets(8, 2, 64, ReplacementPolicy::Lru);
         let touch = |blocks: &[u64]| {
             let mut level = FlatLevel::new(&config);
@@ -519,7 +591,6 @@ mod tests {
     /// depend on the store.
     #[test]
     fn concrete_fingerprint_equals_the_set_state_reference() {
-        use cache_model::CacheConfig;
         let reference = |levels: &[CacheState<MemBlock>]| {
             let mut h = FNV_OFFSET;
             for state in levels {

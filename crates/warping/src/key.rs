@@ -43,8 +43,8 @@
 //! kernel touching a handful of sets, the cost no longer scales with the
 //! total number of sets of a large outer level.
 
-use crate::symstate::SymLevel;
-use cache_model::PolicyState;
+use crate::symstate::{SymLevel, SymSet};
+use cache_model::{FlatSet, ReplacementPolicy};
 use std::collections::HashSet;
 
 /// An exact, rotation- and shift-invariant encoding of one or more symbolic
@@ -91,18 +91,20 @@ fn encode_level(
     normalizer: i64,
     data: &mut Vec<i64>,
 ) {
-    let num_sets = level.state.num_sets();
+    let num_sets = level.config.num_sets();
     data.push(i64::MIN + 1); // level separator
                              // Occupied sets in rotation order: ascending offset from the MRU set.
                              // Their offsets are part of the encoding, so two states only compare
                              // equal when their occupied sets line up under the same rotation; the
                              // remaining sets are empty-and-initial on both sides by construction.
-                             // The entries come straight off the sparse store's borrowing
-                             // iterator — no per-set re-lookup, no allocation beyond the sort.
-    let mut offsets: Vec<(usize, &cache_model::SetState<crate::symstate::SymLine>)> = level
-        .state
-        .occupied_entries()
-        .map(|(s, set)| ((s + num_sets - level.mru_set % num_sets) % num_sets, set))
+    let mut offsets: Vec<(usize, SymSet<'_>)> = level
+        .sets()
+        .map(|set| {
+            (
+                (set.index() + num_sets - level.mru_set % num_sets) % num_sets,
+                set,
+            )
+        })
         .collect();
     offsets.sort_unstable_by_key(|(offset, _)| *offset);
     for (offset, set) in offsets {
@@ -125,24 +127,20 @@ fn encode_level(
                 }
             }
         }
-        encode_policy_state(set.policy_state(), data);
+        encode_policy_state(set.flat(), data);
     }
 }
 
-fn encode_policy_state(state: &PolicyState, data: &mut Vec<i64>) {
-    match state {
-        PolicyState::None => data.push(0),
-        PolicyState::PlruBits(bits) => {
+fn encode_policy_state(set: FlatSet<'_>, data: &mut Vec<i64>) {
+    match set.policy() {
+        ReplacementPolicy::Lru | ReplacementPolicy::Fifo => data.push(0),
+        ReplacementPolicy::Plru => {
             data.push(1);
-            for b in bits {
-                data.push(i64::from(*b));
-            }
+            data.extend(set.plru_bits().map(i64::from));
         }
-        PolicyState::Ages(ages) => {
+        ReplacementPolicy::Qlru => {
             data.push(2);
-            for a in ages {
-                data.push(i64::from(*a));
-            }
+            data.extend(set.ages().iter().map(|&a| i64::from(a)));
         }
     }
 }
@@ -150,7 +148,7 @@ fn encode_policy_state(state: &PolicyState, data: &mut Vec<i64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::{AccessKind, CacheConfig, MemBlock, ReplacementPolicy};
+    use cache_model::{AccessKind, CacheConfig, MemBlock};
 
     fn level() -> SymLevel {
         SymLevel::new(CacheConfig::with_sets(4, 2, 1, ReplacementPolicy::Lru))

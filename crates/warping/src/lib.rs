@@ -75,4 +75,4 @@ pub use simulator::{
     InvalidWarpingOptions, WarpHints, WarpingMemory, WarpingOptions, WarpingOutcome,
     WarpingSimulator,
 };
-pub use symstate::{SymLevel, SymLine};
+pub use symstate::{SymLabel, SymLevel, SymSet};

@@ -137,20 +137,17 @@ pub fn plan_warp(
     //    guaranteed they stay untouched across the window, so their lines
     //    (stale or not) simply persist.  Only the occupied sets can hold
     //    lines, so the scan is O(occupied), independent of the total number
-    //    of sets (the sparse store's borrowing iterator yields the sets
-    //    directly).
+    //    of sets.
     for (level, mode) in levels.iter().zip(modes) {
         if *mode == LevelWarpMode::Frozen {
             continue;
         }
-        for (_, set) in level.state.occupied_entries() {
-            for line in set.lines().iter().flatten() {
-                let shifts_with_loop =
-                    descendant_ids.contains(&line.node) && line.iter.len() >= warp_depth;
-                let line_shift = if shifts_with_loop { byte_shift } else { 0 };
-                if line_shift != byte_shift {
-                    return None;
-                }
+        for line in level.sets().flat_map(|set| set.lines()).flatten() {
+            let shifts_with_loop =
+                descendant_ids.contains(&line.node) && line.iter.len() >= warp_depth;
+            let line_shift = if shifts_with_loop { byte_shift } else { 0 };
+            if line_shift != byte_shift {
+                return None;
             }
         }
     }

@@ -8,7 +8,7 @@
 //! 1. **Fingerprint phase** — the rolling level fingerprints (see
 //!    [`fingerprint`](crate::fingerprint)) of all levels are combined and
 //!    looked up in the per-loop match map.  Fingerprints are maintained
-//!    incrementally with dirty-set tracking, so this phase costs time
+//!    incrementally with per-row dirty bits, so this phase costs time
 //!    proportional to the sets touched since the last attempt — not to the
 //!    size of the outermost cache level.
 //! 2. **Exact phase** — only on a fingerprint hit is the exact canonical
@@ -41,7 +41,7 @@ use crate::fingerprint::MAX_TRACKED_DIMS;
 use crate::key::CanonicalKey;
 use crate::plan::{plan_warp, LevelWarpMode};
 use crate::symstate::SymLevel;
-use cache_model::{CacheConfig, HierarchyConfig, LevelStats, MemBlock, MemoryConfig};
+use cache_model::{CacheConfig, HierarchyConfig, LevelStats, MemoryConfig};
 use polyhedra::Aff;
 use scop::{
     compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, EntryBounds, LoopNode, Node,
@@ -418,8 +418,8 @@ impl WarpingSimulator {
 
     /// Grants the simulator a thread budget for parallel warp application
     /// (clamped to at least 1; the default is 1, i.e. sequential).  Warp
-    /// application fans out across levels, and across sets within large
-    /// levels, up to this budget; the rewrite of each set is independent,
+    /// application fans out across the rotating levels when the budget
+    /// covers one thread per level; each level is rewritten independently,
     /// so results are bit-identical for every budget.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.warp_threads = threads.max(1);
@@ -530,7 +530,7 @@ impl WarpingSimulator {
         // The inclusive walk of the N-level hierarchy: each level is only
         // consulted — and updated — when the previous one misses.
         for level in &mut self.levels {
-            let block = MemBlock(address / level.config.line_size());
+            let block = level.block_of_address(address);
             if level.access(block, access.kind, access.id, outer) {
                 break;
             }
@@ -877,58 +877,44 @@ impl WarpingSimulator {
             level.stats.accesses += n * (diff_hits + diff_misses);
         }
         // Advance the symbolic cache state (Equation 18), fanning the
-        // per-level (and per-set) rewrites out over the thread budget.
-        // Frozen levels are skipped wholesale: their state — labels, epoch,
-        // MRU anchor — stays exactly where the warm-up left it, which is
-        // also what explicit simulation of the warped window would have
-        // produced (the window never touches them).
+        // per-level rewrites out over the thread budget.  Frozen levels are
+        // skipped wholesale: their state — labels, epoch, MRU anchor —
+        // stays exactly where the warm-up left it, which is also what
+        // explicit simulation of the warped window would have produced (the
+        // window never touches them).
         let total_shift = plan.byte_shift_per_chunk * plan.chunks;
-        let budget = self.warp_threads;
-        // Fan out across levels only when the budget covers one thread per
-        // *rotating* level (frozen levels spawn no work and do not dilute
-        // the budget); a smaller budget stays sequential across levels
-        // (each level may still split its sets over the full budget), so
-        // the number of running threads never exceeds the budget.
-        let rotating = modes
+        let warp = |level: &mut SymLevel| {
+            level.apply_warp(
+                addresses,
+                &info.ids,
+                depth,
+                period,
+                plan.chunks,
+                total_shift,
+            )
+        };
+        let rotating = self
+            .levels
+            .iter_mut()
+            .zip(&modes)
+            .filter(|(_, mode)| **mode == LevelWarpMode::Shifted)
+            .map(|(level, _)| level);
+        // One thread per rotating level when the budget covers them all
+        // (frozen levels spawn no work and do not dilute the budget); a
+        // smaller budget stays sequential, so the number of running threads
+        // never exceeds it.
+        let shifted = modes
             .iter()
             .filter(|m| **m == LevelWarpMode::Shifted)
             .count();
-        if rotating > 1 && budget >= rotating {
-            let per_level = (budget / rotating).max(1);
+        if shifted > 1 && self.warp_threads >= shifted {
             std::thread::scope(|scope| {
-                for (level, mode) in self.levels.iter_mut().zip(&modes) {
-                    if *mode == LevelWarpMode::Frozen {
-                        continue;
-                    }
-                    let ids = &info.ids;
-                    scope.spawn(move || {
-                        level.apply_warp(
-                            addresses,
-                            ids,
-                            depth,
-                            period,
-                            plan.chunks,
-                            total_shift,
-                            per_level,
-                        );
-                    });
+                for level in rotating {
+                    scope.spawn(|| warp(level));
                 }
             });
         } else {
-            for (level, mode) in self.levels.iter_mut().zip(&modes) {
-                if *mode == LevelWarpMode::Frozen {
-                    continue;
-                }
-                level.apply_warp(
-                    addresses,
-                    &info.ids,
-                    depth,
-                    period,
-                    plan.chunks,
-                    total_shift,
-                    budget,
-                );
-            }
+            rotating.for_each(warp);
         }
         // Telemetry: frozen levels that actually hold stale lines are the
         // matches only epoch normalisation can make.
@@ -936,9 +922,7 @@ impl WarpingSimulator {
             .levels
             .iter()
             .zip(&modes)
-            .filter(|(level, mode)| {
-                **mode == LevelWarpMode::Frozen && level.state.occupied_indices().next().is_some()
-            })
+            .filter(|(level, mode)| **mode == LevelWarpMode::Frozen && level.occupied_len() > 0)
             .count() as u64;
         self.warps += 1;
         self.warped_depths.insert(depth);
@@ -1246,8 +1230,8 @@ mod tests {
     #[test]
     fn threaded_warp_application_is_bit_identical() {
         // The arrays exceed every level, so all three levels reach a
-        // periodic steady state and warp; the 4096-set L3 crosses the
-        // per-set parallelisation threshold.
+        // periodic steady state and rotate together: with a budget of four
+        // threads each rotating level is warped on its own thread.
         let scop = stencil(75_000);
         let memory = WarpingMemory::new(vec![
             CacheConfig::with_sets(64, 2, 8, ReplacementPolicy::Lru),

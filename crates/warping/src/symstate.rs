@@ -5,132 +5,161 @@
 //! (or most recently touched) the line together with the iteration vector at
 //! which that happened.  Concretising the label — evaluating the access
 //! node's affine address function at the recorded iteration — yields the
-//! concrete memory block, which the state also caches for fast
+//! concrete memory block, which the state also keeps for fast
 //! classification.  This mirrors §5.2 of the paper; keeping absolute
 //! iteration vectors (instead of rewriting expressions on every iterator
 //! increment) is the "on demand" renormalisation the paper alludes to.
 //!
 //! Renormalisation needs a reference point.  Each level carries a
-//! **level-local epoch** (see [`cache_model::CacheState::epoch`]): the
-//! iteration vector of the last access that wrote a label at this level,
-//! stamped on every fill and hit promotion.  Labels are *stored* absolute
-//! and *compared* relative to the epoch of their level — so outer-level
-//! lines whose labels froze (the working set fits in L1, nothing touches
-//! them any more) still compare equal across iterations, instead of
-//! drifting ever further from the current iterator.
+//! **level-local epoch** (see [`SymLevel::epoch_at`]): the iteration vector
+//! of the last access that wrote a label at this level, stamped on every
+//! fill and hit promotion.  Labels are *stored* absolute and *compared*
+//! relative to the epoch of their level — so outer-level lines whose labels
+//! froze (the working set fits in L1, nothing touches them any more) still
+//! compare equal across iterations, instead of drifting ever further from
+//! the current iterator.
 //!
-//! The cache state itself is sparse (`cache_model::CacheState` stores only
-//! the touched sets next to a shared empty template), so a [`SymLevel`]
-//! reads its **occupied-set view straight from the store** — canonical keys
-//! and warp plans never iterate over the (possibly millions of) empty sets
-//! of a big L3 — and adds one derived structure of its own: a
-//! [`FingerprintTracker`] of per-set digests and rolling level
-//! fingerprints, kept fresh with dirty-set tracking.
+//! # Layout
+//!
+//! A [`SymLevel`] is a flat [`FlatLevel`] — the same tag store concrete
+//! simulation uses, with one update routine per replacement policy — plus
+//! a **label slab** parallel to its rows.  Per way the slab holds a `u32`
+//! access-node id, a `u8` label length and a fixed-width window of an `i64`
+//! iteration arena, as wide as the deepest access simulated so far (a
+//! deeper access re-strides the arena once).  [`FlatLevel::touch`] reports
+//! where each access left its line and whether the row rotated, and the
+//! slab applies the same move, so no line owns heap memory and the policy
+//! logic exists once.  The epoch is a fixed buffer of the same width.
+//!
+//! Rows are only ever appended, so the occupied-set view costs O(occupied)
+//! however many sets a level has — canonical keys and warp plans never
+//! iterate over the (possibly millions of) empty sets of a big L3 — and a
+//! warp moves the rows in place: it rotates the directory, shifts the tags
+//! and advances the descendants' labels ([`SymLevel::apply_warp`]).  One
+//! derived structure rides along: a [`FingerprintTracker`] of per-row
+//! digests and rolling level fingerprints, kept fresh with per-row dirty
+//! bits.
 
-use crate::fingerprint::FingerprintTracker;
-use cache_model::{AccessKind, CacheConfig, CacheState, LevelStats, MemBlock, SetState};
+use crate::fingerprint::{digest_set, FingerprintTracker};
+use cache_model::{AccessKind, CacheConfig, FlatLevel, FlatSet, LevelStats, MemBlock, Slot, Touch};
 use polyhedra::Aff;
 use std::collections::HashSet;
+use std::fmt;
 
-/// Minimum number of occupied cache sets before warp application within a
-/// level is split across threads; below this the per-thread setup cost
-/// dominates.
-const PARALLEL_SETS_THRESHOLD: usize = 2048;
-
-/// A symbolic cache line: concrete block plus symbolic label.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct SymLine {
+/// The symbolic label of one cached line, borrowed from its level.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct SymLabel<'a> {
     /// The concrete memory block currently held by the line.
     pub block: MemBlock,
     /// Identifier of the access node that most recently touched the line.
     pub node: usize,
     /// The iteration vector (at the node's depth) of that access.
-    pub iter: Vec<i64>,
+    pub iter: &'a [i64],
 }
 
 /// One cache level simulated symbolically.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct SymLevel {
     /// The level's configuration.
     pub config: CacheConfig,
-    /// The symbolic cache state.
-    pub state: CacheState<SymLine>,
     /// Index of the most recently accessed cache set (anchor for the
     /// rotation-invariant canonical key).
     pub mru_set: usize,
     /// Hit/miss counters of the level.
     pub stats: LevelStats,
-    /// Incrementally maintained per-set digests and level fingerprints.
+    /// The tags and replacement-policy metadata.
+    flat: FlatLevel,
+    /// The labels, parallel to `flat`'s rows.
+    labels: Labels,
+    /// The level epoch: the iteration vector of the last label write, in
+    /// the first `epoch_len` entries of a buffer `labels.width` wide
+    /// (`epoch_len` is 0 until the first label write).
+    epoch: Vec<i64>,
+    epoch_len: usize,
+    /// Incrementally maintained per-row digests and level fingerprints.
     tracker: FingerprintTracker,
 }
 
 impl SymLevel {
-    /// An empty symbolic level.  O(1) whatever the level's size: the sparse
-    /// cache state and the fingerprint tracker both start from shared empty
-    /// templates.
+    /// An empty symbolic level.  Costs one zeroed directory of four bytes
+    /// per set (untouched pages stay unmapped); the tags, the label slab
+    /// and the fingerprint tracker grow with the rows.
     pub fn new(config: CacheConfig) -> Self {
-        let state = CacheState::new(&config);
-        let tracker = FingerprintTracker::new(&state);
+        let flat = FlatLevel::unreserved(&config);
+        let tracker = FingerprintTracker::new(&config);
         SymLevel {
+            labels: Labels::new(config.assoc()),
             config,
-            state,
             mru_set: 0,
             stats: LevelStats::default(),
+            flat,
+            epoch: Vec::new(),
+            epoch_len: 0,
             tracker,
         }
+    }
+
+    /// The memory block containing byte address `addr` (a shift when the
+    /// line size is a power of two).
+    #[inline]
+    pub fn block_of_address(&self, addr: u64) -> MemBlock {
+        self.flat.block_of_address(addr)
     }
 
     /// Classifies and performs an access to `block`, labelling the touched
     /// line with `(node, iter)`.  Returns `true` on a hit.
     ///
     /// Every payload write — a hit promotion or a miss fill — also stamps
-    /// `iter` as the level's [epoch](cache_model::CacheState::epoch), so the
-    /// epoch always names the last access that refreshed a label at this
-    /// level.  For no-write-allocate configurations a write miss does not
-    /// allocate (and leaves an untouched set untouched in the sparse store,
-    /// and the epoch unstamped).
+    /// `iter` as the level's [epoch](SymLevel::epoch_at), so the epoch
+    /// always names the last access that refreshed a label at this level.
+    /// For no-write-allocate configurations a write miss does not allocate
+    /// (it creates no row and leaves the epoch unstamped).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` exceeds `u32::MAX` or `iter` is deeper than 255.
+    #[inline]
     pub fn access(&mut self, block: MemBlock, kind: AccessKind, node: usize, iter: &[i64]) -> bool {
-        let set_idx = self.config.index(block);
-        self.mru_set = set_idx;
-        let policy = self.config.policy();
-        // Classify on the shared (immutable) view first: only mutating paths
-        // may materialise the set in the sparse store or dirty the tracker.
-        let found = self.state.set(set_idx).find(|l| l.block == block);
-        let hit = match found {
-            Some(way) => {
-                let set = self.state.set_mut(set_idx);
-                set.on_hit(policy, way);
-                // The paper's SymUpSet replaces the hit line's symbolic block
-                // by the freshly accessed one.
-                let way = set
-                    .find(|l| l.block == block)
-                    .expect("the hit block remains cached");
-                let line = set.line_mut(way).expect("occupied line");
-                line.node = node;
-                line.iter.clear();
-                line.iter.extend_from_slice(iter);
-                self.state.stamp_epoch(iter);
-                self.tracker.mark_dirty(set_idx);
+        if iter.len() > self.labels.width {
+            self.widen(iter.len());
+        }
+        self.mru_set = self.flat.index(block);
+        let fill = kind != AccessKind::Write || self.config.write_allocate();
+        let hit = match self.flat.touch(block, fill) {
+            Touch::Hit(slot) => {
+                // The paper's SymUpSet replaces the hit line's symbolic
+                // block by the freshly accessed one.
+                self.write_label(slot, node, iter);
                 true
             }
-            None => {
-                if kind != AccessKind::Write || self.config.write_allocate() {
-                    self.state.set_mut(set_idx).on_miss_insert(
-                        policy,
-                        SymLine {
-                            block,
-                            node,
-                            iter: iter.to_vec(),
-                        },
-                    );
-                    self.state.stamp_epoch(iter);
-                    self.tracker.mark_dirty(set_idx);
-                }
+            Touch::Fill(slot) => {
+                self.write_label(slot, node, iter);
                 false
             }
+            Touch::Bypass => false,
         };
         self.stats.record(hit);
         hit
+    }
+
+    #[inline]
+    fn write_label(&mut self, slot: Slot, node: usize, iter: &[i64]) {
+        if slot.row == self.labels.rows {
+            self.labels.push_row();
+        }
+        self.labels.write(slot, node, iter);
+        copy_small(&mut self.epoch[..iter.len()], iter);
+        self.epoch_len = iter.len();
+        self.tracker.mark_dirty(slot.row);
+    }
+
+    /// Re-strides the label arena (and the epoch buffer) for iteration
+    /// vectors `width` deep.
+    #[cold]
+    fn widen(&mut self, width: usize) {
+        assert!(width <= usize::from(u8::MAX), "labels deeper than 255");
+        self.labels.widen(width);
+        self.epoch.resize(width, 0);
     }
 
     /// The level epoch's value on iterator dimension `dim`: the warped-dim
@@ -141,32 +170,57 @@ impl SymLevel {
     /// makes frozen labels — lines that stopped being touched because the
     /// working set fits in an inner level — shift-invariant for free.
     pub fn epoch_at(&self, dim: usize) -> Option<i64> {
-        self.state.epoch().get(dim).copied()
+        self.epoch().get(dim).copied()
     }
 
-    /// Resets the level to an empty state.
-    pub fn reset(&mut self) {
-        self.state = CacheState::new(&self.config);
-        self.mru_set = 0;
-        self.stats = LevelStats::default();
-        self.tracker = FingerprintTracker::new(&self.state);
+    /// The whole level epoch: the iteration vector of the last label write,
+    /// empty if no label was ever written.
+    pub fn epoch(&self) -> &[i64] {
+        &self.epoch[..self.epoch_len]
     }
 
-    /// Sorted indices of the cache sets holding at least one line, read
-    /// straight from the sparse store (no allocation).  Sets are filled and
-    /// replaced but never emptied, so this view only grows (until a
-    /// [`reset`](SymLevel::reset)), and every set outside it is guaranteed
-    /// to be in its initial state — empty lines *and* initial
-    /// replacement-policy metadata.
-    pub fn occupied_sets(&self) -> impl Iterator<Item = usize> + '_ {
-        self.state.occupied_indices()
+    /// Number of cache sets holding at least one line.
+    pub fn occupied_len(&self) -> usize {
+        self.flat.occupied_len()
+    }
+
+    /// Sorted indices of the cache sets holding at least one line.  Sets
+    /// are filled and replaced but never emptied, so this view only grows,
+    /// and every set outside it is
+    /// guaranteed to be in its initial state — empty lines *and* initial
+    /// replacement-policy metadata.  O(occupied · log occupied).
+    pub fn occupied_sets(&self) -> impl Iterator<Item = usize> {
+        let mut sets: Vec<usize> = self.sets().map(|set| set.index()).collect();
+        sets.sort_unstable();
+        sets.into_iter()
+    }
+
+    /// The occupied sets in row (first-fill) order.  O(occupied).
+    pub fn sets(&self) -> impl Iterator<Item = SymSet<'_>> + '_ {
+        (0..self.flat.occupied_len()).map(move |row| self.row(row))
+    }
+
+    /// The occupied set `idx`, or `None` if it was never filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn set(&self, idx: usize) -> Option<SymSet<'_>> {
+        self.flat.row_of(idx).map(|row| self.row(row))
+    }
+
+    /// Row `row` (first-fill order) of the level.
+    fn row(&self, row: usize) -> SymSet<'_> {
+        SymSet::new(&self.flat, &self.labels, row)
     }
 
     /// Brings the fingerprint tracker up to date with the cache state
-    /// (recomputing the digests of sets dirtied since the last call).
+    /// (recomputing the digests of rows dirtied since the last call).
     /// Must be called before [`SymLevel::fingerprint`].
     pub fn prepare_match(&mut self) {
-        self.tracker.flush(&self.state);
+        let (flat, labels) = (&self.flat, &self.labels);
+        self.tracker
+            .flush(|row| digest_set(&SymSet::new(flat, labels, row)));
     }
 
     /// The rolling level fingerprint with iterator dimension
@@ -181,14 +235,16 @@ impl SymLevel {
     /// Applies a warp of `chunks` periods to the level: every line whose
     /// label belongs to one of the `descendants` access nodes (at depth
     /// `>= warp_depth`) advances its label by `chunks * period` along
-    /// dimension `warp_depth - 1`, its concrete block shifts by
-    /// `total_block_shift`, and the cache sets rotate accordingly
+    /// dimension `warp_depth - 1` and its concrete block by
+    /// `total_byte_shift / line_size`, and the cache sets rotate accordingly
     /// (Equation 18 of the paper: the new state is `γ(sym-c ∘ π_Set^n)`).
     ///
-    /// With `threads > 1` and a large level the per-set rewrites are fanned
-    /// out over that many scoped threads; the result is bit-identical to the
-    /// sequential rewrite (every set is transformed independently).
-    #[allow(clippy::too_many_arguments)]
+    /// One in-place pass over the rows: the directory rotates, the tags
+    /// shift and the labels advance; rows keep their slab positions, so
+    /// the cost is O(occupied lines) whatever the number of sets.
+    /// `addresses` (per access node) are only read by debug assertions,
+    /// which check that every advanced label concretises to its shifted
+    /// block.
     pub fn apply_warp(
         &mut self,
         addresses: &[Aff],
@@ -197,76 +253,38 @@ impl SymLevel {
         period: i64,
         chunks: i64,
         total_byte_shift: i64,
-        threads: usize,
     ) {
         let line_size = self.config.line_size() as i64;
         debug_assert_eq!(total_byte_shift % line_size, 0);
         let total_block_shift = total_byte_shift / line_size;
         let num_sets = self.config.num_sets();
+        // The set holding a block b now holds b + shift, and
+        // (b + shift) mod S = (old index + rotation) mod S.
         let rotation = total_block_shift.rem_euclid(num_sets as i64) as usize;
-        let transform = |line: &SymLine| -> SymLine {
-            if descendants.contains(&line.node) && line.iter.len() >= warp_depth {
-                let mut iter = line.iter.clone();
-                iter[warp_depth - 1] += chunks * period;
-                let address = addresses[line.node].eval(&iter);
-                debug_assert!(address >= 0);
-                let block = MemBlock(address as u64 / self.config.line_size());
-                debug_assert_eq!(
-                    block.0 as i64,
-                    line.block.0 as i64 + total_block_shift,
-                    "warped label concretisation must shift uniformly"
-                );
-                SymLine {
-                    block,
-                    node: line.node,
-                    iter,
+        let dim = warp_depth - 1;
+        let advance = chunks * period;
+        let labels = &mut self.labels;
+        let width = labels.width;
+        self.flat
+            .shift_rows(rotation, total_block_shift, |slot, block| {
+                let node = labels.nodes[slot] as usize;
+                let moves =
+                    usize::from(labels.lens[slot]) >= warp_depth && descendants.contains(&node);
+                if moves {
+                    let iter = &mut labels.iters[slot * width..][..usize::from(labels.lens[slot])];
+                    iter[dim] += advance;
+                    debug_assert_eq!(
+                        addresses[node].eval(iter) / line_size,
+                        block.0 as i64 + total_block_shift,
+                        "warped label concretisation must shift uniformly"
+                    );
+                } else {
+                    debug_assert_eq!(total_block_shift, 0, "stale lines require a zero shift");
                 }
-            } else {
-                debug_assert_eq!(total_block_shift, 0, "stale lines require a zero shift");
-                line.clone()
-            }
-        };
-        // Rotate the sets: the set holding a block b now holds b + shift,
-        // and (b + shift) mod S = (old index + rotation) mod S.  Empty sets
-        // are interchangeable — they are always in their initial state — so
-        // the warp drains the touched entries out of the sparse store (the
-        // vacated slots revert to the shared empty template for free),
-        // transforms them, and lands them on their rotated positions: the
-        // warp costs O(occupied sets), not O(total sets).  Each set is
-        // rewritten independently, so the transforms parallelise across
-        // disjoint chunks of the drained entry list.
-        let entries = self.state.take_entries();
-        let transformed: Vec<SetState<SymLine>> =
-            if threads > 1 && entries.len() >= PARALLEL_SETS_THRESHOLD {
-                let mut out: Vec<Option<SetState<SymLine>>> = vec![None; entries.len()];
-                let chunk = entries.len().div_ceil(threads);
-                let transform = &transform;
-                let entries = &entries;
-                std::thread::scope(|scope| {
-                    for (t, slice) in out.chunks_mut(chunk).enumerate() {
-                        scope.spawn(move || {
-                            for (off, slot) in slice.iter_mut().enumerate() {
-                                let (_, set) = &entries[t * chunk + off];
-                                *slot = Some(set.map_payloads(|l| transform(l)));
-                            }
-                        });
-                    }
-                });
-                out.into_iter().map(|s| s.expect("chunk filled")).collect()
-            } else {
-                entries
-                    .iter()
-                    .map(|(_, set)| set.map_payloads(&transform))
-                    .collect()
-            };
-        // The rotation is a bijection, so no landing slot is written twice.
-        // Derived structures follow: vacated and landed-on slots both get
-        // their digests refreshed on the next match attempt.
-        for (&(s_old, _), set) in entries.iter().zip(transformed) {
-            let s_new = (s_old + rotation) % num_sets;
-            self.state.insert_set(s_new, set);
-            self.tracker.mark_dirty(s_old);
-            self.tracker.mark_dirty(s_new);
+                moves
+            });
+        for row in 0..self.flat.occupied_len() {
+            self.tracker.mark_dirty(row);
         }
         self.mru_set = (self.mru_set + rotation) % num_sets;
         // The level's last label write advances with its labels: in the
@@ -277,12 +295,168 @@ impl SymLevel {
         // fell back to the current iterator, classifying it as shifted),
         // and its too-shallow stamp deliberately stays put so later
         // attempts keep using the same fallback.
-        self.state.shift_epoch(warp_depth - 1, chunks * period);
+        if dim < self.epoch_len {
+            self.epoch[dim] += advance;
+        }
     }
 
-    /// The concrete cache state (dropping symbolic labels).
-    pub fn concrete_state(&self) -> CacheState<MemBlock> {
-        self.state.map_payloads(|l| l.block)
+    /// The concrete cache state (the tags and policy metadata, without the
+    /// symbolic labels).
+    pub fn concrete_state(&self) -> &FlatLevel {
+        &self.flat
+    }
+}
+
+impl fmt::Debug for SymLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SymLevel")
+            .field("config", &self.config)
+            .field("mru_set", &self.mru_set)
+            .field("stats", &self.stats)
+            .field("epoch", &self.epoch())
+            .field("sets", &self.sets().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// The label slab: per way of every row, the access node, the label
+/// length and a `width`-wide window of the iteration arena.  Ways that
+/// never held a line have length 0 (a real label can have length 0 too —
+/// an access outside every loop — but then no warp can move it).
+#[derive(Clone)]
+struct Labels {
+    assoc: usize,
+    width: usize,
+    rows: usize,
+    nodes: Vec<u32>,
+    lens: Vec<u8>,
+    iters: Vec<i64>,
+}
+
+impl Labels {
+    fn new(assoc: usize) -> Self {
+        Labels {
+            assoc,
+            width: 0,
+            rows: 0,
+            nodes: Vec::new(),
+            lens: Vec::new(),
+            iters: Vec::new(),
+        }
+    }
+
+    fn push_row(&mut self) {
+        self.rows += 1;
+        let ways = self.rows * self.assoc;
+        self.nodes.resize(ways, 0);
+        self.lens.resize(ways, 0);
+        self.iters.resize(ways * self.width, 0);
+    }
+
+    /// Applies the row move of `slot` and labels the touched line.
+    #[inline]
+    fn write(&mut self, slot: Slot, node: usize, iter: &[i64]) {
+        let base = slot.row * self.assoc;
+        let width = self.width;
+        if slot.rotated && slot.way > 0 {
+            // Ways 0..way move back by one; way 0 is overwritten below, so
+            // the rotated-in label never needs to be copied.  Rows and
+            // labels are a few entries wide, where plain loops beat the
+            // library's memmove.
+            for way in (base + 1..=base + slot.way).rev() {
+                self.nodes[way] = self.nodes[way - 1];
+                self.lens[way] = self.lens[way - 1];
+            }
+            let window = &mut self.iters[base * width..(base + slot.way + 1) * width];
+            for k in (width..window.len()).rev() {
+                window[k] = window[k - width];
+            }
+        }
+        let line = base + slot.line();
+        self.nodes[line] = u32::try_from(node).expect("access node ids fit in u32");
+        self.lens[line] = iter.len() as u8;
+        copy_small(&mut self.iters[line * width..][..iter.len()], iter);
+    }
+
+    /// Re-strides the iteration arena to `width` entries per way.
+    fn widen(&mut self, width: usize) {
+        let old = self.width;
+        let mut iters = vec![0; self.nodes.len() * width];
+        if old > 0 {
+            for (new, old) in iters.chunks_mut(width).zip(self.iters.chunks(old)) {
+                new[..old.len()].copy_from_slice(old);
+            }
+        }
+        self.iters = iters;
+        self.width = width;
+    }
+
+    fn label(&self, slot: usize) -> (usize, &[i64]) {
+        let len = usize::from(self.lens[slot]);
+        (
+            self.nodes[slot] as usize,
+            &self.iters[slot * self.width..][..len],
+        )
+    }
+}
+
+/// `dst.copy_from_slice(src)` for the few entries of an iteration vector,
+/// where a plain loop beats a call to the library's memcpy.
+#[inline]
+fn copy_small(dst: &mut [i64], src: &[i64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = *s;
+    }
+}
+
+/// A borrowed view of one occupied set of a [`SymLevel`]: its lines with
+/// their labels, in policy order, and its replacement-policy metadata.
+#[derive(Clone, Copy)]
+pub struct SymSet<'a> {
+    row: usize,
+    set: FlatSet<'a>,
+    labels: &'a Labels,
+}
+
+impl<'a> SymSet<'a> {
+    fn new(flat: &'a FlatLevel, labels: &'a Labels, row: usize) -> Self {
+        SymSet {
+            row,
+            set: flat.row(row),
+            labels,
+        }
+    }
+
+    /// The set index.
+    pub fn index(&self) -> usize {
+        self.set.index()
+    }
+
+    /// The tags and policy metadata of the set.
+    pub fn flat(&self) -> FlatSet<'a> {
+        self.set
+    }
+
+    /// The lines in policy order (as [`cache_model::SetState::lines`]
+    /// orders them), each with its label.
+    pub fn lines(&self) -> impl Iterator<Item = Option<SymLabel<'a>>> + 'a {
+        let (labels, base) = (self.labels, self.row * self.labels.assoc);
+        self.set.lines().enumerate().map(move |(way, block)| {
+            block.map(|block| {
+                let (node, iter) = labels.label(base + way);
+                SymLabel { block, node, iter }
+            })
+        })
+    }
+}
+
+impl fmt::Debug for SymSet<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SymSet")
+            .field("index", &self.index())
+            .field("lines", &self.lines().collect::<Vec<_>>())
+            .field("policy", &self.set.to_set_state().policy_state())
+            .finish()
     }
 }
 
@@ -296,6 +470,11 @@ mod tests {
         SymLevel::new(CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Lru))
     }
 
+    fn first_label(l: &SymLevel, set: usize) -> (usize, Vec<i64>) {
+        let label = l.set(set).unwrap().lines().next().unwrap().unwrap();
+        (label.node, label.iter.to_vec())
+    }
+
     #[test]
     fn access_tracks_labels_and_stats() {
         let mut l = level();
@@ -303,11 +482,26 @@ mod tests {
         assert!(l.access(MemBlock(0), AccessKind::Read, 9, &[1, 3]));
         assert_eq!(l.stats.hits, 1);
         assert_eq!(l.stats.misses, 1);
-        let line = l.state.set(0).lines()[0].clone().unwrap();
-        assert_eq!(line.node, 9, "a hit refreshes the symbolic label");
-        assert_eq!(line.iter, vec![1, 3]);
+        assert_eq!(
+            first_label(&l, 0),
+            (9, vec![1, 3]),
+            "a hit refreshes the symbolic label"
+        );
         assert_eq!(l.mru_set, 0);
         assert_eq!(l.occupied_sets().collect::<Vec<_>>(), vec![0]);
+        // An LRU hit on way 1 rotates the labels with the tags.
+        l.access(MemBlock(4), AccessKind::Read, 2, &[5]);
+        l.access(MemBlock(0), AccessKind::Read, 3, &[6, 1, 1]);
+        let lines: Vec<_> = l.set(0).unwrap().lines().flatten().collect();
+        assert_eq!(
+            (lines[0].block, lines[0].node, lines[0].iter),
+            (MemBlock(0), 3, &[6, 1, 1][..])
+        );
+        assert_eq!(
+            (lines[1].block, lines[1].node, lines[1].iter),
+            (MemBlock(4), 2, &[5][..]),
+            "a deeper access re-strides the arena and keeps older labels"
+        );
     }
 
     #[test]
@@ -315,9 +509,8 @@ mod tests {
         let config = CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Lru).no_write_allocate();
         let mut l = SymLevel::new(config);
         assert!(!l.access(MemBlock(0), AccessKind::Write, 0, &[0]));
-        assert!(l.state.set(0).lines().iter().all(Option::is_none));
-        assert_eq!(l.occupied_sets().count(), 0, "no fill, no occupied set");
-        assert_eq!(l.state.occupied_len(), 0, "not even a touched-set entry");
+        assert!(l.set(0).is_none(), "no fill, no row");
+        assert_eq!(l.occupied_len(), 0);
         assert!(!l.access(MemBlock(0), AccessKind::Read, 0, &[0]));
         assert!(l.access(MemBlock(0), AccessKind::Read, 0, &[0]));
         assert_eq!(l.occupied_sets().collect::<Vec<_>>(), vec![0]);
@@ -328,7 +521,7 @@ mod tests {
         let mut l = level();
         l.access(MemBlock(5), AccessKind::Read, 0, &[0]);
         let c = l.concrete_state();
-        assert_eq!(c.set(1).lines()[0], Some(MemBlock(5)));
+        assert_eq!(c.set_state(1).lines()[0], Some(MemBlock(5)));
     }
 
     #[test]
@@ -337,7 +530,7 @@ mod tests {
         for (i, b) in [0u64, 5, 9, 2, 5, 13].into_iter().enumerate() {
             l.access(MemBlock(b), AccessKind::Read, i % 2, &[i as i64]);
             l.prepare_match();
-            let rebuilt = rebuild_level_fingerprint(&l.state);
+            let rebuilt = rebuild_level_fingerprint(&l);
             for (d, word) in rebuilt.iter().enumerate() {
                 assert_eq!(l.fingerprint(d), Some(*word), "dim {d} after {i}");
             }
@@ -346,11 +539,9 @@ mod tests {
 
     #[test]
     fn post_warp_accesses_cannot_resurrect_stale_digests() {
-        // Regression test: a warp replaces sets wholesale (resetting their
-        // content versions), and a later access can bring a replaced set's
-        // version back to the value its slot had before the warp.  The
-        // tracker must still recompute the digest — content versions are
-        // not comparable across different set instances.
+        // Regression test: a warp rewrites rows in place, and a later access
+        // to a moved row must still leave its digest recomputed — the warp
+        // dirties every row, so no digest survives from before it.
         let mut l = level();
         let addr = Aff::var(1, 0).scale(64);
         let descendants: HashSet<usize> = [0].into_iter().collect();
@@ -358,20 +549,10 @@ mod tests {
         l.access(MemBlock(3), AccessKind::Read, 0, &[3]);
         l.prepare_match();
         // Shift by 2 lines: set 1 -> set 3, set 3 -> set 1.
-        l.apply_warp(
-            std::slice::from_ref(&addr),
-            &descendants,
-            1,
-            2,
-            1,
-            2 * 64,
-            1,
-        );
-        // One access to the landed-on set brings its (reset) version back
-        // to the pre-warp slot value without an intervening flush.
+        l.apply_warp(std::slice::from_ref(&addr), &descendants, 1, 2, 1, 2 * 64);
         l.access(MemBlock(9), AccessKind::Read, 0, &[9]);
         l.prepare_match();
-        let rebuilt = rebuild_level_fingerprint(&l.state);
+        let rebuilt = rebuild_level_fingerprint(&l);
         for (d, word) in rebuilt.iter().enumerate() {
             assert_eq!(l.fingerprint(d), Some(*word), "dim {d}");
         }
@@ -403,9 +584,9 @@ mod tests {
             2,
             3,
             6 * 64,
-            1,
         );
         assert_eq!(warped.epoch_at(0), Some(9 + 6));
+        assert_eq!(first_label(&warped, 3), (0, vec![15]));
     }
 
     #[test]
@@ -421,7 +602,6 @@ mod tests {
             1,
             2,
             2 * 64,
-            1,
         );
         assert_eq!(
             l.occupied_sets().collect::<Vec<_>>(),
@@ -429,8 +609,12 @@ mod tests {
             "set 1 rotated to set 3"
         );
         assert_eq!(l.mru_set, 3);
+        assert!(
+            l.access(MemBlock(3), AccessKind::Read, 0, &[3]),
+            "the shifted tag hits"
+        );
         l.prepare_match();
-        let rebuilt = rebuild_level_fingerprint(&l.state);
+        let rebuilt = rebuild_level_fingerprint(&l);
         assert_eq!(l.fingerprint(0), Some(rebuilt[0]));
     }
 }
