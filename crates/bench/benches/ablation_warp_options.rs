@@ -4,7 +4,7 @@
 //! loops that do not warp.
 
 use bench_suite::test_system_l1;
-use cache_model::ReplacementPolicy;
+use cache_model::{MemoryConfig, ReplacementPolicy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polybench::{Dataset, Kernel};
 use warping::{WarpingOptions, WarpingSimulator};
@@ -45,7 +45,7 @@ fn bench(c: &mut Criterion) {
         for (name, options) in variants {
             group.bench_with_input(BenchmarkId::new(name, kernel.name()), &scop, |b, scop| {
                 b.iter(|| {
-                    WarpingSimulator::single(cache.clone())
+                    WarpingSimulator::new(MemoryConfig::from(cache.clone()))
                         .with_options(options)
                         .run(scop)
                         .result

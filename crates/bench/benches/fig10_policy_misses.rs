@@ -3,7 +3,7 @@
 //! figure's ratios).
 
 use bench_suite::test_system_l1;
-use cache_model::ReplacementPolicy;
+use cache_model::{MemoryConfig, ReplacementPolicy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polybench::{Dataset, Kernel};
 use warping::WarpingSimulator;
@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
                 &scop,
                 |b, scop| {
                     b.iter(|| {
-                        WarpingSimulator::single(test_system_l1(policy))
+                        WarpingSimulator::new(MemoryConfig::from(test_system_l1(policy)))
                             .run(scop)
                             .result
                             .l1()

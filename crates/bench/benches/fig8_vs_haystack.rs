@@ -3,6 +3,7 @@
 
 use analytical::HaystackModel;
 use bench_suite::fully_associative_l1;
+use cache_model::MemoryConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polybench::{Dataset, Kernel};
 use warping::WarpingSimulator;
@@ -20,7 +21,7 @@ fn bench(c: &mut Criterion) {
             |b, k| {
                 b.iter(|| {
                     let scop = k.build(Dataset::Mini).unwrap();
-                    WarpingSimulator::single(cache.clone())
+                    WarpingSimulator::new(MemoryConfig::from(cache.clone()))
                         .run(&scop)
                         .result
                         .l1()

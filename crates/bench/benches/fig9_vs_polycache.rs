@@ -1,7 +1,7 @@
 //! Fig. 9: two-level warping simulation vs the PolyCache-style model.
 
 use analytical::PolyCacheModel;
-use cache_model::HierarchyConfig;
+use cache_model::{HierarchyConfig, MemoryConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polybench::{Dataset, Kernel};
 use warping::WarpingSimulator;
@@ -19,7 +19,7 @@ fn bench(c: &mut Criterion) {
             |b, k| {
                 b.iter(|| {
                     let scop = k.build(Dataset::Mini).unwrap();
-                    WarpingSimulator::hierarchy(hierarchy.clone())
+                    WarpingSimulator::new(MemoryConfig::from(hierarchy.clone()))
                         .run(&scop)
                         .result
                         .accesses

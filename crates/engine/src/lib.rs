@@ -269,11 +269,7 @@ impl Engine {
                 options
                     .validate()
                     .map_err(|e| EngineError::InvalidOptions(e.to_string()))?;
-                let mut simulator = WarpingSimulator::try_new(memory.clone())
-                    .map_err(|message| EngineError::UnsupportedMemory {
-                        backend: "warping",
-                        message,
-                    })?
+                let mut simulator = WarpingSimulator::new(memory.clone())
                     .with_options(*options)
                     .with_threads(backend_threads);
                 if let Some(hints) = &ctx.warp_hints {

@@ -89,9 +89,7 @@
 
 use crate::report::ApproxStats;
 use cache_model::{LevelStats, MemoryConfig, MultiLevelState, StateSnapshot};
-use scop::{
-    compile, for_each_run_at, CompiledLoop, CompiledNode, LoopNode, Node, Scop, WalkScratch,
-};
+use scop::{compile, for_each_run_at, CompiledLoop, CompiledNode, Scop, WalkScratch};
 use simulate::{simulate, MultiLevelSystem, SimulationResult};
 use warping::fingerprint::concrete_fingerprint;
 
@@ -284,8 +282,8 @@ pub(crate) fn run_sampled_with(
             CalibrationOutcome::default(),
         );
     }
-    // The compiled twin of the SCoP: the exact and measured intervals
-    // replay its run stream (batched same-line updates).
+    // The exact and measured intervals replay the compiled run stream
+    // (batched same-line updates).
     let compiled = compile(scop);
     let scratch = compiled.new_scratch();
     let mut sampler = Sampler {
@@ -315,10 +313,10 @@ pub(crate) fn run_sampled_with(
         measured_cal: None,
         scratch,
     };
-    for (root, croot) in scop.roots().iter().zip(compiled.roots()) {
-        match (root, croot) {
-            (Node::Loop(l), CompiledNode::Loop(cl)) => sampler.run_loop(l, cl),
-            _ => sampler.run_node_exact(croot),
+    for root in compiled.roots() {
+        match root {
+            CompiledNode::Loop(l) => sampler.run_loop(l),
+            CompiledNode::Access(_) => sampler.run_node_exact(root),
         }
     }
     sampler.finish()
@@ -388,14 +386,14 @@ impl<'a> Sampler<'a> {
         self.clock += 1;
     }
 
-    /// Simulates outer iterations `range` of the compiled loop `cl`
+    /// Simulates outer iterations `range` of the top-level loop `cl`
     /// (stamped with their absolute iteration numbers `base + idx`) and
     /// returns the local per-level counts.  When `counted`, they are also
     /// merged into the totals; a warm-up pass discards them.
     fn run_iters(
         &mut self,
         cl: &CompiledLoop,
-        iters: &OuterIters,
+        iters: &[i64],
         base: i64,
         range: std::ops::Range<usize>,
         counted: bool,
@@ -406,8 +404,9 @@ impl<'a> Sampler<'a> {
             let stamp = base + idx as i64;
             let state = &mut self.state;
             let scratch = &mut self.scratch;
+            let outer = std::slice::from_ref(&iters[idx]);
             for child in cl.children() {
-                self.simulated += for_each_run_at(child, iters.at(idx), scratch, |run| {
+                self.simulated += for_each_run_at(child, outer, scratch, |run| {
                     state.access_run_stamped(
                         config, run.base, run.stride, run.count, run.kind, stamp, &mut local,
                     );
@@ -444,7 +443,7 @@ impl<'a> Sampler<'a> {
     fn trace_prefix(
         &mut self,
         cl: &CompiledLoop,
-        iters: &OuterIters,
+        iters: &[i64],
         base: i64,
         range: std::ops::Range<usize>,
         trace: &mut Vec<u64>,
@@ -461,9 +460,9 @@ impl<'a> Sampler<'a> {
     }
 
     /// Samples one top-level loop (or simulates it exactly when it is too
-    /// small for sampling to pay off).  `cl` is the loop's compiled twin.
-    fn run_loop(&mut self, l: &LoopNode, cl: &CompiledLoop) {
-        let iters = outer_iterations(l);
+    /// small for sampling to pay off).
+    fn run_loop(&mut self, cl: &CompiledLoop) {
+        let iters = outer_iterations(cl);
         let total = iters.len();
         let base = self.clock;
         self.clock = base + total as i64;
@@ -940,82 +939,26 @@ fn merge(into: &mut [LevelStats], from: &[LevelStats]) {
     }
 }
 
-/// The outer iteration vectors of a top-level loop, in execution order,
-/// stored flat.  A multi-million-iteration loop materialised as
-/// `Vec<Vec<i64>>` would spend more time allocating than the sampled
-/// simulation itself; one flat buffer keeps enumeration a single
-/// allocation.
-struct OuterIters {
-    flat: Vec<i64>,
-    dims: usize,
-}
-
-impl OuterIters {
-    fn len(&self) -> usize {
-        self.flat.len().checked_div(self.dims).unwrap_or(0)
-    }
-
-    fn at(&self, idx: usize) -> &[i64] {
-        &self.flat[idx * self.dims..(idx + 1) * self.dims]
-    }
-}
-
-/// Collects the outer iteration vectors of a top-level loop, in execution
-/// order, honouring stride direction and the loop's own guard — the same
-/// enumeration `scop::walk` performs.
-fn outer_iterations(l: &LoopNode) -> OuterIters {
-    let mut iters = OuterIters {
-        flat: Vec::new(),
-        dims: 0,
-    };
-    if l.stride < 0 {
-        let Some(mut i) = l.last(&[]) else {
-            return iters;
-        };
-        let Some(lowest) = l.initial(&[]) else {
-            return iters;
-        };
-        iters.dims = i.len();
-        while i.as_slice() >= lowest.as_slice() {
-            if l.domain.contains(&i) {
-                iters.flat.extend_from_slice(&i);
-            }
-            if !step(&mut i, l.stride) {
-                break;
-            }
-        }
-        return iters;
-    }
-    let Some(mut i) = l.initial(&[]) else {
+/// The iterator values of a top-level loop, in execution order, as
+/// [`CompiledLoop::entry`] derives them (stride direction and the loop's
+/// own domain honoured).  One flat buffer: a multi-million-iteration loop
+/// would spend more time allocating per-iteration vectors than the sampled
+/// simulation itself.
+fn outer_iterations(l: &CompiledLoop) -> Vec<i64> {
+    debug_assert_eq!(l.depth, 1, "sampled loops are top-level");
+    let mut iters = Vec::new();
+    let Some(entry) = l.entry(&[]) else {
         return iters;
     };
-    let Some(last) = l.last(&[]) else {
-        return iters;
-    };
-    iters.dims = i.len();
-    while i.as_slice() <= last.as_slice() {
-        if l.domain.contains(&i) {
-            iters.flat.extend_from_slice(&i);
+    let mut v = entry.first;
+    loop {
+        if entry.dense || l.contains(&[v]) {
+            iters.push(v);
         }
-        if !step(&mut i, l.stride) {
-            break;
+        match entry.next(v) {
+            Some(next) => v = next,
+            None => return iters,
         }
-    }
-    iters
-}
-
-/// Advances the innermost iterator by `stride`; `false` when that would
-/// step past the `i64` range, which ends the loop.
-fn step(i: &mut [i64], stride: i64) -> bool {
-    let last = i
-        .last_mut()
-        .expect("loop domains have at least one dimension");
-    match last.checked_add(stride) {
-        Some(next) => {
-            *last = next;
-            true
-        }
-        None => false,
     }
 }
 

@@ -14,11 +14,17 @@
 //!
 //! The reference walk ([`scop::for_each_access`]) is the oracle: every
 //! backend consumes the compiled stream, so nothing else can vouch for it.
+//!
+//! The parser only builds domains of at most one conjunction, so a
+//! hand-built SCoP ([`union_scop`]) covers the union-domain fallback:
+//! loops and guards whose domains are unions of conjunctions.
 
 use analytical::HaystackModel;
 use cache_model::{AccessKind, CacheConfig, MemBlock, MemoryConfig, ReplacementPolicy};
 use engine::{Backend, Engine, KernelSpec, SimRequest};
+use polyhedra::{Aff, BasicSet, Set};
 use proptest::prelude::*;
+use scop::{AccessNode, ArrayInfo, LoopNode, Node, Scop};
 use simulate::{simulate_reference, MultiLevelSystem};
 
 /// The kernel shapes under test; each is stamped out from the same small
@@ -236,5 +242,155 @@ proptest! {
         let misses: Vec<u64> = polycache.result.levels.iter().map(|l| l.misses).collect();
         prop_assert_eq!(polycache.result.accesses, addresses.len() as u64, "{}", tag);
         prop_assert_eq!(misses, lru_replay(&addresses, &lru), "{}", tag);
+    }
+}
+
+/// A SCoP no source text can produce, every domain a union of
+/// conjunctions:
+///
+/// ```text
+/// for (i in [0, 99] ∪ [150, 299])        // increasing, union domain
+///   A[i];
+///   for (j in [0, 3])                     // nested under the union
+///     if (j == 0 || j == 3) B[j][i] = ..; // union guard
+///   A[i + 1];
+/// for (k in [100, 130] ∪ [40, 70]; k -= 2) // decreasing, union domain
+///   A[2k] = ..;
+/// ```
+///
+/// Every access below `i` moves 8 bytes per iteration, so warping attempts
+/// matches on the union loop.
+fn union_scop() -> Scop {
+    let union1 = |a: (i64, i64), b: (i64, i64)| {
+        Set::from_basic(BasicSet::rect(&[a])).union(&Set::from_basic(BasicSet::rect(&[b])))
+    };
+    let outer = union1((0, 99), (150, 299));
+    let inner = Set::from_basic(BasicSet::rect(&[(0, 99), (0, 3)]))
+        .union(&Set::from_basic(BasicSet::rect(&[(150, 299), (0, 3)])));
+    let ends = Set::from_basic(BasicSet::rect(&[(0, 299), (0, 0)]))
+        .union(&Set::from_basic(BasicSet::rect(&[(0, 299), (3, 3)])));
+    let guard = inner.intersect(&ends);
+    assert!(guard.basics().len() > 1, "the guard stays a union");
+    let decreasing = union1((100, 130), (40, 70));
+    let b_base = 4096;
+    let access = |id, depth, domain: &Set, address: Aff, kind| {
+        Node::Access(AccessNode {
+            id,
+            array: usize::from(id == 1),
+            depth,
+            domain: domain.clone(),
+            address,
+            kind,
+        })
+    };
+    let increasing = Node::Loop(LoopNode {
+        depth: 1,
+        domain: outer.clone(),
+        stride: 1,
+        children: vec![
+            access(0, 1, &outer, Aff::var(1, 0).scale(8), AccessKind::Read),
+            Node::Loop(LoopNode {
+                depth: 2,
+                domain: inner,
+                stride: 1,
+                children: vec![access(
+                    1,
+                    2,
+                    &guard,
+                    Aff::from_coeffs(vec![8, 8 * 512], b_base),
+                    AccessKind::Write,
+                )],
+            }),
+            access(
+                2,
+                1,
+                &outer,
+                Aff::var(1, 0).scale(8).offset(8),
+                AccessKind::Read,
+            ),
+        ],
+    });
+    let decreasing = Node::Loop(LoopNode {
+        depth: 1,
+        domain: decreasing.clone(),
+        stride: -2,
+        children: vec![access(
+            3,
+            1,
+            &decreasing,
+            Aff::var(1, 0).scale(16),
+            AccessKind::Write,
+        )],
+    });
+    let array = |name: &str, extents: Vec<u64>, base_address| ArrayInfo {
+        name: name.into(),
+        extents,
+        elem_size: 8,
+        base_address,
+    };
+    Scop::new(
+        vec![
+            array("A", vec![512], 0),
+            array("B", vec![4, 512], b_base as u64),
+        ],
+        vec![increasing, decreasing],
+        4,
+    )
+}
+
+#[test]
+fn union_domains_match_the_reference_on_every_exact_backend() {
+    let scop = union_scop();
+    let mut reference = Vec::new();
+    let ref_count = scop::for_each_access(&scop, |access| {
+        reference.push((access.node.id, access.address, access.kind));
+    });
+    let compiled = scop::compile(&scop);
+    let mut scratch = compiled.new_scratch();
+    let mut lowered = Vec::new();
+    let low_count = compiled.for_each_access(&mut scratch, |node, address, kind| {
+        lowered.push((node, address, kind));
+    });
+    assert_eq!(ref_count, low_count);
+    assert_eq!(reference, lowered);
+    // 250 outer iterations × (2 + 2 guarded) plus 32 decreasing ones.
+    assert_eq!(ref_count, 250 * 4 + 32);
+
+    let spec = KernelSpec::prebuilt("unions", scop.clone());
+    let engine = Engine::new().with_threads(1);
+    // Two hierarchies only: every warp plan on these union domains runs
+    // polyhedral differences whose piece count multiplies per conjunction,
+    // so one warping run costs seconds in a debug build.
+    for (depth, policy) in [(2, ReplacementPolicy::Lru), (3, ReplacementPolicy::Plru)] {
+        let memory = memory(depth, policy);
+        let tag = format!("depth={depth} policy={policy:?}");
+        let run = |backend| {
+            engine
+                .run(&SimRequest::new(spec.clone(), memory.clone(), backend))
+                .expect("request runs")
+        };
+        let reference = simulate_reference(&scop, &mut MultiLevelSystem::new(memory.clone()));
+        for backend in [Backend::Classic, Backend::warping(), Backend::Trace] {
+            let report = run(backend);
+            assert_eq!(report.result, reference, "{tag} backend={}", report.backend);
+            if let Some(stats) = report.warping {
+                assert!(
+                    stats.match_attempts > 0,
+                    "{tag}: the union loop attempts matches"
+                );
+            }
+        }
+        let sampled = run(Backend::Sampled(engine::SamplingOptions::DEFAULT));
+        let approx = sampled.approx.expect("sampled reports carry bounds");
+        assert_eq!(sampled.result.accesses, reference.accesses, "{tag}");
+        for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
+            let err = sampled.result.levels[level]
+                .misses
+                .abs_diff(reference.levels[level].misses);
+            assert!(
+                err <= *bound,
+                "{tag} level {level}: error {err} > bound {bound}"
+            );
+        }
     }
 }

@@ -30,11 +30,21 @@
 //!   of `count` single accesses, letting the cache layer batch
 //!   same-line accesses (see `MultiLevelState::access_run`).
 //!
+//! This module is the one place that decides how a loop entry iterates:
+//! [`CompiledLoop::entry`] gives its first and last value in walk order
+//! (decreasing loops walk lexmax-first) and whether every grid value is
+//! in the domain.  The run stream ([`CompiledScop::for_each_run`]),
+//! the warping simulator's explicit walk and the sampler's outer-iteration
+//! enumeration all step compiled nodes through it, with
+//! [`CompiledLoop::enter`]/[`advance`](CompiledLoop::advance)/
+//! [`leave`](CompiledLoop::leave) carrying the strength-reduced
+//! addresses of a [`WalkScratch`] along.
+//!
 //! The compiled walk produces the *identical* access stream (node,
 //! address, kind, order) as the reference walk; the
 //! `compiled_walk_equivalence` suite in the engine crate asserts this
-//! over random kernels, and the reference walk remains available as the
-//! differential oracle.
+//! over random kernels and a hand-built SCoP of union domains, and the
+//! reference walk remains available as the differential oracle.
 //!
 //! [`Aff`]: polyhedra::Aff
 
@@ -93,17 +103,41 @@ enum GuardPlan {
     Dynamic(Set),
 }
 
-/// The exact bound interval of one loop entry, when derivable.
+/// How one loop entry iterates, in walk order: the iterator starts at
+/// `first` and steps by the loop's stride up to and including `last`
+/// (`first <= last` for increasing loops, `first >= last` for decreasing
+/// ones, which walk lexmax-first).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EntryBounds {
-    /// The loop runs over the inclusive interval `[lo, hi]` on its
-    /// stride grid; every grid point is in the domain.
-    Exact(i64, i64),
-    /// The entry is exactly empty: skip it.
-    Empty,
-    /// The domain did not compile exactly; derive bounds the reference
-    /// way (lexmin/lexmax plus per-point membership).
-    Dynamic,
+pub struct LoopEntry {
+    /// The first iterator value.
+    pub first: i64,
+    /// The bound in walk order: no grid value beyond it is visited.
+    pub last: i64,
+    /// The loop's stride (non-zero).
+    pub stride: i64,
+    /// Whether every grid value from `first` to `last` is in the loop's
+    /// domain.  Otherwise (union domains) each value must pass
+    /// [`CompiledLoop::contains`].
+    pub dense: bool,
+}
+
+impl LoopEntry {
+    /// The number of grid values from `first` to `last`.
+    pub fn trip_count(&self) -> i64 {
+        (self.last - self.first) / self.stride + 1
+    }
+
+    /// The grid value after `v`, or `None` when it would pass `last` or
+    /// step out of the `i64` range (which ends the loop).
+    pub fn next(&self, v: i64) -> Option<i64> {
+        let next = v.checked_add(self.stride)?;
+        let inside = if self.stride > 0 {
+            next <= self.last
+        } else {
+            next >= self.last
+        };
+        inside.then_some(next)
+    }
 }
 
 /// A compiled access node: strength-reduced address plus a guard plan.
@@ -131,7 +165,7 @@ impl CompiledAccess {
 
     /// Whether the iteration vector `iv` (of length `depth`) satisfies
     /// the guard.
-    fn guard_holds(&self, iv: &[i64]) -> bool {
+    pub fn guard_holds(&self, iv: &[i64]) -> bool {
         match &self.guard {
             GuardPlan::Trivial => true,
             GuardPlan::Exact(bs) => bs.contains(iv),
@@ -143,6 +177,9 @@ impl CompiledAccess {
 /// A compiled loop node.
 #[derive(Clone, Debug)]
 pub struct CompiledLoop {
+    /// Pre-order position among the SCoP's loops, in
+    /// `0..`[`CompiledScop::num_loops`]: a dense key for per-loop state.
+    pub index: usize,
     /// Nesting depth (1 = outermost).
     pub depth: usize,
     /// Iterator increment per iteration (non-zero; negative walks
@@ -153,6 +190,8 @@ pub struct CompiledLoop {
     /// the address coefficient on this loop's dimension (zero
     /// coefficients are omitted).
     deltas: Vec<(usize, i64)>,
+    /// Ids of every access node in the subtree, ascending.
+    accesses: Vec<usize>,
     children: Vec<CompiledNode>,
     /// Whether the single-access-body run fast path applies (exactly
     /// one child, an access, exact bounds, non-dynamic guard).
@@ -166,21 +205,89 @@ impl CompiledLoop {
         &self.children
     }
 
-    /// Whether the loop's bounds compiled exactly (per-iteration
-    /// membership checks are redundant).
-    pub fn is_exact(&self) -> bool {
-        matches!(self.bounds, LoopBounds::Exact(_))
+    /// Ids of the access nodes below the loop, ascending.
+    pub fn accesses(&self) -> &[usize] {
+        &self.accesses
     }
 
-    /// The bound interval of the entry with the given outer iteration
-    /// vector (length `depth - 1`).
-    pub fn entry_bounds(&self, outer: &[i64]) -> EntryBounds {
-        match &self.bounds {
-            LoopBounds::Exact(bs) => match bs.dim_bounds(self.depth - 1, outer) {
-                Some((Some(lo), Some(hi))) if lo <= hi => EntryBounds::Exact(lo, hi),
-                _ => EntryBounds::Empty,
+    /// The address coefficient on the loop's dimension shared by every
+    /// access below it, or `None` when they differ (or there are none).
+    pub fn uniform_coefficient(&self) -> Option<i64> {
+        let Some(&(_, c)) = self.deltas.first() else {
+            // No access below involves the dimension.
+            return (!self.accesses.is_empty()).then_some(0);
+        };
+        (self.deltas.len() == self.accesses.len() && self.deltas.iter().all(|&(_, d)| d == c))
+            .then_some(c)
+    }
+
+    /// How the entry with the given outer iteration vector (length
+    /// `depth - 1`) iterates, or `None` when it is empty.  This is the one
+    /// place a loop entry's bounds and direction are derived: a
+    /// single-conjunction domain yields its exact interval in one
+    /// [`BasicSet::dim_bounds`] pass; a union falls back to the reference
+    /// walk's lexmin/lexmax search with per-value membership checks.
+    pub fn entry(&self, outer: &[i64]) -> Option<LoopEntry> {
+        let (lo, hi, dense) = match &self.bounds {
+            LoopBounds::Exact(bs) => match bs.dim_bounds(self.depth - 1, outer)? {
+                (Some(lo), Some(hi)) if lo <= hi => (lo, hi, true),
+                _ => return None,
             },
-            LoopBounds::Dynamic(_) => EntryBounds::Dynamic,
+            LoopBounds::Dynamic(set) => {
+                let (mut min, mut max) = (Vec::new(), Vec::new());
+                if !set.lexmin_with_prefix_into(outer, &mut min)
+                    || !set.lexmax_with_prefix_into(outer, &mut max)
+                {
+                    return None;
+                }
+                (min[self.depth - 1], max[self.depth - 1], false)
+            }
+        };
+        let (first, last) = if self.stride > 0 { (lo, hi) } else { (hi, lo) };
+        Some(LoopEntry {
+            first,
+            last,
+            stride: self.stride,
+            dense,
+        })
+    }
+
+    /// Whether the iteration vector `iv` (of length `depth`) lies in the
+    /// loop's domain.  Implied for the values of a dense entry.
+    pub fn contains(&self, iv: &[i64]) -> bool {
+        match &self.bounds {
+            LoopBounds::Exact(bs) => bs.contains(iv),
+            LoopBounds::Dynamic(set) => set.contains(iv),
+        }
+    }
+
+    /// Opens the loop's dimension in `scratch` at value `v`: the iteration
+    /// vector gains `v` and every access base below the loop moves by its
+    /// coefficient times `v`.
+    pub fn enter(&self, scratch: &mut WalkScratch, v: i64) {
+        scratch.iv.push(v);
+        for &(slot, c) in &self.deltas {
+            scratch.bases[slot] += c * v;
+        }
+    }
+
+    /// Moves the loop's iterator by `by` (one stride, or a warp's jump
+    /// across whole periods), carrying the access bases along.
+    pub fn advance(&self, scratch: &mut WalkScratch, by: i64) {
+        *scratch
+            .iv
+            .last_mut()
+            .expect("the loop entered its dimension") += by;
+        for &(slot, c) in &self.deltas {
+            scratch.bases[slot] += c * by;
+        }
+    }
+
+    /// Closes the loop's dimension, undoing its contribution to the bases.
+    pub fn leave(&self, scratch: &mut WalkScratch) {
+        let v = scratch.iv.pop().expect("the loop entered its dimension");
+        for &(slot, c) in &self.deltas {
+            scratch.bases[slot] -= c * v;
         }
     }
 }
@@ -200,9 +307,31 @@ pub enum CompiledNode {
 pub struct WalkScratch {
     iv: Vec<i64>,
     bases: Vec<i64>,
-    /// Endpoint buffers for the dynamic-bounds fallback.
-    lex_a: Vec<i64>,
-    lex_b: Vec<i64>,
+}
+
+impl WalkScratch {
+    /// Positions the scratch at the top of `node` under the outer
+    /// iteration vector `outer`: the iteration vector becomes `outer` and
+    /// every access base in the subtree is seeded with its address
+    /// constant plus the contribution of `outer`.
+    pub fn start_at(&mut self, node: &CompiledNode, outer: &[i64]) {
+        self.iv.clear();
+        self.iv.extend_from_slice(outer);
+        init_bases(node, outer, &mut self.bases);
+    }
+
+    /// The current iteration vector (one value per open loop).
+    pub fn iv(&self) -> &[i64] {
+        &self.iv
+    }
+
+    /// The byte address `a` accesses at the current iteration vector: its
+    /// strength-reduced running base.
+    pub fn address(&self, a: &CompiledAccess) -> u64 {
+        let base = self.bases[a.id];
+        debug_assert!(base >= 0, "access to a negative address");
+        base as u64
+    }
 }
 
 /// A [`Scop`] lowered for the compiled walk.  Self-contained (owns
@@ -212,111 +341,109 @@ pub struct WalkScratch {
 pub struct CompiledScop {
     roots: Vec<CompiledNode>,
     num_slots: usize,
+    num_loops: usize,
     max_depth: usize,
+}
+
+/// Lowering state threaded through [`compile`].
+#[derive(Default)]
+struct Lowering {
+    /// Constraints established by the enclosing exact loops.
+    established: Vec<Constraint>,
+    max_depth: usize,
+    /// Loops lowered so far (the next loop's index).
+    loops: usize,
 }
 
 /// Lowers a SCoP for the compiled walk.
 pub fn compile(scop: &Scop) -> CompiledScop {
-    let mut established: Vec<Constraint> = Vec::new();
-    let mut max_depth = 0;
-    let roots = scop
-        .roots()
-        .iter()
-        .map(|n| compile_node(n, &mut established, &mut max_depth))
-        .collect();
+    let mut lowering = Lowering::default();
+    let roots = scop.roots().iter().map(|n| lowering.node(n)).collect();
     CompiledScop {
         roots,
         num_slots: scop.num_access_nodes(),
-        max_depth,
+        num_loops: lowering.loops,
+        max_depth: lowering.max_depth,
     }
 }
 
-fn compile_node(
-    node: &Node,
-    established: &mut Vec<Constraint>,
-    max_depth: &mut usize,
-) -> CompiledNode {
-    match node {
-        Node::Access(a) => CompiledNode::Access(compile_access(a, established)),
-        Node::Loop(l) => CompiledNode::Loop(compile_loop(l, established, max_depth)),
-    }
-}
-
-fn compile_access(a: &AccessNode, established: &[Constraint]) -> CompiledAccess {
-    let guard = match a.domain.basics() {
-        [bs] if bs
-            .constraints()
-            .iter()
-            .all(|c| established.iter().any(|e| same_constraint(e, c))) =>
-        {
-            GuardPlan::Trivial
+impl Lowering {
+    fn node(&mut self, node: &Node) -> CompiledNode {
+        match node {
+            Node::Access(a) => CompiledNode::Access(self.access(a)),
+            Node::Loop(l) => CompiledNode::Loop(self.lower_loop(l)),
         }
-        [bs] => GuardPlan::Exact(bs.clone()),
-        _ => GuardPlan::Dynamic(a.domain.clone()),
-    };
-    CompiledAccess {
-        id: a.id,
-        depth: a.depth,
-        kind: a.kind,
-        coeffs: a.address.coeffs().to_vec(),
-        constant: a.address.constant_term(),
-        guard,
     }
-}
 
-fn compile_loop(
-    l: &LoopNode,
-    established: &mut Vec<Constraint>,
-    max_depth: &mut usize,
-) -> CompiledLoop {
-    *max_depth = (*max_depth).max(l.depth);
-    let (bounds, pushed) = match l.domain.basics() {
-        [bs] => {
-            let n = bs.constraints().len();
-            established.extend(bs.constraints().iter().cloned());
-            (LoopBounds::Exact(bs.clone()), n)
-        }
-        _ => (LoopBounds::Dynamic(l.domain.clone()), 0),
-    };
-    let children: Vec<CompiledNode> = l
-        .children
-        .iter()
-        .map(|c| compile_node(c, established, max_depth))
-        .collect();
-    established.truncate(established.len() - pushed);
-    let mut deltas = Vec::new();
-    for child in &children {
-        collect_deltas(child, l.depth - 1, &mut deltas);
-    }
-    let run_body = matches!(bounds, LoopBounds::Exact(_))
-        && children.len() == 1
-        && matches!(
-            &children[0],
-            CompiledNode::Access(a) if !matches!(a.guard, GuardPlan::Dynamic(_))
-        );
-    CompiledLoop {
-        depth: l.depth,
-        stride: l.stride,
-        bounds,
-        deltas,
-        children,
-        run_body,
-    }
-}
-
-/// Collects `(slot, coeff-on-dim)` pairs for every access in the
-/// subtree whose address involves the dimension.
-fn collect_deltas(node: &CompiledNode, dim: usize, out: &mut Vec<(usize, i64)>) {
-    match node {
-        CompiledNode::Access(a) => {
-            let c = a.coeffs.get(dim).copied().unwrap_or(0);
-            if c != 0 {
-                out.push((a.id, c));
+    fn access(&self, a: &AccessNode) -> CompiledAccess {
+        let guard = match a.domain.basics() {
+            [bs] if bs
+                .constraints()
+                .iter()
+                .all(|c| self.established.iter().any(|e| same_constraint(e, c))) =>
+            {
+                GuardPlan::Trivial
             }
+            [bs] => GuardPlan::Exact(bs.clone()),
+            _ => GuardPlan::Dynamic(a.domain.clone()),
+        };
+        CompiledAccess {
+            id: a.id,
+            depth: a.depth,
+            kind: a.kind,
+            coeffs: a.address.coeffs().to_vec(),
+            constant: a.address.constant_term(),
+            guard,
         }
+    }
+
+    fn lower_loop(&mut self, l: &LoopNode) -> CompiledLoop {
+        let index = self.loops;
+        self.loops += 1;
+        self.max_depth = self.max_depth.max(l.depth);
+        let (bounds, pushed) = match l.domain.basics() {
+            [bs] => {
+                let n = bs.constraints().len();
+                self.established.extend(bs.constraints().iter().cloned());
+                (LoopBounds::Exact(bs.clone()), n)
+            }
+            _ => (LoopBounds::Dynamic(l.domain.clone()), 0),
+        };
+        let children: Vec<CompiledNode> = l.children.iter().map(|c| self.node(c)).collect();
+        self.established.truncate(self.established.len() - pushed);
+        let mut deltas = Vec::new();
+        for child in &children {
+            collect_coefficients(child, l.depth - 1, &mut deltas);
+        }
+        let mut accesses: Vec<usize> = deltas.iter().map(|&(id, _)| id).collect();
+        accesses.sort_unstable();
+        deltas.retain(|&(_, c)| c != 0);
+        let run_body = matches!(bounds, LoopBounds::Exact(_))
+            && children.len() == 1
+            && matches!(
+                &children[0],
+                CompiledNode::Access(a) if !matches!(a.guard, GuardPlan::Dynamic(_))
+            );
+        CompiledLoop {
+            index,
+            depth: l.depth,
+            stride: l.stride,
+            bounds,
+            deltas,
+            accesses,
+            children,
+            run_body,
+        }
+    }
+}
+
+/// Collects `(slot, coeff-on-dim)` pairs for every access in the subtree.
+fn collect_coefficients(node: &CompiledNode, dim: usize, out: &mut Vec<(usize, i64)>) {
+    match node {
+        CompiledNode::Access(a) => out.push((a.id, a.coeffs.get(dim).copied().unwrap_or(0))),
         CompiledNode::Loop(l) => {
             for child in &l.children {
-                collect_deltas(child, dim, out);
+                collect_coefficients(child, dim, out);
             }
         }
     }
@@ -341,14 +468,17 @@ impl CompiledScop {
         &self.roots
     }
 
+    /// The number of loops: each [`CompiledLoop::index`] is below it.
+    pub fn num_loops(&self) -> usize {
+        self.num_loops
+    }
+
     /// A scratch buffer sized for this SCoP.  Reuse it across walks to
     /// keep steady-state iteration allocation-free.
     pub fn new_scratch(&self) -> WalkScratch {
         WalkScratch {
             iv: Vec::with_capacity(self.max_depth),
             bases: vec![0; self.num_slots],
-            lex_a: Vec::new(),
-            lex_b: Vec::new(),
         }
     }
 
@@ -361,8 +491,7 @@ impl CompiledScop {
     ) -> u64 {
         let mut count = 0;
         for root in &self.roots {
-            scratch.iv.clear();
-            init_bases(root, &[], &mut scratch.bases);
+            scratch.start_at(root, &[]);
             walk(root, scratch, &mut visit, &mut count);
         }
         count
@@ -412,9 +541,7 @@ pub fn for_each_run_at(
     scratch: &mut WalkScratch,
     mut visit: impl FnMut(&AccessRun),
 ) -> u64 {
-    scratch.iv.clear();
-    scratch.iv.extend_from_slice(outer);
-    init_bases(node, outer, &mut scratch.bases);
+    scratch.start_at(node, outer);
     let mut count = 0;
     walk(node, scratch, &mut visit, &mut count);
     count
@@ -451,11 +578,9 @@ fn walk(
     match node {
         CompiledNode::Access(a) => {
             if a.guard_holds(&scratch.iv) {
-                let base = scratch.bases[a.id];
-                debug_assert!(base >= 0, "access to a negative address");
                 visit(&AccessRun {
                     node: a.id,
-                    base: base as u64,
+                    base: scratch.address(a),
                     stride: 0,
                     count: 1,
                     kind: a.kind,
@@ -473,67 +598,47 @@ fn walk_loop(
     visit: &mut impl FnMut(&AccessRun),
     count: &mut u64,
 ) {
-    let d = l.depth;
-    let (lo, hi) = match &l.bounds {
-        LoopBounds::Exact(bs) => match bs.dim_bounds(d - 1, &scratch.iv) {
-            Some((Some(lo), Some(hi))) if lo <= hi => (lo, hi),
-            _ => return,
-        },
-        LoopBounds::Dynamic(set) => return walk_loop_dynamic(l, set, scratch, visit, count),
+    let Some(entry) = l.entry(&scratch.iv) else {
+        return;
     };
-    let s = l.stride;
-    let n = (hi - lo) / s.abs() + 1;
-    let v0 = if s > 0 { lo } else { hi };
     if l.run_body {
         let CompiledNode::Access(a) = &l.children[0] else {
             unreachable!("run_body implies a single access child");
         };
-        return emit_run(a, d, s, v0, n, lo, hi, scratch, visit, count);
+        return emit_run(a, l.depth, &entry, scratch, visit, count);
     }
-    scratch.iv.push(v0);
-    for &(slot, c) in &l.deltas {
-        scratch.bases[slot] += c * v0;
-    }
-    let mut v = v0;
-    let mut k: i64 = 0;
+    let mut v = entry.first;
+    l.enter(scratch, v);
     loop {
-        for child in &l.children {
-            walk(child, scratch, visit, count);
+        if entry.dense || l.contains(&scratch.iv) {
+            for child in &l.children {
+                walk(child, scratch, visit, count);
+            }
         }
-        k += 1;
-        if k == n {
+        let Some(next) = entry.next(v) else {
             break;
-        }
-        v += s;
-        *scratch.iv.last_mut().expect("loop pushed its dimension") = v;
-        for &(slot, c) in &l.deltas {
-            scratch.bases[slot] += c * s;
-        }
+        };
+        l.advance(scratch, l.stride);
+        v = next;
     }
-    for &(slot, c) in &l.deltas {
-        scratch.bases[slot] -= c * v;
-    }
-    scratch.iv.pop();
+    l.leave(scratch);
 }
 
-/// The run fast path: one [`AccessRun`] per loop entry, its interval
-/// clipped to the access guard on the stride grid.
-#[allow(clippy::too_many_arguments)]
+/// The run fast path: one [`AccessRun`] per (dense) loop entry, its
+/// interval clipped to the access guard on the stride grid.
 fn emit_run(
     a: &CompiledAccess,
     d: usize,
-    s: i64,
-    v0: i64,
-    n: i64,
-    lo: i64,
-    hi: i64,
+    entry: &LoopEntry,
     scratch: &mut WalkScratch,
     visit: &mut impl FnMut(&AccessRun),
     count: &mut u64,
 ) {
+    let (s, v0, n) = (entry.stride, entry.first, entry.trip_count());
     let (k_min, k_max) = match &a.guard {
         GuardPlan::Trivial => (0, n - 1),
         GuardPlan::Exact(bs) => {
+            let (lo, hi) = (entry.first.min(entry.last), entry.first.max(entry.last));
             let Some((glo, ghi)) = bs.dim_bounds(d - 1, &scratch.iv) else {
                 return;
             };
@@ -566,61 +671,6 @@ fn emit_run(
         kind: a.kind,
     });
     *count += run_len;
-}
-
-/// The reference-style enumeration for union domains: lexmin/lexmax
-/// anchors, per-point membership — with strength-reduced addresses for
-/// the subtree.
-fn walk_loop_dynamic(
-    l: &CompiledLoop,
-    set: &Set,
-    scratch: &mut WalkScratch,
-    visit: &mut impl FnMut(&AccessRun),
-    count: &mut u64,
-) {
-    let d = l.depth;
-    let (v0, v_end) = {
-        let WalkScratch {
-            iv, lex_a, lex_b, ..
-        } = &mut *scratch;
-        let found = if l.stride < 0 {
-            set.lexmax_with_prefix_into(iv, lex_a) && set.lexmin_with_prefix_into(iv, lex_b)
-        } else {
-            set.lexmin_with_prefix_into(iv, lex_a) && set.lexmax_with_prefix_into(iv, lex_b)
-        };
-        if !found {
-            return;
-        }
-        (lex_a[d - 1], lex_b[d - 1])
-    };
-    scratch.iv.push(v0);
-    for &(slot, c) in &l.deltas {
-        scratch.bases[slot] += c * v0;
-    }
-    let mut v = v0;
-    loop {
-        if set.contains(&scratch.iv) {
-            for child in &l.children {
-                walk(child, scratch, visit, count);
-            }
-        }
-        // Stepping out of the `i64` range ends the loop.
-        let Some(next) = v.checked_add(l.stride) else {
-            break;
-        };
-        if (l.stride > 0 && next > v_end) || (l.stride < 0 && next < v_end) {
-            break;
-        }
-        v = next;
-        *scratch.iv.last_mut().expect("loop pushed its dimension") = v;
-        for &(slot, c) in &l.deltas {
-            scratch.bases[slot] += c * l.stride;
-        }
-    }
-    for &(slot, c) in &l.deltas {
-        scratch.bases[slot] -= c * v;
-    }
-    scratch.iv.pop();
 }
 
 /// One enclosing loop's stride grid for the closed-form count.
@@ -934,7 +984,15 @@ mod tests {
         let CompiledNode::Loop(l) = &compiled.roots()[0] else {
             panic!("root is a loop");
         };
-        assert!(l.is_exact());
+        assert_eq!(
+            l.entry(&[]),
+            Some(LoopEntry {
+                first: 0,
+                last: 99,
+                stride: 1,
+                dense: true
+            })
+        );
         let CompiledNode::Access(a) = &l.children()[0] else {
             panic!("child is an access");
         };

@@ -51,15 +51,13 @@ pub use ast::{ArrayAccess, ArrayDecl, CmpOp, Condition, Expr, Program, Statement
 pub use canon::{canonical_text, canonicalize};
 pub use compile::{
     compile, for_each_run_at, AccessRun, CompiledAccess, CompiledLoop, CompiledNode, CompiledScop,
-    EntryBounds, WalkScratch,
+    LoopEntry, WalkScratch,
 };
 pub use elaborate::{elaborate, ElaborateError, ElaborateOptions};
 pub use param::{ParamBindings, ParamError, ParametricScop};
 pub use parser::{parse_program, ParseError};
 pub use tree::{AccessNode, ArrayInfo, LoopNode, Node, Scop};
-pub use walk::{
-    count_accesses, exceeds_access_count, for_each_access, for_each_access_at, DynamicAccess,
-};
+pub use walk::{count_accesses, exceeds_access_count, for_each_access, DynamicAccess};
 
 /// Parses a mini-C source text and elaborates it into a [`Scop`], using the
 /// default elaboration options (array accesses only, 64-byte alignment).

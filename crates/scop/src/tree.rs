@@ -69,28 +69,17 @@ pub struct LoopNode {
 }
 
 impl LoopNode {
-    /// The lexicographically smallest point of the domain whose outer
-    /// dimensions equal `outer`, i.e. `L.initial(j)` of the paper.
-    pub fn initial(&self, outer: &[i64]) -> Option<Vec<i64>> {
-        let mut buf = Vec::new();
-        self.initial_into(outer, &mut buf).then_some(buf)
-    }
-
-    /// The lexicographically largest such point, i.e. `L.final(j)`.
-    pub fn last(&self, outer: &[i64]) -> Option<Vec<i64>> {
-        let mut buf = Vec::new();
-        self.last_into(outer, &mut buf).then_some(buf)
-    }
-
-    /// Writes `L.initial(j)` into `buf`, returning whether the entry is
-    /// non-empty.  The buffer-reusing variant the reference walk calls
-    /// once per loop entry: it neither clones the domain nor allocates
-    /// the result when `buf` has capacity.
+    /// Writes the lexicographically smallest point of the domain whose
+    /// outer dimensions equal `outer` — `L.initial(j)` of the paper — into
+    /// `buf`, returning whether the entry is non-empty.  The reference
+    /// walk calls it once per loop entry: it neither clones the domain nor
+    /// allocates the result when `buf` has capacity.
     pub fn initial_into(&self, outer: &[i64], buf: &mut Vec<i64>) -> bool {
         self.domain.lexmin_with_prefix_into(outer, buf)
     }
 
-    /// The `L.final(j)` counterpart of [`Self::initial_into`].
+    /// The `L.final(j)` counterpart of [`Self::initial_into`]: the
+    /// lexicographically largest such point.
     pub fn last_into(&self, outer: &[i64], buf: &mut Vec<i64>) -> bool {
         self.domain.lexmax_with_prefix_into(outer, buf)
     }
@@ -256,8 +245,11 @@ mod tests {
         let Node::Loop(l) = &scop.roots()[0] else {
             panic!()
         };
-        assert_eq!(l.initial(&[]), Some(vec![0]));
-        assert_eq!(l.last(&[]), Some(vec![9]));
+        let mut buf = Vec::new();
+        assert!(l.initial_into(&[], &mut buf));
+        assert_eq!(buf, [0]);
+        assert!(l.last_into(&[], &mut buf));
+        assert_eq!(buf, [9]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Walking the dynamic accesses of a SCoP in execution order.
 //!
-//! This module contains the reference traversal that both the non-warping
-//! simulator (Algorithm 1 of the paper) and the trace generator build on:
-//! loop nodes step through their iteration domains in lexicographic order and
-//! access nodes report the byte address they touch at the current iteration.
+//! This module contains the reference traversal — Algorithm 1 of the paper
+//! with the cache update replaced by a callback: loop nodes step through
+//! their iteration domains in lexicographic order and access nodes report
+//! the byte address they touch at the current iteration.  Every simulator
+//! walks the compiled stream ([`crate::compile()`]) instead; this walk is the
+//! differential oracle that stream is checked against, and the cap-aware
+//! [`exceeds_access_count`] probe.
 
 use crate::tree::{AccessNode, Node, Scop};
 use cache_model::AccessKind;
@@ -101,24 +104,6 @@ fn walk_node<'a>(
             pool.push(i);
         }
     }
-}
-
-/// Walks the dynamic accesses of a single node at a fixed outer-iteration
-/// vector, invoking `visit` for each.  Returns the number of accesses
-/// visited.
-///
-/// This is the per-subtree slice of [`for_each_access`]: interval samplers
-/// use it to replay one outer-loop iteration at a time (pass the loop node's
-/// child and the outer vector for that iteration) instead of the whole SCoP.
-pub fn for_each_access_at<'a>(
-    node: &'a Node,
-    outer: &[i64],
-    mut visit: impl FnMut(DynamicAccess<'a>),
-) -> u64 {
-    let mut count = 0;
-    let mut pool = Vec::new();
-    walk_node(node, outer, &mut pool, &mut visit, &mut count);
-    count
 }
 
 /// Counts the dynamic accesses of a SCoP without doing anything else.
@@ -335,32 +320,6 @@ mod tests {
         assert!(exceeds_access_count(&scop, 0));
         let empty = scop_of("double A[10]; for (i = 5; i < 5; i++) A[i] = 0;");
         assert!(!exceeds_access_count(&empty, 0));
-    }
-
-    #[test]
-    fn per_node_walk_slices_match_the_full_walk() {
-        let scop = scop_of(
-            "double A[200]; double B[200];\n\
-             for (i = 1; i < 99; i++) B[i] = A[i-1] + A[i+1];",
-        );
-        let mut full = Vec::new();
-        for_each_access(&scop, |acc| full.push((acc.node.id, acc.address, acc.kind)));
-        // Replaying each outer iteration through the loop's children must
-        // reproduce the full walk slice by slice.
-        let Node::Loop(l) = &scop.roots()[0] else {
-            panic!("root is a loop");
-        };
-        let mut replayed = Vec::new();
-        let mut count = 0;
-        for i in 1..99i64 {
-            for child in &l.children {
-                count += for_each_access_at(child, &[i], |acc| {
-                    replayed.push((acc.node.id, acc.address, acc.kind));
-                });
-            }
-        }
-        assert_eq!(count as usize, full.len());
-        assert_eq!(replayed, full);
     }
 
     #[test]

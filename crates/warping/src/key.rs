@@ -45,7 +45,6 @@
 
 use crate::symstate::{SymLevel, SymSet};
 use cache_model::{FlatSet, ReplacementPolicy};
-use std::collections::HashSet;
 
 /// An exact, rotation- and shift-invariant encoding of one or more symbolic
 /// cache levels.
@@ -60,15 +59,16 @@ impl CanonicalKey {
     /// iterator value as the fallback for levels that carry no usable
     /// stamp — see [`crate::simulator::WarpingSimulator`]).
     ///
-    /// `descendants` are the ids of the access nodes below the loop: only
-    /// their labels are normalised; stale labels stay absolute.
+    /// `descendants` are the ids of the access nodes below the loop, in
+    /// ascending order: only their labels are normalised; stale labels
+    /// stay absolute.
     ///
     /// # Panics
     ///
     /// Panics if `normalizers` is shorter than `levels`.
     pub fn of_levels(
         levels: &[SymLevel],
-        descendants: &HashSet<usize>,
+        descendants: &[usize],
         warp_depth: usize,
         normalizers: &[i64],
     ) -> Self {
@@ -86,7 +86,7 @@ impl CanonicalKey {
 
 fn encode_level(
     level: &SymLevel,
-    descendants: &HashSet<usize>,
+    descendants: &[usize],
     warp_depth: usize,
     normalizer: i64,
     data: &mut Vec<i64>,
@@ -115,7 +115,8 @@ fn encode_level(
                 None => data.push(i64::MIN + 3),
                 Some(l) => {
                     data.push(l.node as i64);
-                    let normalise = descendants.contains(&l.node) && l.iter.len() >= warp_depth;
+                    let normalise =
+                        descendants.binary_search(&l.node).is_ok() && l.iter.len() >= warp_depth;
                     for (d, v) in l.iter.iter().enumerate() {
                         if normalise && d == warp_depth - 1 {
                             data.push(v - normalizer);
@@ -154,7 +155,7 @@ mod tests {
         SymLevel::new(CacheConfig::with_sets(4, 2, 1, ReplacementPolicy::Lru))
     }
 
-    fn key_of(level: &SymLevel, descendants: &HashSet<usize>, normalizer: i64) -> CanonicalKey {
+    fn key_of(level: &SymLevel, descendants: &[usize], normalizer: i64) -> CanonicalKey {
         CanonicalKey::of_levels(std::slice::from_ref(level), descendants, 1, &[normalizer])
     }
 
@@ -163,7 +164,7 @@ mod tests {
         // The 1D stencil pattern on a tiny cache: after iteration i the cache
         // holds A[i] and B[i-1]; states of consecutive iterations are equal
         // up to rotation and label shift.
-        let descendants: HashSet<usize> = [0, 1].into_iter().collect();
+        let descendants = [0, 1];
         let mut s1 = level();
         s1.access(MemBlock(10), AccessKind::Read, 0, &[5]);
         s1.access(MemBlock(110), AccessKind::Write, 1, &[5]);
@@ -184,7 +185,7 @@ mod tests {
 
     #[test]
     fn non_descendant_labels_are_absolute() {
-        let descendants: HashSet<usize> = HashSet::new();
+        let descendants: [usize; 0] = [];
         let mut s1 = level();
         s1.access(MemBlock(10), AccessKind::Read, 0, &[5]);
         let mut s2 = level();
@@ -199,7 +200,7 @@ mod tests {
     #[test]
     fn policy_state_is_part_of_the_key() {
         let config = CacheConfig::with_sets(1, 4, 1, ReplacementPolicy::Qlru);
-        let descendants: HashSet<usize> = [0].into_iter().collect();
+        let descendants = [0];
         let mut s1 = SymLevel::new(config.clone());
         let mut s2 = SymLevel::new(config);
         s1.access(MemBlock(0), AccessKind::Read, 0, &[0]);
@@ -217,7 +218,7 @@ mod tests {
         // is never touched again.  Normalised by its own (frozen) epoch the
         // key is constant across match attempts; normalised by the current
         // iterator — the pre-epoch behaviour — it drifts and never matches.
-        let descendants: HashSet<usize> = [0].into_iter().collect();
+        let descendants = [0];
         let mut frozen = level();
         frozen.access(MemBlock(10), AccessKind::Read, 0, &[5]);
         let epoch = frozen.epoch_at(0).expect("the fill stamped the epoch");
@@ -233,7 +234,7 @@ mod tests {
 
     #[test]
     fn different_occupancy_or_nodes_differ() {
-        let descendants: HashSet<usize> = [0, 1].into_iter().collect();
+        let descendants = [0, 1];
         let mut s1 = level();
         s1.access(MemBlock(10), AccessKind::Read, 0, &[5]);
         let mut s2 = level();
@@ -250,7 +251,7 @@ mod tests {
     fn occupied_offsets_anchor_the_rotation() {
         // Two states with equal content in their occupied sets but a
         // different offset from the MRU set must not compare equal.
-        let descendants: HashSet<usize> = [0].into_iter().collect();
+        let descendants = [0];
         let mut s1 = level();
         s1.access(MemBlock(10), AccessKind::Read, 0, &[5]); // set 2, MRU 2
         let mut s2 = level();

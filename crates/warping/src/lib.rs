@@ -38,9 +38,9 @@
 //! # Example
 //!
 //! ```
-//! use cache_model::{CacheConfig, ReplacementPolicy};
+//! use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 //! use scop::parse_scop;
-//! use simulate::{simulate_single};
+//! use simulate::simulate_single;
 //! use warping::WarpingSimulator;
 //!
 //! let scop = parse_scop(
@@ -50,7 +50,7 @@
 //! let config = CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru);
 //!
 //! let reference = simulate_single(&scop, &config);
-//! let outcome = WarpingSimulator::single(config).run(&scop);
+//! let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
 //!
 //! // Warping is exact ...
 //! assert_eq!(outcome.result.l1().misses, reference.l1().misses);
@@ -72,7 +72,6 @@ pub use fingerprint::FingerprintTracker;
 pub use key::CanonicalKey;
 pub use plan::{LevelWarpMode, WarpPlan};
 pub use simulator::{
-    InvalidWarpingOptions, WarpHints, WarpingMemory, WarpingOptions, WarpingOutcome,
-    WarpingSimulator,
+    InvalidWarpingOptions, WarpHints, WarpingOptions, WarpingOutcome, WarpingSimulator,
 };
 pub use symstate::{SymLabel, SymLevel, SymSet};

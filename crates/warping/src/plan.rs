@@ -35,7 +35,6 @@
 use crate::symstate::SymLevel;
 use polyhedra::{LexResult, Set};
 use scop::AccessNode;
-use std::collections::HashSet;
 
 /// A validated warp: jump `chunks` periods ahead.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,7 +74,8 @@ pub enum LevelWarpMode {
 /// Decides whether and how far the simulation may warp.
 ///
 /// * `descendant_nodes` — the access nodes below the warping loop.
-/// * `descendant_ids` — their ids (for label classification).
+/// * `descendant_ids` — their ids in ascending order (for label
+///   classification).
 /// * `levels` — the symbolic cache levels, innermost first.
 /// * `modes` — how each level participates (parallel to `levels`); frozen
 ///   levels are exempt from cache agreement, see [`LevelWarpMode`].
@@ -92,7 +92,7 @@ pub enum LevelWarpMode {
 #[allow(clippy::too_many_arguments)]
 pub fn plan_warp(
     descendant_nodes: &[&AccessNode],
-    descendant_ids: &HashSet<usize>,
+    descendant_ids: &[usize],
     levels: &[SymLevel],
     modes: &[LevelWarpMode],
     warp_depth: usize,
@@ -144,7 +144,7 @@ pub fn plan_warp(
         }
         for line in level.sets().flat_map(|set| set.lines()).flatten() {
             let shifts_with_loop =
-                descendant_ids.contains(&line.node) && line.iter.len() >= warp_depth;
+                descendant_ids.binary_search(&line.node).is_ok() && line.iter.len() >= warp_depth;
             let line_shift = if shifts_with_loop { byte_shift } else { 0 };
             if line_shift != byte_shift {
                 return None;
@@ -231,10 +231,11 @@ mod tests {
     use cache_model::{AccessKind, CacheConfig, MemBlock, ReplacementPolicy};
     use scop::parse_scop;
 
-    /// Extracts the access nodes of a single-loop SCoP.
+    /// Parses a single-loop SCoP and lists its access ids, ascending.
     fn nodes_of(src: &str) -> (scop::Scop, Vec<usize>) {
         let scop = parse_scop(src).unwrap();
-        let ids = scop.access_nodes().map(|a| a.id).collect();
+        let mut ids: Vec<usize> = scop.access_nodes().map(|a| a.id).collect();
+        ids.sort_unstable();
         (scop, ids)
     }
 
@@ -254,7 +255,6 @@ mod tests {
              for (i = 1; i < 999; i++) B[i-1] = A[i-1] + A[i];",
         );
         let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
-        let ids: HashSet<usize> = ids.into_iter().collect();
         let levels = vec![empty_level()];
         let plan = plan_warp(&nodes, &ids, &levels, &shifted(&levels), 1, &[], 5, 6, 998)
             .expect("warpable");
@@ -271,7 +271,6 @@ mod tests {
              for (i = 0; i < 1000; i++) A[i] = A[2*i];",
         );
         let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
-        let ids: HashSet<usize> = ids.into_iter().collect();
         let levels = vec![empty_level()];
         assert!(plan_warp(&nodes, &ids, &levels, &shifted(&levels), 1, &[], 5, 6, 999).is_none());
     }
@@ -285,7 +284,6 @@ mod tests {
              for (i = 1; i < 3999; i++) B[i-1] = A[i-1] + A[i];",
         );
         let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
-        let ids: HashSet<usize> = ids.into_iter().collect();
         let levels = vec![SymLevel::new(CacheConfig::with_sets(
             8,
             2,
@@ -315,7 +313,6 @@ mod tests {
              for (i = 1; i < 999; i++) B[i-1] = A[i-1] + A[i];",
         );
         let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
-        let ids: HashSet<usize> = ids.into_iter().collect();
         let mut level = empty_level();
         // A line labelled by an access node that is not part of the loop.
         level.access(MemBlock(123_456), AccessKind::Read, 99, &[0]);
@@ -334,7 +331,6 @@ mod tests {
              for (i = 1; i < 3999; i++) B[i-1] = A[i-1] + A[i];",
         );
         let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
-        let ids: HashSet<usize> = ids.into_iter().collect();
         let l1 = SymLevel::new(CacheConfig::with_sets(8, 2, 64, ReplacementPolicy::Lru));
         let mut outer = SymLevel::new(CacheConfig::with_sets(64, 4, 64, ReplacementPolicy::Lru));
         outer.access(MemBlock(123_456), AccessKind::Read, 99, &[0]);
@@ -360,7 +356,6 @@ mod tests {
              for (i = 1; i < 999; i++) if (i < 500) B[i-1] = A[i-1] + A[i];",
         );
         let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
-        let ids: HashSet<usize> = ids.into_iter().collect();
         let levels = vec![empty_level()];
         let plan = plan_warp(&nodes, &ids, &levels, &shifted(&levels), 1, &[], 5, 6, 998)
             .expect("warp until guard");
@@ -374,7 +369,6 @@ mod tests {
         // identity and warping covers the whole loop.
         let (scop, ids) = nodes_of("double A[10];\nfor (i = 0; i < 100; i++) A[0] = A[0];");
         let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
-        let ids: HashSet<usize> = ids.into_iter().collect();
         let levels = vec![empty_level()];
         let plan = plan_warp(&nodes, &ids, &levels, &shifted(&levels), 1, &[], 1, 2, 99)
             .expect("identity warp");

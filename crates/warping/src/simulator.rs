@@ -21,6 +21,17 @@
 //! third sighting can match exactly and warp.  Loops whose states never
 //! recur therefore never pay for key construction at all.
 //!
+//! # The explicit walk
+//!
+//! Between warps the simulator walks the compiled SCoP ([`scop::compile()`])
+//! alone: each loop entry iterates as [`CompiledLoop::entry`] derives it,
+//! guards are the compiled guard plans, and addresses are the walk's
+//! strength-reduced bases ([`WalkScratch::address`]).  A warp jumps the
+//! loop's iterator — and with it the bases — forward by whole periods
+//! through [`CompiledLoop::advance`], exactly like an ordinary step.  Only
+//! warp planning reads the source tree: the polyhedral domains of the
+//! access nodes below the warping loop.
+//!
 //! # Relative-label addressing
 //!
 //! Keys normalise each level's descendant labels by that **level's epoch**
@@ -41,27 +52,13 @@ use crate::fingerprint::MAX_TRACKED_DIMS;
 use crate::key::CanonicalKey;
 use crate::plan::{plan_warp, LevelWarpMode};
 use crate::symstate::SymLevel;
-use cache_model::{CacheConfig, HierarchyConfig, LevelStats, MemoryConfig};
-use polyhedra::Aff;
-use scop::{
-    compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, EntryBounds, LoopNode, Node,
-    Scop,
-};
+use cache_model::{LevelStats, MemoryConfig};
+use scop::{compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, Scop, WalkScratch};
 use simulate::SimulationResult;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::rc::Rc;
 use std::time::Instant;
-
-/// The memory system simulated by the warping simulator.
-///
-/// This is the workspace-wide [`MemoryConfig`] — the old parallel
-/// `WarpingMemory` enum (`Single`/`Hierarchy`) is gone; construct a
-/// `MemoryConfig` (e.g. via `From<CacheConfig>` or `From<HierarchyConfig>`)
-/// and pass it to [`WarpingSimulator::new`].  The warping simulator supports
-/// memory systems of any depth ≥ 1.
-pub type WarpingMemory = MemoryConfig;
 
 /// The outcome of a warping simulation.
 ///
@@ -296,24 +293,6 @@ struct Counters {
     level: Vec<LevelStats>,
 }
 
-/// Per-loop-node data that is invariant across executions of the node:
-/// the access nodes below it, their id set, and the common per-iteration
-/// address coefficient on the loop's dimension (if any).  Computed once and
-/// cached for the whole [`WarpingSimulator::run`], instead of being
-/// recollected on every execution of an inner loop.
-struct LoopInfo<'a> {
-    nodes: Vec<&'a AccessNode>,
-    ids: HashSet<usize>,
-    uniform_coeff: Option<i64>,
-}
-
-/// Per-run context threaded through the tree walk: the address table and
-/// the per-node [`LoopInfo`] cache.
-struct RunCtx<'a> {
-    addresses: Vec<Aff>,
-    loops: HashMap<usize, Rc<LoopInfo<'a>>>,
-}
-
 /// The warping symbolic cache simulator.
 ///
 /// One generic code path simulates memory systems of any depth ≥ 1: the
@@ -337,9 +316,12 @@ pub struct WarpingSimulator {
     exact_key_builds: u64,
     stale_label_renorms: u64,
     warp_apply_ns: u64,
-    /// Match attempts that did not result in a warp, per loop node (keyed by
-    /// the node's address within the SCoP currently being simulated).
-    fruitless: HashMap<usize, u64>,
+    /// The explicit walk's iteration vector and strength-reduced access
+    /// addresses, for the SCoP currently being simulated.
+    scratch: WalkScratch,
+    /// Match attempts that did not result in a warp during the current
+    /// run, per loop ([`CompiledLoop::index`]).
+    fruitless: Vec<u64>,
     /// Donor hints from a similar earlier run (see [`WarpHints`]); `None`
     /// runs the cold schedule.
     hints: Option<WarpHints>,
@@ -350,31 +332,13 @@ pub struct WarpingSimulator {
 }
 
 impl WarpingSimulator {
-    /// A simulator for a single cache level.  Compatibility wrapper over
-    /// [`WarpingSimulator::new`].
-    pub fn single(config: CacheConfig) -> Self {
-        WarpingSimulator::new(MemoryConfig::from(config))
-    }
-
-    /// A simulator for a two-level hierarchy.  Compatibility wrapper over
-    /// [`WarpingSimulator::new`].
-    pub fn hierarchy(config: HierarchyConfig) -> Self {
-        WarpingSimulator::new(MemoryConfig::from(config))
-    }
-
     /// A simulator for any memory system of depth ≥ 1.  The configuration is
     /// [normalized](MemoryConfig::normalized) first, so the hierarchy-wide
     /// write policy governs write allocation at every level, exactly as in
     /// non-warping simulation.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today — every valid [`MemoryConfig`] is supported — but
-    /// kept fallible so callers stay source-compatible if a future memory
-    /// model (e.g. exclusive hierarchies) is only partially covered.
-    pub fn try_new(memory: WarpingMemory) -> Result<Self, String> {
+    pub fn new(memory: MemoryConfig) -> Self {
         let memory = memory.normalized();
-        Ok(WarpingSimulator {
+        WarpingSimulator {
             levels: memory
                 .levels()
                 .iter()
@@ -390,16 +354,12 @@ impl WarpingSimulator {
             exact_key_builds: 0,
             stale_label_renorms: 0,
             warp_apply_ns: 0,
-            fruitless: HashMap::new(),
+            scratch: WalkScratch::default(),
+            fruitless: Vec::new(),
             hints: None,
             warped_depths: HashSet::new(),
             exhausted_depths: HashSet::new(),
-        })
-    }
-
-    /// A simulator for any memory system of depth ≥ 1.
-    pub fn new(memory: WarpingMemory) -> Self {
-        WarpingSimulator::try_new(memory).unwrap_or_else(|e| panic!("{e}"))
+        }
     }
 
     /// Overrides the tuning options.
@@ -458,24 +418,16 @@ impl WarpingSimulator {
     /// across calls, so SCoPs can be simulated in sequence; use a fresh
     /// simulator for independent runs.
     pub fn run(&mut self, scop: &Scop) -> WarpingOutcome {
-        let addresses: Vec<Aff> = {
-            let mut v: Vec<(usize, Aff)> = scop
-                .access_nodes()
-                .map(|a| (a.id, a.address.clone()))
-                .collect();
-            v.sort_by_key(|(id, _)| *id);
-            v.into_iter().map(|(_, a)| a).collect()
-        };
-        let mut ctx = RunCtx {
-            addresses,
-            loops: HashMap::new(),
-        };
-        // The compiled tree mirrors the source tree node for node, so the
-        // explicit walk steps both in lockstep and consults the compiled
-        // side for hoisted bounds and guards.
+        // The explicit walk steps the compiled tree alone; warp planning
+        // reads the polyhedral access domains, indexed by node id.
         let compiled = compile(scop);
-        for (root, croot) in scop.roots().iter().zip(compiled.roots()) {
-            self.simulate_node(root, croot, &[], &mut ctx);
+        let mut nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        nodes.sort_unstable_by_key(|a| a.id);
+        self.scratch = compiled.new_scratch();
+        self.fruitless = vec![0; compiled.num_loops()];
+        for root in compiled.roots() {
+            self.scratch.start_at(root, &[]);
+            self.simulate_node(root, &nodes);
         }
         self.outcome()
     }
@@ -505,55 +457,28 @@ impl WarpingSimulator {
         }
     }
 
-    fn simulate_node<'a>(
-        &mut self,
-        node: &'a Node,
-        cnode: &CompiledNode,
-        outer: &[i64],
-        ctx: &mut RunCtx<'a>,
-    ) {
-        match (node, cnode) {
-            (Node::Access(a), CompiledNode::Access(ca)) => self.simulate_access(a, ca, outer),
-            (Node::Loop(l), CompiledNode::Loop(cl)) => self.simulate_loop(l, cl, outer, ctx),
-            _ => unreachable!("the compiled tree mirrors the source tree"),
+    fn simulate_node(&mut self, node: &CompiledNode, nodes: &[&AccessNode]) {
+        match node {
+            CompiledNode::Access(a) => self.simulate_access(a),
+            CompiledNode::Loop(l) => self.simulate_loop(l, nodes),
         }
     }
 
-    fn simulate_access(&mut self, access: &AccessNode, ca: &CompiledAccess, outer: &[i64]) {
-        // A hoisted-trivial guard means membership is implied by the
-        // enclosing exact loops — skip the per-point union-set check.
-        if !ca.guard_is_trivial() && !access.domain.contains(outer) {
+    fn simulate_access(&mut self, a: &CompiledAccess) {
+        let iv = self.scratch.iv();
+        if !a.guard_holds(iv) {
             return;
         }
-        let address = access.address_at(outer);
+        let address = self.scratch.address(a);
         self.accesses += 1;
         // The inclusive walk of the N-level hierarchy: each level is only
         // consulted — and updated — when the previous one misses.
         for level in &mut self.levels {
             let block = level.block_of_address(address);
-            if level.access(block, access.kind, access.id, outer) {
+            if level.access(block, a.kind, a.id, iv) {
                 break;
             }
         }
-    }
-
-    /// The per-node [`LoopInfo`], computed on first sight and cached for
-    /// the rest of the run.
-    fn loop_info<'a>(loop_node: &'a LoopNode, ctx: &mut RunCtx<'a>) -> Rc<LoopInfo<'a>> {
-        let node_key = loop_node as *const LoopNode as usize;
-        if let Some(info) = ctx.loops.get(&node_key) {
-            return Rc::clone(info);
-        }
-        let nodes = descendants(loop_node);
-        let ids: HashSet<usize> = nodes.iter().map(|a| a.id).collect();
-        let uniform_coeff = uniform_coefficient(&nodes, loop_node.depth - 1);
-        let info = Rc::new(LoopInfo {
-            nodes,
-            ids,
-            uniform_coeff,
-        });
-        ctx.loops.insert(node_key, Rc::clone(&info));
-        info
     }
 
     /// Combines the per-level rolling fingerprints for a warp attempt at
@@ -591,7 +516,7 @@ impl WarpingSimulator {
 
     fn build_key(
         &mut self,
-        descendant_ids: &HashSet<usize>,
+        descendant_ids: &[usize],
         depth: usize,
         normalizers: &[i64],
     ) -> CanonicalKey {
@@ -599,89 +524,22 @@ impl WarpingSimulator {
         CanonicalKey::of_levels(&self.levels, descendant_ids, depth, normalizers)
     }
 
-    fn simulate_loop<'a>(
-        &mut self,
-        loop_node: &'a LoopNode,
-        cl: &CompiledLoop,
-        outer: &[i64],
-        ctx: &mut RunCtx<'a>,
-    ) {
-        let depth = loop_node.depth;
-        // Hoisted bounds: an exact entry interval makes the per-iteration
-        // domain checks redundant, and an exactly-empty entry returns
-        // without the lexmin/lexmax searches.
-        let bounds = cl.entry_bounds(outer);
-        if matches!(bounds, EntryBounds::Empty) {
+    fn simulate_loop(&mut self, l: &CompiledLoop, nodes: &[&AccessNode]) {
+        let Some(entry) = l.entry(self.scratch.iv()) else {
             return;
-        }
-        let exact = matches!(bounds, EntryBounds::Exact(..));
-        if loop_node.stride < 0 {
-            // Decreasing loops walk lexmax-first.  They are simulated
-            // explicitly: warp matching assumes increasing iterators (the
-            // match map stores the *earlier* state), and extending it to
-            // negative periods is an open ROADMAP item.
-            let (mut i, v_lo) = match bounds {
-                EntryBounds::Exact(lo, hi) => {
-                    let mut i = Vec::with_capacity(depth);
-                    i.extend_from_slice(outer);
-                    i.push(hi);
-                    (i, lo)
-                }
-                _ => {
-                    let Some(i) = loop_node.last(outer) else {
-                        return;
-                    };
-                    let Some(lowest) = loop_node.initial(outer) else {
-                        return;
-                    };
-                    (i, lowest[depth - 1])
-                }
-            };
-            while i[depth - 1] >= v_lo {
-                if exact || loop_node.domain.contains(&i) {
-                    for (child, cchild) in loop_node.children.iter().zip(cl.children()) {
-                        self.simulate_node(child, cchild, &i, ctx);
-                    }
-                }
-                // Stepping below `i64::MIN` ends the loop.
-                let Some(next) = i[depth - 1].checked_add(loop_node.stride) else {
-                    return;
-                };
-                i[depth - 1] = next;
-            }
-            return;
-        }
-        let (mut i, v_last) = match bounds {
-            EntryBounds::Exact(lo, hi) => {
-                let mut i = Vec::with_capacity(depth);
-                i.extend_from_slice(outer);
-                i.push(lo);
-                (i, hi)
-            }
-            _ => {
-                let Some(i) = loop_node.initial(outer) else {
-                    return;
-                };
-                let Some(last) = loop_node.last(outer) else {
-                    return;
-                };
-                (i, last[depth - 1])
-            }
         };
-        let stride = loop_node.stride.max(1);
+        let depth = l.depth;
         // Cheap gating: warping at this loop can only ever succeed if every
         // access below it shifts by the same amount per iteration (see
         // `plan_warp`), and it can only pay off if the loop has enough
-        // iterations to amortise the cost of match attempts.  The loop
-        // structure facts come from the per-run cache, so inner loops do not
-        // recollect their descendants on every outer iteration.
-        let trip_count = (v_last - i[depth - 1]) / stride + 1;
-        let node_key = loop_node as *const LoopNode as usize;
-        let mut fruitless = self.fruitless.get(&node_key).copied().unwrap_or(0);
-        let info = Self::loop_info(loop_node, ctx);
-        let warpable = trip_count >= self.options.min_trip_count
-            && !info.nodes.is_empty()
-            && info.uniform_coeff.is_some();
+        // iterations to amortise the cost of match attempts.  Decreasing
+        // loops are simulated explicitly: warp matching assumes increasing
+        // iterators (the match map stores the *earlier* state), and
+        // extending it to negative periods is an open ROADMAP item.
+        let warpable = l.stride > 0
+            && entry.trip_count() >= self.options.min_trip_count
+            && l.uniform_coefficient().is_some();
+        let mut fruitless = self.fruitless[l.index];
         // Donor hints demote the eager phase on depths a similar run
         // already probed exhaustively without a single warp; a depth the
         // donor saw warp (or never saw at all) keeps the cold schedule.
@@ -691,69 +549,61 @@ impl WarpingSimulator {
         };
         let mut map: HashMap<u64, MatchEntry> = HashMap::new();
         let mut iteration_index: u64 = 0;
-
-        while i[depth - 1] <= v_last {
-            let v1 = i[depth - 1];
+        let mut v = entry.first;
+        l.enter(&mut self.scratch, v);
+        loop {
             if warpable
                 && fruitless < self.options.max_fruitless_attempts
                 && self.should_attempt(iteration_index, eager)
             {
-                if let Some(warped) = self.attempt_match(
-                    &info,
-                    &ctx.addresses,
-                    depth,
-                    outer,
-                    v1,
-                    v_last,
-                    &mut map,
-                    &mut fruitless,
-                ) {
-                    let period_total = warped; // iterator units warped across
-                    i[depth - 1] += period_total;
+                if let Some(jump) =
+                    self.attempt_match(l, nodes, v, entry.last, &mut map, &mut fruitless)
+                {
+                    // A plan never jumps past the entry's last value.
+                    debug_assert!(v + jump <= entry.last);
+                    l.advance(&mut self.scratch, jump);
+                    v += jump;
                     fruitless = 0;
-                    // Iterator units advance by `stride` per iteration.
-                    iteration_index += (period_total / stride) as u64;
-                    // Do not consume this iteration: re-enter the loop
-                    // header so the landed-on iteration is simulated (or
-                    // warped again).
+                    iteration_index += (jump / l.stride) as u64;
+                    // Do not consume this iteration: the landed-on
+                    // iteration is simulated (or warped again).
                     continue;
                 }
             }
-            if exact || loop_node.domain.contains(&i) {
-                for (child, cchild) in loop_node.children.iter().zip(cl.children()) {
-                    self.simulate_node(child, cchild, &i, ctx);
+            if entry.dense || l.contains(self.scratch.iv()) {
+                for child in l.children() {
+                    self.simulate_node(child, nodes);
                 }
             }
-            // Stepping past `i64::MAX` ends the loop.
-            let Some(next) = i[depth - 1].checked_add(loop_node.stride) else {
+            let Some(next) = entry.next(v) else {
                 break;
             };
-            i[depth - 1] = next;
+            l.advance(&mut self.scratch, l.stride);
+            v = next;
             iteration_index += 1;
         }
+        l.leave(&mut self.scratch);
         if warpable {
             if fruitless >= self.options.max_fruitless_attempts {
                 self.exhausted_depths.insert(depth);
             }
-            self.fruitless.insert(node_key, fruitless);
+            self.fruitless[l.index] = fruitless;
         }
     }
 
     /// One two-phase match attempt at iterator value `v1`.  Returns the
     /// number of iterator units warped across on success (the caller
     /// advances the loop), `None` otherwise.
-    #[allow(clippy::too_many_arguments)]
     fn attempt_match(
         &mut self,
-        info: &LoopInfo<'_>,
-        addresses: &[Aff],
-        depth: usize,
-        outer: &[i64],
+        l: &CompiledLoop,
+        nodes: &[&AccessNode],
         v1: i64,
         v_last: i64,
         map: &mut HashMap<u64, MatchEntry>,
         fruitless: &mut u64,
     ) -> Option<i64> {
+        let depth = l.depth;
         self.match_attempts += 1;
         // The per-level label normalisers of this attempt's key: the level
         // epochs (or the current iterator value, see `epoch_normalizers`).
@@ -770,7 +620,7 @@ impl WarpingSimulator {
                 Some(fp) => (fp, None),
                 None => {
                     *fruitless += 1;
-                    let key = self.build_key(&info.ids, depth, &normalizers);
+                    let key = self.build_key(l.accesses(), depth, &normalizers);
                     let mut hasher = std::collections::hash_map::DefaultHasher::new();
                     key.hash(&mut hasher);
                     (hasher.finish(), Some(key))
@@ -801,7 +651,7 @@ impl WarpingSimulator {
         // Phase 2: the exact canonical key decides.
         let key = current_key
             .take()
-            .unwrap_or_else(|| self.build_key(&info.ids, depth, &normalizers));
+            .unwrap_or_else(|| self.build_key(l.accesses(), depth, &normalizers));
         if entry.key.as_ref() != Some(&key) {
             // Either the stored state's key was never built (first
             // re-sighting of its fingerprint) or the fingerprints collided:
@@ -827,8 +677,8 @@ impl WarpingSimulator {
         // the level saw no traffic during the chunk (the repeating access
         // pattern never descends to it, so it stays untouched across the
         // window).  Any other per-level shift is inconsistent with a warp.
-        let byte_shift_per_period = info
-            .uniform_coeff
+        let byte_shift_per_period = l
+            .uniform_coefficient()
             .expect("attempts are gated on a uniform coefficient")
             * period;
         let chunk = self.counters();
@@ -847,13 +697,14 @@ impl WarpingSimulator {
                 return None;
             }
         }
+        let descendants: Vec<&AccessNode> = l.accesses().iter().map(|&id| nodes[id]).collect();
         let plan = plan_warp(
-            &info.nodes,
-            &info.ids,
+            &descendants,
+            l.accesses(),
             &self.levels,
             &modes,
             depth,
-            outer,
+            &self.scratch.iv()[..depth - 1],
             entry.v,
             v1,
             v_last,
@@ -883,10 +734,11 @@ impl WarpingSimulator {
         // explicit simulation of the warped window would have produced (the
         // window never touches them).
         let total_shift = plan.byte_shift_per_chunk * plan.chunks;
+        let address_of = |id: usize, iv: &[i64]| nodes[id].address.eval(iv);
         let warp = |level: &mut SymLevel| {
             level.apply_warp(
-                addresses,
-                &info.ids,
+                address_of,
+                l.accesses(),
                 depth,
                 period,
                 plan.chunks,
@@ -936,39 +788,10 @@ impl WarpingSimulator {
     }
 }
 
-/// The common per-iteration byte-shift coefficient of all access nodes on
-/// the given dimension, if they agree (`None` if they differ, in which case
-/// warping at that loop can never satisfy the uniform-shift condition).
-fn uniform_coefficient(nodes: &[&AccessNode], dim: usize) -> Option<i64> {
-    let mut common = None;
-    for node in nodes {
-        let c = node.address.coeff(dim);
-        match common {
-            None => common = Some(c),
-            Some(existing) if existing == c => {}
-            Some(_) => return None,
-        }
-    }
-    common
-}
-
-/// Collects the access nodes below a loop node.
-fn descendants(loop_node: &LoopNode) -> Vec<&AccessNode> {
-    let mut out = Vec::new();
-    let mut stack: Vec<&Node> = loop_node.children.iter().collect();
-    while let Some(node) = stack.pop() {
-        match node {
-            Node::Access(a) => out.push(a),
-            Node::Loop(l) => stack.extend(l.children.iter()),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::ReplacementPolicy;
+    use cache_model::{CacheConfig, HierarchyConfig, ReplacementPolicy};
     use scop::parse_scop;
     use simulate::{simulate_hierarchy, simulate_single};
 
@@ -987,7 +810,7 @@ mod tests {
         let scop = stencil(1000);
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
         let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
         assert_eq!(outcome.result, reference);
         assert!(outcome.warps >= 1, "the stencil must warp");
         assert!(
@@ -1003,7 +826,7 @@ mod tests {
         let scop = stencil(4000);
         let config = CacheConfig::new(4 * 1024, 8, 64, ReplacementPolicy::Plru);
         let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
         assert_eq!(outcome.result, reference);
         assert!(outcome.warps >= 1);
     }
@@ -1014,7 +837,7 @@ mod tests {
         for policy in ReplacementPolicy::ALL {
             let config = CacheConfig::new(2 * 1024, 4, 64, policy);
             let reference = simulate_single(&scop, &config);
-            let outcome = WarpingSimulator::single(config).run(&scop);
+            let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
             assert_eq!(outcome.result, reference, "{policy}");
         }
     }
@@ -1027,7 +850,7 @@ mod tests {
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
         );
         let reference = simulate_hierarchy(&scop, &config);
-        let outcome = WarpingSimulator::hierarchy(config).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1043,7 +866,7 @@ mod tests {
         .unwrap();
         let config = CacheConfig::new(2 * 1024, 4, 64, ReplacementPolicy::Lru);
         let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1056,7 +879,7 @@ mod tests {
         .unwrap();
         let config = CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru);
         let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1070,7 +893,7 @@ mod tests {
         .unwrap();
         let config = CacheConfig::new(2 * 1024, 8, 64, ReplacementPolicy::Plru);
         let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1101,33 +924,16 @@ mod tests {
     #[should_panic(expected = "backoff_interval")]
     fn with_options_panics_on_zero_backoff() {
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let _ = WarpingSimulator::single(config).with_options(WarpingOptions {
+        let _ = WarpingSimulator::new(MemoryConfig::from(config)).with_options(WarpingOptions {
             backoff_interval: 0,
             ..WarpingOptions::default()
         });
     }
 
     #[test]
-    fn memory_config_construction_matches_dedicated_constructors() {
-        let scop = stencil(1000);
-        let single = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let from_memory = WarpingSimulator::new(WarpingMemory::from(single.clone())).run(&scop);
-        let direct = WarpingSimulator::single(single).run(&scop);
-        assert_eq!(from_memory, direct);
-
-        let hierarchy = HierarchyConfig::new(
-            CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
-            CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
-        );
-        let from_memory = WarpingSimulator::new(WarpingMemory::from(hierarchy.clone())).run(&scop);
-        let direct = WarpingSimulator::hierarchy(hierarchy).run(&scop);
-        assert_eq!(from_memory, direct);
-    }
-
-    #[test]
     fn three_level_memory_is_exact() {
         let scop = stencil(3000);
-        let memory = WarpingMemory::new(vec![
+        let memory = MemoryConfig::new(vec![
             CacheConfig::with_sets(2, 2, 64, ReplacementPolicy::Lru),
             CacheConfig::with_sets(4, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::with_sets(8, 8, 64, ReplacementPolicy::Lru),
@@ -1152,11 +958,11 @@ mod tests {
         for policy in ReplacementPolicy::ALL {
             let config = CacheConfig::new(2 * 1024, 4, 64, policy);
             let reference = simulate_single(&scop, &config);
-            let outcome = WarpingSimulator::single(config).run(&scop);
+            let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
             assert_eq!(outcome.result, reference, "{policy}");
         }
         let config = CacheConfig::new(2 * 1024, 4, 64, ReplacementPolicy::Lru);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
         assert!(outcome.warps >= 1, "the strided stencil must warp");
     }
 
@@ -1167,7 +973,7 @@ mod tests {
              for (i = 0; i < 6000; i += 3) A[i] = A[i];",
         )
         .unwrap();
-        let memory = WarpingMemory::two_level(
+        let memory = MemoryConfig::two_level(
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Plru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Plru),
         );
@@ -1183,7 +989,7 @@ mod tests {
         let scop = stencil(64);
         let config = CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru);
         let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1192,7 +998,7 @@ mod tests {
         // The two pipelines must produce identical simulation results; the
         // filtered one must build far fewer exact keys.
         let scop = stencil(4000);
-        let memory = WarpingMemory::two_level(
+        let memory = MemoryConfig::two_level(
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
         );
@@ -1233,7 +1039,7 @@ mod tests {
         // periodic steady state and rotate together: with a budget of four
         // threads each rotating level is warped on its own thread.
         let scop = stencil(75_000);
-        let memory = WarpingMemory::new(vec![
+        let memory = MemoryConfig::new(vec![
             CacheConfig::with_sets(64, 2, 8, ReplacementPolicy::Lru),
             CacheConfig::with_sets(512, 2, 8, ReplacementPolicy::Lru),
             CacheConfig::with_sets(4096, 2, 8, ReplacementPolicy::Lru),
@@ -1253,7 +1059,7 @@ mod tests {
         // The donor run exports its warp-plan facts; a hinted rerun of a
         // *different* (neighbouring) instance must produce exactly the
         // counts a cold run produces — hints only reschedule attempts.
-        let memory = WarpingMemory::two_level(
+        let memory = MemoryConfig::two_level(
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
         );
@@ -1289,7 +1095,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let tiny = WarpingMemory::from(CacheConfig::with_sets(2, 2, 64, ReplacementPolicy::Lru));
+        let tiny = MemoryConfig::from(CacheConfig::with_sets(2, 2, 64, ReplacementPolicy::Lru));
         let mut cold_sim = WarpingSimulator::new(tiny.clone());
         let cold = cold_sim.run(&tri);
         let tri_hints = cold_sim.export_hints();
@@ -1309,7 +1115,7 @@ mod tests {
     fn telemetry_counters_are_consistent() {
         let scop = stencil(3000);
         let config = CacheConfig::new(2 * 1024, 4, 64, ReplacementPolicy::Lru);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
         assert!(outcome.match_attempts >= outcome.fingerprint_hits);
         assert!(outcome.match_attempts >= outcome.exact_key_builds);
         assert!(outcome.fingerprint_hits >= outcome.warps);

@@ -42,8 +42,6 @@
 
 use crate::fingerprint::{digest_set, FingerprintTracker};
 use cache_model::{AccessKind, CacheConfig, FlatLevel, FlatSet, LevelStats, MemBlock, Slot, Touch};
-use polyhedra::Aff;
-use std::collections::HashSet;
 use std::fmt;
 
 /// The symbolic label of one cached line, borrowed from its level.
@@ -233,7 +231,8 @@ impl SymLevel {
     }
 
     /// Applies a warp of `chunks` periods to the level: every line whose
-    /// label belongs to one of the `descendants` access nodes (at depth
+    /// label belongs to one of the `descendants` access nodes (ids in
+    /// ascending order; at depth
     /// `>= warp_depth`) advances its label by `chunks * period` along
     /// dimension `warp_depth - 1` and its concrete block by
     /// `total_byte_shift / line_size`, and the cache sets rotate accordingly
@@ -242,13 +241,13 @@ impl SymLevel {
     /// One in-place pass over the rows: the directory rotates, the tags
     /// shift and the labels advance; rows keep their slab positions, so
     /// the cost is O(occupied lines) whatever the number of sets.
-    /// `addresses` (per access node) are only read by debug assertions,
-    /// which check that every advanced label concretises to its shifted
-    /// block.
+    /// `address_of` (the byte address an access node touches at an
+    /// iteration vector) is only called by debug assertions, which check
+    /// that every advanced label concretises to its shifted block.
     pub fn apply_warp(
         &mut self,
-        addresses: &[Aff],
-        descendants: &HashSet<usize>,
+        address_of: impl Fn(usize, &[i64]) -> i64,
+        descendants: &[usize],
         warp_depth: usize,
         period: i64,
         chunks: i64,
@@ -268,13 +267,13 @@ impl SymLevel {
         self.flat
             .shift_rows(rotation, total_block_shift, |slot, block| {
                 let node = labels.nodes[slot] as usize;
-                let moves =
-                    usize::from(labels.lens[slot]) >= warp_depth && descendants.contains(&node);
+                let moves = usize::from(labels.lens[slot]) >= warp_depth
+                    && descendants.binary_search(&node).is_ok();
                 if moves {
                     let iter = &mut labels.iters[slot * width..][..usize::from(labels.lens[slot])];
                     iter[dim] += advance;
                     debug_assert_eq!(
-                        addresses[node].eval(iter) / line_size,
+                        address_of(node, iter) / line_size,
                         block.0 as i64 + total_block_shift,
                         "warped label concretisation must shift uniformly"
                     );
@@ -543,13 +542,12 @@ mod tests {
         // to a moved row must still leave its digest recomputed — the warp
         // dirties every row, so no digest survives from before it.
         let mut l = level();
-        let addr = Aff::var(1, 0).scale(64);
-        let descendants: HashSet<usize> = [0].into_iter().collect();
+        let descendants = [0];
         l.access(MemBlock(1), AccessKind::Read, 0, &[1]);
         l.access(MemBlock(3), AccessKind::Read, 0, &[3]);
         l.prepare_match();
         // Shift by 2 lines: set 1 -> set 3, set 3 -> set 1.
-        l.apply_warp(std::slice::from_ref(&addr), &descendants, 1, 2, 1, 2 * 64);
+        l.apply_warp(|_, iv: &[i64]| 64 * iv[0], &descendants, 1, 2, 1, 2 * 64);
         l.access(MemBlock(9), AccessKind::Read, 0, &[9]);
         l.prepare_match();
         let rebuilt = rebuild_level_fingerprint(&l);
@@ -574,17 +572,9 @@ mod tests {
         frozen.access(MemBlock(0), AccessKind::Write, 0, &[3]);
         assert_eq!(frozen.epoch_at(0), None);
         // A warp advances the stamp with the labels.
-        let addr = Aff::var(1, 0).scale(64);
         let mut warped = level();
         warped.access(MemBlock(9), AccessKind::Read, 0, &[9]);
-        warped.apply_warp(
-            std::slice::from_ref(&addr),
-            &[0].into_iter().collect(),
-            1,
-            2,
-            3,
-            6 * 64,
-        );
+        warped.apply_warp(|_, iv: &[i64]| 64 * iv[0], &[0], 1, 2, 3, 6 * 64);
         assert_eq!(warped.epoch_at(0), Some(9 + 6));
         assert_eq!(first_label(&warped, 3), (0, vec![15]));
     }
@@ -593,16 +583,8 @@ mod tests {
     fn occupied_sets_survive_warp_rotation() {
         let mut l = level();
         // One descendant line in set 1; warp shifts blocks by 1 line.
-        let addr = Aff::var(1, 0).scale(64);
         l.access(MemBlock(1), AccessKind::Read, 0, &[1]);
-        l.apply_warp(
-            std::slice::from_ref(&addr),
-            &[0].into_iter().collect(),
-            1,
-            1,
-            2,
-            2 * 64,
-        );
+        l.apply_warp(|_, iv: &[i64]| 64 * iv[0], &[0], 1, 1, 2, 2 * 64);
         assert_eq!(
             l.occupied_sets().collect::<Vec<_>>(),
             vec![3],

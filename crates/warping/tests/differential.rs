@@ -4,7 +4,7 @@
 //! policies.  This is the central correctness property of the paper: warping
 //! only accelerates the simulation, it never changes its outcome.
 
-use cache_model::{CacheConfig, HierarchyConfig, ReplacementPolicy};
+use cache_model::{CacheConfig, HierarchyConfig, MemoryConfig, ReplacementPolicy};
 use proptest::prelude::*;
 use scop::ast::{access, assign, for_loop_strided, Expr, Program, Statement};
 use scop::{elaborate, ElaborateOptions, Scop};
@@ -132,7 +132,7 @@ proptest! {
     fn warping_matches_nonwarping_single_level(program in arb_program(), config in arb_cache()) {
         let scop = build(&program);
         let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config.clone())
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config.clone()))
             .with_options(eager())
             .run(&scop);
         prop_assert_eq!(outcome.result, reference, "config: {:?}", config);
@@ -154,7 +154,7 @@ proptest! {
             CacheConfig::with_sets(8, 4, 32, policy2),
         );
         let reference = simulate_hierarchy(&scop, &config);
-        let outcome = WarpingSimulator::hierarchy(config)
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config))
             .with_options(eager())
             .run(&scop);
         prop_assert_eq!(outcome.result, reference);
@@ -172,7 +172,7 @@ proptest! {
         // *observes* the misses of the levels before it: their hit/miss
         // counts must be identical with and without it.
         let scop = build(&program);
-        let base = cache_model::MemoryConfig::from(config.clone());
+        let base = MemoryConfig::from(config.clone());
         let extra = CacheConfig::with_sets(
             config.num_sets() * extra_sets_factor,
             extra_assoc,
@@ -214,7 +214,7 @@ proptest! {
         }
         let scop = build(&program);
         let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config)
+        let outcome = WarpingSimulator::new(MemoryConfig::from(config))
             .with_options(eager())
             .run(&scop);
         prop_assert_eq!(outcome.result, reference);
@@ -234,7 +234,7 @@ fn stencil_exact_across_policies_and_geometries() {
         for (sets, assoc, line) in [(1, 2, 8), (4, 2, 8), (64, 8, 64), (16, 4, 32)] {
             let config = CacheConfig::with_sets(sets, assoc, line, policy);
             let reference = simulate_single(&scop, &config);
-            let outcome = WarpingSimulator::single(config.clone())
+            let outcome = WarpingSimulator::new(MemoryConfig::from(config.clone()))
                 .with_options(WarpingOptions {
                     eager_attempts: u64::MAX,
                     backoff_interval: 1,

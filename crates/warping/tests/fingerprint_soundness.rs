@@ -11,12 +11,11 @@
 //!    (warp opportunities may be found at slightly different iterations;
 //!    the counts never change).
 
-use cache_model::{AccessKind, CacheConfig, MemBlock, ReplacementPolicy};
+use cache_model::{AccessKind, CacheConfig, MemBlock, MemoryConfig, ReplacementPolicy};
 use polyhedra::Aff;
 use proptest::prelude::*;
 use scop::parse_scop;
 use simulate::simulate_single;
-use std::collections::HashSet;
 use warping::fingerprint::rebuild_level_fingerprint;
 use warping::{SymLevel, WarpingOptions, WarpingSimulator};
 
@@ -77,7 +76,7 @@ proptest! {
         assoc in prop::sample::select(vec![2usize, 4]),
     ) {
         let addresses = addresses();
-        let descendants: HashSet<usize> = (0..NUM_NODES).collect();
+        let descendants: Vec<usize> = (0..NUM_NODES).collect();
         let mut level = SymLevel::new(CacheConfig::with_sets(sets, assoc, LINE_SIZE, policy));
         let total = steps.len();
         for (i, step) in steps.into_iter().enumerate() {
@@ -94,7 +93,7 @@ proptest! {
                     // holds by construction.
                     let byte_shift = LINE_SIZE as i64 * period * chunks;
                     level.apply_warp(
-                        &addresses,
+                        |node, iter: &[i64]| addresses[node].eval(iter),
                         &descendants,
                         1,
                         period,
@@ -140,7 +139,7 @@ proptest! {
         let config = CacheConfig::with_sets(sets, assoc, line, policy);
         let reference = simulate_single(&scop, &config);
         for filter in [true, false] {
-            let outcome = WarpingSimulator::single(config.clone())
+            let outcome = WarpingSimulator::new(MemoryConfig::from(config.clone()))
                 .with_options(WarpingOptions {
                     fingerprint_filter: filter,
                     ..WarpingOptions::default()

@@ -20,7 +20,6 @@ use cache_model::{
 };
 use polyhedra::Aff;
 use proptest::prelude::*;
-use std::collections::HashSet;
 use warping::fingerprint::{digest_lines, rebuild_level_fingerprint, MAX_TRACKED_DIMS};
 use warping::{CanonicalKey, SymLabel, SymLevel};
 
@@ -136,7 +135,7 @@ impl Reference {
     /// store: occupied sets by offset from the MRU set, labels with the
     /// descendants' warped dimension relative to `normalizer`, policy
     /// metadata verbatim.
-    fn encode(&self, descendants: &HashSet<usize>, depth: usize, normalizer: i64) -> Vec<i64> {
+    fn encode(&self, descendants: &[usize], depth: usize, normalizer: i64) -> Vec<i64> {
         let num_sets = self.config.num_sets();
         let mut data = vec![i64::MIN + 1];
         let mut sets: Vec<_> = self
@@ -181,13 +180,13 @@ impl Reference {
 }
 
 /// A warp: the loop depth, its period and chunk count, the descendant
-/// access nodes and the byte shift of the whole warp.
+/// access nodes (ascending) and the byte shift of the whole warp.
 #[derive(Clone, Debug)]
 struct Warp {
     depth: usize,
     period: i64,
     chunks: i64,
-    descendants: HashSet<usize>,
+    descendants: Vec<usize>,
     byte_shift: i64,
 }
 
@@ -273,7 +272,7 @@ fn assert_fingerprints(sym: &mut [SymLevel], reference: &[Reference], step: usiz
 fn assert_key_agreement(
     a: (&[SymLevel], &[Reference]),
     b: (&[SymLevel], &[Reference]),
-    descendants: &HashSet<usize>,
+    descendants: &[usize],
     depth: usize,
 ) -> bool {
     let normalizers = |levels: &[SymLevel]| -> Vec<i64> {
@@ -329,7 +328,7 @@ fn run(
         if rng.below(12) == 0 {
             let depth = 1 + rng.below(4) as usize;
             let (period, chunks) = (1 + rng.below(3) as i64, 1 + rng.below(3) as i64);
-            let descendants: HashSet<usize> = (0..NODE_DEPTHS.len())
+            let descendants: Vec<usize> = (0..NODE_DEPTHS.len())
                 .filter(|_| rng.below(4) != 0)
                 .collect();
             let warp = Warp {
@@ -343,7 +342,7 @@ fn run(
             for (level, rf) in sym.iter_mut().zip(&mut reference) {
                 if rf.admits(&warp) {
                     level.apply_warp(
-                        &addresses,
+                        |node, iter: &[i64]| addresses[node].eval(iter),
                         &warp.descendants,
                         warp.depth,
                         warp.period,
@@ -395,7 +394,7 @@ fn run(
         }
         if let Some(i) = (!snapshots.is_empty()).then(|| rng.below(snapshots.len() as u64)) {
             let (snap_sym, snap_ref) = &snapshots[i as usize];
-            let descendants: HashSet<usize> = (0..NODE_DEPTHS.len()).collect();
+            let descendants: Vec<usize> = (0..NODE_DEPTHS.len()).collect();
             let depth = 1 + rng.below(4) as usize;
             equal_keys += usize::from(assert_key_agreement(
                 (&sym, &reference),

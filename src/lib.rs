@@ -99,5 +99,5 @@ pub mod prelude {
         MultiLevelSystem, SimulationResult,
     };
     pub use trace_sim::{dinero_style_simulation, generate_trace, HardwareReference};
-    pub use warping::{WarpingMemory, WarpingOptions, WarpingOutcome, WarpingSimulator};
+    pub use warping::{WarpingOptions, WarpingOutcome, WarpingSimulator};
 }

@@ -4,9 +4,8 @@
 //!
 //! * `Backend::Classic` must reproduce `simulate_single` /
 //!   `simulate_hierarchy` byte for byte, and
-//! * `Backend::Warping` must reproduce `WarpingSimulator::single(..).run` /
-//!   `WarpingSimulator::hierarchy(..).run` byte for byte (including the
-//!   warp counters),
+//! * `Backend::Warping` must reproduce `WarpingSimulator::new(..).run` byte
+//!   for byte (including the warp counters),
 //!
 //! across all four replacement policies, one- and two-level memory systems
 //! and several PolyBench kernels.  A batched grid must return exactly the
@@ -72,7 +71,7 @@ fn warping_backend_equals_legacy_simulator() {
                     Backend::warping(),
                 ))
                 .expect("warping single-level request");
-            let legacy = WarpingSimulator::single(l1(policy)).run(&scop);
+            let legacy = WarpingSimulator::new(MemoryConfig::from(l1(policy))).run(&scop);
             assert_eq!(single.result, legacy.result, "{kernel:?} {policy}");
             let stats = single.warping.expect("warp stats");
             assert_eq!(stats.warps, legacy.warps, "{kernel:?} {policy}");
@@ -86,7 +85,7 @@ fn warping_backend_equals_legacy_simulator() {
                     Backend::warping(),
                 ))
                 .expect("warping two-level request");
-            let legacy = WarpingSimulator::hierarchy(hierarchy(policy)).run(&scop);
+            let legacy = WarpingSimulator::new(MemoryConfig::from(hierarchy(policy))).run(&scop);
             assert_eq!(two_level.result, legacy.result, "{kernel:?} {policy}");
         }
     }

@@ -18,7 +18,7 @@ fn all_kernels_are_exact_on_the_test_system_l1_with_plru() {
         let scop = kernel.build(Dataset::Mini).expect("kernel builds");
         let cache = l1(ReplacementPolicy::Plru);
         let reference = simulate_single(&scop, &cache);
-        let outcome = WarpingSimulator::single(cache).run(&scop);
+        let outcome = WarpingSimulator::new(MemoryConfig::from(cache)).run(&scop);
         assert_eq!(outcome.result, reference, "{kernel}");
         assert_eq!(
             outcome.non_warped_accesses + outcome.warped_accesses,
@@ -49,7 +49,7 @@ fn all_policies_are_exact_on_representative_kernels() {
         for policy in ReplacementPolicy::ALL {
             let cache = l1(policy);
             let reference = simulate_single(&scop, &cache);
-            let outcome = WarpingSimulator::single(cache).run(&scop);
+            let outcome = WarpingSimulator::new(MemoryConfig::from(cache)).run(&scop);
             assert_eq!(outcome.result, reference, "{kernel} under {policy}");
         }
     }
@@ -70,7 +70,7 @@ fn two_level_hierarchy_is_exact_on_representative_kernels() {
             HierarchyConfig::polycache_comparison(),
         ] {
             let reference = simulate_hierarchy(&scop, &config);
-            let outcome = WarpingSimulator::hierarchy(config).run(&scop);
+            let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
             assert_eq!(outcome.result, reference, "{kernel}");
         }
     }
@@ -92,7 +92,7 @@ fn small_caches_stress_eviction_paths() {
             for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
                 let cache = CacheConfig::with_sets(sets, assoc, 64, policy);
                 let reference = simulate_single(&scop, &cache);
-                let outcome = WarpingSimulator::single(cache).run(&scop);
+                let outcome = WarpingSimulator::new(MemoryConfig::from(cache)).run(&scop);
                 assert_eq!(
                     outcome.result, reference,
                     "{kernel} {sets}x{assoc} {policy}"
@@ -133,7 +133,7 @@ fn stencils_warp_the_vast_majority_of_accesses_at_scale() {
         .build(Dataset::Medium)
         .expect("kernel builds");
     let cache = l1(ReplacementPolicy::Plru);
-    let outcome = WarpingSimulator::single(cache).run(&scop);
+    let outcome = WarpingSimulator::new(MemoryConfig::from(cache)).run(&scop);
     assert!(
         outcome.non_warped_share() < 0.35,
         "non-warped share too high: {}",

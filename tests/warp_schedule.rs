@@ -4,20 +4,30 @@
 //! PolyBench kernels, and report exactly the classic counts.
 //!
 //! The schedule depends on every fingerprint, canonical key and plan
-//! decision, so a change to the symbolic store that keeps the miss counts
-//! but moves a digest or a key shows up here, not only in the benchmark.
+//! decision, so a change to the symbolic store or to the explicit walk that
+//! keeps the miss counts but moves a digest, a key or an attempt shows up
+//! here, not only in the benchmark.  Besides stencils the pins cover
+//! non-trivial guards (`nussinov`), triangular bounds (`lu`), ragged-tile
+//! guards (a tiled gemm instance) and a decreasing outer loop around an
+//! increasing inner one.
 
 use warpsim::prelude::*;
+use warpsim::scop::{ParamBindings, ParametricScop};
 
 /// Runs `kernel` at SMALL on the test-system L1 under `policy` and checks
 /// `(warps, match attempts, fingerprint hits, exact key builds)` and the
 /// counts against classic simulation.
 fn check(kernel: Kernel, policy: ReplacementPolicy, schedule: (u64, u64, u64, u64)) {
     let scop = kernel.build(Dataset::Small).expect("kernel builds");
+    check_scop(&kernel.to_string(), &scop, policy, schedule);
+}
+
+/// [`check`] for an already-built SCoP, labelled `name` in failures.
+fn check_scop(name: &str, scop: &Scop, policy: ReplacementPolicy, schedule: (u64, u64, u64, u64)) {
     let cache = CacheConfig::new(32 * 1024, 8, 64, policy);
-    let reference = simulate_single(&scop, &cache);
-    let outcome = WarpingSimulator::single(cache).run(&scop);
-    assert_eq!(outcome.result, reference, "{kernel} {policy}: counts");
+    let reference = simulate_single(scop, &cache);
+    let outcome = WarpingSimulator::new(MemoryConfig::from(cache)).run(scop);
+    assert_eq!(outcome.result, reference, "{name} {policy}: counts");
     assert_eq!(
         (
             outcome.warps,
@@ -26,7 +36,7 @@ fn check(kernel: Kernel, policy: ReplacementPolicy, schedule: (u64, u64, u64, u6
             outcome.exact_key_builds
         ),
         schedule,
-        "{kernel} {policy}: (warps, attempts, fingerprint hits, key builds)"
+        "{name} {policy}: (warps, attempts, fingerprint hits, key builds)"
     );
 }
 
@@ -69,4 +79,58 @@ fn adi_plru() {
 #[test]
 fn gemm_lru() {
     check(Kernel::Gemm, ReplacementPolicy::Lru, (0, 656, 512, 512));
+}
+
+// No loop of `nussinov` or `lu` moves every access below it by one common
+// stride, so neither kernel may attempt a single match: the pins hold the
+// explicit walk over their guards and triangular bounds to the classic
+// counts with no warp machinery in the way.
+
+#[test]
+fn nussinov_lru() {
+    check(Kernel::Nussinov, ReplacementPolicy::Lru, (0, 0, 0, 0));
+}
+
+#[test]
+fn lu_lru() {
+    check(Kernel::Lu, ReplacementPolicy::Lru, (0, 0, 0, 0));
+}
+
+#[test]
+fn tiled_gemm_ragged_lru() {
+    // 64 = 28 + 28 + 8: the last tile of each tiled loop is ragged, so its
+    // `if (i < NI)` / `if (j < NJ)` guards clip the innermost intervals.
+    let template = ParametricScop::cached(warpsim::polybench::parametric::TILED_GEMM)
+        .expect("template parses");
+    let bindings = ParamBindings::new()
+        .with("NI", 64)
+        .with("NJ", 64)
+        .with("NK", 64)
+        .with("TI", 28)
+        .with("TJ", 28);
+    let scop = template.instantiate(&bindings).expect("instance builds");
+    check_scop(
+        "tiled-gemm",
+        &scop,
+        ReplacementPolicy::Lru,
+        (0, 624, 512, 512),
+    );
+}
+
+#[test]
+fn decreasing_outer_loop_lru() {
+    // The outer loop walks downwards and never attempts a match; the
+    // increasing inner loop streams over arrays larger than the cache.
+    let scop = parse_scop(
+        "double A[16][8192]; double B[8192];\n\
+         for (i = 15; i >= 0; i--)\n\
+           for (j = 1; j < 8191; j++) A[i][j] = B[j-1] + B[j];",
+    )
+    .expect("kernel parses");
+    check_scop(
+        "decreasing",
+        &scop,
+        ReplacementPolicy::Lru,
+        (16, 2_592, 480, 480),
+    );
 }
