@@ -26,4 +26,4 @@ pub mod haystack;
 pub mod polycache;
 
 pub use haystack::{HaystackModel, StackDistanceProfile};
-pub use polycache::{PolyCacheModel, PolyCacheResult};
+pub use polycache::PolyCacheModel;

@@ -1,19 +1,8 @@
 //! PolyCache-style per-set multi-level LRU model.
 
 use crate::haystack::StackDistanceAnalyzer;
-use cache_model::{CacheConfig, HierarchyConfig, MemBlock};
+use cache_model::{CacheConfig, LevelStats, MemBlock, MemoryConfig, ReplacementPolicy};
 use scop::{compile, Scop};
-
-/// Miss counts of the PolyCache-style model.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct PolyCacheResult {
-    /// Total number of accesses analysed.
-    pub accesses: u64,
-    /// L1 misses.
-    pub l1_misses: u64,
-    /// L2 misses (only the L1 misses reach the L2).
-    pub l2_misses: u64,
-}
 
 /// A PolyCache-style analytical model of a two-level set-associative LRU
 /// cache with write-back write-allocate policy.
@@ -27,67 +16,66 @@ pub struct PolyCacheResult {
 ///
 /// ```
 /// use analytical::PolyCacheModel;
-/// use cache_model::HierarchyConfig;
+/// use cache_model::MemoryConfig;
 /// use scop::parse_scop;
 ///
 /// let scop = parse_scop(
 ///     "double A[1000]; double B[1000];
 ///      for (i = 1; i < 999; i++) B[i-1] = A[i-1] + A[i];",
 /// ).unwrap();
-/// let result = PolyCacheModel::new(HierarchyConfig::polycache_comparison()).analyze(&scop);
-/// assert_eq!(result.accesses, 3 * 998);
+/// let model = PolyCacheModel::new(&MemoryConfig::polycache_comparison()).unwrap();
+/// let levels = model.analyze(&scop);
+/// assert_eq!(levels[0].accesses, 3 * 998);
 /// // The arrays fit into the 256 KiB L2: it only suffers cold misses.
-/// assert_eq!(result.l2_misses, 125 + 125);
+/// assert_eq!(levels[1].misses, 125 + 125);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PolyCacheModel {
-    config: HierarchyConfig,
+    l1: CacheConfig,
+    l2: CacheConfig,
 }
 
 impl PolyCacheModel {
-    /// A model of the given two-level hierarchy.
+    /// A model of the given memory system.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if either level does not use LRU replacement — PolyCache (and
-    /// this stand-in) only supports LRU.
-    pub fn new(config: HierarchyConfig) -> Self {
-        assert_eq!(
-            config.l1.policy(),
-            cache_model::ReplacementPolicy::Lru,
-            "the PolyCache model supports LRU caches only"
-        );
-        assert_eq!(
-            config.l2.policy(),
-            cache_model::ReplacementPolicy::Lru,
-            "the PolyCache model supports LRU caches only"
-        );
-        PolyCacheModel { config }
+    /// Returns a message unless `memory` has exactly two levels, both with
+    /// LRU replacement — the only hierarchies PolyCache (and this
+    /// stand-in) covers.
+    pub fn new(memory: &MemoryConfig) -> Result<Self, String> {
+        let [l1, l2] = memory.levels() else {
+            return Err(format!(
+                "the PolyCache model covers two-level hierarchies, got {} levels",
+                memory.depth()
+            ));
+        };
+        if l1.policy() != ReplacementPolicy::Lru || l2.policy() != ReplacementPolicy::Lru {
+            return Err("the PolyCache model supports LRU replacement only".to_string());
+        }
+        Ok(PolyCacheModel {
+            l1: l1.clone(),
+            l2: l2.clone(),
+        })
     }
 
-    /// The modelled hierarchy.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-
-    /// Analyses a SCoP and returns per-level miss counts.
-    pub fn analyze(&self, scop: &Scop) -> PolyCacheResult {
-        let line_size = self.config.line_size();
-        let mut l1 = PerSetLru::new(&self.config.l1);
-        let mut l2 = PerSetLru::new(&self.config.l2);
-        let mut result = PolyCacheResult::default();
+    /// Analyses a SCoP and returns the counts of both levels, L1 first
+    /// (the L2's accesses are the L1's misses).
+    pub fn analyze(&self, scop: &Scop) -> Vec<LevelStats> {
+        let line_size = self.l1.line_size();
+        let mut l1 = PerSetLru::new(&self.l1);
+        let mut l2 = PerSetLru::new(&self.l2);
+        let mut levels = vec![LevelStats::default(); 2];
         let compiled = compile(scop);
         compiled.for_each_access(&mut compiled.new_scratch(), |_, address, _| {
-            result.accesses += 1;
             let block = MemBlock::of_address(address, line_size);
-            if !l1.access(block) {
-                result.l1_misses += 1;
-                if !l2.access(block) {
-                    result.l2_misses += 1;
-                }
+            let hit = l1.access(block);
+            levels[0].record(hit);
+            if !hit {
+                levels[1].record(l2.access(block));
             }
         });
-        result
+        levels
     }
 }
 
@@ -120,9 +108,8 @@ impl PerSetLru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::ReplacementPolicy;
     use scop::parse_scop;
-    use simulate::simulate_hierarchy;
+    use simulate::simulate_memory;
 
     fn stencil() -> Scop {
         parse_scop(
@@ -134,33 +121,33 @@ mod tests {
 
     #[test]
     fn matches_explicit_hierarchy_simulation() {
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::new(vec![
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
-        );
-        let reference = simulate_hierarchy(&stencil(), &config);
-        let result = PolyCacheModel::new(config).analyze(&stencil());
-        assert_eq!(result.l1_misses, reference.l1().misses);
-        assert_eq!(result.l2_misses, reference.l2().unwrap().misses);
-        assert_eq!(result.accesses, reference.accesses);
+        ])
+        .unwrap();
+        let reference = simulate_memory(&stencil(), &config);
+        let levels = PolyCacheModel::new(&config).unwrap().analyze(&stencil());
+        assert_eq!(levels, reference.levels);
+        assert_eq!(levels[0].accesses, reference.accesses);
     }
 
     #[test]
     fn matches_on_the_paper_configuration() {
-        let config = HierarchyConfig::polycache_comparison();
-        let reference = simulate_hierarchy(&stencil(), &config);
-        let result = PolyCacheModel::new(config).analyze(&stencil());
-        assert_eq!(result.l1_misses, reference.l1().misses);
-        assert_eq!(result.l2_misses, reference.l2().unwrap().misses);
+        let config = MemoryConfig::polycache_comparison();
+        let reference = simulate_memory(&stencil(), &config);
+        let levels = PolyCacheModel::new(&config).unwrap().analyze(&stencil());
+        assert_eq!(levels, reference.levels);
     }
 
     #[test]
-    #[should_panic(expected = "LRU caches only")]
     fn rejects_non_lru_policies() {
-        let config = HierarchyConfig::new(
+        let plru = MemoryConfig::new(vec![
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Plru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
-        );
-        let _ = PolyCacheModel::new(config);
+        ])
+        .unwrap();
+        let err = PolyCacheModel::new(&plru).unwrap_err();
+        assert!(err.contains("LRU replacement only"), "{err}");
     }
 }

@@ -3,11 +3,11 @@
 //! set-associative LRU hierarchies for the PolyCache stand-in).
 
 use analytical::{HaystackModel, PolyCacheModel};
-use cache_model::{CacheConfig, HierarchyConfig, ReplacementPolicy};
+use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use proptest::prelude::*;
 use scop::ast::{access, assign, for_loop, Expr, Program};
 use scop::{elaborate, ElaborateOptions, Scop};
-use simulate::{simulate_hierarchy, simulate_single};
+use simulate::simulate_memory;
 
 fn arb_program() -> impl Strategy<Value = Program> {
     (
@@ -45,23 +45,24 @@ proptest! {
         let scop = build(&program);
         let profile = HaystackModel::new(64).analyze(&scop);
         let config = CacheConfig::fully_associative(lines, 64, ReplacementPolicy::Lru);
-        let reference = simulate_single(&scop, &config);
-        prop_assert_eq!(profile.misses(lines), reference.l1().misses);
-        prop_assert_eq!(profile.hits(lines), reference.l1().hits);
+        let reference = simulate_memory(&scop, &MemoryConfig::from(config));
+        prop_assert_eq!(profile.misses(lines), reference.levels[0].misses);
+        prop_assert_eq!(profile.hits(lines), reference.levels[0].hits);
         prop_assert_eq!(profile.accesses, reference.accesses);
     }
 
     #[test]
     fn polycache_equals_hierarchy_simulation(program in arb_program()) {
         let scop = build(&program);
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::new(vec![
             CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Lru),
             CacheConfig::with_sets(16, 4, 64, ReplacementPolicy::Lru),
-        );
-        let reference = simulate_hierarchy(&scop, &config);
-        let result = PolyCacheModel::new(config).analyze(&scop);
-        prop_assert_eq!(result.l1_misses, reference.l1().misses);
-        prop_assert_eq!(result.l2_misses, reference.l2().unwrap().misses);
+        ])
+        .unwrap();
+        let reference = simulate_memory(&scop, &config);
+        let levels = PolyCacheModel::new(&config).unwrap().analyze(&scop);
+        prop_assert_eq!(levels[0].misses, reference.levels[0].misses);
+        prop_assert_eq!(levels[1].misses, reference.levels[1].misses);
     }
 
     #[test]
@@ -70,8 +71,8 @@ proptest! {
         let profile = HaystackModel::new(8).analyze(&scop);
         for lines in [1usize, 2, 3, 5, 8, 13] {
             let config = CacheConfig::fully_associative(lines, 8, ReplacementPolicy::Lru);
-            let reference = simulate_single(&scop, &config);
-            prop_assert_eq!(profile.misses(lines), reference.l1().misses, "lines = {}", lines);
+            let reference = simulate_memory(&scop, &MemoryConfig::from(config));
+            prop_assert_eq!(profile.misses(lines), reference.levels[0].misses, "lines = {}", lines);
         }
     }
 }

@@ -49,7 +49,7 @@ fn bench(c: &mut Criterion) {
                         .with_options(options)
                         .run(scop)
                         .result
-                        .l1()
+                        .levels[0]
                         .misses
                 })
             });

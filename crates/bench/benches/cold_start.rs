@@ -35,11 +35,12 @@ use warping::WarpingSimulator;
 /// A depth-3 hierarchy whose outer level is the sweep variable (the 16-way
 /// L2 keeps its set count at 256, a divisor of every sweep point's).
 fn memory(outer_kib: u64) -> MemoryConfig {
-    MemoryConfig::three_level(
+    MemoryConfig::new(vec![
         CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Lru),
         CacheConfig::new(256 * 1024, 16, 64, ReplacementPolicy::Lru),
         CacheConfig::new(outer_kib * 1024, 16, 64, ReplacementPolicy::Lru),
-    )
+    ])
+    .unwrap()
 }
 
 /// A kernel that touches O(1) cache sets: construction cost is the only

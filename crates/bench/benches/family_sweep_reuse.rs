@@ -141,9 +141,9 @@ fn assert_contract() {
             .as_ref()
             .expect("sampled reports carry approx");
         for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
-            let err = report.levels[level]
+            let err = report.result.levels[level]
                 .misses
-                .abs_diff(exact.levels[level].misses);
+                .abs_diff(exact.result.levels[level].misses);
             assert!(
                 err <= *bound,
                 "TI={ti} TJ={tj} level {level}: error {err} exceeds reported bound {bound}"
@@ -177,7 +177,6 @@ fn assert_contract() {
             donated.result, cold.result,
             "TI={ti} TJ={tj}: warp-hint donation must stay bit-exact"
         );
-        assert_eq!(donated.levels, cold.levels, "TI={ti} TJ={tj}");
     }
 }
 

@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
                         WarpingSimulator::new(MemoryConfig::from(test_system_l1(policy)))
                             .run(scop)
                             .result
-                            .l1()
+                            .levels[0]
                             .misses
                     })
                 },

@@ -33,10 +33,11 @@ fn o1_touch_kernel() -> KernelSpec {
 
 /// L1 (1 KiB) plus an outer level of `outer_kib` KiB — the sweep variable.
 fn memory(outer_kib: u64) -> MemoryConfig {
-    MemoryConfig::two_level(
+    MemoryConfig::new(vec![
         CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
         CacheConfig::new(outer_kib * 1024, 16, 64, ReplacementPolicy::Lru),
-    )
+    ])
+    .unwrap()
 }
 
 /// Eager options so the match pipeline is exercised on every outer

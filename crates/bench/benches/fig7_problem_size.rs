@@ -18,12 +18,12 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("warping/{}", kernel.name()), dataset.name()),
                 &scop,
-                |b, scop| b.iter(|| run_warping(scop, &cache).1.result.l1().misses),
+                |b, scop| b.iter(|| run_warping(scop, &cache).1.result.levels[0].misses),
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("nonwarping/{}", kernel.name()), dataset.name()),
                 &scop,
-                |b, scop| b.iter(|| run_nonwarping(scop, &cache).1.l1().misses),
+                |b, scop| b.iter(|| run_nonwarping(scop, &cache).1.levels[0].misses),
             );
         }
     }

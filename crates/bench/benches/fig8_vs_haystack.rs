@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
                     WarpingSimulator::new(MemoryConfig::from(cache.clone()))
                         .run(&scop)
                         .result
-                        .l1()
+                        .levels[0]
                         .misses
                 })
             },

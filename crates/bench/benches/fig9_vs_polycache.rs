@@ -1,13 +1,13 @@
 //! Fig. 9: two-level warping simulation vs the PolyCache-style model.
 
 use analytical::PolyCacheModel;
-use cache_model::{HierarchyConfig, MemoryConfig};
+use cache_model::MemoryConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polybench::{Dataset, Kernel};
 use warping::WarpingSimulator;
 
 fn bench(c: &mut Criterion) {
-    let hierarchy = HierarchyConfig::polycache_comparison();
+    let hierarchy = MemoryConfig::polycache_comparison();
     let mut group = c.benchmark_group("fig9");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
@@ -19,7 +19,7 @@ fn bench(c: &mut Criterion) {
             |b, k| {
                 b.iter(|| {
                     let scop = k.build(Dataset::Mini).unwrap();
-                    WarpingSimulator::new(MemoryConfig::from(hierarchy.clone()))
+                    WarpingSimulator::new(hierarchy.clone())
                         .run(&scop)
                         .result
                         .accesses
@@ -32,9 +32,10 @@ fn bench(c: &mut Criterion) {
             |b, k| {
                 b.iter(|| {
                     let scop = k.build(Dataset::Mini).unwrap();
-                    PolyCacheModel::new(hierarchy.clone())
-                        .analyze(&scop)
-                        .l2_misses
+                    PolyCacheModel::new(&hierarchy)
+                        .expect("an LRU hierarchy")
+                        .analyze(&scop)[1]
+                        .misses
                 })
             },
         );

@@ -38,11 +38,12 @@ fn l1_resident_kernel() -> KernelSpec {
 /// The test system's L1/L2 under an outer level of `outer_kib` KiB — the
 /// sweep variable, dwarfing the working set at every point.
 fn memory(outer_kib: u64) -> MemoryConfig {
-    MemoryConfig::three_level(
+    MemoryConfig::new(vec![
         CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Lru),
         CacheConfig::new(256 * 1024, 16, 64, ReplacementPolicy::Lru),
         CacheConfig::new(outer_kib * 1024, 16, 64, ReplacementPolicy::Lru),
-    )
+    ])
+    .unwrap()
 }
 
 const SWEEP_KIB: [u64; 4] = [256, 2048, 16 * 1024, 64 * 1024];
@@ -61,7 +62,7 @@ fn assert_acceptance(engine: &Engine) {
         .run(&SimRequest::new(kernel, memory, Backend::warping()))
         .expect("warping request");
     assert_eq!(
-        warping.levels, classic.levels,
+        warping.result.levels, classic.result.levels,
         "warping must stay bit-identical to classic on the 64 MiB sweep point"
     );
     let stats = warping.warping.expect("warping stats");

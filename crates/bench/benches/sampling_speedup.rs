@@ -86,17 +86,17 @@ fn assert_contract(engine: &Engine) {
             .as_ref()
             .expect("sampled reports carry approx");
         for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
-            let err = sampled.levels[level]
+            let err = sampled.result.levels[level]
                 .misses
-                .abs_diff(exact.levels[level].misses);
+                .abs_diff(exact.result.levels[level].misses);
             assert!(
                 err <= *bound,
                 "{footprint}: level {level} error {err} exceeds reported bound {bound}"
             );
             assert!(
-                err * 20 <= exact.levels[level].misses,
+                err * 20 <= exact.result.levels[level].misses,
                 "{footprint}: level {level} error {err} above 5% of {} classic misses",
-                exact.levels[level].misses
+                exact.result.levels[level].misses
             );
         }
         // The fill phase is simulated exactly, so the speedup only
@@ -126,14 +126,22 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sampled", footprint),
             &footprint,
-            |b, &fp| b.iter(|| run(&engine, fp, Backend::Sampled(options())).1.levels[0].misses),
+            |b, &fp| {
+                b.iter(|| {
+                    run(&engine, fp, Backend::Sampled(options()))
+                        .1
+                        .result
+                        .levels[0]
+                        .misses
+                })
+            },
         );
         // Classic at the top sizes is slow; time it where a sample fits.
         if footprint <= 1 << 22 {
             group.bench_with_input(
                 BenchmarkId::new("classic", footprint),
                 &footprint,
-                |b, &fp| b.iter(|| run(&engine, fp, Backend::Classic).1.levels[0].misses),
+                |b, &fp| b.iter(|| run(&engine, fp, Backend::Classic).1.result.levels[0].misses),
             );
         }
     }

@@ -570,7 +570,7 @@ fn grid(
                     report.kernel,
                     report.backend,
                     request.memory.l1().policy().label(),
-                    report.last_level_misses(),
+                    report.result.last_level_misses(),
                     report.result.accesses,
                     report.sim_ms,
                     report.exact,
@@ -898,6 +898,7 @@ fn explore_command(args: &[String]) {
             Ok((report, served)) => {
                 if !json {
                     let misses = report
+                        .result
                         .levels
                         .iter()
                         .map(|level| level.misses.to_string())
@@ -952,9 +953,12 @@ fn explore_command(args: &[String]) {
                 .enumerate()
                 .filter(|(_, point)| point.hierarchy == *hierarchy && point.policy == policy)
                 .filter_map(|(index, _)| {
-                    results[index]
-                        .as_ref()
-                        .map(|report| (index, report.levels.iter().map(|l| l.misses).collect()))
+                    results[index].as_ref().map(|report| {
+                        (
+                            index,
+                            report.result.levels.iter().map(|l| l.misses).collect(),
+                        )
+                    })
                 })
                 .collect();
             let front: Vec<(usize, &Vec<u64>)> = group
@@ -1235,7 +1239,7 @@ fn parse_latencies(spec: &str) -> Result<LatencyModel, String> {
 fn estimated_cycles(report: &engine::SimReport, model: &LatencyModel) -> u64 {
     let mut cycles = 0u64;
     let mut upstream = report.result.accesses;
-    for (level, stats) in report.levels.iter().enumerate() {
+    for (level, stats) in report.result.levels.iter().enumerate() {
         let latency = model.levels.get(level).copied().unwrap_or(model.memory);
         let hits = upstream.saturating_sub(stats.misses);
         cycles = cycles.saturating_add(hits.saturating_mul(latency));

@@ -20,7 +20,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cache_model::{CacheConfig, HierarchyConfig, MemoryConfig, ReplacementPolicy};
+use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use engine::{Backend, Engine, EngineError, KernelSpec, SimReport, SimRequest};
 use polybench::{Dataset, Kernel};
 use scop::{ElaborateOptions, Scop};
@@ -260,7 +260,7 @@ pub fn fig8(config: &ExperimentConfig) -> Vec<Fig8Row> {
             warping_ms: warp.total_ms(),
             haystack_ms: hay.total_ms(),
             speedup: ratio_ms(hay.total_ms(), warp.total_ms()),
-            exact: warp.result.l1().misses == hay.result.l1().misses,
+            exact: warp.result.levels[0].misses == hay.result.levels[0].misses,
         });
     }
     rows
@@ -287,7 +287,7 @@ pub struct Fig9Row {
 /// PolyCache comparison configuration (32 KiB 4-way L1, 256 KiB 4-way L2,
 /// LRU, write-back write-allocate).
 pub fn fig9(config: &ExperimentConfig) -> Vec<Fig9Row> {
-    let memory = MemoryConfig::from(HierarchyConfig::polycache_comparison());
+    let memory = MemoryConfig::polycache_comparison();
     let mut rows = Vec::new();
     for &kernel in &config.kernels {
         let spec = KernelSpec::polybench(kernel, config.dataset);
@@ -302,8 +302,7 @@ pub fn fig9(config: &ExperimentConfig) -> Vec<Fig9Row> {
             warping_ms: warp.total_ms(),
             polycache_ms: poly.total_ms(),
             speedup: ratio_ms(poly.total_ms(), warp.total_ms()),
-            exact: warp.result.l1().misses == poly.result.l1().misses
-                && warp.result.l2().map(|l| l.misses) == poly.result.l2().map(|l| l.misses),
+            exact: warp.result.levels == poly.result.levels,
         });
     }
     rows
@@ -337,7 +336,7 @@ pub fn fig10(config: &ExperimentConfig) -> Vec<Fig10Row> {
         let misses = |memory: CacheConfig| {
             run(&SimRequest::new(spec.clone(), memory, Backend::warping()))
                 .result
-                .l1()
+                .levels[0]
                 .misses
         };
         let lru = misses(test_system_l1(ReplacementPolicy::Lru));
@@ -399,8 +398,8 @@ pub fn fig11(config: &ExperimentConfig) -> Vec<Fig11Row> {
             Backend::Trace,
         ))
         .result
-        .l1()
-        .misses;
+        .levels[0]
+            .misses;
         // Warping: the test system's PLRU cache, arrays only.  Built once
         // and shared with the HayStack request below.
         let arrays_only = KernelSpec::prebuilt(
@@ -413,8 +412,8 @@ pub fn fig11(config: &ExperimentConfig) -> Vec<Fig11Row> {
             Backend::warping(),
         ))
         .result
-        .l1()
-        .misses;
+        .levels[0]
+            .misses;
         // HayStack: fully-associative LRU, arrays only.
         let haystack_misses = run(&SimRequest::new(
             arrays_only,
@@ -422,8 +421,8 @@ pub fn fig11(config: &ExperimentConfig) -> Vec<Fig11Row> {
             Backend::Haystack,
         ))
         .result
-        .l1()
-        .misses;
+        .levels[0]
+            .misses;
         let dinero = AccuracyError::of(dinero_misses, measured);
         let warping = AccuracyError::of(warping_misses, measured);
         let haystack = AccuracyError::of(haystack_misses, measured);
@@ -495,7 +494,7 @@ pub fn running_example_misses() -> Vec<(ReplacementPolicy, u64)> {
         .map(|&p| {
             let config = CacheConfig::fully_associative(2, 8, p);
             let report = run(&SimRequest::new(spec.clone(), config, Backend::Classic));
-            (p, report.result.l1().misses)
+            (p, report.result.levels[0].misses)
         })
         .collect()
 }

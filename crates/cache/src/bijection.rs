@@ -7,7 +7,6 @@
 
 use crate::block::MemBlock;
 use crate::cache::{CacheConfig, CacheState};
-use crate::hierarchy::{HierarchyConfig, HierarchyState};
 use crate::multilevel::MultiLevelState;
 
 /// A bijection on memory blocks given by a shift: `π(b) = b + delta`.
@@ -55,18 +54,6 @@ impl ShiftBijection {
     ) -> CacheState<MemBlock> {
         let rot = self.set_rotation(config.num_sets());
         state.rotate_sets(rot).map_payloads(|b| self.apply(*b))
-    }
-
-    /// Applies the bijection to a two-level hierarchy state.
-    pub fn apply_to_hierarchy(
-        &self,
-        config: &HierarchyConfig,
-        state: &HierarchyState<MemBlock>,
-    ) -> HierarchyState<MemBlock> {
-        HierarchyState::from_levels(
-            self.apply_to_cache(&config.l1, state.l1()),
-            self.apply_to_cache(&config.l2, state.l2()),
-        )
     }
 
     /// Applies the bijection to an N-level state (Corollary 5 generalized):

@@ -1,6 +1,7 @@
 //! Set-associative caches with modulo placement.
 
 use crate::block::{Access, AccessKind, MemBlock};
+use crate::multilevel::MultiAccessOutcome;
 use crate::policy::ReplacementPolicy;
 use crate::set::SetState;
 use std::collections::BTreeMap;
@@ -479,6 +480,39 @@ impl CacheState<MemBlock> {
                 false
             }
         }
+    }
+}
+
+/// Walks one access from the L1 outwards over `(config, state)` pairs of
+/// sparse [`CacheState`]s: each level is consulted until one hits.  With
+/// `fill == false` (a write under no-write-allocate) a missing block is
+/// classified without being inserted, while a present block is still
+/// accessed so the replacement-policy state advances.
+///
+/// This is the reference inclusive walk of a non-inclusive non-exclusive
+/// hierarchy (Equation 24 of the paper, at any depth): the
+/// data-independence theorems are stated over it, and the differential
+/// suites drive it next to [`MultiLevelState`](crate::MultiLevelState).
+pub fn walk_access<'a, I>(levels: I, block: MemBlock, fill: bool) -> MultiAccessOutcome
+where
+    I: Iterator<Item = (&'a CacheConfig, &'a mut CacheState<MemBlock>)>,
+{
+    let mut consulted = 0;
+    let mut hit = false;
+    for (config, state) in levels {
+        consulted += 1;
+        hit = if fill {
+            state.access_block(config, block)
+        } else {
+            state.classify_block(config, block) && state.access_block(config, block)
+        };
+        if hit {
+            break;
+        }
+    }
+    MultiAccessOutcome {
+        levels_consulted: consulted,
+        hit,
     }
 }
 

@@ -21,15 +21,15 @@
 //!     one shared empty-set template, generic over the payload: the
 //!     [`SetState`] logic the flat store is tested against, and the store
 //!     of the data-independence theorems ([`bijection`]),
-//! * the depth-N memory system: [`MemoryConfig`] describes any number of
-//!   non-inclusive non-exclusive cache levels (with write-allocate and
-//!   no-write-allocate write policies, conversions from [`CacheConfig`] and
-//!   [`HierarchyConfig`], and JSON (de)serialization) and
-//!   [`MultiLevelState`] simulates them on flat levels through one inclusive
-//!   access path,
-//! * block bijections and rotations ([`bijection`]) and the two-level
-//!   [`HierarchyState`] on the reference [`walk_access`], used to state and
-//!   test the data-independence theorems.
+//! * the memory system: [`MemoryConfig`], the one description of a
+//!   memory hierarchy, holds any number of non-inclusive non-exclusive
+//!   cache levels (with write-allocate and no-write-allocate
+//!   [`WritePolicy`], a conversion from a single [`CacheConfig`], the
+//!   paper's presets and JSON (de)serialization) and [`MultiLevelState`]
+//!   simulates it on flat levels through one inclusive access path,
+//! * block bijections and rotations ([`bijection`]) and the reference
+//!   [`walk_access`] over sparse [`CacheState`]s, used to state and test
+//!   the data-independence theorems.
 //!
 //! # Example
 //!
@@ -51,19 +51,15 @@ pub mod bijection;
 mod block;
 mod cache;
 mod flat;
-mod hierarchy;
 mod memory;
 mod multilevel;
 mod policy;
 mod set;
 
 pub use block::{Access, AccessKind, MemBlock};
-pub use cache::{CacheConfig, CacheState, LevelStats};
+pub use cache::{walk_access, CacheConfig, CacheState, LevelStats};
 pub use flat::{FlatLevel, FlatSet, Slot, Touch, MAX_ASSOC, MAX_SETS};
-pub use hierarchy::{
-    walk_access, AccessOutcome, HierarchyConfig, HierarchyState, HierarchyStats, WritePolicy,
-};
-pub use memory::{MemoryConfig, MemoryConfigError};
+pub use memory::{MemoryConfig, MemoryConfigError, WritePolicy};
 pub use multilevel::{MultiAccessOutcome, MultiLevelState, StateSnapshot};
 pub use policy::{PolicyState, ReplacementPolicy};
 pub use set::SetState;

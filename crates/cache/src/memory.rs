@@ -1,19 +1,37 @@
-//! The N-level memory-system configuration shared by every simulator.
+//! The one memory-system description shared by every simulator and model.
 //!
-//! Historically the workspace described memory systems with two unrelated
-//! types — `CacheConfig` for a single level and [`HierarchyConfig`] for
-//! exactly two — and the warping simulator duplicated the split with its own
-//! `WarpingMemory` enum.  [`MemoryConfig`] replaces all of them: an ordered
-//! list of cache levels (L1 first) plus a write policy, with conversions
-//! from the legacy types and JSON (de)serialization so that requests and
-//! reports can travel over the wire.
+//! [`MemoryConfig`] is an ordered list of cache levels (L1 first) plus a
+//! hierarchy-wide [`WritePolicy`], of any depth, with a conversion from a
+//! single [`CacheConfig`], the paper's presets, and JSON (de)serialization
+//! so that requests and reports can travel over the wire.
 
 use crate::cache::CacheConfig;
 use crate::flat::{MAX_ASSOC, MAX_SETS};
-use crate::hierarchy::{HierarchyConfig, WritePolicy};
 use crate::policy::ReplacementPolicy;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+
+/// Write policy of a memory system, applied at every level.
+///
+/// Write-back vs. write-through only affects traffic, not hit/miss counts,
+/// so the model distinguishes the allocation decision, which does affect
+/// misses, and records the write-back choice for documentation purposes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum WritePolicy {
+    /// Write-back, write-allocate (the configuration of the test system in
+    /// the paper and the PolyCache comparison).
+    #[default]
+    WriteBackWriteAllocate,
+    /// Write-through, no-write-allocate.
+    WriteThroughNoAllocate,
+}
+
+impl WritePolicy {
+    /// Whether write misses allocate a line.
+    pub fn allocates_on_write(self) -> bool {
+        matches!(self, WritePolicy::WriteBackWriteAllocate)
+    }
+}
 
 /// An N-level memory-system configuration: the single source of truth for
 /// what is being simulated, accepted by every backend of the `engine`
@@ -179,8 +197,7 @@ impl MemoryConfig {
     }
 
     /// A single-level memory system.  The write policy is taken from the
-    /// cache's own write-allocate flag, matching the legacy
-    /// single-cache behaviour.
+    /// cache's own write-allocate flag.
     pub fn single(l1: CacheConfig) -> Self {
         let write_policy = if l1.write_allocate() {
             WritePolicy::WriteBackWriteAllocate
@@ -191,28 +208,6 @@ impl MemoryConfig {
             levels: vec![l1],
             write_policy,
         }
-    }
-
-    /// A two-level memory system.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`HierarchyConfig::new`]:
-    /// mismatched line sizes or an L2 set count that is not a multiple of
-    /// the L1 set count.
-    pub fn two_level(l1: CacheConfig, l2: CacheConfig) -> Self {
-        MemoryConfig::from(HierarchyConfig::new(l1, l2))
-    }
-
-    /// A three-level memory system.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the conditions [`MemoryConfig::new`] reports as errors:
-    /// mismatched line sizes, a set count that is not a multiple of the
-    /// previous level's, or mixed write-allocate flags.
-    pub fn three_level(l1: CacheConfig, l2: CacheConfig, l3: CacheConfig) -> Self {
-        MemoryConfig::new(vec![l1, l2, l3]).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Appends a further (outer) cache level, returning `self` for chaining.
@@ -283,27 +278,31 @@ impl MemoryConfig {
         }
     }
 
-    /// The equivalent legacy [`HierarchyConfig`], if this is a two-level
-    /// system.
-    pub fn to_hierarchy(&self) -> Option<HierarchyConfig> {
-        match self.levels.as_slice() {
-            [l1, l2] => Some(
-                HierarchyConfig::new(l1.clone(), l2.clone()).with_write_policy(self.write_policy),
-            ),
-            _ => None,
-        }
-    }
-
     /// The paper's test system: its private L1 alone, with a configurable
     /// replacement policy (32 KiB, 8-way, 64-byte lines).
     pub fn test_system_l1(policy: ReplacementPolicy) -> Self {
         MemoryConfig::single(CacheConfig::new(32 * 1024, 8, 64, policy))
     }
 
-    /// The paper's test system: both private levels (PLRU L1, Quad-age-LRU
-    /// L2).
+    /// The configuration used throughout the paper's evaluation: the
+    /// Cascade Lake test system's private levels — a 32 KiB 8-way PLRU L1
+    /// and a 1 MiB 16-way Quad-age-LRU L2, 64-byte lines.
     pub fn test_system() -> Self {
-        MemoryConfig::from(HierarchyConfig::test_system())
+        MemoryConfig::new(vec![
+            CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru),
+            CacheConfig::new(1024 * 1024, 16, 64, ReplacementPolicy::Qlru),
+        ])
+        .expect("the test system's levels are compatible")
+    }
+
+    /// The configuration of the PolyCache comparison (Fig. 9): 32 KiB 4-way
+    /// L1 and 256 KiB 4-way L2, both LRU, write-back write-allocate.
+    pub fn polycache_comparison() -> Self {
+        MemoryConfig::new(vec![
+            CacheConfig::new(32 * 1024, 4, 64, ReplacementPolicy::Lru),
+            CacheConfig::new(256 * 1024, 4, 64, ReplacementPolicy::Lru),
+        ])
+        .expect("the PolyCache comparison's levels are compatible")
     }
 
     /// The test system extended by a Cascade-Lake-sized shared L3 slice
@@ -323,15 +322,6 @@ impl MemoryConfig {
 impl From<CacheConfig> for MemoryConfig {
     fn from(l1: CacheConfig) -> Self {
         MemoryConfig::single(l1)
-    }
-}
-
-impl From<HierarchyConfig> for MemoryConfig {
-    fn from(config: HierarchyConfig) -> Self {
-        MemoryConfig {
-            levels: vec![config.l1, config.l2],
-            write_policy: config.write_policy,
-        }
     }
 }
 
@@ -490,7 +480,6 @@ mod tests {
         let memory = MemoryConfig::from(l1());
         assert_eq!(memory.depth(), 1);
         assert_eq!(memory.as_single(), Some(&l1()));
-        assert!(memory.to_hierarchy().is_none());
         assert_eq!(memory.write_policy(), WritePolicy::WriteBackWriteAllocate);
     }
 
@@ -498,14 +487,6 @@ mod tests {
     fn no_write_allocate_flag_is_preserved() {
         let memory = MemoryConfig::from(l1().no_write_allocate());
         assert_eq!(memory.write_policy(), WritePolicy::WriteThroughNoAllocate);
-    }
-
-    #[test]
-    fn from_hierarchy_round_trips() {
-        let hierarchy = HierarchyConfig::test_system();
-        let memory = MemoryConfig::from(hierarchy.clone());
-        assert_eq!(memory.depth(), 2);
-        assert_eq!(memory.to_hierarchy(), Some(hierarchy));
     }
 
     #[test]
@@ -591,7 +572,20 @@ mod tests {
         let memory = MemoryConfig::new(vec![l1(), l2(), l3]).unwrap();
         assert_eq!(memory.depth(), 3);
         assert!(memory.as_single().is_none());
-        assert!(memory.to_hierarchy().is_none());
+    }
+
+    #[test]
+    fn preset_configurations() {
+        let ts = MemoryConfig::test_system();
+        assert_eq!(ts.levels()[0].num_sets(), 64);
+        assert_eq!(ts.levels()[1].num_sets(), 1024);
+        assert_eq!(ts.write_policy(), WritePolicy::WriteBackWriteAllocate);
+        let pc = MemoryConfig::polycache_comparison();
+        assert_eq!(pc.levels()[0].assoc(), 4);
+        assert_eq!(pc.levels()[1].size_bytes(), 256 * 1024);
+        let l3 = MemoryConfig::test_system_l3();
+        assert_eq!(l3.depth(), 3);
+        assert_eq!(&l3.levels()[..2], ts.levels());
     }
 
     #[test]

@@ -24,18 +24,6 @@ pub struct MultiAccessOutcome {
 }
 
 impl MultiAccessOutcome {
-    /// Whether level `idx` was consulted and hit.  `None` if the access
-    /// never reached that level (an enclosing level hit first).
-    pub fn hit_at(&self, idx: usize) -> Option<bool> {
-        if idx + 1 < self.levels_consulted {
-            Some(false)
-        } else if idx + 1 == self.levels_consulted {
-            Some(self.hit)
-        } else {
-            None
-        }
-    }
-
     /// Folds the outcome into per-level counters (`stats[i]` is level `i`).
     pub fn record_into(&self, stats: &mut [LevelStats]) {
         for (idx, level) in stats.iter_mut().enumerate().take(self.levels_consulted) {
@@ -334,7 +322,7 @@ impl StateSnapshot {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::hierarchy::WritePolicy;
+    use crate::memory::WritePolicy;
     use crate::ReplacementPolicy;
 
     fn tiny_three_level() -> MemoryConfig {
@@ -353,12 +341,9 @@ mod tests {
         let first = state.access_block(&config, MemBlock(0));
         assert_eq!(first.levels_consulted, 3);
         assert!(!first.hit);
-        assert_eq!(first.hit_at(0), Some(false));
-        assert_eq!(first.hit_at(2), Some(false));
         let second = state.access_block(&config, MemBlock(0));
         assert_eq!(second.levels_consulted, 1);
         assert!(second.hit);
-        assert_eq!(second.hit_at(1), None);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! * Theorem 2 (cache warping): if `c1 = UpCache(c0, s0) = π(c0)` and the
 //!   access sequences repeat under `π`, the final state is `πⁿ(c1)` and the
 //!   misses of each repetition equal those of the first.
-//! * Corollary 5: the same holds for two-level hierarchies.
+//! * Corollary 5: the same holds for non-inclusive non-exclusive
+//!   hierarchies, stated over the reference `walk_access` on depth-2 and
+//!   depth-3 hierarchies of sparse states.
 
 use cache_model::bijection::ShiftBijection;
-use cache_model::{
-    CacheConfig, CacheState, HierarchyConfig, HierarchyState, MemBlock, ReplacementPolicy,
-};
+use cache_model::{walk_access, CacheConfig, CacheState, MemBlock, ReplacementPolicy};
 use proptest::prelude::*;
 
 fn arb_policy() -> impl Strategy<Value = ReplacementPolicy> {
@@ -60,32 +60,45 @@ proptest! {
         prop_assert_eq!(hit_original, hit_renamed, "classification must be invariant");
     }
 
-    /// Theorem 1 for two-level hierarchies (Corollary 5).
+    /// Theorem 1 for hierarchies (Corollary 5): renaming every level with
+    /// the same bijection commutes with the inclusive walk, at depth 2 and 3.
     #[test]
     fn hierarchy_update_commutes_with_bijection(
-        policy1 in arb_policy(),
-        policy2 in arb_policy(),
+        policies in proptest::collection::vec(arb_policy(), 3),
+        depth in 2usize..=3,
         history in arb_blocks(64, 40),
         block in 0u64..64,
         delta in 0i64..16,
     ) {
-        let config = HierarchyConfig::new(
-            CacheConfig::with_sets(2, 2, 64, policy1),
-            CacheConfig::with_sets(4, 4, 64, policy2),
-        );
+        let configs: Vec<CacheConfig> = [(2, 2), (4, 4), (8, 4)]
+            .iter()
+            .zip(&policies)
+            .take(depth)
+            .map(|(&(sets, assoc), &policy)| CacheConfig::with_sets(sets, assoc, 64, policy))
+            .collect();
         let pi = ShiftBijection::new(delta);
-        let mut h = HierarchyState::new(&config);
+        let access = |levels: &mut Vec<CacheState<MemBlock>>, b: MemBlock| {
+            walk_access(configs.iter().zip(levels.iter_mut()), b, true)
+        };
+        let rename = |levels: &[CacheState<MemBlock>]| -> Vec<CacheState<MemBlock>> {
+            configs
+                .iter()
+                .zip(levels)
+                .map(|(config, state)| pi.apply_to_cache(config, state))
+                .collect()
+        };
+        let mut h: Vec<CacheState<MemBlock>> = configs.iter().map(CacheState::new).collect();
         for b in &history {
-            h.access_block(&config, *b);
+            access(&mut h, *b);
         }
         let b = MemBlock(block);
 
         let mut updated = h.clone();
-        let out_original = updated.access_block(&config, b);
-        let lhs = pi.apply_to_hierarchy(&config, &updated);
+        let out_original = access(&mut updated, b);
+        let lhs = rename(&updated);
 
-        let mut rhs = pi.apply_to_hierarchy(&config, &h);
-        let out_renamed = rhs.access_block(&config, pi.apply(b));
+        let mut rhs = rename(&h);
+        let out_renamed = access(&mut rhs, pi.apply(b));
 
         prop_assert_eq!(lhs, rhs);
         prop_assert_eq!(out_original, out_renamed);

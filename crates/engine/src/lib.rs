@@ -38,7 +38,7 @@
 //!
 //! // Warping is exact: identical counts, almost no explicit simulation.
 //! assert_eq!(classic.result, warping.result);
-//! assert_eq!(classic.result.l1().misses, 3 + 2 * 997);
+//! assert_eq!(classic.result.levels[0].misses, 3 + 2 * 997);
 //! assert!(warping.warping.unwrap().warps > 0);
 //! ```
 
@@ -307,40 +307,18 @@ impl Engine {
                 (result, None, exact, None)
             }
             Backend::PolyCache => {
-                let hierarchy =
-                    memory
-                        .to_hierarchy()
-                        .ok_or_else(|| EngineError::UnsupportedMemory {
-                            backend: "polycache",
-                            message: format!(
-                                "the PolyCache model covers two-level hierarchies, got {} levels",
-                                memory.depth()
-                            ),
-                        })?;
-                if hierarchy.l1.policy() != ReplacementPolicy::Lru
-                    || hierarchy.l2.policy() != ReplacementPolicy::Lru
-                {
-                    return Err(EngineError::UnsupportedMemory {
+                let model = PolyCacheModel::new(memory).map_err(|message| {
+                    EngineError::UnsupportedMemory {
                         backend: "polycache",
-                        message: "the PolyCache model supports LRU replacement only".to_string(),
-                    });
-                }
-                let exact = memory.write_policy() == WritePolicy::WriteBackWriteAllocate;
-                let analysis = PolyCacheModel::new(hierarchy).analyze(&scop);
-                let l1 = LevelStats {
-                    accesses: analysis.accesses,
-                    hits: analysis.accesses - analysis.l1_misses,
-                    misses: analysis.l1_misses,
-                };
-                let l2 = LevelStats {
-                    accesses: analysis.l1_misses,
-                    hits: analysis.l1_misses - analysis.l2_misses,
-                    misses: analysis.l2_misses,
-                };
+                        message,
+                    }
+                })?;
+                let levels = model.analyze(&scop);
                 let result = SimulationResult {
-                    accesses: analysis.accesses,
-                    levels: vec![l1, l2],
+                    accesses: levels[0].accesses,
+                    levels,
                 };
+                let exact = memory.write_policy() == WritePolicy::WriteBackWriteAllocate;
                 (result, None, exact, None)
             }
             Backend::Sampled(options) => {
@@ -411,7 +389,6 @@ impl Engine {
                 kernel,
                 backend: request.backend.label().to_string(),
                 memory: memory.clone(),
-                levels: result.levels.clone(),
                 result,
                 warping,
                 exact,
@@ -475,7 +452,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::{CacheConfig, HierarchyConfig};
+    use cache_model::CacheConfig;
 
     fn stencil() -> KernelSpec {
         KernelSpec::source(
@@ -493,7 +470,7 @@ mod tests {
     fn all_five_backends_dispatch() {
         let engine = Engine::new();
         let single = fa_lru();
-        let hierarchy = MemoryConfig::from(HierarchyConfig::polycache_comparison());
+        let hierarchy = MemoryConfig::polycache_comparison();
         for backend in Backend::ALL {
             let memory = if backend == Backend::PolyCache {
                 hierarchy.clone()
@@ -515,14 +492,14 @@ mod tests {
             let report = engine
                 .run(&SimRequest::new(stencil(), fa_lru(), backend))
                 .unwrap();
-            assert_eq!(report.result.l1().misses, 3 + 2 * 997, "{backend}");
+            assert_eq!(report.result.levels[0].misses, 3 + 2 * 997, "{backend}");
             assert!(report.exact);
         }
         // HayStack models exactly this cache (fully-associative LRU).
         let haystack = engine
             .run(&SimRequest::new(stencil(), fa_lru(), Backend::Haystack))
             .unwrap();
-        assert_eq!(haystack.result.l1().misses, 3 + 2 * 997);
+        assert_eq!(haystack.result.levels[0].misses, 3 + 2 * 997);
         assert!(haystack.exact);
     }
 
@@ -565,7 +542,6 @@ mod tests {
             let report = engine
                 .run(&SimRequest::new(stencil(), three_levels.clone(), backend))
                 .unwrap_or_else(|e| panic!("{backend}: {e}"));
-            assert_eq!(report.levels.len(), 3, "{backend}");
             assert_eq!(report.result.depth(), 3, "{backend}");
         }
     }
@@ -585,7 +561,7 @@ mod tests {
             .collect();
         assert_eq!(reports[0].result, reports[1].result);
         assert_eq!(reports[0].result, reports[2].result);
-        assert_eq!(reports[0].levels.len(), 3);
+        assert_eq!(reports[0].result.levels.len(), 3);
     }
 
     #[test]
@@ -637,7 +613,7 @@ mod tests {
                 .run(&SimRequest::new(kernel.clone(), memory, Backend::Classic))
                 .unwrap()
                 .result
-                .l1()
+                .levels[0]
                 .misses
         };
         assert!(
@@ -649,10 +625,11 @@ mod tests {
     #[test]
     fn polycache_rejects_non_lru() {
         let engine = Engine::new();
-        let plru = MemoryConfig::two_level(
+        let plru = MemoryConfig::new(vec![
             CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru),
             CacheConfig::new(256 * 1024, 8, 64, ReplacementPolicy::Plru),
-        );
+        ])
+        .unwrap();
         let err = engine
             .run(&SimRequest::new(stencil(), plru, Backend::PolyCache))
             .unwrap_err();
@@ -736,13 +713,20 @@ mod tests {
             .unwrap();
         let json = report.to_json();
         let value: serde::Value = serde_json::from_str(&json).unwrap();
+        // The per-level counts appear once, under `result.levels`.
+        let result = value.get("result").unwrap();
+        let levels = result
+            .get("levels")
+            .and_then(serde::Value::as_array)
+            .unwrap();
+        assert_eq!(levels.len(), 1);
         assert_eq!(
-            value
-                .get("result")
-                .and_then(|r| r.get("l1"))
-                .and_then(|l| l.get("misses")),
+            levels[0].get("misses"),
             Some(&serde::Value::UInt(3 + 2 * 997))
         );
+        assert!(value.get("levels").is_none());
+        assert!(result.get("l1").is_none());
+        assert!(result.get("l2").is_none());
         assert_eq!(
             value.get("backend").and_then(serde::Value::as_str),
             Some("warping")

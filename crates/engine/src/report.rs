@@ -1,6 +1,6 @@
 //! The unified simulation report returned by every backend.
 
-use cache_model::{LevelStats, MemoryConfig};
+use cache_model::MemoryConfig;
 use serde::{Serialize, Value};
 use simulate::SimulationResult;
 use warping::WarpingOutcome;
@@ -67,12 +67,6 @@ impl From<&WarpingOutcome> for WarpingStats {
             stale_label_renorms: outcome.stale_label_renorms,
             warp_apply_ns: outcome.warp_apply_ns,
         }
-    }
-}
-
-impl From<WarpingOutcome> for WarpingStats {
-    fn from(outcome: WarpingOutcome) -> Self {
-        WarpingStats::from(&outcome)
     }
 }
 
@@ -163,13 +157,10 @@ pub struct SimReport {
     pub backend: String,
     /// The memory system the request asked for.
     pub memory: MemoryConfig,
-    /// Access and per-level hit/miss counts.  For the exact backends these
-    /// counts are bit-for-bit what the legacy entry points produce.
+    /// Access and per-level hit/miss counts, L1 first — the only place a
+    /// report carries them.  For the exact backends these counts are
+    /// bit-for-bit what `simulate::simulate_memory` produces.
     pub result: SimulationResult,
-    /// Per-level statistics, L1 first — identical to
-    /// [`SimulationResult::levels`], duplicated at the top level of the
-    /// report for wire compatibility.
-    pub levels: Vec<LevelStats>,
     /// Warping statistics, for the warping backend.
     pub warping: Option<WarpingStats>,
     /// Whether the backend models the requested memory system exactly.
@@ -200,13 +191,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Misses at the last level of the memory system (the quantity the
-    /// paper's figures report as "cache misses").  Delegates to the single
-    /// definition on [`SimulationResult::last_level_misses`].
-    pub fn last_level_misses(&self) -> u64 {
-        self.result.last_level_misses()
-    }
-
     /// Build + simulation time in milliseconds (the paper's Fig. 8/9
     /// methodology, which includes SCoP extraction on both sides).
     pub fn total_ms(&self) -> f64 {
@@ -220,7 +204,6 @@ impl SimReport {
             && self.backend == other.backend
             && self.memory == other.memory
             && self.result == other.result
-            && self.levels == other.levels
             && self.warping == other.warping
             && self.exact == other.exact
             && self.approx == other.approx
@@ -242,7 +225,6 @@ impl Serialize for SimReport {
             ("backend".to_string(), self.backend.serialize_value()),
             ("memory".to_string(), self.memory.serialize_value()),
             ("result".to_string(), self.result.serialize_value()),
-            ("levels".to_string(), self.levels.serialize_value()),
             ("warping".to_string(), self.warping.serialize_value()),
             ("exact".to_string(), self.exact.serialize_value()),
             ("build_ms".to_string(), self.build_ms.serialize_value()),

@@ -234,7 +234,7 @@ pub struct SimRequest {
 
 impl SimRequest {
     /// A request from any memory description convertible to
-    /// [`MemoryConfig`] (e.g. `CacheConfig` or `HierarchyConfig`).
+    /// [`MemoryConfig`] (e.g. a `CacheConfig`).
     pub fn new(kernel: KernelSpec, memory: impl Into<MemoryConfig>, backend: Backend) -> Self {
         SimRequest {
             kernel,

@@ -1047,10 +1047,11 @@ mod tests {
     use cache_model::{CacheConfig, ReplacementPolicy};
 
     fn memory() -> MemoryConfig {
-        MemoryConfig::two_level(
+        MemoryConfig::new(vec![
             CacheConfig::with_sets(8, 2, 64, ReplacementPolicy::Lru),
             CacheConfig::with_sets(32, 4, 64, ReplacementPolicy::Lru),
-        )
+        ])
+        .unwrap()
     }
 
     fn streaming() -> KernelSpec {
@@ -1089,7 +1090,6 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(classic.result, sampled.result);
-        assert_eq!(classic.levels, sampled.levels);
         assert!(sampled.exact);
         let approx = sampled.approx.expect("sampled reports carry approx");
         assert!(approx.is_exact());
@@ -1133,9 +1133,9 @@ mod tests {
         );
         assert!(approx.intervals > approx.measured_intervals);
         for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
-            let err = classic.levels[level]
+            let err = classic.result.levels[level]
                 .misses
-                .abs_diff(sampled.levels[level].misses);
+                .abs_diff(sampled.result.levels[level].misses);
             assert!(err <= *bound, "level {level}: error {err} > bound {bound}");
         }
         assert_eq!(
@@ -1143,7 +1143,10 @@ mod tests {
             "rectangular loops extrapolate the access count exactly"
         );
         assert_eq!(approx.per_level_error_bound, vec![0, 0]);
-        assert_eq!(classic.levels, sampled.levels, "zero bound means exact");
+        assert_eq!(
+            classic.result.levels, sampled.result.levels,
+            "zero bound means exact"
+        );
         assert!(!sampled.exact, "estimated intervals are not exact");
     }
 
@@ -1164,9 +1167,9 @@ mod tests {
             .unwrap();
         let approx = sampled.approx.expect("approx block");
         for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
-            let err = classic.levels[level]
+            let err = classic.result.levels[level]
                 .misses
-                .abs_diff(sampled.levels[level].misses);
+                .abs_diff(sampled.result.levels[level].misses);
             assert!(err <= *bound, "level {level}: error {err} > bound {bound}");
         }
     }

@@ -10,9 +10,7 @@
 //!   extents, array sizes, access offsets, cache geometry, replacement
 //!   policy, write policy or backend.
 
-use cache_model::{
-    CacheConfig, HierarchyConfig, MemoryConfig, MemoryConfigError, ReplacementPolicy, WritePolicy,
-};
+use cache_model::{CacheConfig, MemoryConfig, MemoryConfigError, ReplacementPolicy, WritePolicy};
 use engine::{Backend, KernelSpec, SimRequest};
 use proptest::prelude::*;
 
@@ -176,7 +174,9 @@ proptest! {
             let single_a = MemoryConfig::single(l1.clone());
             let single_b = MemoryConfig::new(vec![l1.clone()]).expect("one level is valid");
             // The same two-level system, two constructors.
-            let two_a = MemoryConfig::from(HierarchyConfig::new(l1.clone(), l2.clone()));
+            let two_a = MemoryConfig::single(l1.clone())
+                .with_level(l2.clone())
+                .expect("two levels are valid");
             let two_b = MemoryConfig::new(vec![l1, l2]).expect("two levels are valid");
             for (left, right) in [(single_a, single_b), (two_a, two_b)] {
                 let a = request(render(&shape, &spelling), left, Backend::Classic);

@@ -358,9 +358,6 @@ fn union_domains_match_the_reference_on_every_exact_backend() {
 
     let spec = KernelSpec::prebuilt("unions", scop.clone());
     let engine = Engine::new().with_threads(1);
-    // Two hierarchies only: every warp plan on these union domains runs
-    // polyhedral differences whose piece count multiplies per conjunction,
-    // so one warping run costs seconds in a debug build.
     for (depth, policy) in [(2, ReplacementPolicy::Lru), (3, ReplacementPolicy::Plru)] {
         let memory = memory(depth, policy);
         let tag = format!("depth={depth} policy={policy:?}");

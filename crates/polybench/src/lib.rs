@@ -354,8 +354,8 @@ impl std::fmt::Display for Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::{CacheConfig, ReplacementPolicy};
-    use simulate::simulate_single;
+    use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
+    use simulate::simulate_memory;
 
     #[test]
     fn every_kernel_builds_at_every_dataset_size() {
@@ -408,12 +408,12 @@ mod tests {
 
     #[test]
     fn mini_kernels_simulate_without_panicking() {
-        let config = CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru);
+        let config = MemoryConfig::from(CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru));
         for kernel in Kernel::ALL {
             let scop = kernel.build(Dataset::Mini).unwrap();
-            let result = simulate_single(&scop, &config);
+            let result = simulate_memory(&scop, &config);
             assert!(result.accesses > 0, "{kernel}");
-            assert!(result.l1().misses > 0, "{kernel}");
+            assert!(result.levels[0].misses > 0, "{kernel}");
         }
     }
 

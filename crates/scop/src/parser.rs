@@ -27,9 +27,21 @@
 //! literals and function calls; the parser only extracts the array (and
 //! scalar) references in program order, which is all that cache simulation
 //! needs.  Preprocessor lines and comments are skipped.
+//!
+//! Nesting is bounded: statements and affine expressions may each nest 64
+//! levels deep, so that no source can exhaust the stack of the parser or of
+//! the passes that walk its output.
 
 use crate::ast::{ArrayAccess, ArrayDecl, CmpOp, Condition, Expr, Program, Statement};
 use std::fmt;
+
+/// How deeply statements (`for` loops, `if` guards and blocks) may nest.
+/// Stays well below the 255 loop levels a symbolic cache label can address.
+const MAX_STATEMENT_DEPTH: usize = 64;
+
+/// How deeply an affine expression may nest: every parenthesised group,
+/// unary minus and binary operator adds a level to the expression tree.
+const MAX_EXPRESSION_DEPTH: usize = 64;
 
 /// A parse error with a human-readable message and source line.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -60,6 +72,7 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
         tokens,
         pos: 0,
         params: Vec::new(),
+        statement_depth: 0,
     };
     parser.program()
 }
@@ -186,6 +199,8 @@ struct Parser {
     pos: usize,
     /// Parameters declared so far (`param N;`), in declaration order.
     params: Vec<String>,
+    /// Statements currently open around `pos`.
+    statement_depth: usize,
 }
 
 impl Parser {
@@ -343,6 +358,18 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Statement, ParseError> {
+        if self.statement_depth == MAX_STATEMENT_DEPTH {
+            return Err(self.error(format!(
+                "statements nest deeper than {MAX_STATEMENT_DEPTH} levels"
+            )));
+        }
+        self.statement_depth += 1;
+        let statement = self.nested_statement();
+        self.statement_depth -= 1;
+        statement
+    }
+
+    fn nested_statement(&mut self) -> Result<Statement, ParseError> {
         match self.peek() {
             Some(Tok::Ident(name)) if name == "for" => self.for_statement(),
             Some(Tok::Ident(name)) if name == "if" => self.if_statement(),
@@ -652,30 +679,59 @@ impl Parser {
     /// Strict affine expression parser used for subscripts, bounds and guard
     /// conditions.
     fn affine_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.affine_term()?;
+        Ok(self.affine_sum(0)?.0)
+    }
+
+    /// An affine sum inside `level` enclosing groups, with the depth of the
+    /// expression tree it built.
+    fn affine_sum(&mut self, level: usize) -> Result<(Expr, usize), ParseError> {
+        let (mut expr, mut depth) = self.affine_term(level)?;
         loop {
-            if self.eat_punct("+") {
-                expr = expr.add(self.affine_term()?);
+            let subtract = if self.eat_punct("+") {
+                false
             } else if self.eat_punct("-") {
-                expr = expr.sub(self.affine_term()?);
+                true
             } else {
-                return Ok(expr);
-            }
+                return Ok((expr, depth));
+            };
+            let (rhs, rhs_depth) = self.affine_term(level)?;
+            depth = self.deeper(depth.max(rhs_depth))?;
+            expr = if subtract {
+                expr.sub(rhs)
+            } else {
+                expr.add(rhs)
+            };
         }
     }
 
-    fn affine_term(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.affine_factor()?;
+    fn affine_term(&mut self, level: usize) -> Result<(Expr, usize), ParseError> {
+        let (mut expr, mut depth) = self.affine_factor(level)?;
         loop {
-            if self.eat_punct("*") {
-                let rhs = self.affine_factor()?;
-                expr = self.affine_product(expr, rhs)?;
+            let divide = if self.eat_punct("*") {
+                false
             } else if self.eat_punct("/") {
-                let rhs = self.affine_factor()?;
-                expr = self.affine_quotient(expr, rhs)?;
+                true
             } else {
-                return Ok(expr);
-            }
+                return Ok((expr, depth));
+            };
+            let (rhs, rhs_depth) = self.affine_factor(level)?;
+            depth = self.deeper(depth.max(rhs_depth))?;
+            expr = if divide {
+                self.affine_quotient(expr, rhs)?
+            } else {
+                self.affine_product(expr, rhs)?
+            };
+        }
+    }
+
+    /// `depth + 1`, or an error past [`MAX_EXPRESSION_DEPTH`].
+    fn deeper(&self, depth: usize) -> Result<usize, ParseError> {
+        if depth < MAX_EXPRESSION_DEPTH {
+            Ok(depth + 1)
+        } else {
+            Err(self.error(format!(
+                "expression nests deeper than {MAX_EXPRESSION_DEPTH} levels"
+            )))
         }
     }
 
@@ -715,15 +771,18 @@ impl Parser {
             .error("non-affine division: `/` operands must be constants or parameter expressions"))
     }
 
-    fn affine_factor(&mut self) -> Result<Expr, ParseError> {
+    fn affine_factor(&mut self, level: usize) -> Result<(Expr, usize), ParseError> {
         match self.advance() {
-            Some(Tok::Int(n)) => Ok(Expr::Const(n)),
-            Some(Tok::Ident(name)) => Ok(Expr::Iter(name)),
-            Some(Tok::Punct("-")) => Ok(Expr::Const(0).sub(self.affine_factor()?)),
+            Some(Tok::Int(n)) => Ok((Expr::Const(n), 1)),
+            Some(Tok::Ident(name)) => Ok((Expr::Iter(name), 1)),
+            Some(Tok::Punct("-")) => {
+                let (e, depth) = self.affine_factor(self.deeper(level)?)?;
+                Ok((Expr::Const(0).sub(e), self.deeper(depth)?))
+            }
             Some(Tok::Punct("(")) => {
-                let e = self.affine_expr()?;
+                let inner = self.affine_sum(self.deeper(level)?)?;
                 self.expect_punct(")")?;
-                Ok(e)
+                Ok(inner)
             }
             other => Err(self.error(format!("expected an affine expression, found {other:?}"))),
         }
@@ -1019,5 +1078,69 @@ mod tests {
         let p = parse_program(src).unwrap();
         assert_eq!(p.arrays.len(), 1);
         assert_eq!(p.stmts.len(), 1);
+    }
+
+    /// `depth` nested loops around one assignment (`depth + 1` statements).
+    fn nested_loops(depth: usize) -> String {
+        let mut src = String::from("double A[4];\n");
+        for d in 0..depth {
+            src.push_str(&format!("for (i{d} = 0; i{d} < 2; i{d}++)\n"));
+        }
+        src.push_str("A[0] = 0;");
+        src
+    }
+
+    #[test]
+    fn statement_nesting_is_bounded() {
+        let ok = parse_program(&nested_loops(MAX_STATEMENT_DEPTH - 1)).expect("at the limit");
+        assert_eq!(ok.stmts.len(), 1);
+        for depth in [MAX_STATEMENT_DEPTH, 300, 3_000] {
+            let err = parse_program(&nested_loops(depth)).expect_err("too deep");
+            assert!(
+                err.message.contains("statements nest deeper"),
+                "{}",
+                err.message
+            );
+        }
+        // Blocks and guards count as nesting too.
+        let blocks = format!(
+            "double A[4]; {}A[0] = 0;{}",
+            "{".repeat(10_000),
+            "}".repeat(10_000)
+        );
+        assert!(parse_program(&blocks).is_err());
+    }
+
+    #[test]
+    fn expression_nesting_is_bounded() {
+        let parens = |depth: usize| {
+            format!(
+                "double A[4]; A[{}0{}] = 0;",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            )
+        };
+        let chain = |terms: usize| format!("double A[4]; A[{}] = 0;", vec!["0"; terms].join(" + "));
+        assert!(parse_program(&parens(MAX_EXPRESSION_DEPTH)).is_ok());
+        assert!(parse_program(&chain(MAX_EXPRESSION_DEPTH)).is_ok());
+        let too_deep = [
+            parens(MAX_EXPRESSION_DEPTH + 1),
+            parens(20_000),
+            chain(MAX_EXPRESSION_DEPTH + 1),
+            chain(10_000),
+            format!("double A[4]; A[{}0] = 0;", "- ".repeat(10_000)),
+            format!(
+                "double A[4]; for (i = 0; i < {}4; i++) A[i] = 0;",
+                "(1 + ".repeat(10_000)
+            ),
+        ];
+        for src in &too_deep {
+            let err = parse_program(src).expect_err("too deep");
+            assert!(
+                err.message.contains("expression nests deeper"),
+                "{}",
+                err.message
+            );
+        }
     }
 }

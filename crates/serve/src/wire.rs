@@ -435,6 +435,8 @@ mod tests {
     use super::*;
     use crate::ServeConfig;
     use engine::Engine;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::io::Cursor;
 
     const KERNEL: &str = "double A[32]; for (i = 0; i < 32; i++) A[i] = A[i];";
@@ -585,6 +587,36 @@ mod tests {
             (3, 1, 0),
             "{stats:?}"
         );
+    }
+
+    #[test]
+    fn deeply_nested_json_is_rejected_and_serving_continues() {
+        let service = Arc::new(SimService::new(ServeConfig {
+            workers: 1,
+            cache_capacity: 4,
+            exact_budget: None,
+            warm_paths: true,
+        }));
+        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        let input = format!("{}\n{}\n", "[".repeat(50_000), request_line(2));
+        let (stats, _) =
+            serve_lines(&service, Cursor::new(input), sink.clone()).expect("serving succeeds");
+        assert_eq!((stats.rejected, stats.requests), (1, 1), "{stats:?}");
+        let lines = lines_of(&sink);
+        assert_eq!(lines.len(), 3, "two replies plus the stats trailer");
+        let error = lines[0]
+            .get("error")
+            .and_then(Value::as_str)
+            .expect("error envelope");
+        assert!(error.contains("recursion limit"), "{error}");
+        assert_eq!(lines[0].get("id").and_then(Value::as_u64), Some(1));
+        assert_eq!(lines[1].get("id").and_then(Value::as_u64), Some(2));
+        assert!(
+            lines[1].get("report").is_some(),
+            "the next line is answered"
+        );
+        let trailer = lines[2].get("serve_stats").expect("stats trailer");
+        assert_eq!(trailer.get("rejected").and_then(Value::as_u64), Some(1));
     }
 
     #[test]
@@ -870,7 +902,11 @@ mod tests {
         }
         let report = lines[3].get("report").expect("the valid line is answered");
         assert_eq!(lines[3].get("id").and_then(Value::as_u64), Some(4));
-        assert!(report.get("levels").is_some());
+        // The per-level counts appear once, under `result.levels`.
+        let result = report.get("result").expect("the report has a result");
+        assert!(result.get("levels").is_some());
+        assert!(report.get("levels").is_none());
+        assert!(result.get("l1").is_none() && result.get("l2").is_none());
         assert!(lines[4].get("serve_stats").is_some());
     }
 
@@ -912,5 +948,151 @@ mod tests {
         assert!(by_id(2).get("report").is_some(), "the worker survived");
         let trailer = lines[2].get("serve_stats").expect("stats trailer");
         assert_eq!(trailer.get("errors").and_then(Value::as_u64), Some(1));
+    }
+
+    // The wire under arbitrary input: malformed JSON, valid JSON of the
+    // wrong shape, pathologically nested JSON or kernels, absurd
+    // geometries, unknown families and small valid requests.
+
+    const MEMORY: &str = r#"{"levels":[{"sets":2,"assoc":2,"line_size":8,"policy":"lru"}]}"#;
+
+    /// A wrapped request line with an explicit id.
+    fn wrapped(id: u64, request: &str) -> String {
+        format!(r#"{{"id":{id},"request":{request}}}"#)
+    }
+
+    /// A source-kernel request on `memory` with `backend`.
+    fn kernel_request(code: &str, memory: &str, backend: &str) -> String {
+        format!(
+            r#"{{"kernel":{{"type":"source","name":"k","code":"{code}"}},"memory":{memory},"backend":"{backend}"}}"#
+        )
+    }
+
+    /// One input line of kind `kind` (with variant `n`), and the id its reply
+    /// must carry: the explicit id `id` where the line names one, otherwise the
+    /// 1-based line number `number`.
+    fn line(kind: usize, n: u64, id: u64, number: u64) -> (String, u64) {
+        match kind {
+            // Malformed JSON: no id can be read, so the reply uses the line
+            // number.
+            0 => {
+                let text = match n % 3 {
+                    0 => "not json".to_string(),
+                    1 => format!(r#"{{"id":{id},"request":"#),
+                    _ => "{\"id\": 1,,}".to_string(),
+                };
+                (text, number)
+            }
+            // Valid JSON of the wrong shape.
+            1 => match n % 3 {
+                0 => ("[1, 2, 3]".to_string(), number),
+                1 => (wrapped(id, r#"{"kernel":42}"#), id),
+                _ => (
+                    wrapped(id, &kernel_request("", MEMORY, "no-such-backend")),
+                    id,
+                ),
+            },
+            // Nesting deep enough to overflow an unbounded recursive descent.
+            2 => match n % 3 {
+                0 => ("[".repeat(50_000), number),
+                1 => {
+                    let code = format!(
+                        "double A[4]; A[{}0{}] = 0;",
+                        "(".repeat(20_000),
+                        ")".repeat(20_000)
+                    );
+                    (wrapped(id, &kernel_request(&code, MEMORY, "classic")), id)
+                }
+                _ => {
+                    let mut code = String::from("double A[4]; ");
+                    for d in 0..3_000 {
+                        code.push_str(&format!("for (i{d} = 0; i{d} < 2; i{d}++) "));
+                    }
+                    code.push_str("A[0] = 0;");
+                    (wrapped(id, &kernel_request(&code, MEMORY, "warping")), id)
+                }
+            },
+            // Geometries no simulator accepts.
+            3 => {
+                let level = match n % 3 {
+                    0 => r#"{"sets":1,"assoc":1099511627776,"line_size":64,"policy":"lru"}"#,
+                    1 => r#"{"sets":1099511627776,"assoc":1,"line_size":64,"policy":"lru"}"#,
+                    _ => r#"{"sets":1,"assoc":3,"line_size":64,"policy":"plru"}"#,
+                };
+                let memory = format!(r#"{{"levels":[{level}]}}"#);
+                let code = "double A[4]; A[0] = 0;";
+                (wrapped(id, &kernel_request(code, &memory, "classic")), id)
+            }
+            // A family nobody registered.
+            4 => {
+                let request = format!(
+                    r#"{{"family":"{:016x}","bindings":{{"N":4}},"memory":{MEMORY},"backend":"classic"}}"#,
+                    n
+                );
+                (wrapped(id, &request), id)
+            }
+            // A tiny valid request on a varying backend and size.
+            _ => {
+                let backend = ["classic", "warping", "trace", "sampled"][(n % 4) as usize];
+                let size = 4 + n % 29;
+                let code = format!("double A[{size}]; for (i = 0; i < {size}; i++) A[i] = A[i];");
+                (wrapped(id, &kernel_request(&code, MEMORY, backend)), id)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Whatever mix of lines arrives, every line gets exactly one reply
+        /// carrying its id, nothing panics, and the stats trailer accounts for
+        /// every line as either a request or a rejection.
+        #[test]
+        fn every_line_gets_exactly_one_reply(
+            kinds in proptest::collection::vec((0usize..6, 0u64..1_000), 1..10),
+        ) {
+            let mut input = String::new();
+            let mut expected: BTreeMap<u64, usize> = BTreeMap::new();
+            for (index, &(kind, n)) in kinds.iter().enumerate() {
+                let number = index as u64 + 1;
+                // Explicit ids never collide with line numbers.
+                let (text, id) = line(kind, n, 1_000 + number, number);
+                input.push_str(&text);
+                input.push('\n');
+                *expected.entry(id).or_default() += 1;
+            }
+            let service = Arc::new(SimService::new(ServeConfig {
+                workers: 1,
+                cache_capacity: 8,
+                exact_budget: None,
+                warm_paths: true,
+            }));
+            let sink = Sink(Arc::default());
+            let (stats, shutdown) =
+                serve_lines(&service, Cursor::new(input), sink.clone()).expect("serving succeeds");
+            prop_assert!(!shutdown);
+
+            let replies = lines_of(&sink);
+            prop_assert_eq!(replies.len(), kinds.len() + 1, "one reply per line plus the trailer");
+            let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
+            for reply in &replies[..kinds.len()] {
+                let id = reply.get("id").and_then(Value::as_u64).expect("every reply has an id");
+                prop_assert!(
+                    reply.get("report").is_some() || reply.get("error").is_some(),
+                    "a reply is a report or an error: {:?}",
+                    reply
+                );
+                if let Some(error) = reply.get("error").and_then(Value::as_str) {
+                    prop_assert!(!error.contains("internal error"), "{}", error);
+                }
+                *seen.entry(id).or_default() += 1;
+            }
+            prop_assert_eq!(&seen, &expected);
+
+            let trailer = replies[kinds.len()].get("serve_stats").expect("stats trailer");
+            let count = |key: &str| trailer.get(key).and_then(Value::as_u64).expect("counter");
+            prop_assert_eq!(count("requests") + count("rejected"), kinds.len() as u64);
+            prop_assert_eq!(stats.requests + stats.rejected, kinds.len() as u64);
+        }
     }
 }

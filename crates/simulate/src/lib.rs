@@ -26,15 +26,13 @@
 //! let mut memory = MultiLevelSystem::new(MemoryConfig::from(config));
 //! let result = simulate(&scop, &mut memory);
 //! assert_eq!(result.accesses, 3 * 998);
-//! assert_eq!(result.l1().misses, 3 + 2 * 997);
+//! assert_eq!(result.levels[0].misses, 3 + 2 * 997);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cache_model::{
-    AccessKind, CacheConfig, HierarchyConfig, LevelStats, MemoryConfig, MultiLevelState,
-};
+use cache_model::{AccessKind, LevelStats, MemoryConfig, MultiLevelState};
 use scop::{compile, for_each_access, Scop};
 use serde::{Serialize, Value};
 
@@ -50,18 +48,6 @@ pub struct SimulationResult {
 }
 
 impl SimulationResult {
-    /// First-level statistics (compatibility accessor for the old `l1`
-    /// field; zeroed counters if the result is empty).
-    pub fn l1(&self) -> LevelStats {
-        self.levels.first().copied().unwrap_or_default()
-    }
-
-    /// Second-level statistics, if the memory system has an L2
-    /// (compatibility accessor for the old `l2` field).
-    pub fn l2(&self) -> Option<LevelStats> {
-        self.levels.get(1).copied()
-    }
-
     /// Number of simulated cache levels.
     pub fn depth(&self) -> usize {
         self.levels.len()
@@ -79,10 +65,6 @@ impl Serialize for SimulationResult {
     fn serialize_value(&self) -> Value {
         Value::Object(vec![
             ("accesses".to_string(), Value::UInt(self.accesses)),
-            // The legacy `l1`/`l2` keys stay for wire compatibility; the
-            // `levels` array is the canonical, depth-N representation.
-            ("l1".to_string(), self.l1().serialize_value()),
-            ("l2".to_string(), self.l2().serialize_value()),
             ("levels".to_string(), self.levels.serialize_value()),
         ])
     }
@@ -205,29 +187,21 @@ pub fn simulate_reference<M: MemorySystem>(scop: &Scop, memory: &mut M) -> Simul
     memory.result()
 }
 
-/// Simulates a SCoP on a fresh N-level memory system.
+/// Simulates a SCoP on a fresh memory system of any depth.
 pub fn simulate_memory(scop: &Scop, config: &MemoryConfig) -> SimulationResult {
     let mut memory = MultiLevelSystem::new(config.clone());
     simulate(scop, &mut memory)
 }
 
-/// Convenience helper: simulates a SCoP on a fresh single-level cache.
-/// Thin wrapper over [`simulate_memory`].
-pub fn simulate_single(scop: &Scop, config: &CacheConfig) -> SimulationResult {
-    simulate_memory(scop, &MemoryConfig::from(config.clone()))
-}
-
-/// Convenience helper: simulates a SCoP on a fresh two-level hierarchy.
-/// Thin wrapper over [`simulate_memory`].
-pub fn simulate_hierarchy(scop: &Scop, config: &HierarchyConfig) -> SimulationResult {
-    simulate_memory(scop, &MemoryConfig::from(config.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::ReplacementPolicy;
+    use cache_model::{CacheConfig, ReplacementPolicy};
     use scop::parse_scop;
+
+    fn simulate_cache(scop: &Scop, config: CacheConfig) -> SimulationResult {
+        simulate_memory(scop, &MemoryConfig::from(config))
+    }
 
     fn stencil() -> Scop {
         parse_scop(
@@ -242,10 +216,10 @@ mod tests {
         // Figure 1: 3 misses in the first iteration, then 1 hit and 2 misses
         // per iteration.
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let result = simulate_single(&stencil(), &config);
+        let result = simulate_cache(&stencil(), config);
         assert_eq!(result.accesses, 3 * 998);
-        assert_eq!(result.l1().misses, 3 + 2 * 997);
-        assert_eq!(result.l1().hits, 997);
+        assert_eq!(result.levels[0].misses, 3 + 2 * 997);
+        assert_eq!(result.levels[0].hits, 997);
         assert_eq!(result.depth(), 1);
         assert_eq!(result.last_level_misses(), 3 + 2 * 997);
     }
@@ -255,29 +229,30 @@ mod tests {
         // Figure 3: 4 sets of associativity 2, LRU, one array cell per line.
         // The steady state is also 1 hit + 2 misses per iteration.
         let config = CacheConfig::with_sets(4, 2, 8, ReplacementPolicy::Lru);
-        let result = simulate_single(&stencil(), &config);
-        assert_eq!(result.l1().misses, 3 + 2 * 997);
+        let result = simulate_cache(&stencil(), config);
+        assert_eq!(result.levels[0].misses, 3 + 2 * 997);
     }
 
     #[test]
-    fn two_level_hierarchy_counts() {
-        let config = HierarchyConfig::new(
+    fn depth_2_hierarchy_counts() {
+        let config = MemoryConfig::new(vec![
             CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru),
             CacheConfig::fully_associative(1024, 8, ReplacementPolicy::Lru),
-        );
-        let result = simulate_hierarchy(&stencil(), &config);
+        ])
+        .unwrap();
+        let result = simulate_memory(&stencil(), &config);
         // L2 sees exactly the L1 misses; it is big enough that every block
         // misses only once (cold misses: 999 of A, 998 of B).
-        assert_eq!(result.l2().unwrap().accesses, result.l1().misses);
-        assert_eq!(result.l2().unwrap().misses, 999 + 998);
+        assert_eq!(result.levels[1].accesses, result.levels[0].misses);
+        assert_eq!(result.levels[1].misses, 999 + 998);
         assert_eq!(result.last_level_misses(), 999 + 998);
     }
 
     #[test]
     fn larger_cache_only_cold_misses() {
         let config = CacheConfig::fully_associative(4096, 8, ReplacementPolicy::Lru);
-        let result = simulate_single(&stencil(), &config);
-        assert_eq!(result.l1().misses, 999 + 998);
+        let result = simulate_cache(&stencil(), config);
+        assert_eq!(result.levels[0].misses, 999 + 998);
     }
 
     #[test]
@@ -287,8 +262,8 @@ mod tests {
         let scop = parse_scop("double A[4096]; for (i = 0; i < 4096; i++) A[i] = 0;").unwrap();
         for policy in ReplacementPolicy::ALL {
             let config = CacheConfig::with_sets(8, 2, 8, policy);
-            let result = simulate_single(&scop, &config);
-            assert_eq!(result.l1().misses, 4096, "{policy}");
+            let result = simulate_cache(&scop, config);
+            assert_eq!(result.levels[0].misses, 4096, "{policy}");
         }
     }
 
@@ -304,17 +279,19 @@ mod tests {
 
     #[test]
     fn write_policy_overrides_per_level_flags() {
-        // The hierarchy-wide write policy governs, even if a level's own
-        // flag disagrees: a write-allocate hierarchy whose L1 says
+        // The hierarchy-wide write policy governs, even if the levels' own
+        // flags disagree: a write-allocate hierarchy whose levels say
         // no-write-allocate still fills on the 8 write misses.
         let scop = parse_scop("double A[64]; for (i = 0; i < 64; i++) A[i] = 0;").unwrap();
         let l1 = CacheConfig::fully_associative(4, 64, ReplacementPolicy::Lru).no_write_allocate();
-        let l2 = CacheConfig::fully_associative(64, 64, ReplacementPolicy::Lru);
-        let hierarchy = HierarchyConfig::new(l1, l2);
-        let mut multi = MultiLevelSystem::new(MemoryConfig::from(hierarchy));
+        let l2 = CacheConfig::fully_associative(64, 64, ReplacementPolicy::Lru).no_write_allocate();
+        let hierarchy = MemoryConfig::new(vec![l1, l2])
+            .unwrap()
+            .with_write_policy(cache_model::WritePolicy::WriteBackWriteAllocate);
+        let mut multi = MultiLevelSystem::new(hierarchy);
         let result = simulate(&scop, &mut multi);
-        assert_eq!(result.l1().misses, 8);
-        assert_eq!(result.l1().hits, 56);
+        assert_eq!(result.levels[0].misses, 8);
+        assert_eq!(result.levels[0].hits, 56);
     }
 
     #[test]
@@ -346,15 +323,15 @@ mod tests {
         )
         .unwrap();
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let result = simulate_single(&scop, &config);
+        let result = simulate_cache(&scop, config);
         assert_eq!(result.accesses, 3 * 499);
-        assert_eq!(result.l1().misses, 3 * 499);
+        assert_eq!(result.levels[0].misses, 3 * 499);
         // With 8-byte elements and a 16-byte line, A[i-1] and A[i] share a
         // line: one miss plus one hit per iteration, B misses every other
         // iteration's line.
         let wide = CacheConfig::fully_associative(4, 16, ReplacementPolicy::Lru);
-        let result = simulate_single(&scop, &wide);
-        assert_eq!(result.l1().hits, 499);
+        let result = simulate_cache(&scop, wide);
+        assert_eq!(result.levels[0].hits, 499);
     }
 
     #[test]
@@ -394,10 +371,10 @@ mod tests {
         let scop = parse_scop("double A[32]; for (i = 0; i < 32; i++) A[i] = A[i];").unwrap();
         let mut memory = MultiLevelSystem::new(MemoryConfig::from(config));
         let first = simulate(&scop, &mut memory);
-        assert_eq!(first.l1().misses, 32);
+        assert_eq!(first.levels[0].misses, 32);
         // Second run hits everywhere because the cache is still warm.
         let second = simulate(&scop, &mut memory);
-        assert_eq!(second.l1().misses, 32);
-        assert_eq!(second.l1().hits, 2 * 32 + 32);
+        assert_eq!(second.levels[0].misses, 32);
+        assert_eq!(second.levels[0].hits, 2 * 32 + 32);
     }
 }

@@ -5,10 +5,9 @@
 //!
 //! * [`generate_trace`] materialises the full sequence of memory accesses of
 //!   a SCoP, like a binary-instrumentation trace would;
-//! * [`simulate_trace`] / [`simulate_trace_hierarchy`] drive a cache model
-//!   over such a trace, access by access — the classic trace-driven
-//!   simulator whose cost is proportional to the trace length (the Dinero IV
-//!   baseline of Fig. 12);
+//! * [`simulate_trace_memory`] drives a cache model over such a trace,
+//!   access by access — the classic trace-driven simulator whose cost is
+//!   proportional to the trace length (the Dinero IV baseline of Fig. 12);
 //! * [`HardwareReference`] produces the "measured" miss counts used as the
 //!   accuracy baseline of Fig. 11/13/14.  Real hardware is not available in
 //!   this reproduction, so the reference is a richer simulation (it includes
@@ -20,8 +19,7 @@
 #![warn(missing_docs)]
 
 use cache_model::{
-    Access, CacheConfig, HierarchyConfig, HierarchyStats, LevelStats, MemoryConfig,
-    MultiLevelState, ReplacementPolicy,
+    Access, CacheConfig, LevelStats, MemoryConfig, MultiLevelState, ReplacementPolicy,
 };
 use scop::{compile, elaborate, parse_program, ElaborateOptions, Scop};
 
@@ -47,19 +45,11 @@ fn visit_accesses(scop: &Scop, mut visit: impl FnMut(Access)) {
     });
 }
 
-/// Simulates a trace against a single cache level and returns its
-/// statistics.  Thin wrapper over [`simulate_trace_memory`]; the level's
-/// own write-allocate flag sets the write policy.
-pub fn simulate_trace(trace: &[Access], config: &CacheConfig) -> LevelStats {
-    simulate_trace_memory(trace, &MemoryConfig::single(config.clone()))[0]
-}
-
-/// Simulates a trace against an N-level memory system, returning the
+/// Simulates a trace against a memory system of any depth, returning the
 /// statistics of every level (L1 first).  This is the single trace-replay
-/// path behind [`simulate_trace`], [`simulate_trace_hierarchy`] and the
-/// engine's trace backend, whatever the depth.  The replay state is the
-/// flat concrete store: beyond one zeroed directory per level, the cost is
-/// the trace length plus the touched sets — never the cache capacity.
+/// path behind [`dinero_style_simulation`] and the engine's trace backend.  The replay state is the flat concrete store: beyond one
+/// zeroed directory per level, the cost is the trace length plus the
+/// touched sets — never the cache capacity.
 pub fn simulate_trace_memory(trace: &[Access], config: &MemoryConfig) -> Vec<LevelStats> {
     let config = config.normalized();
     let mut state = MultiLevelState::new(&config);
@@ -70,22 +60,13 @@ pub fn simulate_trace_memory(trace: &[Access], config: &MemoryConfig) -> Vec<Lev
     stats
 }
 
-/// Simulates a trace against a two-level hierarchy.  Compatibility wrapper
-/// over [`simulate_trace_memory`].
-pub fn simulate_trace_hierarchy(trace: &[Access], config: &HierarchyConfig) -> HierarchyStats {
-    let levels = simulate_trace_memory(trace, &MemoryConfig::from(config.clone()));
-    HierarchyStats {
-        l1: levels[0],
-        l2: levels[1],
-    }
-}
-
 /// End-to-end Dinero-IV-style simulation of a SCoP: generate the trace, then
-/// simulate it.  Returns the trace length together with the statistics so
-/// callers can report both.
+/// simulate it on a single cache level (whose own write-allocate flag sets
+/// the write policy).  Returns the trace length together with the
+/// statistics so callers can report both.
 pub fn dinero_style_simulation(scop: &Scop, config: &CacheConfig) -> (u64, LevelStats) {
     let trace = generate_trace(scop);
-    let stats = simulate_trace(&trace, config);
+    let stats = simulate_trace_memory(&trace, &MemoryConfig::from(config.clone()))[0];
     (trace.len() as u64, stats)
 }
 
@@ -238,14 +219,15 @@ mod tests {
 
     #[test]
     fn hierarchy_trace_simulation() {
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::new(vec![
             CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru),
             CacheConfig::fully_associative(4096, 8, ReplacementPolicy::Lru),
-        );
+        ])
+        .unwrap();
         let trace = generate_trace(&stencil());
-        let stats = simulate_trace_hierarchy(&trace, &config);
-        assert_eq!(stats.l1.misses, 3 + 2 * 997);
-        assert_eq!(stats.l2.misses, 999 + 998);
+        let stats = simulate_trace_memory(&trace, &config);
+        assert_eq!(stats[0].misses, 3 + 2 * 997);
+        assert_eq!(stats[1].misses, 999 + 998);
     }
 
     #[test]

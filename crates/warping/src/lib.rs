@@ -40,20 +40,20 @@
 //! ```
 //! use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 //! use scop::parse_scop;
-//! use simulate::simulate_single;
+//! use simulate::simulate_memory;
 //! use warping::WarpingSimulator;
 //!
 //! let scop = parse_scop(
 //!     "double A[32000]; double B[32000];
 //!      for (i = 1; i < 31999; i++) B[i-1] = A[i-1] + A[i];",
 //! ).unwrap();
-//! let config = CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru);
+//! let config = MemoryConfig::from(CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru));
 //!
-//! let reference = simulate_single(&scop, &config);
-//! let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+//! let reference = simulate_memory(&scop, &config);
+//! let outcome = WarpingSimulator::new(config).run(&scop);
 //!
 //! // Warping is exact ...
-//! assert_eq!(outcome.result.l1().misses, reference.l1().misses);
+//! assert_eq!(outcome.result.levels[0].misses, reference.levels[0].misses);
 //! assert_eq!(outcome.result.accesses, reference.accesses);
 //! // ... and skips the bulk of the accesses of this stencil.
 //! assert!(outcome.warped_accesses > outcome.non_warped_accesses);

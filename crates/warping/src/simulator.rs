@@ -791,9 +791,9 @@ impl WarpingSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::{CacheConfig, HierarchyConfig, ReplacementPolicy};
+    use cache_model::{CacheConfig, ReplacementPolicy};
     use scop::parse_scop;
-    use simulate::{simulate_hierarchy, simulate_single};
+    use simulate::simulate_memory;
 
     fn stencil(n: i64) -> Scop {
         parse_scop(&format!(
@@ -808,9 +808,10 @@ mod tests {
     #[test]
     fn warping_is_exact_on_the_running_example() {
         let scop = stencil(1000);
-        let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+        let config =
+            MemoryConfig::from(CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru));
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config).run(&scop);
         assert_eq!(outcome.result, reference);
         assert!(outcome.warps >= 1, "the stencil must warp");
         assert!(
@@ -824,9 +825,9 @@ mod tests {
     #[test]
     fn warping_is_exact_on_a_set_associative_plru_cache() {
         let scop = stencil(4000);
-        let config = CacheConfig::new(4 * 1024, 8, 64, ReplacementPolicy::Plru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+        let config = MemoryConfig::from(CacheConfig::new(4 * 1024, 8, 64, ReplacementPolicy::Plru));
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config).run(&scop);
         assert_eq!(outcome.result, reference);
         assert!(outcome.warps >= 1);
     }
@@ -835,9 +836,9 @@ mod tests {
     fn warping_is_exact_for_all_policies() {
         let scop = stencil(3000);
         for policy in ReplacementPolicy::ALL {
-            let config = CacheConfig::new(2 * 1024, 4, 64, policy);
-            let reference = simulate_single(&scop, &config);
-            let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+            let config = MemoryConfig::from(CacheConfig::new(2 * 1024, 4, 64, policy));
+            let reference = simulate_memory(&scop, &config);
+            let outcome = WarpingSimulator::new(config).run(&scop);
             assert_eq!(outcome.result, reference, "{policy}");
         }
     }
@@ -845,12 +846,13 @@ mod tests {
     #[test]
     fn warping_is_exact_on_a_two_level_hierarchy() {
         let scop = stencil(3000);
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::new(vec![
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
-        );
-        let reference = simulate_hierarchy(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+        ])
+        .unwrap();
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -864,9 +866,9 @@ mod tests {
              }",
         )
         .unwrap();
-        let config = CacheConfig::new(2 * 1024, 4, 64, ReplacementPolicy::Lru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+        let config = MemoryConfig::from(CacheConfig::new(2 * 1024, 4, 64, ReplacementPolicy::Lru));
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -877,9 +879,9 @@ mod tests {
              for (i = 1; i < 2999; i++) if (i < 1500) B[i-1] = A[i-1] + A[i];",
         )
         .unwrap();
-        let config = CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+        let config = MemoryConfig::from(CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru));
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -891,9 +893,9 @@ mod tests {
              for (j = 0; j < 2000; j++) C[j] = B[j] + A[j];",
         )
         .unwrap();
-        let config = CacheConfig::new(2 * 1024, 8, 64, ReplacementPolicy::Plru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+        let config = MemoryConfig::from(CacheConfig::new(2 * 1024, 8, 64, ReplacementPolicy::Plru));
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -956,9 +958,9 @@ mod tests {
         )
         .unwrap();
         for policy in ReplacementPolicy::ALL {
-            let config = CacheConfig::new(2 * 1024, 4, 64, policy);
-            let reference = simulate_single(&scop, &config);
-            let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+            let config = MemoryConfig::from(CacheConfig::new(2 * 1024, 4, 64, policy));
+            let reference = simulate_memory(&scop, &config);
+            let outcome = WarpingSimulator::new(config).run(&scop);
             assert_eq!(outcome.result, reference, "{policy}");
         }
         let config = CacheConfig::new(2 * 1024, 4, 64, ReplacementPolicy::Lru);
@@ -973,10 +975,11 @@ mod tests {
              for (i = 0; i < 6000; i += 3) A[i] = A[i];",
         )
         .unwrap();
-        let memory = MemoryConfig::two_level(
+        let memory = MemoryConfig::new(vec![
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Plru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Plru),
-        );
+        ])
+        .unwrap();
         let reference = simulate::simulate_memory(&scop, &memory);
         let outcome = WarpingSimulator::new(memory).run(&scop);
         assert_eq!(outcome.result, reference);
@@ -987,9 +990,10 @@ mod tests {
         // jacobi-1d-like situation: the working set fits in the cache, so
         // warping opportunities are limited but correctness must hold.
         let scop = stencil(64);
-        let config = CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+        let config =
+            MemoryConfig::from(CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru));
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -998,10 +1002,11 @@ mod tests {
         // The two pipelines must produce identical simulation results; the
         // filtered one must build far fewer exact keys.
         let scop = stencil(4000);
-        let memory = MemoryConfig::two_level(
+        let memory = MemoryConfig::new(vec![
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
-        );
+        ])
+        .unwrap();
         let filtered = WarpingSimulator::new(memory.clone())
             .with_options(WarpingOptions {
                 fingerprint_filter: true,
@@ -1059,10 +1064,11 @@ mod tests {
         // The donor run exports its warp-plan facts; a hinted rerun of a
         // *different* (neighbouring) instance must produce exactly the
         // counts a cold run produces — hints only reschedule attempts.
-        let memory = MemoryConfig::two_level(
+        let memory = MemoryConfig::new(vec![
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
-        );
+        ])
+        .unwrap();
         let mut donor_sim = WarpingSimulator::new(memory.clone());
         let donor_outcome = donor_sim.run(&stencil(4000));
         assert!(donor_outcome.warps >= 1);

@@ -4,11 +4,11 @@
 //! policies.  This is the central correctness property of the paper: warping
 //! only accelerates the simulation, it never changes its outcome.
 
-use cache_model::{CacheConfig, HierarchyConfig, MemoryConfig, ReplacementPolicy};
+use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use proptest::prelude::*;
 use scop::ast::{access, assign, for_loop_strided, Expr, Program, Statement};
 use scop::{elaborate, ElaborateOptions, Scop};
-use simulate::{simulate_hierarchy, simulate_single};
+use simulate::simulate_memory;
 use warping::{WarpingOptions, WarpingSimulator};
 
 /// A randomly generated affine index expression `c0 + c1*i (+ c2*j)`.
@@ -131,10 +131,9 @@ proptest! {
     #[test]
     fn warping_matches_nonwarping_single_level(program in arb_program(), config in arb_cache()) {
         let scop = build(&program);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config.clone()))
-            .with_options(eager())
-            .run(&scop);
+        let memory = MemoryConfig::from(config.clone());
+        let reference = simulate_memory(&scop, &memory);
+        let outcome = WarpingSimulator::new(memory).with_options(eager()).run(&scop);
         prop_assert_eq!(outcome.result, reference, "config: {:?}", config);
         prop_assert_eq!(
             outcome.non_warped_accesses + outcome.warped_accesses,
@@ -149,12 +148,13 @@ proptest! {
         policy2 in arb_policy(),
     ) {
         let scop = build(&program);
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::new(vec![
             CacheConfig::with_sets(2, 2, 32, policy1),
             CacheConfig::with_sets(8, 4, 32, policy2),
-        );
-        let reference = simulate_hierarchy(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config))
+        ])
+        .unwrap();
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config)
             .with_options(eager())
             .run(&scop);
         prop_assert_eq!(outcome.result, reference);
@@ -213,10 +213,9 @@ proptest! {
             program.stmts.push(stmt);
         }
         let scop = build(&program);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(config))
-            .with_options(eager())
-            .run(&scop);
+        let memory = MemoryConfig::from(config);
+        let reference = simulate_memory(&scop, &memory);
+        let outcome = WarpingSimulator::new(memory).with_options(eager()).run(&scop);
         prop_assert_eq!(outcome.result, reference);
     }
 }
@@ -232,9 +231,9 @@ fn stencil_exact_across_policies_and_geometries() {
     .unwrap();
     for policy in ReplacementPolicy::ALL {
         for (sets, assoc, line) in [(1, 2, 8), (4, 2, 8), (64, 8, 64), (16, 4, 32)] {
-            let config = CacheConfig::with_sets(sets, assoc, line, policy);
-            let reference = simulate_single(&scop, &config);
-            let outcome = WarpingSimulator::new(MemoryConfig::from(config.clone()))
+            let config = MemoryConfig::from(CacheConfig::with_sets(sets, assoc, line, policy));
+            let reference = simulate_memory(&scop, &config);
+            let outcome = WarpingSimulator::new(config.clone())
                 .with_options(WarpingOptions {
                     eager_attempts: u64::MAX,
                     backoff_interval: 1,

@@ -15,7 +15,7 @@ use cache_model::{AccessKind, CacheConfig, MemBlock, MemoryConfig, ReplacementPo
 use polyhedra::Aff;
 use proptest::prelude::*;
 use scop::parse_scop;
-use simulate::simulate_single;
+use simulate::simulate_memory;
 use warping::fingerprint::rebuild_level_fingerprint;
 use warping::{SymLevel, WarpingOptions, WarpingSimulator};
 
@@ -136,10 +136,10 @@ proptest! {
             size = n + 1,
         ))
         .unwrap();
-        let config = CacheConfig::with_sets(sets, assoc, line, policy);
-        let reference = simulate_single(&scop, &config);
+        let config = MemoryConfig::from(CacheConfig::with_sets(sets, assoc, line, policy));
+        let reference = simulate_memory(&scop, &config);
         for filter in [true, false] {
-            let outcome = WarpingSimulator::new(MemoryConfig::from(config.clone()))
+            let outcome = WarpingSimulator::new(config.clone())
                 .with_options(WarpingOptions {
                     fingerprint_filter: filter,
                     ..WarpingOptions::default()

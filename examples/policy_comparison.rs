@@ -51,7 +51,7 @@ fn main() {
                     .as_ref()
                     .unwrap_or_else(|e| panic!("request failed: {e}"))
                     .result
-                    .l1()
+                    .levels[0]
                     .misses
             })
             .collect();

@@ -40,7 +40,7 @@ fn main() -> Result<(), String> {
         SimRequest::new(spec.clone(), fa_l1, Backend::Haystack),
         SimRequest::new(
             spec.clone(),
-            HierarchyConfig::polycache_comparison(),
+            MemoryConfig::polycache_comparison(),
             Backend::PolyCache,
         ),
         SimRequest::new(spec, MemoryConfig::test_system(), Backend::warping()),
@@ -60,7 +60,7 @@ fn main() -> Result<(), String> {
             Ok(report) => println!(
                 "{:<28} {:>12} misses   {:>10.1} ms",
                 label,
-                report.last_level_misses(),
+                report.result.last_level_misses(),
                 report.sim_ms
             ),
             Err(e) => println!("{label:<28} error: {e}"),

@@ -36,8 +36,8 @@ fn main() -> Result<(), EngineError> {
     println!(
         "classic: {} accesses, {} misses ({:.2}% miss ratio) in {:.2} ms",
         classic.result.accesses,
-        classic.result.l1().misses,
-        100.0 * classic.result.l1().miss_ratio(),
+        classic.result.levels[0].misses,
+        100.0 * classic.result.levels[0].miss_ratio(),
         classic.sim_ms
     );
 
@@ -48,7 +48,7 @@ fn main() -> Result<(), EngineError> {
         "warping: {} accesses, {} misses, {} warps, {:.2}% of accesses simulated explicitly, \
          in {:.2} ms",
         warped.result.accesses,
-        warped.result.l1().misses,
+        warped.result.levels[0].misses,
         stats.warps,
         100.0 * stats.non_warped_share,
         warped.sim_ms

@@ -25,11 +25,11 @@ fn main() -> Result<(), EngineError> {
     let report = engine.run(&SimRequest::new(kernel.clone(), tiny, Backend::warping()))?;
     let stats = report.warping.expect("warping stats");
     let iterations = n - 2;
-    assert_eq!(report.result.l1().misses, 3 + 2 * (iterations - 1));
+    assert_eq!(report.result.levels[0].misses, 3 + 2 * (iterations - 1));
     println!(
         "tiny cache : {} iterations, {} misses, {} accesses simulated explicitly, {} warped",
         iterations,
-        report.result.l1().misses,
+        report.result.levels[0].misses,
         stats.non_warped_accesses,
         stats.warped_accesses
     );
@@ -49,7 +49,7 @@ fn main() -> Result<(), EngineError> {
     println!(
         "test-system L1: {} misses; non-warping {:.1} ms, warping {:.1} ms (speedup {:.1}x, \
          {:.3}% non-warped accesses)",
-        plain.result.l1().misses,
+        plain.result.levels[0].misses,
         plain.sim_ms,
         warped.sim_ms,
         plain.sim_ms / warped.sim_ms,

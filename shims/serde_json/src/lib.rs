@@ -34,10 +34,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 /// Parses JSON text into any [`Deserialize`] type (use `Value` to inspect
 /// arbitrary documents).
+///
+/// Arrays and objects may nest at most 128 deep (the default limit of the
+/// published `serde_json`); deeper input is an error rather than a stack
+/// overflow.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -124,9 +129,14 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest in parsed JSON.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -167,6 +177,22 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
+        if matches!(self.peek(), Some(b'[' | b'{')) {
+            if self.depth == RECURSION_LIMIT {
+                return Err(Error(format!(
+                    "recursion limit exceeded at offset {}",
+                    self.pos
+                )));
+            }
+            self.depth += 1;
+            let value = self.parse_value_at_depth();
+            self.depth -= 1;
+            return value;
+        }
+        self.parse_value_at_depth()
+    }
+
+    fn parse_value_at_depth(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
@@ -327,6 +353,18 @@ mod tests {
         let compact = to_string(&value).unwrap();
         assert!(!compact.contains('\n'));
         assert_eq!(from_str::<Value>(&compact).unwrap(), value);
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT)).is_ok());
+        let err = from_str::<Value>(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Far deeper input fails the same way instead of overflowing the
+        // stack, and unterminated input too.
+        assert!(from_str::<Value>(&"[".repeat(50_000)).is_err());
+        assert!(from_str::<Value>(&r#"{"a":"#.repeat(50_000)).is_err());
     }
 
     #[test]

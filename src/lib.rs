@@ -12,9 +12,9 @@
 //! * [`scop`] — the polyhedral program representation: loop/access trees, a
 //!   builder AST and a mini-C frontend (the pet substitute).
 //! * [`cache_model`] — set-associative caches, the LRU/FIFO/Pseudo-LRU/
-//!   Quad-age-LRU replacement policies, write policies, and the depth-N
-//!   memory system: [`MemoryConfig`](cache_model::MemoryConfig) describes
-//!   any number of cache levels and
+//!   Quad-age-LRU replacement policies, write policies, and the memory
+//!   system: [`MemoryConfig`](cache_model::MemoryConfig), the one memory
+//!   description, holds any number of cache levels and
 //!   [`MultiLevelState`](cache_model::MultiLevelState) simulates them on
 //!   the flat concrete store through one inclusive access path.
 //! * [`simulate`] — classic, non-warping cache simulation (Algorithm 1).
@@ -53,7 +53,7 @@
 //!     engine.run(&SimRequest::new(kernel.clone(), memory.clone(), Backend::Classic))?;
 //! let outcome = engine.run(&SimRequest::new(kernel, memory, Backend::warping()))?;
 //! assert_eq!(outcome.result, reference.result);
-//! assert_eq!(reference.result.l1().misses, 3 + 2 * 997);
+//! assert_eq!(reference.result.levels[0].misses, 3 + 2 * 997);
 //!
 //! // ... but warping skips almost all of the accesses.
 //! let stats = outcome.warping.unwrap();
@@ -61,11 +61,14 @@
 //! # Ok::<(), warpsim::engine::EngineError>(())
 //! ```
 //!
-//! The legacy per-simulator entry points (`simulate_single`,
-//! `WarpingSimulator`, `HaystackModel`, `dinero_style_simulation`, ...)
-//! remain available — the engine is a facade over them, not a replacement —
-//! but new code should prefer the engine: it is the seam where batching,
-//! result caching and serving plug in.
+//! Every simulator and model takes the same
+//! [`MemoryConfig`](cache_model::MemoryConfig) and reports per-level counts
+//! in [`SimulationResult::levels`](simulate::SimulationResult::levels).
+//! The per-backend entry points (`simulate_memory`, `WarpingSimulator`,
+//! `HaystackModel`, `dinero_style_simulation`, ...) stay public — the
+//! engine is a facade over them, not a replacement — but new code should
+//! prefer the engine: it is the seam where batching, result caching and
+//! serving plug in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,9 +87,8 @@ pub use warping;
 pub mod prelude {
     pub use analytical::{HaystackModel, PolyCacheModel};
     pub use cache_model::{
-        Access, AccessKind, CacheConfig, CacheState, HierarchyConfig, HierarchyState, MemBlock,
-        MemoryConfig, MemoryConfigError, MultiAccessOutcome, MultiLevelState, ReplacementPolicy,
-        WritePolicy,
+        Access, AccessKind, CacheConfig, CacheState, LevelStats, MemBlock, MemoryConfig,
+        MemoryConfigError, MultiAccessOutcome, MultiLevelState, ReplacementPolicy, WritePolicy,
     };
     pub use engine::{
         Backend, Engine, EngineError, KernelSpec, SimReport, SimRequest, WarpingStats,
@@ -95,8 +97,7 @@ pub mod prelude {
     pub use polyhedra::{Aff, BasicSet, Constraint, Set};
     pub use scop::{parse_scop, ElaborateOptions, Scop};
     pub use simulate::{
-        simulate, simulate_hierarchy, simulate_memory, simulate_single, MemorySystem,
-        MultiLevelSystem, SimulationResult,
+        simulate, simulate_memory, MemorySystem, MultiLevelSystem, SimulationResult,
     };
     pub use trace_sim::{dinero_style_simulation, generate_trace, HardwareReference};
     pub use warping::{WarpingOptions, WarpingOutcome, WarpingSimulator};

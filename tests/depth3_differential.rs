@@ -12,11 +12,12 @@ const KERNELS: [Kernel; 3] = [Kernel::Jacobi1d, Kernel::Atax, Kernel::Trisolv];
 /// A small L1/L2/L3 hierarchy (kept small so the canonical keys of the
 /// warping simulator stay cheap at MINI problem sizes).
 fn three_level(policy: ReplacementPolicy) -> MemoryConfig {
-    MemoryConfig::three_level(
+    MemoryConfig::new(vec![
         CacheConfig::new(1024, 4, 64, policy),
         CacheConfig::new(8 * 1024, 8, 64, policy),
         CacheConfig::new(64 * 1024, 16, 64, policy),
-    )
+    ])
+    .unwrap()
 }
 
 #[test]
@@ -42,7 +43,7 @@ fn warping_equals_classic_on_three_levels() {
                 "{kernel:?} {policy}: warping must be bit-exact at depth 3"
             );
             assert_eq!(classic.result.depth(), 3, "{kernel:?} {policy}");
-            assert_eq!(classic.levels.len(), 3, "{kernel:?} {policy}");
+            assert_eq!(classic.result.levels.len(), 3, "{kernel:?} {policy}");
         }
     }
 }
@@ -81,7 +82,6 @@ fn fingerprint_filter_is_stat_neutral_at_depth_3() {
                 filtered.result, exhaustive.result,
                 "{kernel:?} {policy}: the fingerprint filter must not change stats"
             );
-            assert_eq!(filtered.levels, exhaustive.levels, "{kernel:?} {policy}");
             let filtered_stats = filtered.warping.expect("warping stats");
             let exhaustive_stats = exhaustive.warping.expect("warping stats");
             assert_eq!(
@@ -114,7 +114,7 @@ fn depth_3_levels_chain_consistently() {
         assert_eq!(levels[0].accesses, report.result.accesses);
         assert_eq!(levels[1].accesses, levels[0].misses, "{kernel:?}");
         assert_eq!(levels[2].accesses, levels[1].misses, "{kernel:?}");
-        assert_eq!(report.last_level_misses(), levels[2].misses);
+        assert_eq!(report.result.last_level_misses(), levels[2].misses);
     }
 }
 
@@ -136,19 +136,4 @@ fn trace_replay_matches_classic_at_depth_3() {
             .unwrap();
         assert_eq!(classic.result, trace.result, "{kernel:?}");
     }
-}
-
-#[test]
-fn legacy_result_accessors_agree_with_levels() {
-    let engine = Engine::new();
-    let spec = KernelSpec::polybench(Kernel::Jacobi1d, Dataset::Mini);
-    let report = engine
-        .run(&SimRequest::new(
-            spec,
-            three_level(ReplacementPolicy::Qlru),
-            Backend::Classic,
-        ))
-        .unwrap();
-    assert_eq!(report.result.l1(), report.result.levels[0]);
-    assert_eq!(report.result.l2(), Some(report.result.levels[1]));
 }

@@ -1,9 +1,8 @@
-//! Differential test of the `Engine` facade against the legacy entry
+//! Differential test of the `Engine` facade against the per-backend entry
 //! points: routing a request through `Engine::run` must not change a single
 //! counter.
 //!
-//! * `Backend::Classic` must reproduce `simulate_single` /
-//!   `simulate_hierarchy` byte for byte, and
+//! * `Backend::Classic` must reproduce `simulate_memory` byte for byte, and
 //! * `Backend::Warping` must reproduce `WarpingSimulator::new(..).run` byte
 //!   for byte (including the warp counters),
 //!
@@ -21,8 +20,12 @@ fn l1(policy: ReplacementPolicy) -> CacheConfig {
     CacheConfig::new(32 * 1024, 8, 64, policy)
 }
 
-fn hierarchy(policy: ReplacementPolicy) -> HierarchyConfig {
-    HierarchyConfig::new(l1(policy), CacheConfig::new(256 * 1024, 8, 64, policy))
+fn hierarchy(policy: ReplacementPolicy) -> MemoryConfig {
+    MemoryConfig::new(vec![
+        l1(policy),
+        CacheConfig::new(256 * 1024, 8, 64, policy),
+    ])
+    .unwrap()
 }
 
 #[test]
@@ -37,7 +40,7 @@ fn classic_backend_equals_legacy_simulation() {
                 .expect("classic single-level request");
             assert_eq!(
                 single.result,
-                simulate_single(&scop, &l1(policy)),
+                simulate_memory(&scop, &MemoryConfig::from(l1(policy))),
                 "{kernel:?} {policy}"
             );
 
@@ -50,7 +53,7 @@ fn classic_backend_equals_legacy_simulation() {
                 .expect("classic two-level request");
             assert_eq!(
                 two_level.result,
-                simulate_hierarchy(&scop, &hierarchy(policy)),
+                simulate_memory(&scop, &hierarchy(policy)),
                 "{kernel:?} {policy}"
             );
         }
@@ -85,7 +88,7 @@ fn warping_backend_equals_legacy_simulator() {
                     Backend::warping(),
                 ))
                 .expect("warping two-level request");
-            let legacy = WarpingSimulator::new(MemoryConfig::from(hierarchy(policy))).run(&scop);
+            let legacy = WarpingSimulator::new(hierarchy(policy)).run(&scop);
             assert_eq!(two_level.result, legacy.result, "{kernel:?} {policy}");
         }
     }
@@ -123,7 +126,7 @@ fn batched_grid_equals_sequential_runs() {
         .collect();
     let memories = [
         MemoryConfig::from(l1(ReplacementPolicy::Plru)),
-        MemoryConfig::from(hierarchy(ReplacementPolicy::Lru)),
+        hierarchy(ReplacementPolicy::Lru),
     ];
     let backends = [Backend::Classic, Backend::warping()];
     let grid = SimRequest::grid(&kernels, &memories, &backends);

@@ -16,9 +16,9 @@ fn l1(policy: ReplacementPolicy) -> CacheConfig {
 fn all_kernels_are_exact_on_the_test_system_l1_with_plru() {
     for kernel in Kernel::ALL {
         let scop = kernel.build(Dataset::Mini).expect("kernel builds");
-        let cache = l1(ReplacementPolicy::Plru);
-        let reference = simulate_single(&scop, &cache);
-        let outcome = WarpingSimulator::new(MemoryConfig::from(cache)).run(&scop);
+        let cache = MemoryConfig::from(l1(ReplacementPolicy::Plru));
+        let reference = simulate_memory(&scop, &cache);
+        let outcome = WarpingSimulator::new(cache).run(&scop);
         assert_eq!(outcome.result, reference, "{kernel}");
         assert_eq!(
             outcome.non_warped_accesses + outcome.warped_accesses,
@@ -47,16 +47,16 @@ fn all_policies_are_exact_on_representative_kernels() {
     for kernel in kernels {
         let scop = kernel.build(Dataset::Mini).expect("kernel builds");
         for policy in ReplacementPolicy::ALL {
-            let cache = l1(policy);
-            let reference = simulate_single(&scop, &cache);
-            let outcome = WarpingSimulator::new(MemoryConfig::from(cache)).run(&scop);
+            let cache = MemoryConfig::from(l1(policy));
+            let reference = simulate_memory(&scop, &cache);
+            let outcome = WarpingSimulator::new(cache).run(&scop);
             assert_eq!(outcome.result, reference, "{kernel} under {policy}");
         }
     }
 }
 
 #[test]
-fn two_level_hierarchy_is_exact_on_representative_kernels() {
+fn depth_2_hierarchies_are_exact_on_representative_kernels() {
     let kernels = [
         Kernel::Jacobi1d,
         Kernel::Jacobi2d,
@@ -66,11 +66,11 @@ fn two_level_hierarchy_is_exact_on_representative_kernels() {
     for kernel in kernels {
         let scop = kernel.build(Dataset::Mini).expect("kernel builds");
         for config in [
-            HierarchyConfig::test_system(),
-            HierarchyConfig::polycache_comparison(),
+            MemoryConfig::test_system(),
+            MemoryConfig::polycache_comparison(),
         ] {
-            let reference = simulate_hierarchy(&scop, &config);
-            let outcome = WarpingSimulator::new(MemoryConfig::from(config)).run(&scop);
+            let reference = simulate_memory(&scop, &config);
+            let outcome = WarpingSimulator::new(config).run(&scop);
             assert_eq!(outcome.result, reference, "{kernel}");
         }
     }
@@ -90,9 +90,9 @@ fn small_caches_stress_eviction_paths() {
         let scop = kernel.build(Dataset::Mini).expect("kernel builds");
         for (sets, assoc) in [(4usize, 1usize), (8, 2), (16, 4)] {
             for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
-                let cache = CacheConfig::with_sets(sets, assoc, 64, policy);
-                let reference = simulate_single(&scop, &cache);
-                let outcome = WarpingSimulator::new(MemoryConfig::from(cache)).run(&scop);
+                let cache = MemoryConfig::from(CacheConfig::with_sets(sets, assoc, 64, policy));
+                let reference = simulate_memory(&scop, &cache);
+                let outcome = WarpingSimulator::new(cache).run(&scop);
                 assert_eq!(
                     outcome.result, reference,
                     "{kernel} {sets}x{assoc} {policy}"
@@ -113,15 +113,15 @@ fn analytical_models_agree_with_simulation_on_polybench() {
         let scop = kernel.build(Dataset::Mini).expect("kernel builds");
         // HayStack stand-in vs fully-associative LRU simulation.
         let fa = CacheConfig::fully_associative(64, 64, ReplacementPolicy::Lru);
-        let reference = simulate_single(&scop, &fa);
+        let reference = simulate_memory(&scop, &MemoryConfig::from(fa));
         let profile = HaystackModel::new(64).analyze(&scop);
-        assert_eq!(profile.misses(64), reference.l1().misses, "{kernel}");
+        assert_eq!(profile.misses(64), reference.levels[0].misses, "{kernel}");
         // PolyCache stand-in vs hierarchy simulation.
-        let hierarchy = HierarchyConfig::polycache_comparison();
-        let sim = simulate_hierarchy(&scop, &hierarchy);
-        let poly = PolyCacheModel::new(hierarchy).analyze(&scop);
-        assert_eq!(poly.l1_misses, sim.l1().misses, "{kernel}");
-        assert_eq!(poly.l2_misses, sim.l2().unwrap().misses, "{kernel}");
+        let hierarchy = MemoryConfig::polycache_comparison();
+        let sim = simulate_memory(&scop, &hierarchy);
+        let poly = PolyCacheModel::new(&hierarchy).unwrap().analyze(&scop);
+        assert_eq!(poly[0].misses, sim.levels[0].misses, "{kernel}");
+        assert_eq!(poly[1].misses, sim.levels[1].misses, "{kernel}");
     }
 }
 

@@ -24,9 +24,9 @@ fn check(kernel: Kernel, policy: ReplacementPolicy, schedule: (u64, u64, u64, u6
 
 /// [`check`] for an already-built SCoP, labelled `name` in failures.
 fn check_scop(name: &str, scop: &Scop, policy: ReplacementPolicy, schedule: (u64, u64, u64, u64)) {
-    let cache = CacheConfig::new(32 * 1024, 8, 64, policy);
-    let reference = simulate_single(scop, &cache);
-    let outcome = WarpingSimulator::new(MemoryConfig::from(cache)).run(scop);
+    let cache = MemoryConfig::from(CacheConfig::new(32 * 1024, 8, 64, policy));
+    let reference = simulate_memory(scop, &cache);
+    let outcome = WarpingSimulator::new(cache).run(scop);
     assert_eq!(outcome.result, reference, "{name} {policy}: counts");
     assert_eq!(
         (
