@@ -94,7 +94,7 @@ fn bench_cold_start(criterion: &mut Criterion) {
             |b, memory| {
                 b.iter(|| {
                     let mut state = cache_model::MultiLevelState::new(memory);
-                    black_box(state.access_block(memory, MemBlock(0)))
+                    black_box(state.access_block(MemBlock(0)))
                 })
             },
         );

@@ -155,14 +155,14 @@ mod tests {
         let pi = ShiftBijection::new(3);
         let mut c = MultiLevelState::new(&config);
         for b in [0u64, 1, 4, 5, 2, 8, 0, 16] {
-            c.access_block(&config, MemBlock(b));
+            c.access_block(MemBlock(b));
         }
         let b = MemBlock(6);
         let mut updated = c.clone();
-        let out_original = updated.access_block(&config, b);
+        let out_original = updated.access_block(b);
         let lhs = pi.apply_to_levels(&config, &updated);
         let mut rhs = pi.apply_to_levels(&config, &c);
-        let out_renamed = rhs.access_block(&config, pi.apply(b));
+        let out_renamed = rhs.access_block(pi.apply(b));
         assert_eq!(out_original, out_renamed);
         assert_eq!(lhs, rhs);
     }

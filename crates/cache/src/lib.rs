@@ -40,8 +40,8 @@
 //! let config = MemoryConfig::from(CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Lru));
 //! let mut cache = MultiLevelState::new(&config);
 //! let a = MemBlock(0);
-//! assert!(!cache.access_block(&config, a).hit); // cold miss
-//! assert!(cache.access_block(&config, a).hit);  // hit
+//! assert!(!cache.access_block(a).hit); // cold miss
+//! assert!(cache.access_block(a).hit);  // hit
 //! ```
 
 #![forbid(unsafe_code)]

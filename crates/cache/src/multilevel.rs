@@ -44,9 +44,7 @@ impl MultiLevelState {
     /// one zeroed directory of four bytes per set and nothing else until a
     /// set is filled.
     pub fn new(config: &MemoryConfig) -> Self {
-        MultiLevelState {
-            levels: config.levels().iter().map(FlatLevel::new).collect(),
-        }
+        MultiLevelState::from_levels(config.levels().iter().map(FlatLevel::new).collect())
     }
 
     /// Assembles a state from per-level stores (L1 first).
@@ -110,9 +108,8 @@ impl MultiLevelState {
 
     /// Performs a read access to a block (Equation 24 of the paper,
     /// generalized to N levels): level `i + 1` is only consulted — and
-    /// updated — when level `i` misses.  The configuration is the one the
-    /// state was built from.
-    pub fn access_block(&mut self, _config: &MemoryConfig, block: MemBlock) -> MultiAccessOutcome {
+    /// updated — when level `i` misses.
+    pub fn access_block(&mut self, block: MemBlock) -> MultiAccessOutcome {
         self.walk(block, true)
     }
 
@@ -143,56 +140,126 @@ impl MultiLevelState {
         outcome
     }
 
-    /// Performs a run of `count` accesses starting at `base` with a
-    /// constant byte `stride`, recording per-level counters into `stats`
-    /// (`stats[i]` is level `i`).
+    /// Performs `count` rounds of `k` access streams advanced in lockstep —
+    /// round `r` accesses `bases[s] + r·strides[s]` for `s = 0..k`, in
+    /// order — recording per-level counters into `stats` (`stats[i]` is
+    /// level `i`).  Returns the number of accesses recorded arithmetically
+    /// instead of performed.  A single stream is a run: `count` accesses
+    /// `stride` bytes apart.
     ///
-    /// The run is split into maximal groups of consecutive accesses that
-    /// share a cache line (addresses are monotone, so a line never
-    /// recurs once left).  Within a group only the first two accesses
-    /// are performed against the state: after an access and a repeat of
-    /// the same block, a further identical access changes neither the
-    /// replacement-policy state (the block is the promotion target
-    /// already) nor the contents, for every supported policy and both
-    /// fill paths.  The remaining `k - 2` accesses replicate the second
-    /// outcome arithmetically — one fill plus `k − 1` hit-promotes
-    /// collapse into two state updates and a counter bump.
-    ///
+    /// Inside a stretch of rounds in which no stream changes its block,
+    /// once a round is all L1 hits every later round of the stretch
+    /// repeats it, so those rounds are counted as L1 hits instead of
+    /// performed (for a single stream, every access after the second).
     /// The result is bit-identical to calling [`MultiLevelState::access`]
-    /// `count` times (the differential suites assert this).
-    #[inline]
-    pub fn access_run(
+    /// once per access, round by round.
+    pub fn access_group(
         &mut self,
         config: &MemoryConfig,
-        base: u64,
-        stride: i64,
+        bases: &[u64],
+        strides: &[i64],
+        kinds: &[AccessKind],
         count: u64,
-        kind: AccessKind,
         stats: &mut [LevelStats],
-    ) {
-        self.run_impl(config, base, stride, count, kind, None, stats);
+    ) -> u64 {
+        self.group_impl(config, bases, strides, kinds, count, None, stats)
     }
 
-    /// The epoch-stamping counterpart of [`MultiLevelState::access_run`]:
+    /// The epoch-stamping counterpart of [`MultiLevelState::access_group`]:
     /// every performed access stamps like
-    /// [`MultiLevelState::access_stamped`].  A run carries one stamp, so
-    /// the collapsed replays (which would re-stamp the same value) are
-    /// idempotent and the resulting epochs are bit-identical to the
-    /// unbatched walk.
+    /// [`MultiLevelState::access_stamped`], and the rounds counted
+    /// arithmetically would only re-stamp the L1 with the same value.
     #[allow(clippy::too_many_arguments)]
-    pub fn access_run_stamped(
+    pub fn access_group_stamped(
         &mut self,
         config: &MemoryConfig,
-        base: u64,
-        stride: i64,
+        bases: &[u64],
+        strides: &[i64],
+        kinds: &[AccessKind],
         count: u64,
-        kind: AccessKind,
         stamp: i64,
         stats: &mut [LevelStats],
-    ) {
-        self.run_impl(config, base, stride, count, kind, Some(stamp), stats);
+    ) -> u64 {
+        self.group_impl(config, bases, strides, kinds, count, Some(stamp), stats)
     }
 
+    /// Replays a run group round by round.  A *stretch* is a maximal run
+    /// of consecutive rounds in which no stream's block changes.  A round
+    /// that is all L1 hits is a fixed point of itself: hits insert and
+    /// evict nothing, so the next round of the stretch (same blocks) hits
+    /// the same ways again, and its updates leave the rows as this round
+    /// left them — LRU ends with the round's blocks on top in the order of
+    /// their last access, whatever the order before; FIFO hits change
+    /// nothing; PLRU writes the same tree bits on the same paths; QLRU
+    /// resets the same ages to zero.  Outer levels are not consulted and
+    /// the L1 is re-stamped with the same value.  So once a round of a
+    /// stretch is all L1 hits, every later round of the stretch is
+    /// recorded as `k` L1 hits without touching the state.
+    ///
+    /// This generalises the single-stream rule of
+    /// [`MultiLevelState::run_impl`].  Single-stream groups keep that
+    /// rule: for one stream the second access is a fixed point even when
+    /// it misses without filling (a no-write-allocate write), which never
+    /// settles here.
+    #[allow(clippy::too_many_arguments)]
+    fn group_impl(
+        &mut self,
+        config: &MemoryConfig,
+        bases: &[u64],
+        strides: &[i64],
+        kinds: &[AccessKind],
+        count: u64,
+        stamp: Option<i64>,
+        stats: &mut [LevelStats],
+    ) -> u64 {
+        if let ([base], [stride], [kind]) = (bases, strides, kinds) {
+            return self.run_impl(config, *base, *stride, count, *kind, stamp, stats);
+        }
+        let line = config.line_size() as i64;
+        let k = bases.len() as u64;
+        let mut tail = 0;
+        let mut round = 0;
+        while round < count {
+            let offset = round as i64;
+            let mut settled = true;
+            for s in 0..bases.len() {
+                let address = (bases[s] as i64 + offset * strides[s]) as u64;
+                let fill = fills(config, kinds[s]);
+                let outcome = self.walk(self.levels[0].block_of_address(address), fill);
+                outcome.record_into(stats);
+                if let Some(stamp) = stamp {
+                    self.stamp(outcome, fill, stamp);
+                }
+                settled &= outcome.hit && outcome.levels_consulted == 1;
+            }
+            round += 1;
+            if settled {
+                // Every later round of the stretch repeats this one.
+                let stretch = (0..bases.len())
+                    .map(|s| line_span(bases[s] as i64 + offset * strides[s], strides[s], line))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                let rest = (stretch - 1).min(count - round);
+                stats[0].record_n(true, rest * k);
+                tail += rest * k;
+                round += rest;
+            }
+        }
+        tail
+    }
+
+    /// Performs a run — the single-stream group — and returns the number
+    /// of accesses recorded arithmetically.  The run is split into maximal
+    /// stretches of consecutive accesses that share a cache line
+    /// (addresses are monotone, so a line never recurs once left).  Within
+    /// a stretch only the first two accesses are performed against the
+    /// state: after an access and a repeat of the same block, a further
+    /// identical access changes neither the replacement-policy state (the
+    /// block is the promotion target already) nor the contents, for every
+    /// supported policy and both fill paths.  The remaining `n − 2`
+    /// accesses of an `n`-access stretch replicate the second outcome
+    /// arithmetically — one fill plus `n − 1` hit-promotes collapse into
+    /// two state updates and a counter bump.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn run_impl(
@@ -204,30 +271,14 @@ impl MultiLevelState {
         kind: AccessKind,
         stamp: Option<i64>,
         stats: &mut [LevelStats],
-    ) {
+    ) -> u64 {
         let line = config.line_size() as i64;
         let fill = fills(config, kind);
         let mut addr = base as i64;
         let mut remaining = count;
+        let mut collapsed = 0;
         while remaining > 0 {
-            // Size of the group of consecutive accesses on addr's line.
-            let group = if stride == 0 {
-                remaining
-            } else if remaining == 1 || stride.unsigned_abs() >= line as u64 {
-                // One access left, or every access lands on a new line.
-                1
-            } else {
-                let line_base = addr.div_euclid(line) * line;
-                let span = if stride > 0 {
-                    // Accesses before the address reaches the next line.
-                    let gap = line_base + line - addr;
-                    (gap + stride - 1) / stride
-                } else {
-                    // Accesses before the address drops below the line.
-                    (addr - line_base) / -stride + 1
-                };
-                remaining.min(span as u64)
-            };
+            let group = remaining.min(line_span(addr, stride, line));
             let block = self.levels[0].block_of_address(addr as u64);
             let mut outcome = MultiAccessOutcome {
                 levels_consulted: 0,
@@ -247,11 +298,34 @@ impl MultiLevelState {
                 for (idx, level) in stats.iter_mut().enumerate().take(outcome.levels_consulted) {
                     level.record_n(outcome.hit && idx + 1 == outcome.levels_consulted, tail);
                 }
+                collapsed += tail;
             }
             addr += stride * group as i64;
             remaining -= group;
         }
+        collapsed
     }
+}
+
+/// The number of accesses of a stream at `addr` moving `stride` bytes per
+/// access that stay on `addr`'s line, that one included (`u64::MAX` for a
+/// zero stride).
+fn line_span(addr: i64, stride: i64, line: i64) -> u64 {
+    if stride == 0 {
+        return u64::MAX;
+    }
+    if stride.unsigned_abs() >= line as u64 {
+        return 1;
+    }
+    let line_base = addr.div_euclid(line) * line;
+    let span = if stride > 0 {
+        // Accesses before the address reaches the next line.
+        (line_base + line - addr + stride - 1) / stride
+    } else {
+        // Accesses before the address drops below the line.
+        (addr - line_base) / -stride + 1
+    };
+    span as u64
 }
 
 /// Whether an access of `kind` fills on a miss under `config`'s write
@@ -312,9 +386,7 @@ impl StateSnapshot {
 
     /// Reconstructs a [`MultiLevelState`] from the snapshot.
     pub fn restore(&self) -> MultiLevelState {
-        MultiLevelState {
-            levels: self.levels.clone(),
-        }
+        MultiLevelState::from_levels(self.levels.clone())
     }
 }
 
@@ -338,10 +410,10 @@ mod tests {
     fn outer_levels_filter_inner_misses() {
         let config = tiny_three_level();
         let mut state = MultiLevelState::new(&config);
-        let first = state.access_block(&config, MemBlock(0));
+        let first = state.access_block(MemBlock(0));
         assert_eq!(first.levels_consulted, 3);
         assert!(!first.hit);
-        let second = state.access_block(&config, MemBlock(0));
+        let second = state.access_block(MemBlock(0));
         assert_eq!(second.levels_consulted, 1);
         assert!(second.hit);
     }
@@ -353,9 +425,9 @@ mod tests {
         // Fill L1 set 0 beyond its associativity: block 0 is evicted from
         // the L1 but survives in the larger L2.
         for b in [0u64, 2, 4] {
-            state.access_block(&config, MemBlock(b));
+            state.access_block(MemBlock(b));
         }
-        let again = state.access_block(&config, MemBlock(0));
+        let again = state.access_block(MemBlock(0));
         assert_eq!(again.levels_consulted, 2);
         assert!(again.hit);
     }
@@ -418,7 +490,7 @@ mod tests {
         assert_eq!(restored, state);
         // The restored copy diverges independently of the original.
         let mut forked = snap.restore();
-        forked.access_block(&config, MemBlock(99));
+        forked.access_block(MemBlock(99));
         assert_ne!(forked, state);
         assert_eq!(snap.restore(), state, "snapshot itself is unchanged");
     }
@@ -456,12 +528,12 @@ mod tests {
                 let mut batched_stats = vec![LevelStats::default(); 2];
                 let mut unbatched_stats = vec![LevelStats::default(); 2];
                 for (base, stride, count, kind) in runs {
-                    batched.access_run_stamped(
+                    batched.access_group_stamped(
                         &config,
-                        base,
-                        stride,
+                        &[base],
+                        &[stride],
+                        &[kind],
                         count,
-                        kind,
                         7,
                         &mut batched_stats,
                     );
@@ -481,17 +553,144 @@ mod tests {
         }
     }
 
+    /// A group as `(bases, strides, kinds, count)`.
+    type Group = (&'static [u64], &'static [i64], &'static [AccessKind], u64);
+
+    const POLICIES: [ReplacementPolicy; 4] = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Plru,
+        ReplacementPolicy::Qlru,
+    ];
+
+    /// Two levels small enough for conflicts: a 2-set, 2-way L1 (blocks
+    /// 0, 2 and 4 share its set 0) over a 4-set, 2-way L2.
+    fn small_two_level(policy: ReplacementPolicy) -> MemoryConfig {
+        MemoryConfig::new(vec![
+            CacheConfig::with_sets(2, 2, 64, policy),
+            CacheConfig::with_sets(4, 2, 64, policy),
+        ])
+        .unwrap()
+    }
+
+    /// The group's accesses one by one, round by round.
+    fn replay(
+        state: &mut MultiLevelState,
+        config: &MemoryConfig,
+        (bases, strides, kinds, count): Group,
+        stamp: i64,
+        stats: &mut [LevelStats],
+    ) {
+        for r in 0..count as i64 {
+            for s in 0..bases.len() {
+                let address = (bases[s] as i64 + r * strides[s]) as u64;
+                let access = Access {
+                    address,
+                    kind: kinds[s],
+                };
+                state
+                    .access_stamped(config, access, stamp)
+                    .record_into(stats);
+            }
+        }
+    }
+
+    fn epochs(state: &MultiLevelState) -> Vec<i64> {
+        state.levels().iter().map(FlatLevel::epoch).collect()
+    }
+
+    #[test]
+    fn access_group_is_bit_identical_to_single_accesses() {
+        use AccessKind::{Read, Write};
+        let groups: [Group; 8] = [
+            // Two streams in different sets, sub-line stride.
+            (&[0, 64], &[8, 8], &[Read, Write], 24),
+            // One stretch plus a last round on new lines, which a tail
+            // running past its stretch would count as hits.
+            (&[2048, 2112], &[8, 8], &[Read, Read], 9),
+            // The tiled-gemm body: a read and a write of one block around
+            // a fixed scalar.
+            (&[512, 1024, 512], &[8, 0, 8], &[Read, Read, Write], 20),
+            // Three lines of one two-way L1 set: every round misses, so no
+            // round is ever a fixed point.
+            (&[0, 128, 256], &[8, 8, 8], &[Read, Write, Read], 16),
+            // Backward and zero strides, straddling lines.
+            (&[4136, 2048], &[-8, 0], &[Write, Read], 17),
+            // Line-crossing streams: every round opens a stretch.
+            (&[0, 8192], &[64, 128], &[Read, Read], 6),
+            // The first group again, now cached: the first round settles.
+            (&[0, 64], &[8, 8], &[Read, Write], 24),
+            // A single stream is a run.
+            (&[60], &[8], &[Read], 5),
+        ];
+        for policy in POLICIES {
+            for write_policy in [
+                WritePolicy::WriteBackWriteAllocate,
+                WritePolicy::WriteThroughNoAllocate,
+            ] {
+                let config = small_two_level(policy).with_write_policy(write_policy);
+                let tag = format!("{policy:?} {write_policy:?}");
+                let mut stamped = MultiLevelState::new(&config);
+                let mut plain = MultiLevelState::new(&config);
+                let mut reference = MultiLevelState::new(&config);
+                let mut stamped_stats = vec![LevelStats::default(); 2];
+                let mut plain_stats = vec![LevelStats::default(); 2];
+                let mut reference_stats = vec![LevelStats::default(); 2];
+                for (stamp, group) in groups.into_iter().enumerate() {
+                    let (bases, strides, kinds, count) = group;
+                    let stamp = stamp as i64;
+                    stamped.access_group_stamped(
+                        &config,
+                        bases,
+                        strides,
+                        kinds,
+                        count,
+                        stamp,
+                        &mut stamped_stats,
+                    );
+                    plain.access_group(&config, bases, strides, kinds, count, &mut plain_stats);
+                    replay(&mut reference, &config, group, stamp, &mut reference_stats);
+                    assert_eq!(stamped, reference, "{tag} after {bases:?}");
+                    assert_eq!(epochs(&stamped), epochs(&reference), "{tag} {bases:?}");
+                    assert_eq!(stamped_stats, reference_stats, "{tag} after {bases:?}");
+                    assert_eq!(plain, reference, "{tag} after {bases:?}");
+                    assert_eq!(plain_stats, reference_stats, "{tag} after {bases:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_tail_starts_after_the_first_all_hit_round() {
+        use AccessKind::Read;
+        // One 8-round stretch of two streams in different sets.
+        let pair: Group = (&[0, 64], &[8, 8], &[Read, Read], 8);
+        let conflict: Group = (&[0, 128, 256], &[8, 8, 8], &[Read, Read, Read], 8);
+        for policy in POLICIES {
+            let config = small_two_level(policy);
+            let mut stats = vec![LevelStats::default(); 2];
+            let mut state = MultiLevelState::new(&config);
+            let mut tail = |state: &mut MultiLevelState, (bases, strides, kinds, count): Group| {
+                state.access_group(&config, bases, strides, kinds, count, &mut stats)
+            };
+            // Cold: round 1 fills and round 2 hits (QLRU included, though
+            // it moves the lines' ages from 2 to 0); rounds 3 to 8 are
+            // counted.
+            assert_eq!(tail(&mut state, pair), 6 * 2, "{policy:?} cold");
+            // Cached: round 1 already hits; rounds 2 to 8 are counted.
+            assert_eq!(tail(&mut state, pair), 7 * 2, "{policy:?} cached");
+            // More lines than ways: every round misses, nothing is counted.
+            assert_eq!(tail(&mut state, conflict), 0, "{policy:?} conflict");
+        }
+    }
+
     #[test]
     fn record_into_charges_only_consulted_levels() {
         let config = tiny_three_level();
         let mut state = MultiLevelState::new(&config);
         let mut stats = vec![LevelStats::default(); 3];
-        state
-            .access_block(&config, MemBlock(0))
-            .record_into(&mut stats);
-        state
-            .access_block(&config, MemBlock(0))
-            .record_into(&mut stats);
+        state.access_block(MemBlock(0)).record_into(&mut stats);
+        state.access_block(MemBlock(0)).record_into(&mut stats);
         assert_eq!(stats[0].accesses, 2);
         assert_eq!(stats[0].hits, 1);
         assert_eq!(stats[1].accesses, 1);

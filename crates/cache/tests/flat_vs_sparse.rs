@@ -4,7 +4,8 @@
 //! `MultiLevelState` keeps one `FlatLevel` (set directory + row slab with
 //! packed policy metadata) per level.  This suite drives it next to a
 //! `Vec<CacheState<MemBlock>>` walked by the reference `walk_access`, over
-//! random access and run streams, for all four policies, both write
+//! random accesses and run groups of one to three streams (one stream is a
+//! run), for all four policies, both write
 //! policies, power-of-two and other set counts and line sizes,
 //! associativity 1 and 128-way PLRU (multi-word tree bits), at depths 1 to
 //! 3.  After every step the two must agree on each access's outcome, the
@@ -73,38 +74,52 @@ fn assert_same(flat: &MultiLevelState, stats: &[LevelStats], reference: &Referen
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 enum Step {
     Access {
         addr: u64,
         write: bool,
     },
-    Run {
-        base: u64,
-        stride: i64,
+    /// Streams advanced in lockstep, `count` rounds.
+    Group {
+        bases: Vec<u64>,
+        strides: Vec<i64>,
+        kinds: Vec<AccessKind>,
         count: u64,
-        write: bool,
     },
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
-    (
-        0u8..3,
-        0u64..(48 * 64),
-        prop::bool::ANY,
-        -130i64..130,
-        0u64..40,
-    )
-        .prop_map(|(kind, addr, write, stride, count)| match kind {
-            0 => Step::Access { addr, write },
-            _ => Step::Run {
-                // Keep every address of a backward run non-negative.
-                base: addr + (stride.unsigned_abs() * count),
-                stride,
-                count,
-                write,
+    let stream = (0u64..(48 * 64), -130i64..130, prop::bool::ANY);
+    (0u8..3, proptest::collection::vec(stream, 1..=3), 0u64..40).prop_map(
+        |(kind, streams, count)| match kind {
+            0 => Step::Access {
+                addr: streams[0].0,
+                write: streams[0].2,
             },
-        })
+            _ => Step::Group {
+                // Keep every address of a backward stream non-negative.
+                bases: streams
+                    .iter()
+                    .map(|&(addr, stride, _)| addr + stride.unsigned_abs() * count)
+                    .collect(),
+                strides: streams.iter().map(|&(_, stride, _)| stride).collect(),
+                kinds: streams
+                    .iter()
+                    .map(|&(_, _, write)| kind_of(write))
+                    .collect(),
+                count,
+            },
+        },
+    )
+}
+
+fn kind_of(write: bool) -> AccessKind {
+    if write {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    }
 }
 
 /// A depth-1..=3 memory system: set counts grow by ×1, ×2 or ×3 per level
@@ -154,47 +169,29 @@ fn check(config: &MemoryConfig, steps: &[Step]) {
     let mut reference = Reference::new(config);
     for (stamp, step) in steps.iter().enumerate() {
         let stamp = stamp as i64;
-        let kind = |write: bool| {
-            if write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            }
-        };
-        match *step {
-            Step::Access { addr, write } => {
+        match step {
+            &Step::Access { addr, write } => {
                 let access = Access {
                     address: addr,
-                    kind: kind(write),
+                    kind: kind_of(write),
                 };
                 let outcome = flat.access_stamped(config, access, stamp);
                 outcome.record_into(&mut stats);
                 assert_eq!(outcome, reference.access(access, stamp), "{step:?}");
             }
-            Step::Run {
-                base,
-                stride,
+            Step::Group {
+                bases,
+                strides,
+                kinds,
                 count,
-                write,
             } => {
-                flat.access_run_stamped(
-                    config,
-                    base,
-                    stride,
-                    count,
-                    kind(write),
-                    stamp,
-                    &mut stats,
-                );
-                for k in 0..count {
-                    let address = (base as i64 + k as i64 * stride) as u64;
-                    reference.access(
-                        Access {
-                            address,
-                            kind: kind(write),
-                        },
-                        stamp,
-                    );
+                flat.access_group_stamped(config, bases, strides, kinds, *count, stamp, &mut stats);
+                for r in 0..*count as i64 {
+                    for s in 0..bases.len() {
+                        let address = (bases[s] as i64 + r * strides[s]) as u64;
+                        let kind = kinds[s];
+                        reference.access(Access { address, kind }, stamp);
+                    }
                 }
             }
         }
@@ -237,7 +234,7 @@ fn snapshots_restore_the_exact_state() {
     .unwrap();
     let mut state = MultiLevelState::new(&config);
     let mut stats = vec![LevelStats::default(); 2];
-    state.access_run_stamped(&config, 0, 40, 30, AccessKind::Read, 1, &mut stats);
+    state.access_group_stamped(&config, &[0], &[40], &[AccessKind::Read], 30, 1, &mut stats);
     let snap = cache_model::StateSnapshot::capture(&state);
     let restored = snap.restore();
     assert_eq!(restored, state);

@@ -89,7 +89,7 @@
 
 use crate::report::ApproxStats;
 use cache_model::{LevelStats, MemoryConfig, MultiLevelState, StateSnapshot};
-use scop::{compile, for_each_run_at, CompiledLoop, CompiledNode, Scop, WalkScratch};
+use scop::{compile, for_each_group_at, CompiledLoop, CompiledNode, Scop, WalkScratch};
 use simulate::{simulate, MultiLevelSystem, SimulationResult};
 use warping::fingerprint::concrete_fingerprint;
 
@@ -377,9 +377,9 @@ impl<'a> Sampler<'a> {
         let config = self.config;
         let mut local = vec![LevelStats::default(); self.totals.len()];
         let state = &mut self.state;
-        self.simulated += for_each_run_at(node, &[], &mut self.scratch, |run| {
-            state.access_run_stamped(
-                config, run.base, run.stride, run.count, run.kind, stamp, &mut local,
+        self.simulated += for_each_group_at(node, &[], &mut self.scratch, |g| {
+            state.access_group_stamped(
+                config, g.bases, g.strides, g.kinds, g.count, stamp, &mut local,
             );
         });
         merge(&mut self.totals, &local);
@@ -406,9 +406,9 @@ impl<'a> Sampler<'a> {
             let scratch = &mut self.scratch;
             let outer = std::slice::from_ref(&iters[idx]);
             for child in cl.children() {
-                self.simulated += for_each_run_at(child, outer, scratch, |run| {
-                    state.access_run_stamped(
-                        config, run.base, run.stride, run.count, run.kind, stamp, &mut local,
+                self.simulated += for_each_group_at(child, outer, scratch, |g| {
+                    state.access_group_stamped(
+                        config, g.bases, g.strides, g.kinds, g.count, stamp, &mut local,
                     );
                 });
             }
@@ -930,13 +930,9 @@ impl<'a> Sampler<'a> {
     }
 }
 
-/// Adds `from` into `into`, level by level.
+/// Adds `from` into `into`, level by level ([`LevelStats::merge`]).
 fn merge(into: &mut [LevelStats], from: &[LevelStats]) {
-    for (t, l) in into.iter_mut().zip(from) {
-        t.accesses += l.accesses;
-        t.hits += l.hits;
-        t.misses += l.misses;
-    }
+    into.iter_mut().zip(from).for_each(|(t, l)| t.merge(l));
 }
 
 /// The iterator values of a top-level loop, in execution order, as

@@ -15,17 +15,27 @@
 //! The reference walk ([`scop::for_each_access`]) is the oracle: every
 //! backend consumes the compiled stream, so nothing else can vouch for it.
 //!
+//! Innermost loops whose bodies are all accesses are walked as run groups
+//! (guard-uniform pieces of an entry, every access a stream);
+//! [`group_stream_matches_reference_on_multi_access_bodies`] flattens them
+//! over random multi-access bodies with guards on either dimension, and
+//! the classic backend, which replays the groups in lockstep, must match
+//! the reference simulation under every policy and write policy.
+//!
 //! The parser only builds domains of at most one conjunction, so a
 //! hand-built SCoP ([`union_scop`]) covers the union-domain fallback:
-//! loops and guards whose domains are unions of conjunctions.
+//! loops and guards whose domains are unions of conjunctions, walked one
+//! iteration at a time.
 
 use analytical::HaystackModel;
-use cache_model::{AccessKind, CacheConfig, MemBlock, MemoryConfig, ReplacementPolicy};
+use cache_model::{
+    AccessKind, CacheConfig, MemBlock, MemoryConfig, ReplacementPolicy, WritePolicy,
+};
 use engine::{Backend, Engine, KernelSpec, SimRequest};
 use polyhedra::{Aff, BasicSet, Set};
 use proptest::prelude::*;
 use scop::{AccessNode, ArrayInfo, LoopNode, Node, Scop};
-use simulate::{simulate_reference, MultiLevelSystem};
+use simulate::{simulate, simulate_reference, MultiLevelSystem};
 
 /// The kernel shapes under test; each is stamped out from the same small
 /// parameter tuple so shrinking stays meaningful.
@@ -242,6 +252,192 @@ proptest! {
         let misses: Vec<u64> = polycache.result.levels.iter().map(|l| l.misses).collect();
         prop_assert_eq!(polycache.result.accesses, addresses.len() as u64, "{}", tag);
         prop_assert_eq!(misses, lru_replay(&addresses, &lru), "{}", tag);
+    }
+}
+
+/// One statement of a random loop body: `A[ia*i + ja*j + ca] = B[ib*i +
+/// jb*j + cb];` (a read of `B`, then a write of `A`) under an optional
+/// guard.
+#[derive(Clone, Copy, Debug)]
+struct Statement {
+    write: (i64, i64, i64),
+    read: (i64, i64, i64),
+    guard: Guard,
+}
+
+/// A statement guard on the inner dimension `j`, the outer one `i`, or
+/// both.
+#[derive(Clone, Copy, Debug)]
+enum Guard {
+    None,
+    InnerBelow(i64),
+    InnerFrom(i64),
+    InnerAt(i64),
+    OuterFrom(i64),
+    /// `j <= i + c`: a bound coupled to the outer dimension.
+    Coupled(i64),
+    /// `i >= c && j < c'`: one condition per dimension.
+    Both(i64, i64),
+}
+
+impl Guard {
+    fn text(self) -> Option<String> {
+        match self {
+            Guard::None => None,
+            Guard::InnerBelow(c) => Some(format!("j < {c}")),
+            Guard::InnerFrom(c) => Some(format!("j >= {c}")),
+            Guard::InnerAt(c) => Some(format!("j == {c}")),
+            Guard::OuterFrom(c) => Some(format!("i >= {c}")),
+            Guard::Coupled(c) => Some(format!("j <= i + {c}")),
+            Guard::Both(a, b) => Some(format!("i >= {a} && j < {b}")),
+        }
+    }
+}
+
+fn arb_guard() -> impl Strategy<Value = Guard> {
+    (0u8..8, 0i64..10, 0i64..10).prop_map(|(kind, a, b)| match kind {
+        0 => Guard::InnerBelow(a),
+        1 => Guard::InnerFrom(a),
+        2 => Guard::InnerAt(a),
+        3 => Guard::OuterFrom(a),
+        4 => Guard::Coupled(a - 3),
+        5 => Guard::Both(a, b),
+        _ => Guard::None,
+    })
+}
+
+fn arb_statement() -> impl Strategy<Value = Statement> {
+    let index = || (prop::sample::select(vec![0i64, 1, 10]), 0i64..3, 0i64..3);
+    (index(), index(), arb_guard()).prop_map(|(write, read, guard)| Statement {
+        write,
+        read,
+        guard,
+    })
+}
+
+/// A loop header over `0 <= v < 10` with the given stride, walking down
+/// from 9 when `decreasing`.
+fn header(v: &str, stride: i64, decreasing: bool) -> String {
+    if decreasing {
+        format!("for ({v} = 9; {v} >= 0; {v} -= {stride})")
+    } else {
+        format!("for ({v} = 0; {v} < 10; {v} += {stride})")
+    }
+}
+
+/// A two-deep nest whose inner body is `statements`.
+fn nest_source(
+    statements: &[Statement],
+    (outer_stride, outer_down): (i64, bool),
+    (inner_stride, inner_down): (i64, bool),
+) -> String {
+    let index = |(a, b, c): (i64, i64, i64)| format!("{a}*i + {b}*j + {c}");
+    let mut body = String::new();
+    for st in statements {
+        let assignment = format!("A[{}] = B[{}];", index(st.write), index(st.read));
+        match st.guard.text() {
+            Some(cond) => body.push_str(&format!("if ({cond}) {assignment}\n")),
+            None => body.push_str(&format!("{assignment}\n")),
+        }
+    }
+    format!(
+        "double A[200]; double B[200];\n{} {} {{\n{body}}}\n",
+        header("i", outer_stride, outer_down),
+        header("j", inner_stride, inner_down),
+    )
+}
+
+/// The compiled walk's run groups, flattened round by round into
+/// `(node, address, kind)`, and how many groups had several streams.
+fn flattened_groups(scop: &Scop) -> (Vec<(usize, u64, AccessKind)>, usize) {
+    let compiled = scop::compile(scop);
+    let mut scratch = compiled.new_scratch();
+    let mut stream = Vec::new();
+    let mut multi = 0;
+    let count = compiled.for_each_group(&mut scratch, |group| {
+        multi += usize::from(group.nodes.len() > 1);
+        for r in 0..group.count as i64 {
+            for s in 0..group.nodes.len() {
+                let address = (group.bases[s] as i64 + r * group.strides[s]) as u64;
+                stream.push((group.nodes[s], address, group.kinds[s]));
+            }
+        }
+    });
+    assert_eq!(
+        count as usize,
+        stream.len(),
+        "the walk counts what it emits"
+    );
+    (stream, multi)
+}
+
+fn reference_stream(scop: &Scop) -> Vec<(usize, u64, AccessKind)> {
+    let mut stream = Vec::new();
+    scop::for_each_access(scop, |access| {
+        stream.push((access.node.id, access.address, access.kind));
+    });
+    stream
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Flattened run groups are the reference stream, and the classic
+    /// backend's lockstep replay of them is the reference simulation.
+    #[test]
+    fn group_stream_matches_reference_on_multi_access_bodies(
+        statements in proptest::collection::vec(arb_statement(), 1..5),
+        outer in (1i64..3, prop::bool::ANY),
+        inner in (1i64..4, prop::bool::ANY),
+        policy in arb_policy(),
+        allocate in prop::bool::ANY,
+    ) {
+        let source = nest_source(&statements, outer, inner);
+        let scop = KernelSpec::source("nest", source.clone()).build().expect("kernel builds");
+        let (groups, _) = flattened_groups(&scop);
+        prop_assert_eq!(&groups, &reference_stream(&scop), "{}", source);
+
+        let write_policy = if allocate {
+            WritePolicy::WriteBackWriteAllocate
+        } else {
+            WritePolicy::WriteThroughNoAllocate
+        };
+        // Small enough that the nest conflicts in the L1.
+        let memory = MemoryConfig::new(vec![
+            CacheConfig::with_sets(2, 2, 64, policy),
+            CacheConfig::with_sets(8, 2, 64, policy),
+        ])
+        .expect("valid")
+        .with_write_policy(write_policy);
+        let classic = simulate(&scop, &mut MultiLevelSystem::new(memory.clone()));
+        let reference = simulate_reference(&scop, &mut MultiLevelSystem::new(memory));
+        prop_assert_eq!(classic, reference, "{} {:?} {:?}", source, policy, write_policy);
+    }
+}
+
+#[test]
+fn ragged_tiled_gemm_groups_match_the_reference() {
+    for (ni, nj, nk, ti, tj) in [(20, 18, 12, 7, 5), (9, 11, 4, 4, 3), (16, 16, 8, 8, 8)] {
+        let spec = KernelSpec::source(
+            "tiled-gemm",
+            polybench::parametric::tiled_gemm(ni, nj, nk, ti, tj),
+        );
+        let scop = spec.build().expect("kernel builds");
+        let tag = format!("({ni}, {nj}, {nk}, {ti}, {tj})");
+        let (groups, multi) = flattened_groups(&scop);
+        assert_eq!(groups, reference_stream(&scop), "{tag}");
+        assert!(multi > 0, "{tag}: the guarded j bodies walk as groups");
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Plru,
+            ReplacementPolicy::Qlru,
+        ] {
+            let memory = memory(2, policy);
+            let classic = simulate(&scop, &mut MultiLevelSystem::new(memory.clone()));
+            let reference = simulate_reference(&scop, &mut MultiLevelSystem::new(memory));
+            assert_eq!(classic, reference, "{tag} {policy:?}");
+        }
     }
 }
 

@@ -190,59 +190,6 @@ impl BasicSet {
         self.clone().with_eq(aff)
     }
 
-    /// Integer bounds for dimension `d` given concrete values for all
-    /// dimensions `< d`, considering only constraints that do not involve
-    /// dimensions `> d`.
-    ///
-    /// For loop-nest-shaped sets (every constraint on dimension `d` involves
-    /// only dimensions `<= d`) these bounds are exact.  Constraints that do
-    /// involve later dimensions are ignored here; use
-    /// [`BasicSet::project_onto_prefix`] first to take them into account.
-    ///
-    /// Returns `None` if the constraints on dimension `d` (with the prefix
-    /// substituted) are contradictory.
-    pub fn dim_bounds(&self, d: usize, prefix: &[i64]) -> Option<DimBounds> {
-        assert!(prefix.len() >= d, "prefix must cover all dimensions < d");
-        let mut lo: Option<i64> = None;
-        let mut hi: Option<i64> = None;
-        for c in &self.constraints {
-            if !c.aff().involves_only_dims_below(d + 1) {
-                continue;
-            }
-            let sub = c.aff().substitute_prefix(&prefix[..d]);
-            let coeff = sub.coeff(d);
-            let rest = sub.constant_term();
-            // Constraint: coeff * x_d + rest (>= 0 | == 0)
-            let ineqs: Vec<(i64, i64)> = match c.kind() {
-                ConstraintKind::Ge => vec![(coeff, rest)],
-                ConstraintKind::Eq => vec![(coeff, rest), (-coeff, -rest)],
-            };
-            for (a, b) in ineqs {
-                if a == 0 {
-                    if b < 0 {
-                        return None;
-                    }
-                    continue;
-                }
-                if a > 0 {
-                    // x_d >= ceil(-b / a)
-                    let bound = div_ceil(-b, a);
-                    lo = Some(lo.map_or(bound, |l| l.max(bound)));
-                } else {
-                    // x_d <= floor(b / -a)
-                    let bound = div_floor(b, -a);
-                    hi = Some(hi.map_or(bound, |h| h.min(bound)));
-                }
-            }
-        }
-        if let (Some(l), Some(h)) = (lo, hi) {
-            if l > h {
-                return Some((Some(l), Some(h))); // empty range, caller checks
-            }
-        }
-        Some((lo, hi))
-    }
-
     /// Rational Fourier–Motzkin elimination of all dimensions `>= keep`.
     ///
     /// The result constrains only the first `keep` dimensions and is an
@@ -298,6 +245,119 @@ impl BasicSet {
             constraints,
         }
     }
+}
+
+/// The constraints of a basic set that bound one dimension `d` once the
+/// dimensions before it are fixed, lowered to flat rows: every row reads
+/// `a·x_d + p·x_{<d} + b >= 0` (an equality becomes two opposite rows).
+///
+/// Evaluating the rows against a concrete prefix allocates nothing, which
+/// is what the compiled walk needs per loop entry and per guard, and what
+/// the lexicographic search needs per search node.
+///
+/// ```
+/// use polyhedra::{Aff, BasicSet, BoundRows};
+/// // { (i, j) | 0 <= i < 5, i <= j < 5 }
+/// let (i, j) = (Aff::var(2, 0), Aff::var(2, 1));
+/// let t = BasicSet::universe(2)
+///     .with_ge(i.clone())
+///     .with_gt(Aff::constant(2, 5).sub(&i))
+///     .with_ge(j.clone().sub(&i))
+///     .with_gt(Aff::constant(2, 5).sub(&j));
+/// let j_rows = BoundRows::new(t.constraints(), 1);
+/// assert_eq!(j_rows.interval(&[2]), Some((Some(2), Some(4))));
+/// assert!(j_rows.holds(&[2, 3]) && !j_rows.holds(&[2, 1]));
+/// ```
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct BoundRows {
+    dim: usize,
+    /// `dim + 2` values per row: `a`, the `dim` prefix coefficients, `b`.
+    data: Vec<i64>,
+}
+
+impl BoundRows {
+    /// Lowers the `constraints` that involve no dimension after `dim`;
+    /// the others are left out (for loop-nest-shaped sets, where every
+    /// constraint on `x_d` involves only dimensions `<= d`, the rows are
+    /// exact; project the set first to account for the rest).
+    pub fn new<'a>(constraints: impl IntoIterator<Item = &'a Constraint>, dim: usize) -> Self {
+        let mut data = Vec::new();
+        for c in constraints {
+            let aff = c.aff();
+            if !aff.involves_only_dims_below(dim + 1) {
+                continue;
+            }
+            let coeff = |d: usize| aff.coeffs().get(d).copied().unwrap_or(0);
+            let signs: &[i64] = match c.kind() {
+                ConstraintKind::Ge => &[1],
+                ConstraintKind::Eq => &[1, -1],
+            };
+            for &sign in signs {
+                data.push(sign * coeff(dim));
+                data.extend((0..dim).map(|d| sign * coeff(d)));
+                data.push(sign * aff.constant_term());
+            }
+        }
+        BoundRows { dim, data }
+    }
+
+    /// The bounded dimension.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The rows as `(a, p, b)`: `a·x_d + p·x_{<d} + b >= 0`.
+    pub fn rows(&self) -> impl Iterator<Item = (i64, &[i64], i64)> + '_ {
+        self.data
+            .chunks_exact(self.dim + 2)
+            .map(|row| (row[0], &row[1..=self.dim], row[self.dim + 1]))
+    }
+
+    /// The integer bounds of `x_d` given concrete values for the
+    /// dimensions before it (`prefix` may be longer; only its first `d`
+    /// values are read).  An interval with `lower > upper` is empty;
+    /// `None` means a row without `x_d` fails at `prefix`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefix` is shorter than `d`.
+    #[inline]
+    pub fn interval(&self, prefix: &[i64]) -> Option<DimBounds> {
+        let prefix = &prefix[..self.dim];
+        let (mut lo, mut hi): DimBounds = (None, None);
+        for (a, p, b) in self.rows() {
+            let rest = b + dot(p, prefix);
+            if a > 0 {
+                // x_d >= ceil(-rest / a)
+                let bound = div_ceil(-rest, a);
+                lo = Some(lo.map_or(bound, |l| l.max(bound)));
+            } else if a < 0 {
+                // x_d <= floor(rest / -a)
+                let bound = div_floor(rest, -a);
+                hi = Some(hi.map_or(bound, |h| h.min(bound)));
+            } else if rest < 0 {
+                return None;
+            }
+        }
+        Some((lo, hi))
+    }
+
+    /// Whether every row holds at `point` (its first `d + 1` values are
+    /// read).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point` is shorter than `d + 1`.
+    #[inline]
+    pub fn holds(&self, point: &[i64]) -> bool {
+        let (prefix, x) = (&point[..self.dim], point[self.dim]);
+        self.rows().all(|(a, p, b)| a * x + dot(p, prefix) + b >= 0)
+    }
+}
+
+#[inline]
+fn dot(p: &[i64], x: &[i64]) -> i64 {
+    p.iter().zip(x).map(|(a, b)| a * b).sum()
 }
 
 /// Floor division for `i64` (rounds towards negative infinity).
@@ -360,11 +420,22 @@ mod tests {
     }
 
     #[test]
-    fn dim_bounds_triangle() {
+    fn bound_rows_triangle() {
         let t = triangle();
-        assert_eq!(t.dim_bounds(0, &[]), Some((Some(0), Some(4))));
-        assert_eq!(t.dim_bounds(1, &[2]), Some((Some(2), Some(4))));
-        assert_eq!(t.dim_bounds(1, &[4]), Some((Some(4), Some(4))));
+        let rows = |d| BoundRows::new(t.constraints(), d);
+        // Dimension 0 sees only the two constraints on i.
+        assert_eq!(rows(0).rows().count(), 2);
+        assert_eq!(rows(0).interval(&[]), Some((Some(0), Some(4))));
+        assert_eq!(rows(1).interval(&[2]), Some((Some(2), Some(4))));
+        assert_eq!(rows(1).interval(&[4]), Some((Some(4), Some(4))));
+        // A prefix outside the rows on i alone: the prefix-only rows fail.
+        assert_eq!(rows(1).interval(&[5]), None);
+        assert!(rows(1).holds(&[2, 4]) && !rows(1).holds(&[3, 2]));
+        // An equality lowers to two opposite rows.
+        let fixed = BasicSet::rect(&[(0, 9)]).fix_dim(0, 3);
+        let eq = BoundRows::new(fixed.constraints(), 0);
+        assert_eq!(eq.rows().count(), 4);
+        assert_eq!(eq.interval(&[]), Some((Some(3), Some(3))));
     }
 
     #[test]
@@ -387,7 +458,7 @@ mod tests {
             .with_gt(Aff::constant(2, 10).sub(&j))
             .with_eq(i.sub(&j.scale(2)));
         let p = s.project_onto_prefix(1);
-        let b = p.dim_bounds(0, &[]).unwrap();
+        let b = BoundRows::new(p.constraints(), 0).interval(&[]).unwrap();
         assert_eq!(b, (Some(0), Some(18)));
     }
 

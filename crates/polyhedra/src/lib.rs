@@ -58,7 +58,7 @@ mod map;
 mod set;
 
 pub use aff::Aff;
-pub use basic_set::BasicSet;
+pub use basic_set::{BasicSet, BoundRows, DimBounds};
 pub use constraint::{Constraint, ConstraintKind};
 pub use map::AffMap;
 pub use set::{LexResult, Set};

@@ -1,6 +1,6 @@
 //! Finite unions of basic sets and lexicographic queries.
 
-use crate::basic_set::BasicSet;
+use crate::basic_set::{BasicSet, BoundRows};
 use crate::constraint::Constraint;
 use crate::{Aff, DEFAULT_WORK_BUDGET};
 use std::cmp::Ordering;
@@ -501,30 +501,28 @@ fn basic_lexopt_seeded(
             SearchOutcome::NotFound
         };
     }
-    // Precompute, for each searched dimension d, the constraints projected
-    // onto the first d+1 dimensions so that bounds for d are available even
-    // when the original constraints mention later dimensions.  Seeded
-    // dimensions are never consulted (the search starts past them).
-    let mut projections = Vec::with_capacity(dims);
-    for d in 0..dims {
-        projections.push(if d < seed.len() {
-            BasicSet::universe(dims)
-        } else {
-            set.project_onto_prefix(d + 1)
-        });
-    }
+    // Precompute, for each searched dimension d, the bound rows of the set
+    // itself and of its projection onto the first d+1 dimensions, so that
+    // bounds for d are available even when the original constraints
+    // mention later dimensions.  Seeded dimensions are never consulted
+    // (the search starts past them) and get no rows.
+    let bounds: Vec<(BoundRows, BoundRows)> = (0..dims)
+        .map(|d| {
+            if d < seed.len() {
+                (BoundRows::new([], d), BoundRows::new([], d))
+            } else {
+                let projected = set.project_onto_prefix(d + 1);
+                (
+                    BoundRows::new(set.constraints(), d),
+                    BoundRows::new(projected.constraints(), d),
+                )
+            }
+        })
+        .collect();
     let mut work = 0usize;
     let mut cursor = Vec::with_capacity(dims);
     cursor.extend_from_slice(seed);
-    search(
-        set,
-        &projections,
-        &mut cursor,
-        out,
-        &mut work,
-        budget,
-        maximise,
-    )
+    search(set, &bounds, &mut cursor, out, &mut work, budget, maximise)
 }
 
 enum SearchOutcome {
@@ -536,7 +534,7 @@ enum SearchOutcome {
 #[allow(clippy::too_many_arguments)]
 fn search(
     set: &BasicSet,
-    projections: &[BasicSet],
+    bounds: &[(BoundRows, BoundRows)],
     prefix: &mut Vec<i64>,
     out: &mut Vec<i64>,
     work: &mut usize,
@@ -553,7 +551,7 @@ fn search(
             SearchOutcome::NotFound
         };
     }
-    let (lo, hi) = match combined_bounds(set, projections, d, prefix) {
+    let (lo, hi) = match combined_bounds(&bounds[d], prefix) {
         Some(b) => b,
         None => return SearchOutcome::NotFound,
     };
@@ -577,7 +575,7 @@ fn search(
             return SearchOutcome::Budget;
         }
         prefix.push(v);
-        let outcome = search(set, projections, prefix, out, work, budget, maximise);
+        let outcome = search(set, bounds, prefix, out, work, budget, maximise);
         prefix.pop();
         match outcome {
             SearchOutcome::Found => return SearchOutcome::Found,
@@ -589,13 +587,11 @@ fn search(
 }
 
 fn combined_bounds(
-    set: &BasicSet,
-    projections: &[BasicSet],
-    d: usize,
+    (direct, projected): &(BoundRows, BoundRows),
     prefix: &[i64],
 ) -> Option<(Option<i64>, Option<i64>)> {
-    let direct = set.dim_bounds(d, prefix)?;
-    let projected = projections[d].dim_bounds(d, prefix)?;
+    let direct = direct.interval(prefix)?;
+    let projected = projected.interval(prefix)?;
     let lo = match (direct.0, projected.0) {
         (Some(a), Some(b)) => Some(a.max(b)),
         (a, b) => a.or(b),

@@ -13,28 +13,41 @@
 //!   subtracts the accumulated contribution (the per-level carry
 //!   deltas).  Steady-state iteration never evaluates an [`Aff`] again.
 //! * **Hoisted bounds** — a loop whose domain is a single conjunction
-//!   compiles to `LoopBounds::Exact`: per entry, one pass over the
-//!   constraints ([`BasicSet::dim_bounds`]) yields the inclusive bound
-//!   interval, replacing the per-entry lexmin/lexmax searches, and makes
-//!   the per-iteration `contains` check provably redundant.  Unions of
-//!   conjunctions fall back to the reference enumeration
-//!   (`LoopBounds::Dynamic`), still with strength-reduced addresses.
-//! * **Hoisted guards** — an access whose domain constraints are all
-//!   syntactically established by enclosing exact loops needs no
-//!   membership test at all (`GuardPlan::Trivial`); a genuinely
-//!   guarded single-conjunction domain clips the innermost interval once
-//!   per entry (`GuardPlan::Exact`); only non-convex guards pay a
-//!   per-point check (`GuardPlan::Dynamic`).
-//! * **Runs** — an innermost loop whose body is a single guarded access
-//!   emits one [`AccessRun`] (`base, stride, count`) per entry instead
-//!   of `count` single accesses, letting the cache layer batch
-//!   same-line accesses (see `MultiLevelState::access_run`).
+//!   compiles to `LoopBounds::Exact`: its constraints that no enclosing
+//!   exact loop establishes, lowered to flat bound rows
+//!   ([`BoundRows`]: the coefficient on the loop's own dimension, the
+//!   prefix coefficients, the constant).  Per entry, one allocation-free
+//!   pass over the rows yields the inclusive bound interval, replacing the
+//!   per-entry lexmin/lexmax searches, and makes the per-iteration
+//!   `contains` check provably redundant.  Unions of conjunctions fall
+//!   back to the reference enumeration (`LoopBounds::Dynamic`), still
+//!   with strength-reduced addresses.
+//! * **Residual guards** — an access keeps only the constraints of its
+//!   domain that no enclosing exact loop establishes (the same syntactic
+//!   test throughout), as bound rows on its innermost dimension.  With
+//!   none left the guard is gone (`GuardPlan::Trivial`); otherwise it is
+//!   clipped to an interval once per entry of a group-walked loop, or
+//!   checked per point against the residual rows only
+//!   (`GuardPlan::Exact`); only non-convex guards pay a full membership
+//!   test (`GuardPlan::Dynamic`).
+//! * **Run groups** — a dense innermost loop whose children are all
+//!   accesses clips every access's residual guard once per entry, cuts
+//!   the entry where a clipped interval starts or ends, and emits one
+//!   [`RunGroup`] per piece: the accesses whose guards hold there, in
+//!   program order, as streams advanced in lockstep (`base`, `stride`
+//!   per stream, one `count`).  Every other access is a one-access group.
+//!   The cache layer replays a group round by round and counts the
+//!   rounds of a same-line stretch arithmetically once one is all L1
+//!   hits (see `MultiLevelState::access_group`); [`AccessRun`]s
+//!   ([`CompiledScop::for_each_run`]) are the groups flattened, a
+//!   single-stream group being one run.
 //!
 //! This module is the one place that decides how a loop entry iterates:
 //! [`CompiledLoop::entry`] gives its first and last value in walk order
 //! (decreasing loops walk lexmax-first) and whether every grid value is
-//! in the domain.  The run stream ([`CompiledScop::for_each_run`]),
-//! the warping simulator's explicit walk and the sampler's outer-iteration
+//! in the domain.  The group stream ([`CompiledScop::for_each_group`]),
+//! the warping simulator's explicit walk (one iteration at a time, so its
+//! match attempts see every iteration) and the sampler's outer-iteration
 //! enumeration all step compiled nodes through it, with
 //! [`CompiledLoop::enter`]/[`advance`](CompiledLoop::advance)/
 //! [`leave`](CompiledLoop::leave) carrying the strength-reduced
@@ -43,14 +56,16 @@
 //! The compiled walk produces the *identical* access stream (node,
 //! address, kind, order) as the reference walk; the
 //! `compiled_walk_equivalence` suite in the engine crate asserts this
-//! over random kernels and a hand-built SCoP of union domains, and the
-//! reference walk remains available as the differential oracle.
+//! over random kernels, random multi-access bodies and a hand-built SCoP
+//! of union domains, and the reference walk remains available as the
+//! differential oracle.
 //!
 //! [`Aff`]: polyhedra::Aff
 
 use crate::tree::{AccessNode, LoopNode, Node, Scop};
 use cache_model::AccessKind;
-use polyhedra::{BasicSet, Constraint, Set};
+use polyhedra::{BoundRows, Constraint, Set};
+use std::slice;
 
 /// A run of dynamic accesses from one access node: `count` accesses
 /// starting at `base`, each `stride` bytes after the previous one.
@@ -77,13 +92,69 @@ impl AccessRun {
     }
 }
 
+/// `count` rounds of `k` access streams advanced in lockstep: round `r`
+/// accesses `bases[s] + r·strides[s]` for every stream `s = 0..k`, in
+/// order.  The walk emits one group per guard-uniform stretch of an
+/// innermost loop whose body is all accesses (the streams are the accesses
+/// whose guards hold there, in program order), and a `k = 1` group of
+/// one access everywhere else.
+#[derive(Clone, Copy, Debug)]
+pub struct RunGroup<'a> {
+    /// Id of the access node of each stream.
+    pub nodes: &'a [usize],
+    /// Byte address of each stream's first access.
+    pub bases: &'a [u64],
+    /// Byte delta of each stream per round.
+    pub strides: &'a [i64],
+    /// Read or write, per stream.
+    pub kinds: &'a [AccessKind],
+    /// Number of rounds (always ≥ 1).
+    pub count: u64,
+}
+
+impl RunGroup<'_> {
+    /// The number of dynamic accesses in the group.
+    pub fn accesses(&self) -> u64 {
+        self.count * self.nodes.len() as u64
+    }
+
+    /// Flattens the group into access runs in execution order: a
+    /// single-stream group is one run; otherwise every access is a run of
+    /// one, round by round.
+    pub fn for_each_run(&self, mut visit: impl FnMut(&AccessRun)) {
+        if let ([node], [base], [stride], [kind]) =
+            (self.nodes, self.bases, self.strides, self.kinds)
+        {
+            return visit(&AccessRun {
+                node: *node,
+                base: *base,
+                stride: *stride,
+                count: self.count,
+                kind: *kind,
+            });
+        }
+        for r in 0..self.count as i64 {
+            for s in 0..self.nodes.len() {
+                visit(&AccessRun {
+                    node: self.nodes[s],
+                    base: (self.bases[s] as i64 + r * self.strides[s]) as u64,
+                    stride: 0,
+                    count: 1,
+                    kind: self.kinds[s],
+                });
+            }
+        }
+    }
+}
+
 /// How a loop's bound interval is derived per entry.
 #[derive(Clone, Debug)]
 enum LoopBounds {
-    /// Single-conjunction domain: one [`BasicSet::dim_bounds`] pass per
-    /// entry yields the exact inclusive interval, and every grid point
-    /// inside it is in the domain (no per-iteration `contains`).
-    Exact(BasicSet),
+    /// Single-conjunction domain: its constraints not established by an
+    /// enclosing exact loop, as bound rows.  One pass over them per entry
+    /// yields the exact inclusive interval, and every grid point inside it
+    /// is in the domain (no per-iteration `contains`).
+    Exact(BoundRows),
     /// Union domain: reference-style lexmin/lexmax enumeration with
     /// per-point membership checks.
     Dynamic(Set),
@@ -95,10 +166,11 @@ enum GuardPlan {
     /// Every domain constraint is established by an enclosing exact
     /// loop: membership is implied, no check at runtime.
     Trivial,
-    /// Single-conjunction guard: clipped to an interval of the
-    /// innermost dimension once per loop entry (run fast path) or
-    /// checked per point.
-    Exact(BasicSet),
+    /// Single-conjunction guard: the residual constraints (those no
+    /// enclosing exact loop establishes) as bound rows on the innermost
+    /// dimension, clipped to an interval once per loop entry (run groups)
+    /// or checked per point.
+    Exact(BoundRows),
     /// Union guard: per-point membership check.
     Dynamic(Set),
 }
@@ -163,12 +235,13 @@ impl CompiledAccess {
         matches!(self.guard, GuardPlan::Trivial)
     }
 
-    /// Whether the iteration vector `iv` (of length `depth`) satisfies
-    /// the guard.
+    /// Whether the iteration vector `iv` (of length `depth`, an iteration
+    /// of the enclosing loops) satisfies the guard.  Only the residual
+    /// constraints are evaluated.
     pub fn guard_holds(&self, iv: &[i64]) -> bool {
         match &self.guard {
             GuardPlan::Trivial => true,
-            GuardPlan::Exact(bs) => bs.contains(iv),
+            GuardPlan::Exact(rows) => rows.holds(iv),
             GuardPlan::Dynamic(set) => set.contains(iv),
         }
     }
@@ -193,9 +266,49 @@ pub struct CompiledLoop {
     /// Ids of every access node in the subtree, ascending.
     accesses: Vec<usize>,
     children: Vec<CompiledNode>,
-    /// Whether the single-access-body run fast path applies (exactly
-    /// one child, an access, exact bounds, non-dynamic guard).
-    run_body: bool,
+    /// The run-group fast path, when it applies: exact bounds and a body
+    /// of accesses only, none with a union guard.  Boxed so that compiled
+    /// nodes, walked by every backend, stay small.
+    group: Option<Box<GroupBody>>,
+}
+
+/// The streams of a group-walked loop body (the loop's children, all
+/// accesses), in program order, with everything about them that does not
+/// change between entries.
+#[derive(Clone, Debug)]
+struct GroupBody {
+    nodes: Vec<usize>,
+    kinds: Vec<AccessKind>,
+    /// Address coefficient on the loop's dimension.
+    coeffs: Vec<i64>,
+    /// Byte delta per iteration: coefficient × loop stride.
+    strides: Vec<i64>,
+}
+
+impl GroupBody {
+    /// The body of a loop at dimension `dim` with the given `stride`, or
+    /// `None` when a child is a loop or has a union guard.
+    fn new(children: &[CompiledNode], dim: usize, stride: i64) -> Option<Self> {
+        let mut body = GroupBody {
+            nodes: Vec::new(),
+            kinds: Vec::new(),
+            coeffs: Vec::new(),
+            strides: Vec::new(),
+        };
+        for child in children {
+            match child {
+                CompiledNode::Access(a) if !matches!(a.guard, GuardPlan::Dynamic(_)) => {
+                    let coeff = a.coeffs.get(dim).copied().unwrap_or(0);
+                    body.nodes.push(a.id);
+                    body.kinds.push(a.kind);
+                    body.coeffs.push(coeff);
+                    body.strides.push(coeff * stride);
+                }
+                _ => return None,
+            }
+        }
+        (!body.nodes.is_empty()).then_some(body)
+    }
 }
 
 impl CompiledLoop {
@@ -222,14 +335,15 @@ impl CompiledLoop {
     }
 
     /// How the entry with the given outer iteration vector (length
-    /// `depth - 1`) iterates, or `None` when it is empty.  This is the one
-    /// place a loop entry's bounds and direction are derived: a
-    /// single-conjunction domain yields its exact interval in one
-    /// [`BasicSet::dim_bounds`] pass; a union falls back to the reference
-    /// walk's lexmin/lexmax search with per-value membership checks.
+    /// `depth - 1`, an iteration of the enclosing loops) iterates, or
+    /// `None` when it is empty.  This is the one place a loop entry's
+    /// bounds and direction are derived: a single-conjunction domain
+    /// yields its exact interval in one allocation-free pass over its
+    /// bound rows; a union falls back to the reference walk's
+    /// lexmin/lexmax search with per-value membership checks.
     pub fn entry(&self, outer: &[i64]) -> Option<LoopEntry> {
         let (lo, hi, dense) = match &self.bounds {
-            LoopBounds::Exact(bs) => match bs.dim_bounds(self.depth - 1, outer)? {
+            LoopBounds::Exact(rows) => match rows.interval(outer)? {
                 (Some(lo), Some(hi)) if lo <= hi => (lo, hi, true),
                 _ => return None,
             },
@@ -252,11 +366,12 @@ impl CompiledLoop {
         })
     }
 
-    /// Whether the iteration vector `iv` (of length `depth`) lies in the
-    /// loop's domain.  Implied for the values of a dense entry.
+    /// Whether the iteration vector `iv` (of length `depth`, its prefix an
+    /// iteration of the enclosing loops) lies in the loop's domain.
+    /// Implied for the values of a dense entry.
     pub fn contains(&self, iv: &[i64]) -> bool {
         match &self.bounds {
-            LoopBounds::Exact(bs) => bs.contains(iv),
+            LoopBounds::Exact(rows) => rows.holds(iv),
             LoopBounds::Dynamic(set) => set.contains(iv),
         }
     }
@@ -301,12 +416,22 @@ pub enum CompiledNode {
     Access(CompiledAccess),
 }
 
-/// Reusable per-walk state: the iteration vector and the per-slot
-/// running base addresses.  Steady-state iteration allocates nothing.
+/// Reusable per-walk state: the iteration vector, the per-slot running
+/// base addresses and the buffers run groups are assembled in.
+/// Steady-state iteration allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct WalkScratch {
     iv: Vec<i64>,
     bases: Vec<i64>,
+    /// Grid-index interval of each stream's guard in the current entry.
+    clips: Vec<(i64, i64)>,
+    /// Sub-range boundaries of the current entry.
+    cuts: Vec<i64>,
+    /// The group being emitted.
+    nodes: Vec<usize>,
+    group_bases: Vec<u64>,
+    strides: Vec<i64>,
+    kinds: Vec<AccessKind>,
 }
 
 impl WalkScratch {
@@ -348,7 +473,9 @@ pub struct CompiledScop {
 /// Lowering state threaded through [`compile`].
 #[derive(Default)]
 struct Lowering {
-    /// Constraints established by the enclosing exact loops.
+    /// Constraints established by the enclosing exact loops: they hold at
+    /// every iteration the walk reaches, so no bound row or guard below
+    /// re-checks them.
     established: Vec<Constraint>,
     max_depth: usize,
     /// Loops lowered so far (the next loop's index).
@@ -377,14 +504,17 @@ impl Lowering {
 
     fn access(&self, a: &AccessNode) -> CompiledAccess {
         let guard = match a.domain.basics() {
-            [bs] if bs
-                .constraints()
-                .iter()
-                .all(|c| self.established.iter().any(|e| same_constraint(e, c))) =>
-            {
-                GuardPlan::Trivial
+            [bs] => {
+                let residual = self.residual(bs.constraints());
+                if residual.is_empty() {
+                    GuardPlan::Trivial
+                } else if a.depth == 0 {
+                    // No dimension to bound: a constant guard, checked as is.
+                    GuardPlan::Dynamic(a.domain.clone())
+                } else {
+                    GuardPlan::Exact(BoundRows::new(residual, a.depth - 1))
+                }
             }
-            [bs] => GuardPlan::Exact(bs.clone()),
             _ => GuardPlan::Dynamic(a.domain.clone()),
         };
         CompiledAccess {
@@ -403,9 +533,10 @@ impl Lowering {
         self.max_depth = self.max_depth.max(l.depth);
         let (bounds, pushed) = match l.domain.basics() {
             [bs] => {
+                let rows = BoundRows::new(self.residual(bs.constraints()), l.depth - 1);
                 let n = bs.constraints().len();
                 self.established.extend(bs.constraints().iter().cloned());
-                (LoopBounds::Exact(bs.clone()), n)
+                (LoopBounds::Exact(rows), n)
             }
             _ => (LoopBounds::Dynamic(l.domain.clone()), 0),
         };
@@ -418,12 +549,10 @@ impl Lowering {
         let mut accesses: Vec<usize> = deltas.iter().map(|&(id, _)| id).collect();
         accesses.sort_unstable();
         deltas.retain(|&(_, c)| c != 0);
-        let run_body = matches!(bounds, LoopBounds::Exact(_))
-            && children.len() == 1
-            && matches!(
-                &children[0],
-                CompiledNode::Access(a) if !matches!(a.guard, GuardPlan::Dynamic(_))
-            );
+        let group = match bounds {
+            LoopBounds::Exact(_) => GroupBody::new(&children, l.depth - 1, l.stride).map(Box::new),
+            LoopBounds::Dynamic(_) => None,
+        };
         CompiledLoop {
             index,
             depth: l.depth,
@@ -432,8 +561,17 @@ impl Lowering {
             deltas,
             accesses,
             children,
-            run_body,
+            group,
         }
+    }
+
+    /// The constraints no enclosing exact loop establishes, found with a
+    /// syntactic test.
+    fn residual<'c>(&self, constraints: &'c [Constraint]) -> Vec<&'c Constraint> {
+        constraints
+            .iter()
+            .filter(|c| !self.established.iter().any(|e| same_constraint(e, c)))
+            .collect()
     }
 }
 
@@ -479,15 +617,16 @@ impl CompiledScop {
         WalkScratch {
             iv: Vec::with_capacity(self.max_depth),
             bases: vec![0; self.num_slots],
+            ..WalkScratch::default()
         }
     }
 
-    /// Walks every access run of the SCoP in execution order.  Returns
-    /// the number of dynamic accesses covered.
-    pub fn for_each_run(
+    /// Walks every run group of the SCoP in execution order.  Returns the
+    /// number of dynamic accesses covered.
+    pub fn for_each_group(
         &self,
         scratch: &mut WalkScratch,
-        mut visit: impl FnMut(&AccessRun),
+        mut visit: impl FnMut(&RunGroup),
     ) -> u64 {
         let mut count = 0;
         for root in &self.roots {
@@ -495,6 +634,17 @@ impl CompiledScop {
             walk(root, scratch, &mut visit, &mut count);
         }
         count
+    }
+
+    /// Walks every access run of the SCoP in execution order: the run
+    /// groups, flattened ([`RunGroup::for_each_run`]).  Returns the number
+    /// of dynamic accesses covered.
+    pub fn for_each_run(
+        &self,
+        scratch: &mut WalkScratch,
+        mut visit: impl FnMut(&AccessRun),
+    ) -> u64 {
+        self.for_each_group(scratch, |group| group.for_each_run(&mut visit))
     }
 
     /// Walks every dynamic access (runs expanded) in execution order.
@@ -521,25 +671,24 @@ impl CompiledScop {
     /// saturates at `u64::MAX` instead of overflowing.
     pub fn static_access_count(&self) -> Option<u64> {
         let mut grids = Vec::new();
-        let mut established = Vec::new();
         let mut total: u64 = 0;
         for root in &self.roots {
-            total = total.saturating_add(static_count_node(root, &mut grids, &mut established)?);
+            total = total.saturating_add(static_count_node(root, &mut grids)?);
         }
         Some(total)
     }
 }
 
-/// Walks the access runs of one compiled subtree at a fixed outer
+/// Walks the run groups of one compiled subtree at a fixed outer
 /// iteration vector — the per-subtree slice of
-/// [`CompiledScop::for_each_run`], used by interval samplers to replay
+/// [`CompiledScop::for_each_group`], used by interval samplers to replay
 /// one outer iteration at a time.  Returns the number of dynamic
 /// accesses covered.
-pub fn for_each_run_at(
+pub fn for_each_group_at(
     node: &CompiledNode,
     outer: &[i64],
     scratch: &mut WalkScratch,
-    mut visit: impl FnMut(&AccessRun),
+    mut visit: impl FnMut(&RunGroup),
 ) -> u64 {
     scratch.start_at(node, outer);
     let mut count = 0;
@@ -572,18 +721,18 @@ fn init_bases(node: &CompiledNode, outer: &[i64], bases: &mut Vec<i64>) {
 fn walk(
     node: &CompiledNode,
     scratch: &mut WalkScratch,
-    visit: &mut impl FnMut(&AccessRun),
+    visit: &mut impl FnMut(&RunGroup),
     count: &mut u64,
 ) {
     match node {
         CompiledNode::Access(a) => {
             if a.guard_holds(&scratch.iv) {
-                visit(&AccessRun {
-                    node: a.id,
-                    base: scratch.address(a),
-                    stride: 0,
+                visit(&RunGroup {
+                    nodes: slice::from_ref(&a.id),
+                    bases: &[scratch.address(a)],
+                    strides: &[0],
+                    kinds: slice::from_ref(&a.kind),
                     count: 1,
-                    kind: a.kind,
                 });
                 *count += 1;
             }
@@ -595,17 +744,14 @@ fn walk(
 fn walk_loop(
     l: &CompiledLoop,
     scratch: &mut WalkScratch,
-    visit: &mut impl FnMut(&AccessRun),
+    visit: &mut impl FnMut(&RunGroup),
     count: &mut u64,
 ) {
     let Some(entry) = l.entry(&scratch.iv) else {
         return;
     };
-    if l.run_body {
-        let CompiledNode::Access(a) = &l.children[0] else {
-            unreachable!("run_body implies a single access child");
-        };
-        return emit_run(a, l.depth, &entry, scratch, visit, count);
+    if let Some(body) = &l.group {
+        return emit_groups(l, body, &entry, scratch, visit, count);
     }
     let mut v = entry.first;
     l.enter(scratch, v);
@@ -624,53 +770,109 @@ fn walk_loop(
     l.leave(scratch);
 }
 
-/// The run fast path: one [`AccessRun`] per (dense) loop entry, its
-/// interval clipped to the access guard on the stride grid.
-fn emit_run(
-    a: &CompiledAccess,
-    d: usize,
+/// The run-group fast path for one (dense) loop entry: every residual
+/// guard of the body is clipped to an interval of grid indices, the entry
+/// is cut where an interval starts or ends, and each piece becomes one
+/// group of the streams whose guards hold on it.
+fn emit_groups(
+    l: &CompiledLoop,
+    body: &GroupBody,
     entry: &LoopEntry,
     scratch: &mut WalkScratch,
-    visit: &mut impl FnMut(&AccessRun),
+    visit: &mut impl FnMut(&RunGroup),
     count: &mut u64,
 ) {
-    let (s, v0, n) = (entry.stride, entry.first, entry.trip_count());
-    let (k_min, k_max) = match &a.guard {
-        GuardPlan::Trivial => (0, n - 1),
-        GuardPlan::Exact(bs) => {
-            let (lo, hi) = (entry.first.min(entry.last), entry.first.max(entry.last));
-            let Some((glo, ghi)) = bs.dim_bounds(d - 1, &scratch.iv) else {
-                return;
-            };
-            let (glo, ghi) = (glo.unwrap_or(lo), ghi.unwrap_or(hi));
-            if glo > ghi {
-                return;
-            }
-            // Grid indices k with glo <= v0 + k*s <= ghi.
-            let (k_min, k_max) = if s > 0 {
-                (div_ceil(glo - v0, s), div_floor(ghi - v0, s))
-            } else {
-                (div_ceil(v0 - ghi, -s), div_floor(v0 - glo, -s))
-            };
-            (k_min.max(0), k_max.min(n - 1))
-        }
-        GuardPlan::Dynamic(_) => unreachable!("run bodies never have dynamic guards"),
-    };
-    if k_min > k_max {
-        return;
+    let n = entry.trip_count();
+    scratch.clips.clear();
+    for child in &l.children {
+        let clip = match child {
+            CompiledNode::Access(CompiledAccess {
+                guard: GuardPlan::Exact(rows),
+                ..
+            }) => clip_to_grid(rows, &scratch.iv, entry, n),
+            _ => (0, n - 1),
+        };
+        scratch.clips.push(clip);
     }
-    let c = a.coeffs.get(d - 1).copied().unwrap_or(0);
-    let base = scratch.bases[a.id] + c * (v0 + k_min * s);
-    debug_assert!(base >= 0, "access to a negative address");
-    let run_len = (k_max - k_min + 1) as u64;
-    visit(&AccessRun {
-        node: a.id,
-        base: base as u64,
-        stride: c * s,
-        count: run_len,
-        kind: a.kind,
-    });
-    *count += run_len;
+    scratch.cuts.clear();
+    scratch.cuts.extend([0, n]);
+    for &(lo, hi) in &scratch.clips {
+        if lo <= hi {
+            scratch.cuts.extend([lo, hi + 1]);
+        }
+    }
+    scratch.cuts.sort_unstable();
+    scratch.cuts.dedup();
+    for piece in 0..scratch.cuts.len() - 1 {
+        let (start, end) = (scratch.cuts[piece], scratch.cuts[piece + 1]);
+        let active = |s: usize| (scratch.clips[s].0..=scratch.clips[s].1).contains(&start);
+        let first = entry.first + start * entry.stride;
+        let all = (0..body.nodes.len()).all(active);
+        scratch.nodes.clear();
+        scratch.group_bases.clear();
+        scratch.strides.clear();
+        scratch.kinds.clear();
+        for s in (0..body.nodes.len()).filter(|&s| all || active(s)) {
+            let base = scratch.bases[body.nodes[s]] + body.coeffs[s] * first;
+            debug_assert!(base >= 0, "access to a negative address");
+            scratch.group_bases.push(base as u64);
+            if !all {
+                scratch.nodes.push(body.nodes[s]);
+                scratch.strides.push(body.strides[s]);
+                scratch.kinds.push(body.kinds[s]);
+            }
+        }
+        if scratch.group_bases.is_empty() {
+            continue;
+        }
+        let group = if all {
+            RunGroup {
+                nodes: &body.nodes,
+                bases: &scratch.group_bases,
+                strides: &body.strides,
+                kinds: &body.kinds,
+                count: (end - start) as u64,
+            }
+        } else {
+            RunGroup {
+                nodes: &scratch.nodes,
+                bases: &scratch.group_bases,
+                strides: &scratch.strides,
+                kinds: &scratch.kinds,
+                count: (end - start) as u64,
+            }
+        };
+        *count += group.accesses();
+        visit(&group);
+    }
+}
+
+/// The grid indices `k` in `0..n` whose value `first + k·stride` satisfies
+/// `rows` under the outer iteration vector `prefix`, as an inclusive
+/// interval (empty when its first index exceeds its last).
+fn clip_to_grid(rows: &BoundRows, prefix: &[i64], entry: &LoopEntry, n: i64) -> (i64, i64) {
+    const EMPTY: (i64, i64) = (0, -1);
+    let (lo, hi) = (entry.first.min(entry.last), entry.first.max(entry.last));
+    let Some((glo, ghi)) = rows.interval(prefix) else {
+        return EMPTY;
+    };
+    let (glo, ghi) = (glo.unwrap_or(lo).max(lo), ghi.unwrap_or(hi).min(hi));
+    if glo > ghi {
+        // Also keeps the index arithmetic inside the entry's range.
+        return EMPTY;
+    }
+    grid_span(glo, ghi, entry.first, entry.stride, n)
+}
+
+/// The grid indices `k` in `0..n` with `lo <= v0 + k·s <= hi`, as an
+/// inclusive interval (empty when its first index exceeds its last).
+fn grid_span(lo: i64, hi: i64, v0: i64, s: i64, n: i64) -> (i64, i64) {
+    let (k_min, k_max) = if s > 0 {
+        (div_ceil(lo - v0, s), div_floor(hi - v0, s))
+    } else {
+        (div_ceil(v0 - hi, -s), div_floor(v0 - lo, -s))
+    };
+    (k_min.max(0), k_max.min(n - 1))
 }
 
 /// One enclosing loop's stride grid for the closed-form count.
@@ -686,18 +888,14 @@ struct Grid {
     n: i64,
 }
 
-fn static_count_node(
-    node: &CompiledNode,
-    grids: &mut Vec<Grid>,
-    established: &mut Vec<Constraint>,
-) -> Option<u64> {
+fn static_count_node(node: &CompiledNode, grids: &mut Vec<Grid>) -> Option<u64> {
     match node {
         CompiledNode::Access(a) => static_count_access(a, grids),
         CompiledNode::Loop(l) => {
-            let LoopBounds::Exact(bs) = &l.bounds else {
+            let LoopBounds::Exact(rows) = &l.bounds else {
                 return None;
             };
-            let interval = match rect_interval(bs, l.depth - 1, established)? {
+            let interval = match rect_interval(rows)? {
                 Some(iv) => iv,
                 // Exactly empty: the subtree contributes nothing.
                 None => return Some(0),
@@ -712,11 +910,9 @@ fn static_count_node(
                 n: (hi - lo) / s.abs() + 1,
             };
             grids.push(grid);
-            let pushed = bs.constraints().len();
-            established.extend(bs.constraints().iter().cloned());
             let mut sum: Option<u64> = Some(0);
             for child in &l.children {
-                match static_count_node(child, grids, established) {
+                match static_count_node(child, grids) {
                     Some(c) => sum = sum.map(|s| s.saturating_add(c)),
                     None => {
                         sum = None;
@@ -724,7 +920,6 @@ fn static_count_node(
                     }
                 }
             }
-            established.truncate(established.len() - pushed);
             grids.pop();
             sum
         }
@@ -739,10 +934,10 @@ fn static_count_access(a: &CompiledAccess, grids: &[Grid]) -> Option<u64> {
                 .iter()
                 .fold(1u64, |acc, g| acc.saturating_mul(g.n as u64)),
         ),
-        GuardPlan::Exact(bs) => {
+        GuardPlan::Exact(rows) => {
             let mut product: u64 = 1;
             for (k, g) in grids.iter().enumerate() {
-                let clipped = match rect_interval_for_dim(bs, k)? {
+                let clipped = match rect_interval_for_dim(rows, k)? {
                     Some(iv) => iv,
                     None => return Some(0),
                 };
@@ -750,13 +945,7 @@ fn static_count_access(a: &CompiledAccess, grids: &[Grid]) -> Option<u64> {
                 if glo > ghi {
                     return Some(0);
                 }
-                let s = g.stride;
-                let (k_min, k_max) = if s > 0 {
-                    (div_ceil(glo - g.v0, s), div_floor(ghi - g.v0, s))
-                } else {
-                    (div_ceil(g.v0 - ghi, -s), div_floor(g.v0 - glo, -s))
-                };
-                let (k_min, k_max) = (k_min.max(0), k_max.min(g.n - 1));
+                let (k_min, k_max) = grid_span(glo, ghi, g.v0, g.stride, g.n);
                 if k_min > k_max {
                     return Some(0);
                 }
@@ -769,51 +958,25 @@ fn static_count_access(a: &CompiledAccess, grids: &[Grid]) -> Option<u64> {
     }
 }
 
-/// The interval `[lo, hi]` a single-conjunction loop domain imposes on
-/// dimension `dim`, when every constraint not already established by an
-/// enclosing loop is rectangular (involves only that one dimension).
-/// Outer `None` = not rectangular or unbounded (fall back to walking);
-/// inner `None` = exactly empty.
-fn rect_interval(
-    bs: &BasicSet,
-    dim: usize,
-    established: &[Constraint],
-) -> Option<Option<(i64, i64)>> {
+/// The interval `[lo, hi]` a loop's bound rows (the constraints no
+/// enclosing loop establishes) impose on its dimension, when every row is
+/// rectangular (involves only that one dimension).  Outer `None` = not
+/// rectangular or unbounded (fall back to walking); inner `None` =
+/// exactly empty.
+fn rect_interval(rows: &BoundRows) -> Option<Option<(i64, i64)>> {
     let mut lo = i64::MIN;
     let mut hi = i64::MAX;
-    for c in bs.constraints() {
-        // Constraints inherited from enclosing exact loops hold for
-        // every entry by construction.
-        if established.iter().any(|e| same_constraint(e, c)) {
-            continue;
+    for (a, p, b) in rows.rows() {
+        if p.iter().any(|&c| c != 0) {
+            return None;
         }
-        for ineq in c.as_inequalities() {
-            let aff = ineq.aff();
-            match aff.last_involved_dim() {
-                None => {
-                    if aff.constant_term() < 0 {
-                        return Some(None);
-                    }
-                }
-                Some(d)
-                    if d == dim
-                        && aff
-                            .coeffs()
-                            .iter()
-                            .enumerate()
-                            .all(|(i, &v)| i == dim || v == 0) =>
-                {
-                    // a*x + b >= 0
-                    let a = aff.coeff(dim);
-                    let b = aff.constant_term();
-                    if a > 0 {
-                        lo = lo.max(div_ceil(-b, a));
-                    } else {
-                        hi = hi.min(div_floor(b, -a));
-                    }
-                }
-                _ => return None,
-            }
+        // a*x + b >= 0
+        if a > 0 {
+            lo = lo.max(div_ceil(-b, a));
+        } else if a < 0 {
+            hi = hi.min(div_floor(b, -a));
+        } else if b < 0 {
+            return Some(None);
         }
     }
     // Unbounded rectangular domains have no closed-form count.
@@ -826,51 +989,32 @@ fn rect_interval(
     Some(Some((lo, hi)))
 }
 
-/// Like [`rect_interval`] but for an access guard: constraints
-/// involving *other* dimensions only make the guard non-rectangular,
-/// and a dimension without bound constraints is unclipped.
-fn rect_interval_for_dim(bs: &BasicSet, dim: usize) -> Option<Option<(i64, i64)>> {
+/// Like [`rect_interval`] but for dimension `dim` of an access guard's
+/// rows: rows involving *other* dimensions only make the guard
+/// non-rectangular, and a dimension without bound rows is unclipped.
+fn rect_interval_for_dim(rows: &BoundRows, dim: usize) -> Option<Option<(i64, i64)>> {
     let mut lo = i64::MIN;
     let mut hi = i64::MAX;
-    for c in bs.constraints() {
-        for ineq in c.as_inequalities() {
-            let aff = ineq.aff();
-            match aff.last_involved_dim() {
-                None => {
-                    // Constant constraint: either trivially true or the
-                    // whole domain is empty.
-                    if aff.constant_term() < 0 {
-                        return Some(None);
-                    }
-                }
-                Some(d) if d == dim => {
-                    let a = aff.coeff(dim);
-                    let b = aff.constant_term();
-                    // a*x + b >= 0
-                    if aff
-                        .coeffs()
-                        .iter()
-                        .enumerate()
-                        .any(|(i, &v)| i != dim && v != 0)
-                    {
-                        return None;
-                    }
-                    if a > 0 {
-                        lo = lo.max(div_ceil(-b, a));
-                    } else {
-                        hi = hi.min(div_floor(b, -a));
-                    }
-                }
-                Some(d) => {
-                    // Involves another dimension: rectangular only if it
-                    // does not couple dimensions.
-                    if aff.coeffs().iter().filter(|&&v| v != 0).count() > 1 {
-                        return None;
-                    }
-                    let _ = d; // single-dim constraint on another dim:
-                               // handled when that dim is queried.
+    for (a, p, b) in rows.rows() {
+        let coeff = |d: usize| if d == rows.dim() { a } else { p[d] };
+        match (0..=rows.dim()).filter(|&d| coeff(d) != 0).count() {
+            // Constant row: either trivially true or the whole domain is
+            // empty.
+            0 if b < 0 => return Some(None),
+            0 => {}
+            // A single-dimension row on another dimension is handled when
+            // that dimension is queried.
+            1 if coeff(dim) == 0 => {}
+            1 => {
+                // a*x + b >= 0
+                let a = coeff(dim);
+                if a > 0 {
+                    lo = lo.max(div_ceil(-b, a));
+                } else {
+                    hi = hi.min(div_floor(b, -a));
                 }
             }
+            _ => return None,
         }
     }
     if lo > hi {
@@ -1042,10 +1186,12 @@ mod tests {
         let mut count = 0;
         for i in 1..99i64 {
             for child in l.children() {
-                count += for_each_run_at(child, &[i], &mut scratch, |run| {
-                    for addr in run.addresses() {
-                        replayed.push((run.node, addr, run.kind));
-                    }
+                count += for_each_group_at(child, &[i], &mut scratch, |group| {
+                    group.for_each_run(|run| {
+                        for addr in run.addresses() {
+                            replayed.push((run.node, addr, run.kind));
+                        }
+                    })
                 });
             }
         }

@@ -50,8 +50,8 @@ pub mod walk;
 pub use ast::{ArrayAccess, ArrayDecl, CmpOp, Condition, Expr, Program, Statement};
 pub use canon::{canonical_text, canonicalize};
 pub use compile::{
-    compile, for_each_run_at, AccessRun, CompiledAccess, CompiledLoop, CompiledNode, CompiledScop,
-    LoopEntry, WalkScratch,
+    compile, for_each_group_at, AccessRun, CompiledAccess, CompiledLoop, CompiledNode,
+    CompiledScop, LoopEntry, RunGroup, WalkScratch,
 };
 pub use elaborate::{elaborate, ElaborateError, ElaborateOptions};
 pub use param::{ParamBindings, ParamError, ParametricScop};

@@ -33,7 +33,7 @@
 #![warn(missing_docs)]
 
 use cache_model::{AccessKind, LevelStats, MemoryConfig, MultiLevelState};
-use scop::{compile, for_each_access, Scop};
+use scop::{compile, for_each_access, RunGroup, Scop};
 use serde::{Serialize, Value};
 
 /// The result of simulating a SCoP against a memory system: per-level
@@ -89,6 +89,14 @@ pub trait MemorySystem {
             self.access(address as u64, kind);
             address += stride;
         }
+    }
+
+    /// Performs a run group: its streams advanced in lockstep, round by
+    /// round.  The default flattens the group into runs
+    /// ([`RunGroup::for_each_run`]); the depth-N [`MultiLevelSystem`]
+    /// replays the rounds with its lockstep fast path.
+    fn access_group(&mut self, group: &RunGroup) {
+        group.for_each_run(|run| self.access_run(run.base, run.stride, run.count, run.kind));
     }
 }
 
@@ -147,8 +155,26 @@ impl MemorySystem for MultiLevelSystem {
 
     fn access_run(&mut self, base: u64, stride: i64, count: u64, kind: AccessKind) {
         self.accesses += count;
-        self.state
-            .access_run(&self.config, base, stride, count, kind, &mut self.stats);
+        self.state.access_group(
+            &self.config,
+            &[base],
+            &[stride],
+            &[kind],
+            count,
+            &mut self.stats,
+        );
+    }
+
+    fn access_group(&mut self, group: &RunGroup) {
+        self.accesses += group.accesses();
+        self.state.access_group(
+            &self.config,
+            group.bases,
+            group.strides,
+            group.kinds,
+            group.count,
+            &mut self.stats,
+        );
     }
 
     fn result(&self) -> SimulationResult {
@@ -174,9 +200,7 @@ impl MemorySystem for MultiLevelSystem {
 pub fn simulate<M: MemorySystem>(scop: &Scop, memory: &mut M) -> SimulationResult {
     let compiled = compile(scop);
     let mut scratch = compiled.new_scratch();
-    compiled.for_each_run(&mut scratch, |run| {
-        memory.access_run(run.base, run.stride, run.count, run.kind);
-    });
+    compiled.for_each_group(&mut scratch, |group| memory.access_group(group));
     memory.result()
 }
 
