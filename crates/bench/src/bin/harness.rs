@@ -2,11 +2,11 @@
 //! paper's evaluation, and serves ad-hoc simulation grids through the
 //! unified engine.
 //!
-//! ```text
-//! harness <experiment> [--size mini|small|medium|large|extralarge]
-//!                      [--kernels k1,k2,...] [--json]
+//! Every subcommand reads its flags from one table ([`FLAGS`]); `harness`
+//! without arguments prints the usage text generated from it.
 //!
-//! experiments:
+//! ```text
+//! harness <experiment> [flags]     experiments:
 //!   fig6    warping vs non-warping speedup + non-warped share (4 policies)
 //!   fig7    problem-size scaling of warping vs non-warping times
 //!   fig8    warping vs the HayStack-style analytical model
@@ -16,376 +16,362 @@
 //!   fig12   non-warping simulation vs the Dinero-IV-style trace simulator
 //!   verify  check that warping and non-warping agree on every kernel
 //!   all     run every figure
-//!
-//!   grid    fan a kernel × policy × backend grid out through the engine:
-//!           harness grid [--size S] [--kernels k1,k2,...]
-//!                        [--policies lru,fifo,plru,qlru]
-//!                        [--backends classic,warping,haystack,polycache,
-//!                                    trace,sampled]
-//!                        [--levels SPEC] [--threads N]
-//!                        [--fingerprint-filter on|off]
-//!                        [--sample-rate F] [--warmup N] [--json]
-//!
-//!           --levels describes the memory system as a comma-separated list
-//!           of cache levels, innermost first.  Each level is
-//!           `[name:]size:assoc:line_size` with `K`/`M` size suffixes, e.g.
-//!
-//!               --levels l1:32K:8:64,l2:256K:8:64,l3:2M:16:64
-//!
-//!           for an L1/L2/L3 hierarchy (the optional `l1:`-style name is
-//!           documentation only).  The named presets `l1` (default,
-//!           single-level 32K:8:64), `l1l2` (adds a 1M 16-way L2) and
-//!           `l1l2l3` (adds an 8M 16-way L3) cover the common scenarios.
-//!           Every level uses the replacement policy of the grid row.
-//!
-//!           --threads N sets the engine's thread budget
-//!           (`Engine::with_threads`).  It is shared between the two
-//!           parallelism layers: grids with several requests fan out
-//!           across the batch (each request then applies warps
-//!           sequentially), while a single-request grid grants the whole
-//!           budget to the warping backend's parallel warp application.
-//!           Counts are bit-identical for every N.  Warping rows report
-//!           the two-phase match telemetry (warps, fingerprint hits,
-//!           exact-key builds, warp-apply time).
-//!
-//!           --fingerprint-filter on|off toggles the warping backend's
-//!           cheap fingerprint phase (`WarpingOptions::fingerprint_filter`).
-//!           `off` restores the exhaustive key-per-attempt pipeline; miss
-//!           counts are bit-identical either way (CI asserts exactly that
-//!           on a 64 MiB L3, guarding the symbolic store's occupancy
-//!           tracking).
-//!
-//!           Warping rows also carry a `renorms` column: frozen outer
-//!           levels matched through epoch-relative labels, summed over
-//!           applied warps.
-//!
-//!           --sample-rate F and --warmup N tune the `sampled` backend
-//!           (`SamplingOptions`): F is the target fraction of outer-loop
-//!           intervals to simulate, in (0, 1] (default 0.1; 1.0 is
-//!           bit-identical to `classic`), and N is the number of warm-up
-//!           intervals simulated-but-discarded per live cache level before
-//!           each measured interval (default 1).  Both are validated up
-//!           front: a rate outside (0, 1] or a negative warm-up dies with
-//!           an explanation before anything simulates.  Sampled rows
-//!           report approximation stats in `--json` output (`approx`:
-//!           sampled fraction, per-level error bounds, interval counts).
-//!
-//!   explore sweep a parametric kernel family across tile-size bindings ×
-//!           memory hierarchies × replacement policies:
-//!           harness explore [--sweep TI=4,8,16,32;TJ=4,8,16,32]
-//!                           [--bind NI=32,NJ=32,NK=32]
-//!                           [--hierarchies l1;l1l2] [--policies lru,plru]
-//!                           [--backend warping] [--workers N]
-//!                           [--template FILE] [--name NAME] [--json]
-//!
-//!           The template (default: the tiled `gemm` of
-//!           `polybench::parametric`) is parsed ONCE and registered as a
-//!           kernel family with the serving layer; every grid point is a
-//!           binding of its `param`s stamped out by substitution, so the
-//!           sweep never re-parses source.  Points fan out through the
-//!           service's work-stealing pool and stream back as they finish
-//!           (rows arrive out of grid order).  After the grid drains, the
-//!           harness prints, per hierarchy × policy, the Pareto front of
-//!           (tile configuration, per-level miss counts): the configs no
-//!           other config beats on every cache level at once.
-//!           `--hierarchies` takes `;`-separated `--levels` specs (the
-//!           presets or explicit `size:assoc:line` lists); `--sweep` takes
-//!           `;`-separated `NAME=v1,v2,...` axes; `--bind` fixes the
-//!           remaining parameters.  The trailer reports the family-tier
-//!           counters (requests, report-cache hits, simulations).
-//!
-//!   serve   run the JSON-lines simulation service:
-//!           harness serve [--addr HOST:PORT] [--cache-cap N] [--workers N]
-//!                         [--exact-budget N] [--debug-hash]
-//!
-//!           `--debug-hash` adds the 128-bit canonical address of every
-//!           request (`"canonical_hash"`, hex) to its reply envelope, so
-//!           clients can verify that two spellings of a kernel really
-//!           collide.  `--workers 0` and `--cache-cap 0` are rejected up
-//!           front with an explanation (a zero-worker pool would never run
-//!           anything; a zero-entry cache would re-simulate every request).
-//!
-//!           `--exact-budget N` puts the service in degraded-capable mode:
-//!           an exact request (classic/warping/trace) whose kernel exceeds
-//!           N dynamic accesses is rewritten onto the `sampled` backend
-//!           and its envelope is marked `"approx": true` (the report's
-//!           `approx` object carries the sampled fraction and per-level
-//!           error bounds).  Degraded reports are cached under the sampled
-//!           request's own canonical address, so they never displace a
-//!           cached exact report.  `--exact-budget 0` is rejected up front
-//!           (env default: WARPSIM_SERVE_EXACT_BUDGET).
-//!
-//!           Without `--addr` the service reads requests from stdin and
-//!           writes envelopes to stdout.  With `--addr` it listens on TCP
-//!           (port 0 picks a free port; the bound address is printed as
-//!           `serving on HOST:PORT` before the first accept), serves any
-//!           number of sequential or concurrent connections, and stops
-//!           when a client sends `{"cmd":"shutdown"}`.  One request per
-//!           line — a `SimRequest` JSON object or an `{"id":…,
-//!           "request":…}` wrapper — answered out-of-order by
-//!           `{"id","served","cached","serve_ns","report"}` envelopes;
-//!           identical requests (under variable renaming) are answered
-//!           from a content-addressed report cache or coalesced onto an
-//!           in-flight simulation.  `{"cmd":"stats"}` and end of input
-//!           report a `{"serve_stats":{…}}` summary.  `--cache-cap` bounds
-//!           the report cache in entries and `--workers` sizes the
-//!           work-stealing pool (env defaults: WARPSIM_SERVE_CACHE_CAP,
-//!           WARPSIM_SERVE_WORKERS).
+//!   grid    fan a kernel × policy × backend grid out through the engine
+//! harness explore [flags]
+//! harness serve [flags]
 //! ```
+//!
+//! # `grid`
+//!
+//! `--levels` describes the memory system as a comma-separated list of
+//! cache levels, innermost first.  Each level is
+//! `[name:]size:assoc:line_size` with `K`/`M` size suffixes, e.g.
+//! `--levels l1:32K:8:64,l2:256K:8:64,l3:2M:16:64` for an L1/L2/L3
+//! hierarchy (the optional `l1:`-style name is documentation only).  The
+//! named presets `l1` (default, single-level 32K:8:64), `l1l2` (adds a 1M
+//! 16-way L2) and `l1l2l3` (adds an 8M 16-way L3) cover the common
+//! scenarios.  Every level uses the replacement policy of the grid row.
+//!
+//! `--threads N` is the batch fan-out width (`Engine::with_threads`): the
+//! grid's requests run on up to N threads, each request on one.  Counts
+//! are bit-identical for every N.  Warping rows report the two-phase match
+//! telemetry (warps, fingerprint hits, exact-key builds, warp-apply time)
+//! and a `renorms` column: frozen outer levels matched through
+//! epoch-relative labels, summed over applied warps.
+//!
+//! `--fingerprint-filter on|off` toggles the warping backend's cheap
+//! fingerprint phase (`WarpingOptions::fingerprint_filter`).  `off`
+//! restores the exhaustive key-per-attempt pipeline; miss counts are
+//! bit-identical either way (CI asserts exactly that on a 64 MiB L3,
+//! guarding the symbolic store's occupancy tracking).
+//!
+//! `--sample-rate F` and `--warmup N` tune the `sampled` backend
+//! (`SamplingOptions`): F is the target fraction of outer-loop intervals
+//! to simulate, in (0, 1] (default 0.1; 1.0 is bit-identical to
+//! `classic`), and N is the number of warm-up intervals
+//! simulated-but-discarded per live cache level before each measured
+//! interval (default 1).  Both are validated up front: a rate outside
+//! (0, 1] or a negative warm-up dies with an explanation before anything
+//! simulates.  Sampled rows report approximation stats in `--json` output
+//! (`approx`: sampled fraction, per-level error bounds, interval counts).
+//!
+//! # `explore`
+//!
+//! Sweeps a parametric kernel family across tile-size bindings × memory
+//! hierarchies × replacement policies.  The template (default: the tiled
+//! `gemm` of `polybench::parametric`) is parsed ONCE and registered as a
+//! kernel family with the serving layer; every grid point is a binding of
+//! its `param`s stamped out by substitution, so the sweep never re-parses
+//! source.  Points fan out through the service's work-stealing pool and
+//! stream back as they finish (rows arrive out of grid order).  After the
+//! grid drains, the harness prints, per hierarchy × policy, the Pareto
+//! front of (tile configuration, per-level miss counts): the configs no
+//! other config beats on every cache level at once.  `--hierarchies` takes
+//! `;`-separated `--levels` specs; `--sweep` takes `;`-separated
+//! `NAME=v1,v2,...` axes; `--bind` fixes the remaining parameters.  The
+//! trailer reports the family-tier counters (requests, report-cache hits,
+//! simulations).
+//!
+//! # `serve`
+//!
+//! Runs the JSON-lines simulation service.  Without `--addr` it reads
+//! requests from stdin and writes envelopes to stdout.  With `--addr` it
+//! listens on TCP (port 0 picks a free port; the bound address is printed
+//! as `serving on HOST:PORT` before the first accept), serves any number
+//! of sequential or concurrent connections, and stops when a client sends
+//! `{"cmd":"shutdown"}`.  One request per line — a `SimRequest` JSON object
+//! or an `{"id":…, "request":…}` wrapper — answered out-of-order by
+//! `{"id","served","cached","serve_ns","report"}` envelopes; identical
+//! requests (under variable renaming) are answered from a
+//! content-addressed report cache or coalesced onto an in-flight
+//! simulation.  `{"cmd":"stats"}` and end of input report a
+//! `{"serve_stats":{…}}` summary.  `--cache-cap` bounds the report cache
+//! in entries and `--workers` sizes the work-stealing pool (env defaults:
+//! WARPSIM_Serve_CACHE_CAP, WARPSIM_Serve_WORKERS); `--workers 0` and
+//! `--cache-cap 0` are rejected up front (a zero-worker pool would never
+//! run anything; a zero-entry cache would re-simulate every request).
+//!
+//! `--debug-hash` adds the 128-bit canonical address of every request
+//! (`"canonical_hash"`, hex) to its reply envelope, so clients can verify
+//! that two spellings of a kernel really collide.
+//!
+//! `--exact-budget N` puts the service in degraded-capable mode: an exact
+//! request (classic/warping/trace) whose kernel exceeds N dynamic accesses
+//! is rewritten onto the `sampled` backend and its envelope is marked
+//! `"approx": true` (the report's `approx` object carries the sampled
+//! fraction and per-level error bounds).  Degraded reports are cached
+//! under the sampled request's own canonical address, so they never
+//! displace a cached exact report.  `--exact-budget 0` is rejected up
+//! front (env default: WARPSIM_Serve_EXACT_BUDGET).
 
 use bench_suite::*;
 use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
-use engine::{Backend, Engine, KernelSpec, SimRequest};
+use engine::{Backend, Engine, KernelSpec, SamplingOptions, SimRequest};
 use polybench::{Dataset, Kernel};
+use serde::Serialize;
+use std::collections::HashMap;
+
+/// The three argument grammars: the experiments (figures, `verify`,
+/// `grid`, `all`) share one, `explore` and `serve` have their own.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Experiment,
+    Explore,
+    Serve,
+}
+
+use Command::{Experiment, Explore, Serve};
+
+/// One command-line flag: `--name`, followed by a value unless `value` is
+/// `None` (a switch).
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the usage text.
+    value: Option<&'static str>,
+    help: &'static str,
+    commands: &'static [Command],
+}
+
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    help: &'static str,
+    commands: &'static [Command],
+) -> Flag {
+    Flag {
+        name,
+        value: if value.is_empty() { None } else { Some(value) },
+        help,
+        commands,
+    }
+}
+
+/// Every flag of every subcommand; the parser and [`print_usage`] both
+/// read this table.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("size", "mini|small|medium|large|extralarge", "dataset size (default small)", &[Experiment]),
+    flag("kernels", "k1,k2,...", "PolyBench kernels (default all)", &[Experiment]),
+    flag("policies", "lru,fifo,plru,qlru", "replacement policies (default plru; explore: lru,plru)", &[Experiment, Explore]),
+    flag("backends", "classic,warping,haystack,polycache,trace,sampled", "grid backends (default classic,warping)", &[Experiment]),
+    flag("levels", "SPEC", "cache levels [name:]size:assoc:line,... or l1|l1l2|l1l2l3 (default l1)", &[Experiment]),
+    flag("threads", "N", "batch fan-out width (default: all cores)", &[Experiment]),
+    flag("fingerprint-filter", "on|off", "warping's fingerprint phase (default on)", &[Experiment]),
+    flag("sample-rate", "F", "sampled backend's interval fraction in (0, 1] (default 0.1)", &[Experiment]),
+    flag("warmup", "N", "sampled backend's warm-up intervals per level (default 1)", &[Experiment]),
+    flag("sweep", "TI=4,8;TJ=4,8", "swept parameters (default TI=4,8,16,32;TJ=4,8,16,32)", &[Explore]),
+    flag("bind", "NI=32,...", "fixed parameters (default NI=32,NJ=32,NK=32)", &[Explore]),
+    flag("hierarchies", "l1;l1l2", "`;`-separated --levels specs (default l1;l1l2)", &[Explore]),
+    flag("backend", "NAME", "backend of every point (default warping)", &[Explore]),
+    flag("template", "FILE", "parametric kernel source (default tiled gemm)", &[Explore]),
+    flag("name", "NAME", "family name (default tiled-gemm)", &[Explore]),
+    flag("plan", "on|off", "visit the grid in planned order (default on)", &[Explore]),
+    flag("max-error", "N", "sampled backend's per-level miss error target", &[Explore]),
+    flag("latencies", "L1:4,L2:14,MEM:100", "cycle model for the estimated-time front", &[Explore]),
+    flag("addr", "HOST:PORT", "listen on TCP instead of stdin/stdout", &[Serve]),
+    flag("cache-cap", "N", "report cache entries", &[Serve]),
+    flag("workers", "N", "worker pool size", &[Explore, Serve]),
+    flag("exact-budget", "N", "degrade exact requests above N accesses to sampling", &[Serve]),
+    flag("debug-hash", "", "add each request's canonical hash to its envelope", &[Serve]),
+    flag("json", "", "print JSON instead of text tables", &[Experiment, Explore]),
+];
+
+/// The paper's figures in order: `figN` runs one, `all` runs every one.
+type Figure = (&'static str, fn(&ExperimentConfig, bool));
+
+const FIGURES: [Figure; 7] = [
+    ("fig6", |c, json| {
+        emit(json, "Fig. 6: warping vs non-warping", &fig6(c), fig6_text)
+    }),
+    ("fig7", |c, json| {
+        let rows = fig7(&c.kernels, &[c.dataset, next_size(c.dataset)]);
+        emit(json, "Fig. 7: problem-size scaling", &rows, fig7_text)
+    }),
+    ("fig8", |c, json| {
+        emit(json, "Fig. 8: warping vs HayStack", &fig8(c), fig8_text)
+    }),
+    ("fig9", |c, json| {
+        emit(json, "Fig. 9: warping vs PolyCache", &fig9(c), fig9_text)
+    }),
+    ("fig10", |c, json| {
+        emit(json, "Fig. 10: policy influence", &fig10(c), fig10_text)
+    }),
+    ("fig11", |c, json| {
+        emit(
+            json,
+            "Fig. 11: accuracy vs measurements",
+            &fig11(c),
+            fig11_text,
+        )
+    }),
+    ("fig12", |c, json| {
+        emit(
+            json,
+            "Fig. 12: non-warping vs Dinero IV",
+            &fig12(c),
+            fig12_text,
+        )
+    }),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let Some(subcommand) = args.first().map(String::as_str) else {
         print_usage();
         std::process::exit(2);
+    };
+    let command = match subcommand {
+        "explore" => Explore,
+        "serve" => Serve,
+        _ => Experiment,
+    };
+    let flags = Flags::parse(command, subcommand, &args[1..]);
+    match command {
+        Explore => explore_command(&flags),
+        Serve => serve_command(&flags),
+        Experiment => experiment(subcommand, &flags),
     }
-    let experiment = args[0].clone();
-    if experiment == "serve" {
-        // `serve` has its own flags; bypass the experiment option parser.
-        serve_command(&args[1..]);
-        return;
-    }
-    if experiment == "explore" {
-        // `explore` too: its grid axes are parameter bindings, not kernels.
-        explore_command(&args[1..]);
-        return;
-    }
-    let mut dataset = Dataset::Small;
-    let mut kernels: Vec<Kernel> = Kernel::ALL.to_vec();
-    let mut policies: Vec<ReplacementPolicy> = vec![ReplacementPolicy::Plru];
-    let mut backends: Vec<Backend> = vec![Backend::Classic, Backend::warping()];
-    let mut levels = LevelsSpec::default();
-    let mut threads: Option<usize> = None;
-    let mut fingerprint_filter: Option<bool> = None;
-    let mut sample_rate: Option<f64> = None;
-    let mut warmup: Option<u32> = None;
-    let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                i += 1;
-                dataset = parse_dataset(args.get(i).map(String::as_str).unwrap_or(""))
-                    .unwrap_or_else(|| die("unknown dataset size"));
-            }
-            "--kernels" => {
-                i += 1;
-                kernels = args
-                    .get(i)
-                    .map(String::as_str)
-                    .unwrap_or("")
-                    .split(',')
-                    .map(|name| {
-                        Kernel::by_name(name.trim())
-                            .unwrap_or_else(|| die(&format!("unknown kernel `{name}`")))
-                    })
-                    .collect();
-            }
-            "--policies" => {
-                i += 1;
-                policies = args
-                    .get(i)
-                    .map(String::as_str)
-                    .unwrap_or("")
-                    .split(',')
-                    .map(|name| {
-                        parse_policy(name.trim())
-                            .unwrap_or_else(|| die(&format!("unknown policy `{name}`")))
-                    })
-                    .collect();
-            }
-            "--backends" => {
-                i += 1;
-                backends = args
-                    .get(i)
-                    .map(String::as_str)
-                    .unwrap_or("")
-                    .split(',')
-                    .map(|name| {
-                        Backend::by_name(name.trim())
-                            .unwrap_or_else(|| die(&format!("unknown backend `{name}`")))
-                    })
-                    .collect();
-            }
-            "--threads" => {
-                i += 1;
-                threads = Some(
-                    args.get(i)
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| die("--threads expects a number")),
-                );
-            }
-            "--fingerprint-filter" => {
-                i += 1;
-                fingerprint_filter = Some(match args.get(i).map(String::as_str) {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => die("--fingerprint-filter expects `on` or `off`"),
-                });
-            }
-            "--sample-rate" => {
-                i += 1;
-                let rate: f64 = args
-                    .get(i)
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| die("--sample-rate expects a number in (0, 1]"));
-                // Validated up front (not when the first sampled request
-                // runs), so a bad rate fails before any simulation starts.
-                if let Err(e) = engine::SamplingOptions::from_rate(rate) {
-                    die(&format!("--sample-rate: {e}"));
-                }
-                sample_rate = Some(rate);
-            }
-            "--warmup" => {
-                i += 1;
-                warmup =
-                    Some(args.get(i).and_then(|n| n.parse().ok()).unwrap_or_else(|| {
-                        die("--warmup expects a non-negative number of intervals")
-                    }));
-            }
-            "--levels" => {
-                i += 1;
-                levels = parse_levels(args.get(i).map(String::as_str).unwrap_or(""))
-                    .unwrap_or_else(|e| die(&e));
-            }
-            "--hierarchy" => die(
-                "--hierarchy was replaced by the depth-N `--levels` spec; use \
-                 `--levels l1l2` for the old two-level configuration",
-            ),
-            "--json" => json = true,
-            other => die(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
-    if let Some(filter) = fingerprint_filter {
-        // Applies to the warping backend only; the other backends have no
-        // match pipeline to toggle.
-        backends = backends
-            .into_iter()
-            .map(|backend| match backend {
-                Backend::Warping(mut options) => {
-                    options.fingerprint_filter = filter;
-                    Backend::Warping(options)
-                }
-                other => other,
-            })
-            .collect();
-    }
-    if sample_rate.is_some() || warmup.is_some() {
-        // Applies to the sampled backend only, like the warping knobs
-        // above.
-        let mut options = sample_rate.map_or(engine::SamplingOptions::DEFAULT, |rate| {
-            engine::SamplingOptions::from_rate(rate).unwrap_or_else(|e| die(&e))
-        });
-        if let Some(warmup) = warmup {
-            options = options.with_warmup(warmup);
-        }
-        backends = backends
-            .into_iter()
-            .map(|backend| match backend {
-                Backend::Sampled(_) => Backend::Sampled(options),
-                other => other,
-            })
-            .collect();
-    }
-    let config = ExperimentConfig::at(dataset).with_kernels(kernels.clone());
+}
 
-    match experiment.as_str() {
-        "fig6" => emit(
-            json,
-            "Fig. 6: warping vs non-warping",
-            &fig6(&config),
-            fig6_text,
-        ),
-        "fig7" => {
-            let rows = fig7(&kernels, &[dataset, next_size(dataset)]);
-            emit(json, "Fig. 7: problem-size scaling", &rows, fig7_text)
+/// Parsed flag values by name; a switch maps to the empty string.  A flag
+/// given twice keeps its last value.
+struct Flags(HashMap<&'static str, String>);
+
+impl Flags {
+    /// Parses `args` against the rows of [`FLAGS`] that `command` accepts;
+    /// anything else dies.
+    fn parse(command: Command, subcommand: &str, args: &[String]) -> Flags {
+        let mut values = HashMap::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = FLAGS
+                .iter()
+                .find(|f| arg.strip_prefix("--") == Some(f.name) && f.commands.contains(&command))
+                .unwrap_or_else(|| die(&format!("unknown {subcommand} argument `{arg}`")));
+            let value = match flag.value {
+                None => String::new(),
+                Some(placeholder) => args.next().cloned().unwrap_or_else(|| {
+                    die(&format!(
+                        "missing value for --{} (expects {placeholder})",
+                        flag.name
+                    ))
+                }),
+            };
+            values.insert(flag.name, value);
         }
-        "fig8" => emit(
-            json,
-            "Fig. 8: warping vs HayStack",
-            &fig8(&config),
-            fig8_text,
-        ),
-        "fig9" => emit(
-            json,
-            "Fig. 9: warping vs PolyCache",
-            &fig9(&config),
-            fig9_text,
-        ),
-        "fig10" => emit(
-            json,
-            "Fig. 10: policy influence",
-            &fig10(&config),
-            fig10_text,
-        ),
-        "fig11" => emit(
-            json,
-            "Fig. 11: accuracy vs measurements",
-            &fig11(&config),
-            fig11_text,
-        ),
-        "fig12" => emit(
-            json,
-            "Fig. 12: non-warping vs Dinero IV",
-            &fig12(&config),
-            fig12_text,
-        ),
+        Flags(values)
+    }
+
+    fn get(&self, name: &str) -> Option<&str> {
+        self.0.get(name).map(String::as_str)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.0.contains_key(name)
+    }
+
+    /// A comma-separated list, each item looked up by `lookup`; `what`
+    /// names an item in the error.
+    fn list<T>(
+        &self,
+        name: &str,
+        what: &str,
+        lookup: impl Fn(&str) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        self.get(name).map(|list| {
+            list.split(',')
+                .map(|item| {
+                    lookup(item.trim()).unwrap_or_else(|| die(&format!("unknown {what} `{item}`")))
+                })
+                .collect()
+        })
+    }
+
+    /// A number; `expects` describes it in the error.
+    fn number<T: std::str::FromStr>(&self, name: &str, expects: &str) -> Option<T> {
+        self.get(name).map(|value| {
+            value
+                .parse()
+                .unwrap_or_else(|_| die(&format!("--{name} expects {expects}")))
+        })
+    }
+
+    fn on_off(&self, name: &str) -> Option<bool> {
+        self.get(name).map(|value| match value {
+            "on" => true,
+            "off" => false,
+            _ => die(&format!("--{name} expects `on` or `off`")),
+        })
+    }
+
+    fn policies(&self) -> Option<Vec<ReplacementPolicy>> {
+        self.list("policies", "policy", |name| {
+            ReplacementPolicy::by_name(&name.to_ascii_lowercase())
+        })
+    }
+}
+
+/// The experiment subcommands: every figure, `verify`, `grid` and `all`.
+/// The grid flags are validated for all of them, so a bad value dies the
+/// same way whichever experiment it is given to.
+fn experiment(name: &str, flags: &Flags) {
+    let dataset = flags.get("size").map_or(Dataset::Small, |size| {
+        engine::dataset_by_name(size).unwrap_or_else(|| die("unknown dataset size"))
+    });
+    let kernels = flags
+        .list("kernels", "kernel", Kernel::by_name)
+        .unwrap_or_else(|| Kernel::ALL.to_vec());
+    let policies = flags
+        .policies()
+        .unwrap_or_else(|| vec![ReplacementPolicy::Plru]);
+    let mut backends = flags
+        .list("backends", "backend", Backend::by_name)
+        .unwrap_or_else(|| vec![Backend::Classic, Backend::warping()]);
+    let threads: Option<usize> = flags.number("threads", "a number");
+    let fingerprint_filter = flags.on_off("fingerprint-filter");
+    // Validated up front (not when the first sampled request runs), so a
+    // bad rate fails before any simulation starts.
+    let sampling = flags
+        .number("sample-rate", "a number in (0, 1]")
+        .map(|rate| {
+            SamplingOptions::from_rate(rate).unwrap_or_else(|e| die(&format!("--sample-rate: {e}")))
+        });
+    let warmup: Option<u32> = flags.number("warmup", "a non-negative number of intervals");
+    let levels = flags
+        .get("levels")
+        .map_or_else(LevelsSpec::default, |spec| {
+            parse_levels(spec).unwrap_or_else(|e| die(&e))
+        });
+    // The warping and sampling knobs apply to their own backend only.
+    for backend in &mut backends {
+        match backend {
+            Backend::Warping(options) => {
+                if let Some(filter) = fingerprint_filter {
+                    options.fingerprint_filter = filter;
+                }
+            }
+            Backend::Sampled(options) => {
+                *options = sampling.unwrap_or(*options);
+                if let Some(warmup) = warmup {
+                    *options = options.with_warmup(warmup);
+                }
+            }
+            _ => {}
+        }
+    }
+    let config = ExperimentConfig::at(dataset).with_kernels(kernels);
+    let json = flags.has("json");
+    match name {
         "verify" => verify(&config),
         "grid" => grid(&config, &policies, &backends, &levels, threads, json),
-        "all" => {
-            emit(
-                json,
-                "Fig. 6: warping vs non-warping",
-                &fig6(&config),
-                fig6_text,
-            );
-            emit(
-                json,
-                "Fig. 7: problem-size scaling",
-                &fig7(&kernels, &[dataset, next_size(dataset)]),
-                fig7_text,
-            );
-            emit(
-                json,
-                "Fig. 8: warping vs HayStack",
-                &fig8(&config),
-                fig8_text,
-            );
-            emit(
-                json,
-                "Fig. 9: warping vs PolyCache",
-                &fig9(&config),
-                fig9_text,
-            );
-            emit(
-                json,
-                "Fig. 10: policy influence",
-                &fig10(&config),
-                fig10_text,
-            );
-            emit(
-                json,
-                "Fig. 11: accuracy vs measurements",
-                &fig11(&config),
-                fig11_text,
-            );
-            emit(
-                json,
-                "Fig. 12: non-warping vs Dinero IV",
-                &fig12(&config),
-                fig12_text,
-            );
-        }
-        _ => {
-            print_usage();
-            std::process::exit(2);
-        }
+        "all" => FIGURES.iter().for_each(|(_, figure)| figure(&config, json)),
+        _ => match FIGURES.iter().find(|(figure, _)| *figure == name) {
+            Some((_, figure)) => figure(&config, json),
+            None => {
+                print_usage();
+                std::process::exit(2);
+            }
+        },
     }
 }
 
@@ -393,14 +379,27 @@ fn main() {
 /// triple per cache level, innermost first.  The replacement policy is
 /// filled in per grid row.
 struct LevelsSpec {
-    geometries: Vec<(u64, usize, u64)>,
+    geometries: Vec<Geometry>,
 }
+
+/// One cache level's `(size, assoc, line)`, in bytes and ways.
+type Geometry = (u64, usize, u64);
+
+/// The named `--levels` presets; `l1`, the test system's L1 alone, is the
+/// default.
+const LEVEL_PRESETS: [(&str, &[Geometry]); 3] = [
+    ("l1", &[(32 << 10, 8, 64)]),
+    ("l1l2", &[(32 << 10, 8, 64), (1 << 20, 16, 64)]),
+    (
+        "l1l2l3",
+        &[(32 << 10, 8, 64), (1 << 20, 16, 64), (8 << 20, 16, 64)],
+    ),
+];
 
 impl Default for LevelsSpec {
     fn default() -> Self {
-        // The test system's L1 alone, as before the `--levels` flag.
         LevelsSpec {
-            geometries: vec![(32 * 1024, 8, 64)],
+            geometries: LEVEL_PRESETS[0].1.to_vec(),
         }
     }
 }
@@ -420,24 +419,12 @@ impl LevelsSpec {
 /// Parses a `--levels` value: either a preset name (`l1`, `l1l2`, `l1l2l3`)
 /// or a comma-separated list of `[name:]size:assoc:line_size` levels.
 fn parse_levels(spec: &str) -> Result<LevelsSpec, String> {
-    match spec {
-        "" => return Err("--levels expects a spec, e.g. l1:32K:8:64,l2:256K:8:64".to_string()),
-        "l1" => return Ok(LevelsSpec::default()),
-        "l1l2" => {
-            return Ok(LevelsSpec {
-                geometries: vec![(32 * 1024, 8, 64), (1024 * 1024, 16, 64)],
-            })
-        }
-        "l1l2l3" => {
-            return Ok(LevelsSpec {
-                geometries: vec![
-                    (32 * 1024, 8, 64),
-                    (1024 * 1024, 16, 64),
-                    (8 * 1024 * 1024, 16, 64),
-                ],
-            })
-        }
-        _ => {}
+    if spec.is_empty() {
+        return Err("--levels expects a spec, e.g. l1:32K:8:64,l2:256K:8:64".to_string());
+    }
+    if let Some((_, geometries)) = LEVEL_PRESETS.iter().find(|(name, _)| *name == spec) {
+        let geometries = geometries.to_vec();
+        return Ok(LevelsSpec { geometries });
     }
     let mut geometries = Vec::new();
     for level in spec.split(',') {
@@ -545,26 +532,16 @@ fn grid(
                 // for the other backends, so every row has the same field
                 // count regardless of which telemetry knobs are on and
                 // column-oriented consumers (awk, cut) stay aligned.
-                let (warps, fp_hits, keys, renorms, warp_us) = report.warping.map_or_else(
-                    || {
-                        (
-                            "-".to_string(),
-                            "-".to_string(),
-                            "-".to_string(),
-                            "-".to_string(),
-                            "-".to_string(),
-                        )
-                    },
-                    |w| {
-                        (
-                            w.warps.to_string(),
-                            w.fingerprint_hits.to_string(),
-                            w.exact_key_builds.to_string(),
-                            w.stale_label_renorms.to_string(),
-                            format!("{:.1}", w.warp_apply_ns as f64 / 1e3),
-                        )
-                    },
-                );
+                let [warps, fp_hits, keys, renorms, warp_us] = match report.warping {
+                    Some(w) => [
+                        w.warps.to_string(),
+                        w.fingerprint_hits.to_string(),
+                        w.exact_key_builds.to_string(),
+                        w.stale_label_renorms.to_string(),
+                        format!("{:.1}", w.warp_apply_ns as f64 / 1e3),
+                    ],
+                    None => ["-"; 5].map(String::from),
+                };
                 println!(
                     "{:<22} {:<10} {:<14} {:>14} {:>12} {:>10.2} {:>7} {:>7} {:>8} {:>7} {:>8} {:>9}",
                     report.kernel,
@@ -596,129 +573,37 @@ fn grid(
 /// worker pool, stream per-point results as they finish, and print the
 /// Pareto front of (tile configuration, per-level miss counts) for every
 /// hierarchy × policy combination.
-fn explore_command(args: &[String]) {
+fn explore_command(flags: &Flags) {
     use std::sync::mpsc;
     use std::sync::Arc;
     use std::time::Instant;
 
-    let mut sweep_spec = "TI=4,8,16,32;TJ=4,8,16,32".to_string();
-    let mut bind_spec = "NI=32,NJ=32,NK=32".to_string();
-    let mut hierarchies_spec = "l1;l1l2".to_string();
-    let mut policies = vec![ReplacementPolicy::Lru, ReplacementPolicy::Plru];
-    let mut backend = Backend::warping();
-    let mut workers: Option<usize> = None;
-    let mut template_path: Option<String> = None;
-    let mut family_name = "tiled-gemm".to_string();
-    let mut json = false;
-    let mut plan = true;
-    let mut max_error: Option<u64> = None;
-    let mut latencies_spec: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--plan" => {
-                i += 1;
-                plan = match args.get(i).map(String::as_str) {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => die("--plan expects `on` or `off`"),
-                };
-            }
-            "--max-error" => {
-                i += 1;
-                max_error = Some(
-                    args.get(i)
-                        .and_then(|n| n.parse::<u64>().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--max-error expects a positive miss count")),
-                );
-            }
-            "--latencies" => {
-                i += 1;
-                latencies_spec = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--latencies expects L1:4,L2:14,MEM:100")),
-                );
-            }
-            "--sweep" => {
-                i += 1;
-                sweep_spec = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| die("--sweep expects NAME=v1,v2;NAME=v1,v2"));
-            }
-            "--bind" => {
-                i += 1;
-                bind_spec = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| die("--bind expects NAME=value,NAME=value"));
-            }
-            "--hierarchies" => {
-                i += 1;
-                hierarchies_spec = args.get(i).cloned().unwrap_or_else(|| {
-                    die("--hierarchies expects `;`-separated --levels specs, e.g. l1;l1l2")
-                });
-            }
-            "--policies" => {
-                i += 1;
-                policies = args
-                    .get(i)
-                    .map(String::as_str)
-                    .unwrap_or("")
-                    .split(',')
-                    .map(|name| {
-                        parse_policy(name.trim())
-                            .unwrap_or_else(|| die(&format!("unknown policy `{name}`")))
-                    })
-                    .collect();
-            }
-            "--backend" => {
-                i += 1;
-                backend = args
-                    .get(i)
-                    .and_then(|name| Backend::by_name(name))
-                    .unwrap_or_else(|| die("--backend expects a backend name"));
-            }
-            "--workers" => {
-                i += 1;
-                workers = Some(
-                    args.get(i)
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| die("--workers expects a number")),
-                );
-            }
-            "--template" => {
-                i += 1;
-                template_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--template expects a file path")),
-                );
-            }
-            "--name" => {
-                i += 1;
-                family_name = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| die("--name expects a family name"));
-            }
-            "--json" => json = true,
-            other => die(&format!("unknown explore argument `{other}`")),
-        }
-        i += 1;
+    let plan = flags.on_off("plan").unwrap_or(true);
+    let max_error: Option<u64> = flags.number("max-error", "a positive miss count");
+    if max_error == Some(0) {
+        die("--max-error expects a positive miss count");
     }
-
-    let code = match &template_path {
+    let policies = flags
+        .policies()
+        .unwrap_or_else(|| vec![ReplacementPolicy::Lru, ReplacementPolicy::Plru]);
+    let mut backend = flags.get("backend").map_or_else(Backend::warping, |name| {
+        Backend::by_name(name).unwrap_or_else(|| die("--backend expects a backend name"))
+    });
+    let workers: Option<usize> = flags.number("workers", "a number");
+    let family_name = flags.get("name").unwrap_or("tiled-gemm");
+    let json = flags.has("json");
+    let code = match flags.get("template") {
         Some(path) => std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read template `{path}`: {e}"))),
         None => polybench::parametric::TILED_GEMM.to_string(),
     };
-    let sweep = parse_sweep(&sweep_spec).unwrap_or_else(|e| die(&e));
-    let fixed = scop::ParamBindings::parse(&bind_spec)
+    let sweep = parse_sweep(flags.get("sweep").unwrap_or("TI=4,8,16,32;TJ=4,8,16,32"))
+        .unwrap_or_else(|e| die(&e));
+    let fixed = scop::ParamBindings::parse(flags.get("bind").unwrap_or("NI=32,NJ=32,NK=32"))
         .unwrap_or_else(|e| die(&format!("invalid --bind spec: {e}")));
-    let hierarchies: Vec<(String, LevelsSpec)> = hierarchies_spec
+    let hierarchies: Vec<(String, LevelsSpec)> = flags
+        .get("hierarchies")
+        .unwrap_or("l1;l1l2")
         .split(';')
         .map(|spec| {
             let spec = spec.trim();
@@ -737,8 +622,8 @@ fn explore_command(args: &[String]) {
             _ => die("--max-error only applies to `--backend sampled`"),
         };
     }
-    let latencies = latencies_spec
-        .as_deref()
+    let latencies = flags
+        .get("latencies")
         .map(|spec| parse_latencies(spec).unwrap_or_else(|e| die(&e)));
     if let Some(model) = &latencies {
         let deepest = hierarchies
@@ -764,7 +649,7 @@ fn explore_command(args: &[String]) {
         .unwrap_or_else(|e| die(&format!("invalid serve config: {e}")));
     let service = Arc::new(serve::SimService::new(config));
     let registered = service
-        .register_family(&family_name, &code)
+        .register_family(family_name, &code)
         .unwrap_or_else(|e| die(&e));
     if !json {
         println!(
@@ -803,7 +688,7 @@ fn explore_command(args: &[String]) {
                     hierarchy: hierarchy.clone(),
                     policy,
                     request: SimRequest::new(
-                        KernelSpec::parametric(&family_name, &code, bindings),
+                        KernelSpec::parametric(family_name, &code, bindings),
                         memory.clone(),
                         backend,
                     ),
@@ -848,38 +733,29 @@ fn explore_command(args: &[String]) {
     // a template that fails to instantiate, an empty iteration domain)
     // becomes a streamed error row for that grid point; the rest of the
     // sweep proceeds.
-    let mut point_errors: Vec<Option<String>> = points.iter().map(|_| None).collect();
-    let mut submitted = Vec::with_capacity(order.len());
-    for &index in &order {
-        match validate_point(&points[index].request) {
-            Ok(()) => submitted.push(index),
-            Err(reason) => point_errors[index] = Some(reason),
-        }
-    }
-    for (index, reason) in point_errors.iter().enumerate() {
-        let Some(reason) = reason else { continue };
-        let point = &points[index];
+    let error_row = |point: &Point, reason: &dyn std::fmt::Display| {
+        let (tiles, hierarchy) = (&point.sweep_key, &point.hierarchy);
+        let policy = point.policy.label();
         if json {
-            eprintln!(
-                "{} on {}/{}: {reason}",
-                point.sweep_key,
-                point.hierarchy,
-                point.policy.label()
-            );
+            eprintln!("{tiles} on {hierarchy}/{policy}: {reason}");
         } else {
-            println!(
-                "{:<20} {:<24} {:<14} error: {reason}",
-                point.sweep_key,
-                point.hierarchy,
-                point.policy.label()
-            );
+            println!("{tiles:<20} {hierarchy:<24} {policy:<14} error: {reason}");
+        }
+    };
+    let point_errors: Vec<Option<String>> = points
+        .iter()
+        .map(|point| validate_point(&point.request).err())
+        .collect();
+    for (point, reason) in points.iter().zip(&point_errors) {
+        if let Some(reason) = reason {
+            error_row(point, reason);
         }
     }
 
     // Stream the valid points through the service's work-stealing pool in
     // planned order; rows print as points finish, not in grid order.
     let (tx, rx) = mpsc::channel();
-    for &index in &submitted {
+    for index in order.into_iter().filter(|&i| point_errors[i].is_none()) {
         let service = service.clone();
         let request = points[index].request.clone();
         let tx = tx.clone();
@@ -920,23 +796,7 @@ fn explore_command(args: &[String]) {
                 }
                 results[index] = Some(report);
             }
-            Err(e) => {
-                if json {
-                    eprintln!(
-                        "{} on {}/{}: {e}",
-                        point.sweep_key,
-                        point.hierarchy,
-                        point.policy.label()
-                    );
-                } else {
-                    println!(
-                        "{:<20} {:<24} {:<14} error: {e}",
-                        point.sweep_key,
-                        point.hierarchy,
-                        point.policy.label()
-                    );
-                }
-            }
+            Err(e) => error_row(point, &e),
         }
     }
 
@@ -988,93 +848,35 @@ fn explore_command(args: &[String]) {
                 .unwrap_or_default();
             if json {
                 for (index, misses) in &group {
+                    let report = results[*index].as_ref().expect("grouped on Some");
                     let mut fields = vec![
-                        (
-                            "tiles".to_string(),
-                            serde::Value::Str(points[*index].sweep_key.clone()),
-                        ),
-                        (
-                            "hierarchy".to_string(),
-                            serde::Value::Str(hierarchy.clone()),
-                        ),
-                        (
-                            "policy".to_string(),
-                            serde::Value::Str(policy.label().to_string()),
-                        ),
-                        (
-                            "misses".to_string(),
-                            serde::Value::Array(
-                                misses.iter().map(|&m| serde::Value::UInt(m)).collect(),
-                            ),
-                        ),
+                        ("tiles", points[*index].sweep_key.serialize_value()),
+                        ("hierarchy", hierarchy.serialize_value()),
+                        ("policy", policy.label().serialize_value()),
+                        ("misses", misses.serialize_value()),
                     ];
                     if let Some(model) = &latencies {
-                        let report = results[*index].as_ref().expect("grouped on Some");
-                        fields.push((
-                            "est_cycles".to_string(),
-                            serde::Value::UInt(estimated_cycles(report, model)),
-                        ));
+                        let cycles = estimated_cycles(report, model);
+                        fields.push(("est_cycles", cycles.serialize_value()));
                     }
-                    if let Some(approx) = results[*index]
-                        .as_ref()
-                        .and_then(|report| report.approx.as_ref())
-                    {
-                        fields.push((
-                            "error_bound".to_string(),
-                            serde::Value::Array(
-                                approx
-                                    .per_level_error_bound
-                                    .iter()
-                                    .map(|&b| serde::Value::UInt(b))
-                                    .collect(),
-                            ),
-                        ));
+                    if let Some(approx) = &report.approx {
+                        let bounds = approx.per_level_error_bound.serialize_value();
+                        fields.push(("error_bound", bounds));
                     }
-                    json_points.push(serde::Value::Object(fields));
+                    json_points.push(object(fields));
                 }
-                json_fronts.push(serde::Value::Object(vec![
-                    (
-                        "hierarchy".to_string(),
-                        serde::Value::Str(hierarchy.clone()),
-                    ),
-                    (
-                        "policy".to_string(),
-                        serde::Value::Str(policy.label().to_string()),
-                    ),
-                    (
-                        "front".to_string(),
-                        serde::Value::Array(
-                            front
-                                .iter()
-                                .map(|(index, _)| {
-                                    serde::Value::Str(points[*index].sweep_key.clone())
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]));
+                let front_object = |indices: Vec<usize>| {
+                    let tiles: Vec<&String> =
+                        indices.iter().map(|&i| &points[i].sweep_key).collect();
+                    object(vec![
+                        ("hierarchy", hierarchy.serialize_value()),
+                        ("policy", policy.label().serialize_value()),
+                        ("front", tiles.serialize_value()),
+                    ])
+                };
+                json_fronts.push(front_object(front.iter().map(|e| e.0).collect()));
                 if latencies.is_some() {
-                    json_time_fronts.push(serde::Value::Object(vec![
-                        (
-                            "hierarchy".to_string(),
-                            serde::Value::Str(hierarchy.clone()),
-                        ),
-                        (
-                            "policy".to_string(),
-                            serde::Value::Str(policy.label().to_string()),
-                        ),
-                        (
-                            "front".to_string(),
-                            serde::Value::Array(
-                                time_front
-                                    .iter()
-                                    .map(|(index, _)| {
-                                        serde::Value::Str(points[*index].sweep_key.clone())
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ]));
+                    json_time_fronts.push(front_object(time_front.iter().map(|e| e.0).collect()));
                 }
             } else {
                 println!(
@@ -1111,59 +913,35 @@ fn explore_command(args: &[String]) {
 
     let stats = service.stats();
     if json {
-        let json_errors: Vec<serde::Value> = point_errors
+        let json_errors: Vec<serde::Value> = points
             .iter()
-            .enumerate()
-            .filter_map(|(index, reason)| reason.as_ref().map(|reason| (index, reason)))
-            .map(|(index, reason)| {
-                serde::Value::Object(vec![
-                    (
-                        "tiles".to_string(),
-                        serde::Value::Str(points[index].sweep_key.clone()),
-                    ),
-                    (
-                        "hierarchy".to_string(),
-                        serde::Value::Str(points[index].hierarchy.clone()),
-                    ),
-                    (
-                        "policy".to_string(),
-                        serde::Value::Str(points[index].policy.label().to_string()),
-                    ),
-                    ("error".to_string(), serde::Value::Str(reason.clone())),
-                ])
+            .zip(&point_errors)
+            .filter_map(|(point, reason)| {
+                reason.as_ref().map(|reason| {
+                    object(vec![
+                        ("tiles", point.sweep_key.serialize_value()),
+                        ("hierarchy", point.hierarchy.serialize_value()),
+                        ("policy", point.policy.label().serialize_value()),
+                        ("error", reason.serialize_value()),
+                    ])
+                })
             })
             .collect();
         let mut output = vec![
-            ("family".to_string(), serde::Value::Str(registered.family)),
-            ("planned".to_string(), serde::Value::Bool(plan)),
-            ("points".to_string(), serde::Value::Array(json_points)),
-            ("errors".to_string(), serde::Value::Array(json_errors)),
-            ("pareto".to_string(), serde::Value::Array(json_fronts)),
+            ("family", registered.family.serialize_value()),
+            ("planned", plan.serialize_value()),
+            ("points", json_points.serialize_value()),
+            ("errors", json_errors.serialize_value()),
+            ("pareto", json_fronts.serialize_value()),
         ];
         if latencies.is_some() {
-            output.push((
-                "pareto_time".to_string(),
-                serde::Value::Array(json_time_fronts),
-            ));
+            output.push(("pareto_time", json_time_fronts.serialize_value()));
         }
-        output.push((
-            "calibration".to_string(),
-            serde::Value::Array(
-                service
-                    .calibration_stats()
-                    .iter()
-                    .map(serde::Serialize::serialize_value)
-                    .collect(),
-            ),
-        ));
-        output.push((
-            "serve_stats".to_string(),
-            serde::Serialize::serialize_value(&stats),
-        ));
+        output.push(("calibration", service.calibration_stats().serialize_value()));
+        output.push(("serve_stats", stats.serialize_value()));
         println!(
             "{}",
-            serde_json::to_string_pretty(&serde::Value::Object(output))
-                .expect("explore output serialises")
+            serde_json::to_string_pretty(&object(output)).expect("explore output serialises")
         );
     } else {
         println!(
@@ -1181,6 +959,16 @@ fn explore_command(args: &[String]) {
             stats.warp_donations
         );
     }
+}
+
+/// A JSON object with the given fields, in order.
+fn object(fields: Vec<(&str, serde::Value)>) -> serde::Value {
+    serde::Value::Object(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
 /// Cycle weights for the estimated-wall-time front: one latency per cache
@@ -1331,59 +1119,31 @@ fn cartesian(sweep: &[(String, Vec<i64>)]) -> Vec<Vec<(String, i64)>> {
 
 /// The `serve` subcommand: the JSON-lines simulation service over stdin or
 /// a TCP listener.
-fn serve_command(args: &[String]) {
+fn serve_command(flags: &Flags) {
     use std::io::Write as _;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let mut addr: Option<String> = None;
     let mut config = serve::ServeConfig::from_env();
-    let mut options = serve::WireOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--addr expects HOST:PORT")),
-                );
-            }
-            "--cache-cap" => {
-                i += 1;
-                config.cache_capacity = args
-                    .get(i)
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| die("--cache-cap expects an entry count"));
-            }
-            "--workers" => {
-                i += 1;
-                config.workers = args
-                    .get(i)
-                    .and_then(|n| n.parse::<usize>().ok())
-                    .unwrap_or_else(|| die("--workers expects a number"));
-            }
-            "--exact-budget" => {
-                i += 1;
-                config.exact_budget = Some(
-                    args.get(i)
-                        .and_then(|n| n.parse::<u64>().ok())
-                        .unwrap_or_else(|| die("--exact-budget expects an access count")),
-                );
-            }
-            "--debug-hash" => options.debug_hash = true,
-            other => die(&format!("unknown serve argument `{other}`")),
-        }
-        i += 1;
+    if let Some(capacity) = flags.number("cache-cap", "an entry count") {
+        config.cache_capacity = capacity;
     }
+    if let Some(workers) = flags.number("workers", "a number") {
+        config.workers = workers;
+    }
+    if let Some(budget) = flags.number("exact-budget", "an access count") {
+        config.exact_budget = Some(budget);
+    }
+    let options = serve::WireOptions {
+        debug_hash: flags.has("debug-hash"),
+    };
     // Degenerate configurations (`--workers 0`, `--cache-cap 0`) are caught
     // here, before any socket is bound, with an explanation of what the
     // zero would break.
     config.validate().unwrap_or_else(|e| die(&e));
     let service = Arc::new(serve::SimService::new(config));
 
-    let Some(addr) = addr else {
+    let Some(addr) = flags.get("addr") else {
         // Stdin mode: one session, envelopes (and the final stats line) on
         // stdout.
         let stdin = std::io::stdin();
@@ -1392,7 +1152,7 @@ fn serve_command(args: &[String]) {
         return;
     };
 
-    let listener = std::net::TcpListener::bind(&addr)
+    let listener = std::net::TcpListener::bind(addr)
         .unwrap_or_else(|e| die(&format!("cannot listen on {addr}: {e}")));
     let local = listener
         .local_addr()
@@ -1447,16 +1207,6 @@ fn serve_command(args: &[String]) {
     );
 }
 
-fn parse_policy(name: &str) -> Option<ReplacementPolicy> {
-    match name.to_ascii_lowercase().as_str() {
-        "lru" => Some(ReplacementPolicy::Lru),
-        "fifo" => Some(ReplacementPolicy::Fifo),
-        "plru" => Some(ReplacementPolicy::Plru),
-        "qlru" => Some(ReplacementPolicy::Qlru),
-        _ => None,
-    }
-}
-
 fn verify(config: &ExperimentConfig) {
     let mut failures = 0;
     for &kernel in &config.kernels {
@@ -1476,17 +1226,6 @@ fn verify(config: &ExperimentConfig) {
     if failures > 0 {
         eprintln!("{failures} mismatches");
         std::process::exit(1);
-    }
-}
-
-fn parse_dataset(name: &str) -> Option<Dataset> {
-    match name.to_ascii_lowercase().as_str() {
-        "mini" => Some(Dataset::Mini),
-        "small" => Some(Dataset::Small),
-        "medium" => Some(Dataset::Medium),
-        "large" => Some(Dataset::Large),
-        "extralarge" | "xl" => Some(Dataset::ExtraLarge),
-        _ => None,
     }
 }
 
@@ -1615,22 +1354,35 @@ fn fig12_text(rows: &[Fig12Row]) {
     }
 }
 
+/// Prints the usage text generated from [`FIGURES`] and [`FLAGS`].
 fn print_usage() {
-    eprintln!(
-        "usage: harness <fig6|fig7|fig8|fig9|fig10|fig11|fig12|verify|grid|all> \
-         [--size mini|small|medium|large|extralarge] [--kernels a,b,c] \
-         [--policies lru,fifo,plru,qlru] \
-         [--backends classic,warping,haystack,polycache,trace,sampled] \
-         [--levels l1:32K:8:64,l2:256K:8:64,l3:2M:16:64 | l1 | l1l2 | l1l2l3] \
-         [--threads N] [--fingerprint-filter on|off] \
-         [--sample-rate F] [--warmup N] [--json]\n\
-         \x20      harness serve [--addr HOST:PORT] [--cache-cap N] [--workers N] \
-         [--exact-budget N] [--debug-hash]\n\
-         \x20      harness explore [--sweep TI=4,8;TJ=4,8] [--bind NI=32,...] \
-         [--hierarchies l1;l1l2] [--policies lru,plru] [--backend warping] \
-         [--workers N] [--template FILE] [--name NAME] [--plan on|off] \
-         [--max-error N] [--latencies L1:4,L2:14,MEM:100] [--json]"
-    );
+    let experiments: Vec<&str> = FIGURES
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(["verify", "grid", "all"])
+        .collect();
+    let synopses = [
+        (Experiment, format!("<{}>", experiments.join("|"))),
+        (Explore, "explore".to_string()),
+        (Serve, "serve".to_string()),
+    ];
+    let mut usage = String::new();
+    for (command, synopsis) in synopses {
+        usage += &format!("usage: harness {synopsis} [flags]\n");
+        for flag in FLAGS.iter().filter(|f| f.commands.contains(&command)) {
+            let spelled = match flag.value {
+                Some(value) => format!("--{} {value}", flag.name),
+                None => format!("--{}", flag.name),
+            };
+            // Long spellings put their help text on a line of its own.
+            if spelled.len() > 30 {
+                usage += &format!("  {spelled}\n{:33}{}\n", "", flag.help);
+            } else {
+                usage += &format!("  {spelled:<30} {}\n", flag.help);
+            }
+        }
+    }
+    eprint!("{usage}");
 }
 
 fn die(message: &str) -> ! {

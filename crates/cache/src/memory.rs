@@ -352,29 +352,18 @@ impl Serialize for crate::LevelStats {
 
 impl Serialize for ReplacementPolicy {
     fn serialize_value(&self) -> Value {
-        Value::Str(
-            match self {
-                ReplacementPolicy::Lru => "lru",
-                ReplacementPolicy::Fifo => "fifo",
-                ReplacementPolicy::Plru => "plru",
-                ReplacementPolicy::Qlru => "qlru",
-            }
-            .to_string(),
-        )
+        Value::Str(self.name().to_string())
     }
 }
 
 impl Deserialize for ReplacementPolicy {
     fn deserialize_value(value: &Value) -> Result<Self, String> {
-        match value.as_str() {
-            Some("lru") => Ok(ReplacementPolicy::Lru),
-            Some("fifo") => Ok(ReplacementPolicy::Fifo),
-            Some("plru") => Ok(ReplacementPolicy::Plru),
-            Some("qlru") => Ok(ReplacementPolicy::Qlru),
-            _ => Err(format!(
-                "expected one of \"lru\", \"fifo\", \"plru\", \"qlru\", got {value:?}"
-            )),
-        }
+        value
+            .as_str()
+            .and_then(ReplacementPolicy::by_name)
+            .ok_or_else(|| {
+                format!("expected one of \"lru\", \"fifo\", \"plru\", \"qlru\", got {value:?}")
+            })
     }
 }
 

@@ -71,6 +71,24 @@ impl ReplacementPolicy {
             ReplacementPolicy::Qlru => "Quad-age LRU",
         }
     }
+
+    /// The lowercase identifier used on the wire and on the command line
+    /// (`"lru"`, `"fifo"`, `"plru"`, `"qlru"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            ReplacementPolicy::Lru => "lru",
+            ReplacementPolicy::Fifo => "fifo",
+            ReplacementPolicy::Plru => "plru",
+            ReplacementPolicy::Qlru => "qlru",
+        }
+    }
+
+    /// The policy whose [`name`](ReplacementPolicy::name) is `name`.
+    pub fn by_name(name: &str) -> Option<ReplacementPolicy> {
+        ReplacementPolicy::ALL
+            .into_iter()
+            .find(|policy| policy.name() == name)
+    }
 }
 
 impl fmt::Display for ReplacementPolicy {
@@ -131,5 +149,13 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             ReplacementPolicy::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels.len(), 4);
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for policy in ReplacementPolicy::ALL {
+            assert_eq!(ReplacementPolicy::by_name(policy.name()), Some(policy));
+        }
+        assert_eq!(ReplacementPolicy::by_name("LRU"), None);
     }
 }

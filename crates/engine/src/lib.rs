@@ -194,10 +194,6 @@ impl Engine {
     /// Serves one request: builds the kernel, dispatches to the backend and
     /// reports the unified outcome.
     ///
-    /// The engine's thread budget ([`Engine::with_threads`]) is granted to
-    /// the backend: a warping request applies warps to its rotating levels
-    /// in parallel.  Results are bit-identical for every budget.
-    ///
     /// # Errors
     ///
     /// [`EngineError::Kernel`] if the kernel does not build,
@@ -205,7 +201,8 @@ impl Engine {
     /// the requested memory system, and [`EngineError::InvalidOptions`] for
     /// degenerate warping options.
     pub fn run(&self, request: &SimRequest) -> Result<SimReport, EngineError> {
-        self.run_inner(request, self.threads)
+        self.run_warm(request, &WarmContext::default())
+            .map(|(report, _)| report)
     }
 
     /// [`Engine::run`] with cross-instance warm-start state: the context's
@@ -220,28 +217,6 @@ impl Engine {
     pub fn run_warm(
         &self,
         request: &SimRequest,
-        ctx: &WarmContext,
-    ) -> Result<(SimReport, WarmOutcome), EngineError> {
-        self.run_warm_inner(request, self.threads, ctx)
-    }
-
-    /// [`Engine::run`] with an explicit thread budget for the backend
-    /// (used by [`Engine::run_batch`] to avoid oversubscription).
-    fn run_inner(
-        &self,
-        request: &SimRequest,
-        backend_threads: usize,
-    ) -> Result<SimReport, EngineError> {
-        self.run_warm_inner(request, backend_threads, &WarmContext::default())
-            .map(|(report, _)| report)
-    }
-
-    /// The full dispatch: one request, one backend, an optional warm
-    /// context in, a [`WarmOutcome`] out.
-    fn run_warm_inner(
-        &self,
-        request: &SimRequest,
-        backend_threads: usize,
         ctx: &WarmContext,
     ) -> Result<(SimReport, WarmOutcome), EngineError> {
         let kernel = request.kernel.name();
@@ -269,9 +244,7 @@ impl Engine {
                 options
                     .validate()
                     .map_err(|e| EngineError::InvalidOptions(e.to_string()))?;
-                let mut simulator = WarpingSimulator::new(memory.clone())
-                    .with_options(*options)
-                    .with_threads(backend_threads);
+                let mut simulator = WarpingSimulator::new(memory.clone()).with_options(*options);
                 if let Some(hints) = &ctx.warp_hints {
                     simulator = simulator.with_hints(hints.clone());
                 }
@@ -408,14 +381,6 @@ impl Engine {
     /// [`Engine::threads`] worker threads.  Reports come back in request
     /// order and are identical (up to wall-clock timings) to sequential
     /// [`Engine::run`] calls.
-    ///
-    /// The thread budget is shared with the backends' own parallelism:
-    /// batch-level fan-out takes precedence, so when several requests run
-    /// concurrently each of them applies warps sequentially rather than
-    /// oversubscribing the machine.  A batch that collapses to the sequential path — fewer
-    /// than two requests, or an engine with one thread — grants each
-    /// request the full budget, exactly like [`Engine::run`].  Either way
-    /// the reported counts are bit-identical.
     pub fn run_batch(&self, requests: &[SimRequest]) -> Vec<Result<SimReport, EngineError>> {
         let workers = self.threads.min(requests.len());
         if workers <= 1 {
@@ -431,7 +396,7 @@ impl Engine {
                     let Some(request) = requests.get(index) else {
                         break;
                     };
-                    let outcome = self.run_inner(request, 1);
+                    let outcome = self.run(request);
                     *slots[index]
                         .lock()
                         .expect("no panics while holding the slot") = Some(outcome);

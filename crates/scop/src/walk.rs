@@ -113,11 +113,16 @@ pub fn count_accesses(scop: &Scop) -> u64 {
 
 /// Whether the SCoP performs strictly more than `cap` dynamic accesses.
 ///
-/// Unlike [`count_accesses`] this stops as soon as the answer is known, so
-/// probing a trillion-access kernel against a small budget costs O(cap)
-/// instead of O(total).  Serving layers use it to decide when to degrade a
-/// request to approximate simulation.
+/// Rectangular kernels answer in closed form from the compiled stream
+/// ([`crate::CompiledScop::static_access_count`]).  Irregular domains fall
+/// back to a walk that, unlike [`count_accesses`], stops as soon as the
+/// answer is known, so probing a trillion-access kernel against a small
+/// budget costs O(cap) instead of O(total).  Serving layers use it to
+/// decide when to degrade a request to approximate simulation.
 pub fn exceeds_access_count(scop: &Scop, cap: u64) -> bool {
+    if let Some(total) = crate::compile(scop).static_access_count() {
+        return total > cap;
+    }
     let mut count = 0;
     let mut pool = Vec::new();
     for root in scop.roots() {
@@ -307,17 +312,29 @@ mod tests {
 
     #[test]
     fn capped_count_agrees_with_exact_count() {
-        let scop = scop_of(
+        // The rectangular kernel answers in closed form, the triangular one
+        // through the capped walk; both flip exactly at the walked total.
+        let rectangular = scop_of(
+            "double A[16][16];\n\
+             for (i = 0; i < 16; i++) for (j = 0; j < 16; j++) A[i][j] = A[i][j];",
+        );
+        let triangular = scop_of(
             "double A[100][100]; double x[100]; double c[100];\n\
              for (i = 0; i < 100; i++) {\n\
                c[i] = 0;\n\
                for (j = i; j < 100; j++) c[i] = c[i] + A[i][j] * x[j];\n\
              }",
         );
-        let total = count_accesses(&scop);
-        assert!(exceeds_access_count(&scop, total - 1));
-        assert!(!exceeds_access_count(&scop, total));
-        assert!(exceeds_access_count(&scop, 0));
+        for (scop, closed_form) in [(rectangular, true), (triangular, false)] {
+            let total = count_accesses(&scop);
+            assert_eq!(
+                crate::compile(&scop).static_access_count().is_some(),
+                closed_form
+            );
+            assert!(exceeds_access_count(&scop, total - 1));
+            assert!(!exceeds_access_count(&scop, total));
+            assert!(exceeds_access_count(&scop, 0));
+        }
         let empty = scop_of("double A[10]; for (i = 5; i < 5; i++) A[i] = 0;");
         assert!(!exceeds_access_count(&empty, 0));
     }

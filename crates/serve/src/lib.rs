@@ -290,14 +290,9 @@ pub struct SimService {
 }
 
 impl SimService {
-    /// A service over a default [`Engine`] whose per-request thread budget
-    /// is the machine's parallelism divided by the pool's worker count —
-    /// when several workers simulate concurrently, none of them
-    /// oversubscribes the machine with parallel warp application.
+    /// A service over a default [`Engine`].
     pub fn new(config: ServeConfig) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let engine = Engine::new().with_threads((cores / config.workers.max(1)).max(1));
-        SimService::with_engine(engine, config)
+        SimService::with_engine(Engine::new(), config)
     }
 
     /// A service over a caller-configured engine.
@@ -453,15 +448,11 @@ impl SimService {
     /// backends are degraded; the analytical backends are already cheap,
     /// and an explicitly sampled request keeps the options it asked for.
     ///
-    /// The access count is answered in closed form whenever the kernel's
-    /// domains are rectangular ([`CompiledScop::static_access_count`]
-    /// (scop::CompiledScop::static_access_count) multiplies per-dimension
-    /// trip counts — no walking at all); non-rectangular shapes fall back
-    /// to the walking probe ([`scop::exceeds_access_count`], which
-    /// short-circuits once the budget is crossed).  Either way the verdict
-    /// is memoised per canonical hash, so repeat submissions of the same
-    /// kernel — the common case behind the report cache — skip even the
-    /// build.
+    /// The verdict is [`scop::exceeds_access_count`]: closed form for
+    /// rectangular domains, a walk that stops once the budget is crossed
+    /// otherwise.  It is memoised per canonical hash, so repeat
+    /// submissions of the same kernel — the common case behind the report
+    /// cache — skip even the build.
     fn degrade(&self, request: &SimRequest) -> Option<SimRequest> {
         let budget = self.exact_budget?;
         if !matches!(
@@ -484,10 +475,7 @@ impl SimService {
                 // which owns the error message (and is not memoised: the
                 // verdict map only records real verdicts).
                 let scop = request.kernel.build().ok()?;
-                let over = match scop::compile(&scop).static_access_count() {
-                    Some(total) => total > budget,
-                    None => scop::exceeds_access_count(&scop, budget),
-                };
+                let over = scop::exceeds_access_count(&scop, budget);
                 self.budget_verdicts
                     .lock()
                     .expect("verdict map not poisoned")

@@ -305,9 +305,6 @@ struct Counters {
 pub struct WarpingSimulator {
     levels: Vec<SymLevel>,
     options: WarpingOptions,
-    /// Thread budget for parallel warp application (see
-    /// [`WarpingSimulator::with_threads`]); 1 means sequential.
-    warp_threads: usize,
     accesses: u64,
     warped_accesses: u64,
     warps: u64,
@@ -345,7 +342,6 @@ impl WarpingSimulator {
                 .map(|level| SymLevel::new(level.clone()))
                 .collect(),
             options: WarpingOptions::default(),
-            warp_threads: 1,
             accesses: 0,
             warped_accesses: 0,
             warps: 0,
@@ -373,16 +369,6 @@ impl WarpingSimulator {
             panic!("invalid warping options: {e}");
         }
         self.options = options;
-        self
-    }
-
-    /// Grants the simulator a thread budget for parallel warp application
-    /// (clamped to at least 1; the default is 1, i.e. sequential).  Warp
-    /// application fans out across the rotating levels when the budget
-    /// covers one thread per level; each level is rewritten independently,
-    /// so results are bit-identical for every budget.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.warp_threads = threads.max(1);
         self
     }
 
@@ -727,15 +713,19 @@ impl WarpingSimulator {
             level.stats.misses += n * diff_misses;
             level.stats.accesses += n * (diff_hits + diff_misses);
         }
-        // Advance the symbolic cache state (Equation 18), fanning the
-        // per-level rewrites out over the thread budget.  Frozen levels are
-        // skipped wholesale: their state — labels, epoch, MRU anchor —
+        // Advance the symbolic cache state (Equation 18), one rotating
+        // level after another.  Frozen levels are skipped wholesale: their state — labels, epoch, MRU anchor —
         // stays exactly where the warm-up left it, which is also what
         // explicit simulation of the warped window would have produced (the
         // window never touches them).
         let total_shift = plan.byte_shift_per_chunk * plan.chunks;
         let address_of = |id: usize, iv: &[i64]| nodes[id].address.eval(iv);
-        let warp = |level: &mut SymLevel| {
+        for (level, _) in self
+            .levels
+            .iter_mut()
+            .zip(&modes)
+            .filter(|(_, mode)| **mode == LevelWarpMode::Shifted)
+        {
             level.apply_warp(
                 address_of,
                 l.accesses(),
@@ -743,30 +733,7 @@ impl WarpingSimulator {
                 period,
                 plan.chunks,
                 total_shift,
-            )
-        };
-        let rotating = self
-            .levels
-            .iter_mut()
-            .zip(&modes)
-            .filter(|(_, mode)| **mode == LevelWarpMode::Shifted)
-            .map(|(level, _)| level);
-        // One thread per rotating level when the budget covers them all
-        // (frozen levels spawn no work and do not dilute the budget); a
-        // smaller budget stays sequential, so the number of running threads
-        // never exceeds it.
-        let shifted = modes
-            .iter()
-            .filter(|m| **m == LevelWarpMode::Shifted)
-            .count();
-        if shifted > 1 && self.warp_threads >= shifted {
-            std::thread::scope(|scope| {
-                for level in rotating {
-                    scope.spawn(|| warp(level));
-                }
-            });
-        } else {
-            rotating.for_each(warp);
+            );
         }
         // Telemetry: frozen levels that actually hold stale lines are the
         // matches only epoch normalisation can make.
@@ -1036,27 +1003,6 @@ mod tests {
             filtered.exact_key_builds,
             filtered.match_attempts
         );
-    }
-
-    #[test]
-    fn threaded_warp_application_is_bit_identical() {
-        // The arrays exceed every level, so all three levels reach a
-        // periodic steady state and rotate together: with a budget of four
-        // threads each rotating level is warped on its own thread.
-        let scop = stencil(75_000);
-        let memory = MemoryConfig::new(vec![
-            CacheConfig::with_sets(64, 2, 8, ReplacementPolicy::Lru),
-            CacheConfig::with_sets(512, 2, 8, ReplacementPolicy::Lru),
-            CacheConfig::with_sets(4096, 2, 8, ReplacementPolicy::Lru),
-        ])
-        .unwrap();
-        let sequential = WarpingSimulator::new(memory.clone()).run(&scop);
-        let parallel = WarpingSimulator::new(memory).with_threads(4).run(&scop);
-        assert_eq!(
-            sequential, parallel,
-            "thread budget must not change anything"
-        );
-        assert!(parallel.warps >= 1);
     }
 
     #[test]
