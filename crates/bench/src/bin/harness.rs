@@ -87,7 +87,7 @@
 //! simulation.  `{"cmd":"stats"}` and end of input report a
 //! `{"serve_stats":{…}}` summary.  `--cache-cap` bounds the report cache
 //! in entries and `--workers` sizes the work-stealing pool (env defaults:
-//! WARPSIM_Serve_CACHE_CAP, WARPSIM_Serve_WORKERS); `--workers 0` and
+//! WARPSIM_SERVE_CACHE_CAP, WARPSIM_SERVE_WORKERS); `--workers 0` and
 //! `--cache-cap 0` are rejected up front (a zero-worker pool would never
 //! run anything; a zero-entry cache would re-simulate every request).
 //!
@@ -102,7 +102,7 @@
 //! fraction and per-level error bounds).  Degraded reports are cached
 //! under the sampled request's own canonical address, so they never
 //! displace a cached exact report.  `--exact-budget 0` is rejected up
-//! front (env default: WARPSIM_Serve_EXACT_BUDGET).
+//! front (env default: WARPSIM_SERVE_EXACT_BUDGET).
 
 use bench_suite::*;
 use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
@@ -263,10 +263,12 @@ impl Flags {
     }
 
     fn get(&self, name: &str) -> Option<&str> {
+        debug_assert!(FLAGS.iter().any(|f| f.name == name), "no flag --{name}");
         self.0.get(name).map(String::as_str)
     }
 
     fn has(&self, name: &str) -> bool {
+        debug_assert!(FLAGS.iter().any(|f| f.name == name), "no flag --{name}");
         self.0.contains_key(name)
     }
 
@@ -1052,13 +1054,7 @@ fn validate_point(request: &SimRequest) -> Result<(), String> {
         .kernel
         .build()
         .map_err(|e| format!("binding rejected: {e}"))?;
-    // Rectangular instances answer in closed form from the compiled
-    // kernel; only irregular domains pay for the walking probe.
-    let nonempty = scop::compile(&scop)
-        .static_access_count()
-        .map(|total| total > 0)
-        .unwrap_or_else(|| scop::exceeds_access_count(&scop, 0));
-    if nonempty {
+    if scop::exceeds_access_count(&scop, 0) {
         Ok(())
     } else {
         Err("unsatisfiable bindings: the instance performs no memory accesses".to_string())
