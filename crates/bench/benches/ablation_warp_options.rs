@@ -25,7 +25,6 @@ fn bench(c: &mut Criterion) {
                 max_map_entries: 1 << 16,
                 min_trip_count: 0,
                 max_fruitless_attempts: u64::MAX,
-                ..WarpingOptions::default()
             },
         ),
         (
@@ -36,7 +35,6 @@ fn bench(c: &mut Criterion) {
                 max_map_entries: 1 << 12,
                 min_trip_count: 128,
                 max_fruitless_attempts: 256,
-                ..WarpingOptions::default()
             },
         ),
     ];

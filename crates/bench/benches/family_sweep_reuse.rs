@@ -1,25 +1,21 @@
-//! Cross-instance warm paths on a family sweep: planner + calibration
-//! reuse vs. naive per-instance exploration.
+//! Cross-instance calibration reuse on a family sweep vs. cold
+//! per-instance exploration.
 //!
 //! A 64-point TILED_GEMM tile sweep (8 TI × 8 TJ values, one hierarchy ×
-//! policy) is served twice: once **naively** — grid order, warm paths
+//! policy) is served twice in grid order: once **cold** — warm paths
 //! disabled, every instance re-deriving its sampling calibration from
-//! scratch — and once **planned** — the serve-layer sweep planner's snake
-//! order with the family tier's `CalibrationCache` donating each
-//! instance's detected period, stabilisation depth and audit bias to the
-//! next.  At the bench's low sampling rate the cold calibration walk
-//! dominates each instance, so the warm sweep's amortisation is exactly
-//! what the ROADMAP's exploration story promises.
+//! scratch — and once **warm** — the family tier's `CalibrationCache`
+//! donating each instance's detected period, stabilisation depth and
+//! audit bias to the next.  At the bench's low sampling rate the cold
+//! calibration walk dominates each instance, so the warm sweep's
+//! amortisation is what the exploration story promises.
 //!
 //! Before any timing is recorded the bench **asserts the contract**:
 //!
 //! * every warm sampled report's per-level miss counts lie within the
 //!   error bound the report itself carries, against classic ground truth
 //!   computed per point;
-//! * warp-hint donation on the exact warping backend is bit-identical to
-//!   cold runs on a representative sub-grid;
-//! * the planned+calibrated sweep beats the naive order by ≥3×
-//!   wall-clock.
+//! * the warm sweep beats the cold one by ≥3× wall-clock.
 //!
 //! Run with `cargo bench --bench family_sweep_reuse`; CI compiles it via
 //! `cargo bench --no-run`.
@@ -27,7 +23,7 @@
 use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use engine::{Backend, Engine, KernelSpec, SamplingOptions, SimRequest};
 use polybench::parametric::TILED_GEMM;
-use serve::{plan_order, PlanPoint, ServeConfig, SimService};
+use serve::{ServeConfig, SimService};
 use std::time::{Duration, Instant};
 
 /// Problem sizes: thousands of outer tile-loop iterations over a small
@@ -75,7 +71,7 @@ fn request(ti: i64, tj: i64, backend: Backend) -> SimRequest {
     )
 }
 
-/// The 64 tile pairs in naive grid order (TI outer, TJ inner).
+/// The 64 tile pairs in grid order (TI outer, TJ inner).
 fn grid() -> Vec<(i64, i64)> {
     let mut points = Vec::with_capacity(TI_VALUES.len() * TJ_VALUES.len());
     for &ti in &TI_VALUES {
@@ -84,19 +80,6 @@ fn grid() -> Vec<(i64, i64)> {
         }
     }
     points
-}
-
-/// The same pairs in the sweep planner's snake order.
-fn planned_grid() -> Vec<(i64, i64)> {
-    let points = grid();
-    let plan_points: Vec<PlanPoint> = points
-        .iter()
-        .map(|&(ti, tj)| PlanPoint::new("l1l2|lru", vec![ti, tj]))
-        .collect();
-    plan_order(&plan_points)
-        .into_iter()
-        .map(|index| points[index])
-        .collect()
 }
 
 fn service(warm_paths: bool) -> SimService {
@@ -129,7 +112,7 @@ fn assert_contract() {
     // Sampled: every warm report stays within its own reported bound of
     // classic ground truth, and the warm state is actually consulted.
     let warm = service(true);
-    for &(ti, tj) in &planned_grid() {
+    for &(ti, tj) in &grid() {
         let exact = engine
             .run(&request(ti, tj, Backend::Classic))
             .expect("classic ground truth simulates");
@@ -158,52 +141,33 @@ fn assert_contract() {
     );
     assert!(
         stats.calibration_hits >= 63 - TI_VALUES.len() as u64,
-        "a planned sweep seeds nearly every point, got {} hits",
+        "a warm sweep seeds nearly every point, got {} hits",
         stats.calibration_hits
     );
-
-    // Exact: warp-hint donation must be bit-identical to cold runs on a
-    // representative sub-grid (donations reorder match *attempts*, never
-    // counts).
-    let warm = service(true);
-    for &(ti, tj) in &[(4, 2), (4, 4), (8, 2), (8, 4), (12, 8)] {
-        let (donated, _) = warm
-            .submit(&request(ti, tj, Backend::warping()))
-            .expect("warm warping point simulates");
-        let cold = engine
-            .run(&request(ti, tj, Backend::warping()))
-            .expect("cold warping point simulates");
-        assert_eq!(
-            donated.result, cold.result,
-            "TI={ti} TJ={tj}: warp-hint donation must stay bit-exact"
-        );
-    }
 }
 
-/// The ≥3× wall-clock gate: a planned+calibrated warm sweep vs. the naive
-/// order on a cold service.
+/// The ≥3× wall-clock gate: a warm sweep vs. a cold one, both in grid
+/// order.
 fn assert_speedup() -> (Duration, Duration) {
     let sampled = Backend::Sampled(sampling());
-    let naive = sweep(&service(false), &grid(), sampled);
-    let planned = sweep(&service(true), &planned_grid(), sampled);
-    let speedup = naive.as_secs_f64() / planned.as_secs_f64().max(1e-9);
+    let cold = sweep(&service(false), &grid(), sampled);
+    let warm = sweep(&service(true), &grid(), sampled);
+    let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
     assert!(
         speedup >= 3.0,
-        "planned+calibrated sweep only {speedup:.2}x faster than naive \
-         (naive {naive:?}, planned {planned:?})"
+        "warm sweep only {speedup:.2}x faster than cold \
+         (cold {cold:?}, warm {warm:?})"
     );
-    (naive, planned)
+    (cold, warm)
 }
 
 fn bench(c: &mut criterion::Criterion) {
     if std::env::var_os("FAMILY_SWEEP_DIAG").is_some() {
         let sampled = Backend::Sampled(sampling());
-        for (label, warm_paths, order) in
-            [("naive", false, grid()), ("planned", true, planned_grid())]
-        {
+        for (label, warm_paths) in [("cold", false), ("warm", true)] {
             let svc = service(warm_paths);
             let mut prev_fallbacks = 0;
-            for &(ti, tj) in &order {
+            for &(ti, tj) in &grid() {
                 let start = Instant::now();
                 svc.submit(&request(ti, tj, sampled)).expect("simulates");
                 let fallbacks = svc.stats().calibration_fallbacks;
@@ -227,11 +191,10 @@ fn bench(c: &mut criterion::Criterion) {
         return;
     }
     assert_contract();
-    let (naive, planned) = assert_speedup();
+    let (cold, warm) = assert_speedup();
     println!(
-        "family_sweep_reuse: naive {naive:?}, planned+calibrated {planned:?} \
-         ({:.2}x)",
-        naive.as_secs_f64() / planned.as_secs_f64()
+        "family_sweep_reuse: cold {cold:?}, warm {warm:?} ({:.2}x)",
+        cold.as_secs_f64() / warm.as_secs_f64()
     );
 
     let mut group = c.benchmark_group("family_sweep_reuse");
@@ -239,8 +202,8 @@ fn bench(c: &mut criterion::Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(400));
     let sampled = Backend::Sampled(sampling());
-    group.bench_function("planned_warm_sweep", |b| {
-        b.iter(|| sweep(&service(true), &planned_grid(), sampled))
+    group.bench_function("warm_sweep", |b| {
+        b.iter(|| sweep(&service(true), &grid(), sampled))
     });
     group.finish();
 }

@@ -39,12 +39,6 @@
 //! and a `renorms` column: frozen outer levels matched through
 //! epoch-relative labels, summed over applied warps.
 //!
-//! `--fingerprint-filter on|off` toggles the warping backend's cheap
-//! fingerprint phase (`WarpingOptions::fingerprint_filter`).  `off`
-//! restores the exhaustive key-per-attempt pipeline; miss counts are
-//! bit-identical either way (CI asserts exactly that on a 64 MiB L3,
-//! guarding the symbolic store's occupancy tracking).
-//!
 //! `--sample-rate F` and `--warmup N` tune the `sampled` backend
 //! (`SamplingOptions`): F is the target fraction of outer-loop intervals
 //! to simulate, in (0, 1] (default 0.1; 1.0 is bit-identical to
@@ -156,7 +150,6 @@ const FLAGS: &[Flag] = &[
     flag("backends", "classic,warping,haystack,polycache,trace,sampled", "grid backends (default classic,warping)", &[Experiment]),
     flag("levels", "SPEC", "cache levels [name:]size:assoc:line,... or l1|l1l2|l1l2l3 (default l1)", &[Experiment]),
     flag("threads", "N", "batch fan-out width (default: all cores)", &[Experiment]),
-    flag("fingerprint-filter", "on|off", "warping's fingerprint phase (default on)", &[Experiment]),
     flag("sample-rate", "F", "sampled backend's interval fraction in (0, 1] (default 0.1)", &[Experiment]),
     flag("warmup", "N", "sampled backend's warm-up intervals per level (default 1)", &[Experiment]),
     flag("sweep", "TI=4,8;TJ=4,8", "swept parameters (default TI=4,8,16,32;TJ=4,8,16,32)", &[Explore]),
@@ -165,7 +158,6 @@ const FLAGS: &[Flag] = &[
     flag("backend", "NAME", "backend of every point (default warping)", &[Explore]),
     flag("template", "FILE", "parametric kernel source (default tiled gemm)", &[Explore]),
     flag("name", "NAME", "family name (default tiled-gemm)", &[Explore]),
-    flag("plan", "on|off", "visit the grid in planned order (default on)", &[Explore]),
     flag("max-error", "N", "sampled backend's per-level miss error target", &[Explore]),
     flag("latencies", "L1:4,L2:14,MEM:100", "cycle model for the estimated-time front", &[Explore]),
     flag("addr", "HOST:PORT", "listen on TCP instead of stdin/stdout", &[Serve]),
@@ -298,14 +290,6 @@ impl Flags {
         })
     }
 
-    fn on_off(&self, name: &str) -> Option<bool> {
-        self.get(name).map(|value| match value {
-            "on" => true,
-            "off" => false,
-            _ => die(&format!("--{name} expects `on` or `off`")),
-        })
-    }
-
     fn policies(&self) -> Option<Vec<ReplacementPolicy>> {
         self.list("policies", "policy", |name| {
             ReplacementPolicy::by_name(&name.to_ascii_lowercase())
@@ -330,7 +314,6 @@ fn experiment(name: &str, flags: &Flags) {
         .list("backends", "backend", Backend::by_name)
         .unwrap_or_else(|| vec![Backend::Classic, Backend::warping()]);
     let threads: Option<usize> = flags.number("threads", "a number");
-    let fingerprint_filter = flags.on_off("fingerprint-filter");
     // Validated up front (not when the first sampled request runs), so a
     // bad rate fails before any simulation starts.
     let sampling = flags
@@ -344,21 +327,13 @@ fn experiment(name: &str, flags: &Flags) {
         .map_or_else(LevelsSpec::default, |spec| {
             parse_levels(spec).unwrap_or_else(|e| die(&e))
         });
-    // The warping and sampling knobs apply to their own backend only.
+    // The sampling knobs apply to the sampled backend only.
     for backend in &mut backends {
-        match backend {
-            Backend::Warping(options) => {
-                if let Some(filter) = fingerprint_filter {
-                    options.fingerprint_filter = filter;
-                }
+        if let Backend::Sampled(options) = backend {
+            *options = sampling.unwrap_or(*options);
+            if let Some(warmup) = warmup {
+                *options = options.with_warmup(warmup);
             }
-            Backend::Sampled(options) => {
-                *options = sampling.unwrap_or(*options);
-                if let Some(warmup) = warmup {
-                    *options = options.with_warmup(warmup);
-                }
-            }
-            _ => {}
         }
     }
     let config = ExperimentConfig::at(dataset).with_kernels(kernels);
@@ -580,7 +555,6 @@ fn explore_command(flags: &Flags) {
     use std::sync::Arc;
     use std::time::Instant;
 
-    let plan = flags.on_off("plan").unwrap_or(true);
     let max_error: Option<u64> = flags.number("max-error", "a positive miss count");
     if max_error == Some(0) {
         die("--max-error expects a positive miss count");
@@ -699,31 +673,6 @@ fn explore_command(flags: &Flags) {
         }
     }
 
-    // Visit order: the sweep planner arranges the grid so consecutive
-    // submissions share a warm-state coordinate and differ by one tile
-    // step, maximising cross-instance calibration/warp-hint reuse
-    // (`--plan off` keeps naive grid order for A/B comparison).
-    let order: Vec<usize> = if plan {
-        let plan_points: Vec<serve::PlanPoint> = points
-            .iter()
-            .map(|point| {
-                serve::PlanPoint::new(
-                    format!("{}|{}", point.hierarchy, point.policy.label()),
-                    point
-                        .request
-                        .kernel
-                        .param_bindings()
-                        .iter()
-                        .map(|(_, value)| value)
-                        .collect(),
-                )
-            })
-            .collect();
-        serve::plan_order(&plan_points)
-    } else {
-        (0..points.len()).collect()
-    };
-
     if !json {
         println!(
             "{:<20} {:<24} {:<14} {:>10} {:<20} {:>12} {:>10}",
@@ -754,10 +703,10 @@ fn explore_command(flags: &Flags) {
         }
     }
 
-    // Stream the valid points through the service's work-stealing pool in
-    // planned order; rows print as points finish, not in grid order.
+    // Submit the valid points to the service's work-stealing pool in grid
+    // order; rows print as points finish, so they may arrive out of order.
     let (tx, rx) = mpsc::channel();
-    for index in order.into_iter().filter(|&i| point_errors[i].is_none()) {
+    for index in (0..points.len()).filter(|&i| point_errors[i].is_none()) {
         let service = service.clone();
         let request = points[index].request.clone();
         let tx = tx.clone();
@@ -931,7 +880,6 @@ fn explore_command(flags: &Flags) {
             .collect();
         let mut output = vec![
             ("family", registered.family.serialize_value()),
-            ("planned", plan.serialize_value()),
             ("points", json_points.serialize_value()),
             ("errors", json_errors.serialize_value()),
             ("pareto", json_fronts.serialize_value()),
@@ -954,11 +902,8 @@ fn explore_command(flags: &Flags) {
             stats.simulated
         );
         println!(
-            "warm paths: calibration hits {}, misses {}, fallbacks {}; warp donations {}",
-            stats.calibration_hits,
-            stats.calibration_misses,
-            stats.calibration_fallbacks,
-            stats.warp_donations
+            "warm paths: calibration hits {}, misses {}, fallbacks {}",
+            stats.calibration_hits, stats.calibration_misses, stats.calibration_fallbacks
         );
     }
 }

@@ -77,8 +77,8 @@ fn bad_arguments_exit_2_with_their_message() {
     );
     assert_rejected(&["fig6", "--policies", "nope"], "unknown policy `nope`");
     assert_rejected(
-        &["explore", "--plan", "maybe"],
-        "--plan expects `on` or `off`",
+        &["explore", "--max-error", "0"],
+        "--max-error expects a positive miss count",
     );
 }
 

@@ -55,7 +55,6 @@ pub use canon::CanonicalHash;
 pub use report::{ApproxStats, SimReport, WarpingStats};
 pub use request::{dataset_by_name, Backend, KernelSpec, SimRequest};
 pub use sampling::{Calibration, SamplingOptions, PPM};
-pub use warping::WarpHints;
 
 use analytical::{HaystackModel, PolyCacheModel};
 use cache_model::{LevelStats, ReplacementPolicy, WritePolicy};
@@ -109,41 +108,12 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Cross-instance warm-start state for [`Engine::run_warm`]: what a
-/// *similar* earlier request (typically a neighbouring instance of the
-/// same kernel family) already learned.  Both slots are optional and both
-/// are validated before being trusted — a stale or foreign context can
-/// cost time, never correctness:
-///
-/// * a [`Calibration`] seeds the sampling backend's schedule (period,
-///   stabilisation depth, audit bias), with every seeded quantity
-///   validated in-run and demoted work falling back to the cold path on
-///   mismatch;
-/// * [`WarpHints`] reschedule the warping backend's match attempts, which
-///   cannot change any simulation count by construction.
-#[derive(Clone, Debug, Default)]
-pub struct WarmContext {
-    /// Sampling calibration from a neighbouring instance.
-    pub calibration: Option<Calibration>,
-    /// Warp-plan hints from a neighbouring instance.
-    pub warp_hints: Option<WarpHints>,
-}
-
-impl WarmContext {
-    /// Whether the context carries anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.calibration.is_none() && self.warp_hints.is_none()
-    }
-}
-
 /// What a [`Engine::run_warm`] call learned, ready to donate to the next
-/// similar request, plus how it interacted with the provided context.
+/// similar request, plus how it interacted with the provided prior.
 #[derive(Clone, Debug, Default)]
 pub struct WarmOutcome {
     /// Calibration measured by this run (sampled backend only).
     pub calibration: Option<Calibration>,
-    /// Warp-plan hints exported by this run (warping backend only).
-    pub warp_hints: Option<WarpHints>,
     /// Whether a calibration prior was consulted.
     pub calibration_seeded: bool,
     /// Whether some seeded quantity failed validation and fell back to
@@ -201,15 +171,18 @@ impl Engine {
     /// the requested memory system, and [`EngineError::InvalidOptions`] for
     /// degenerate warping options.
     pub fn run(&self, request: &SimRequest) -> Result<SimReport, EngineError> {
-        self.run_warm(request, &WarmContext::default())
-            .map(|(report, _)| report)
+        self.run_warm(request, None).map(|(report, _)| report)
     }
 
-    /// [`Engine::run`] with cross-instance warm-start state: the context's
-    /// calibration seeds a sampled request's schedule and its warp hints
-    /// reschedule a warping request's match attempts; the returned
+    /// [`Engine::run`] with a calibration prior from a *similar* earlier
+    /// request (typically a neighbouring instance of the same kernel
+    /// family): the prior seeds a sampled request's schedule (period,
+    /// stabilisation depth, audit bias), every seeded quantity is
+    /// validated in-run, and demoted work falls back to the cold path on
+    /// mismatch, so a stale or foreign prior costs time, never
+    /// correctness.  Other backends ignore the prior.  The returned
     /// [`WarmOutcome`] carries what this run learned for the next one.
-    /// With an empty context the report is identical to [`Engine::run`]'s.
+    /// Without a prior the report is identical to [`Engine::run`]'s.
     ///
     /// # Errors
     ///
@@ -217,7 +190,7 @@ impl Engine {
     pub fn run_warm(
         &self,
         request: &SimRequest,
-        ctx: &WarmContext,
+        prior: Option<&Calibration>,
     ) -> Result<(SimReport, WarmOutcome), EngineError> {
         let kernel = request.kernel.name();
         let serve_start = Instant::now();
@@ -244,12 +217,9 @@ impl Engine {
                 options
                     .validate()
                     .map_err(|e| EngineError::InvalidOptions(e.to_string()))?;
-                let mut simulator = WarpingSimulator::new(memory.clone()).with_options(*options);
-                if let Some(hints) = &ctx.warp_hints {
-                    simulator = simulator.with_hints(hints.clone());
-                }
-                let outcome = simulator.run(&scop);
-                warm.warp_hints = Some(simulator.export_hints());
+                let outcome = WarpingSimulator::new(memory.clone())
+                    .with_options(*options)
+                    .run(&scop);
                 let stats = WarpingStats::from(&outcome);
                 (outcome.result, Some(stats), true, None)
             }
@@ -296,7 +266,6 @@ impl Engine {
             }
             Backend::Sampled(options) => {
                 options.validate().map_err(EngineError::InvalidOptions)?;
-                let prior = ctx.calibration.as_ref();
                 let mut opts = *options;
                 // Adaptive rate selection: with a positive target, a
                 // calibration prior picks the starting rate from its

@@ -253,7 +253,7 @@ proptest! {
             prop_assert!(base_hash != other.canonical_hash());
         }
         let mut options = warping::WarpingOptions::default();
-        options.fingerprint_filter = !options.fingerprint_filter;
+        options.eager_attempts += 1;
         let other = request(
             render(&shape, &spelling),
             memory.clone(),

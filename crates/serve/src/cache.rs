@@ -49,6 +49,12 @@ struct Shard {
     capacity: usize,
 }
 
+/// The fewest entries a shard holds (unless the whole cache is smaller).
+/// Each shard evicts on its own, so a small cache split 16 ways would
+/// evict from one full shard while most of its bound sat unused in the
+/// others.
+const MIN_SHARD_ENTRIES: usize = 64;
+
 /// A sharded content-addressed LRU cache of simulation reports.
 pub struct ReportCache {
     shards: Vec<RwLock<Shard>>,
@@ -63,7 +69,7 @@ impl ReportCache {
     /// A cache bounded to `capacity` entries in total (0 disables caching:
     /// every lookup misses and insertions are dropped).
     pub fn new(capacity: usize) -> Self {
-        let num_shards = capacity.clamp(1, 16);
+        let num_shards = (capacity / MIN_SHARD_ENTRIES).clamp(1, 16);
         let shards = (0..num_shards)
             .map(|i| {
                 // Distribute the bound exactly: the first `capacity % n`
@@ -218,11 +224,10 @@ mod tests {
 
     #[test]
     fn lru_eviction_is_by_recency() {
-        // Capacity 20 → 16 shards, shard 0 holding 2 entries.  Keys 0, 16
-        // and 32 all fold onto shard 0, so the three insertions below
-        // exercise a genuine recency choice inside one shard: after
+        // Capacity 2 → one shard holding 2 entries, so the three
+        // insertions below exercise a genuine recency choice: after
         // touching key 0, key 16 is the stalest and must be the victim.
-        let cache = ReportCache::new(20);
+        let cache = ReportCache::new(2);
         cache.insert(0, report(0));
         cache.insert(16, report(16));
         assert!(cache.get(0).is_some());
@@ -231,6 +236,18 @@ mod tests {
         assert!(cache.get_quiet(0).is_some(), "recently used entry survives");
         assert!(cache.get_quiet(32).is_some(), "new entry is stored");
         assert!(cache.get_quiet(16).is_none(), "stalest entry was evicted");
+    }
+
+    #[test]
+    fn small_caches_fill_their_whole_bound() {
+        // Keys 0, 16 and 32 fold onto one shard of a 16-shard layout; a
+        // 32-entry cache must still hold all three.
+        let cache = ReportCache::new(32);
+        for key in [0, 16, 32] {
+            cache.insert(key, report(key as u64));
+        }
+        assert_eq!(cache.counters().evictions, 0);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

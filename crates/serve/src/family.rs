@@ -24,7 +24,7 @@
 //! counters also cover clients that ship full parametric specs instead of
 //! registering first.
 
-use engine::{WarmContext, WarmOutcome};
+use engine::{Calibration, WarmOutcome};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,17 +114,18 @@ impl Serialize for FamilyStats {
     }
 }
 
-/// One warm-state slot: the donations the last simulation under a given
-/// `(family, config)` coordinate left behind, plus per-slot counters.
+/// One calibration slot: the calibration the last sampled simulation under
+/// a given `(family, config)` coordinate measured, plus per-slot counters.
 #[derive(Default)]
-struct WarmSlot {
-    state: WarmContext,
+struct CalibrationSlot {
+    calibration: Option<Calibration>,
     hits: u64,
     fallbacks: u64,
 }
 
-/// A JSON-serializable snapshot of one warm-state slot's counters, exported
-/// so sweep drivers can assert reuse per (hierarchy, policy) coordinate.
+/// A JSON-serializable snapshot of one calibration slot's counters,
+/// exported so sweep drivers can assert reuse per (hierarchy, policy)
+/// coordinate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CalibrationStats {
     /// The 128-bit family address, hex-encoded.
@@ -138,8 +139,6 @@ pub struct CalibrationStats {
     pub fallbacks: u64,
     /// Whether the slot currently holds a sampling calibration.
     pub has_calibration: bool,
-    /// Whether the slot currently holds donated warp hints.
-    pub has_warp_hints: bool,
 }
 
 impl Serialize for CalibrationStats {
@@ -153,19 +152,14 @@ impl Serialize for CalibrationStats {
                 "has_calibration".to_string(),
                 Value::Bool(self.has_calibration),
             ),
-            (
-                "has_warp_hints".to_string(),
-                Value::Bool(self.has_warp_hints),
-            ),
         ])
     }
 }
 
-/// The cross-instance warm-state store of the family tier: per
+/// The cross-instance calibration store of the family tier: per
 /// `(family, hierarchy × policy × backend)` coordinate, the sampling
-/// calibration ([`engine::Calibration`]) and warp-attempt hints
-/// ([`engine::WarpHints`]) the previous instance measured, ready to donate
-/// to the next neighbouring binding.
+/// calibration ([`engine::Calibration`]) the previous instance measured,
+/// ready to donate to the next binding.
 ///
 /// The key includes the request's canonical config text, so a calibration
 /// measured under one hierarchy or replacement policy is *never* offered
@@ -174,11 +168,10 @@ impl Serialize for CalibrationStats {
 /// so even a stale same-key donation costs time, never soundness).
 #[derive(Default)]
 pub struct CalibrationCache {
-    slots: Mutex<HashMap<(u128, String), WarmSlot>>,
+    slots: Mutex<HashMap<(u128, String), CalibrationSlot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     fallbacks: AtomicU64,
-    donations: AtomicU64,
 }
 
 impl CalibrationCache {
@@ -187,44 +180,30 @@ impl CalibrationCache {
         CalibrationCache::default()
     }
 
-    /// The stored warm state for a `(family, config)` coordinate (empty
-    /// context when nothing has been donated yet).  Counts a calibration
-    /// hit or miss when `count_calibration` is set (sampled submissions),
-    /// and a warp-hint donation when hints are handed out.
-    pub fn lookup(&self, family: u128, config: &str, count_calibration: bool) -> WarmContext {
+    /// The stored calibration for a `(family, config)` coordinate (`None`
+    /// when nothing has been donated yet), counting a hit or a miss.
+    pub fn lookup(&self, family: u128, config: &str) -> Option<Calibration> {
         let mut slots = self.slots.lock().expect("calibration cache not poisoned");
         let slot = slots.entry((family, config.to_string())).or_default();
-        let state = slot.state.clone();
-        if count_calibration {
-            if state.calibration.is_some() {
-                slot.hits += 1;
-                self.hits.fetch_add(1, Ordering::SeqCst);
-            } else {
-                self.misses.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        if state.warp_hints.is_some() {
+        if slot.calibration.is_some() {
             slot.hits += 1;
-            self.donations.fetch_add(1, Ordering::SeqCst);
+            self.hits.fetch_add(1, Ordering::SeqCst);
+        } else {
+            self.misses.fetch_add(1, Ordering::SeqCst);
         }
-        state
+        slot.calibration.clone()
     }
 
-    /// Records what a simulation left behind for the next instance under
-    /// the same coordinate: a measured calibration and/or exported warp
-    /// hints replace the stored ones (newer instances are better donors —
-    /// the planner orders neighbours adjacently), and a seeded run that
-    /// fell back to cold calibration bumps the fallback counters.
+    /// Records what a sampled simulation left behind for the next instance
+    /// under the same coordinate: a measured calibration replaces the
+    /// stored one (the newest instance is the nearest donor in a sweep),
+    /// and a seeded run that fell back to cold calibration bumps the
+    /// fallback counters.
     pub fn store(&self, family: u128, config: &str, outcome: &WarmOutcome) {
         let mut slots = self.slots.lock().expect("calibration cache not poisoned");
         let slot = slots.entry((family, config.to_string())).or_default();
         if let Some(calibration) = &outcome.calibration {
-            slot.state.calibration = Some(calibration.clone());
-        }
-        if let Some(hints) = &outcome.warp_hints {
-            if !hints.is_empty() {
-                slot.state.warp_hints = Some(hints.clone());
-            }
+            slot.calibration = Some(calibration.clone());
         }
         if outcome.calibration_fallback {
             slot.fallbacks += 1;
@@ -232,13 +211,12 @@ impl CalibrationCache {
         }
     }
 
-    /// Aggregate (hits, misses, fallbacks, warp donations).
-    pub fn totals(&self) -> (u64, u64, u64, u64) {
+    /// Aggregate (hits, misses, fallbacks).
+    pub fn totals(&self) -> (u64, u64, u64) {
         (
             self.hits.load(Ordering::SeqCst),
             self.misses.load(Ordering::SeqCst),
             self.fallbacks.load(Ordering::SeqCst),
-            self.donations.load(Ordering::SeqCst),
         )
     }
 
@@ -253,8 +231,7 @@ impl CalibrationCache {
                 config: config.clone(),
                 hits: slot.hits,
                 fallbacks: slot.fallbacks,
-                has_calibration: slot.state.calibration.is_some(),
-                has_warp_hints: slot.state.warp_hints.is_some(),
+                has_calibration: slot.calibration.is_some(),
             })
             .collect();
         stats.sort_by(|a, b| (&a.family, &a.config).cmp(&(&b.family, &b.config)));

@@ -12,6 +12,10 @@
 //!   are cache hits;
 //! * **in-flight dedup** ([`dedup::PendingMap`]) — a thundering herd of one
 //!   kernel coalesces onto a single simulation;
+//! * a **family tier** ([`family`]) — parametric kernels resolve through a
+//!   family registry to their cached reports, and each sampled instance
+//!   donates its calibration to the next instance under the same memory ×
+//!   backend coordinate ([`CalibrationCache`], [`ServeConfig::warm_paths`]);
 //! * a **work-stealing worker pool** ([`pool::WorkerPool`]) replacing
 //!   `run_batch`'s static fan-out, recording per-request queue latency;
 //! * a **JSON-lines wire protocol** ([`wire::serve_lines`]) streaming
@@ -53,14 +57,12 @@
 pub mod cache;
 pub mod dedup;
 pub mod family;
-pub mod planner;
 pub mod pool;
 pub mod wire;
 
 pub use cache::{CacheCounters, ReportCache};
 pub use dedup::{Claim, Follower, LeaderToken, PendingMap};
 pub use family::{CalibrationCache, CalibrationStats, FamilyStats};
-pub use planner::{plan_order, PlanPoint};
 pub use pool::{PoolCounters, WorkerPool};
 pub use wire::{serve_lines, serve_lines_with, WireOptions};
 
@@ -112,13 +114,13 @@ pub struct ServeConfig {
     /// the wire protocol marks their envelopes `"approx": true`.  `None`
     /// (the default) serves every request exactly as asked.
     pub exact_budget: Option<u64>,
-    /// Cross-instance warm paths ([`CalibrationCache`]): parametric
-    /// submissions donate sampling calibrations and warp-attempt hints to
-    /// the next instance of their family under the same memory × backend
-    /// coordinate.  Donations never change exact counts (warp hints only
-    /// reschedule match attempts) and every seeded sampling quantity is
-    /// re-validated in-run, so this is on by default; turning it off
-    /// exists for A/B benchmarking the reuse itself.
+    /// Cross-instance calibration reuse ([`CalibrationCache`]): sampled
+    /// parametric submissions donate their measured sampling calibration
+    /// to the next instance of their family under the same memory ×
+    /// backend coordinate.  Exact backends never consult it, and every
+    /// seeded sampling quantity is re-validated in-run, so this is on by
+    /// default; turning it off exists for A/B benchmarking the reuse
+    /// itself.
     pub warm_paths: bool,
 }
 
@@ -250,8 +252,6 @@ pub struct ServeStats {
     /// Seeded submissions whose donated state failed validation and fell
     /// back to full cold calibration (sound, just slower).
     pub calibration_fallbacks: u64,
-    /// Warping family submissions that received donor warp-attempt hints.
-    pub warp_donations: u64,
 }
 
 type Runner = Box<dyn Fn(&SimRequest) -> Result<SimReport, EngineError> + Send + Sync>;
@@ -407,30 +407,28 @@ impl SimService {
         }
     }
 
-    /// Runs a cold-cache request on the engine, threading cross-instance
-    /// warm state through the family tier's [`CalibrationCache`]: a
-    /// parametric request under a warm-capable backend looks up the
-    /// donation its `(family, config)` predecessor left behind, runs warm,
-    /// and stores what it measured for its own successor.  Requests outside
-    /// the family tier (or with warm paths disabled) run plain.
+    /// Runs a cold-cache request on the engine, threading calibrations
+    /// through the family tier's [`CalibrationCache`]: a sampled
+    /// parametric request looks up the calibration its `(family, config)`
+    /// predecessor left behind, runs seeded, and stores what it measured
+    /// for its own successor.  Every other request (or every request, with
+    /// warm paths disabled) runs plain.
     fn run_warm(&self, request: &SimRequest) -> Result<SimReport, EngineError> {
         let family = match request.family_hash() {
-            Some(family) if self.warm_paths => family.as_u128(),
+            Some(family) if self.warm_paths && matches!(request.backend, Backend::Sampled(_)) => {
+                family.as_u128()
+            }
             _ => return self.engine.run(request),
         };
-        let wants_calibration = matches!(request.backend, Backend::Sampled(_));
-        if !wants_calibration && !matches!(request.backend, Backend::Warping(_)) {
-            return self.engine.run(request);
-        }
         let config = request.config_text();
-        let ctx = self.calibrations.lookup(family, &config, wants_calibration);
-        let (report, warm) = self.engine.run_warm(request, &ctx)?;
+        let prior = self.calibrations.lookup(family, &config);
+        let (report, warm) = self.engine.run_warm(request, prior.as_ref())?;
         self.calibrations.store(family, &config, &warm);
         Ok(report)
     }
 
-    /// Per-coordinate warm-state counters (calibration/hint slots, their
-    /// hits and fallbacks), sorted by (family, config).
+    /// Per-coordinate calibration counters (slots, their hits and
+    /// fallbacks), sorted by (family, config).
     pub fn calibration_stats(&self) -> Vec<CalibrationStats> {
         self.calibrations.snapshot()
     }
@@ -671,7 +669,7 @@ impl SimService {
         let cache = self.cache.counters();
         let pool = self.pool.counters();
         let (family_requests, family_hits) = self.families.totals();
-        let (calibration_hits, calibration_misses, calibration_fallbacks, warp_donations) =
+        let (calibration_hits, calibration_misses, calibration_fallbacks) =
             self.calibrations.totals();
         ServeStats {
             requests: self.requests.load(Ordering::SeqCst),
@@ -693,7 +691,6 @@ impl SimService {
             calibration_hits,
             calibration_misses,
             calibration_fallbacks,
-            warp_donations,
         }
     }
 }

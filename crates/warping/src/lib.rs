@@ -71,7 +71,5 @@ pub mod symstate;
 pub use fingerprint::FingerprintTracker;
 pub use key::CanonicalKey;
 pub use plan::{LevelWarpMode, WarpPlan};
-pub use simulator::{
-    InvalidWarpingOptions, WarpHints, WarpingOptions, WarpingOutcome, WarpingSimulator,
-};
+pub use simulator::{InvalidWarpingOptions, WarpingOptions, WarpingOutcome, WarpingSimulator};
 pub use symstate::{SymLabel, SymLevel, SymSet};

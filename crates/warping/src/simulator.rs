@@ -55,7 +55,7 @@ use crate::symstate::SymLevel;
 use cache_model::{LevelStats, MemoryConfig};
 use scop::{compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, Scop, WalkScratch};
 use simulate::SimulationResult;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
@@ -80,9 +80,9 @@ pub struct WarpingOutcome {
     /// Match attempts whose fingerprint found a candidate in the match map
     /// (the only attempts that proceed to the exact phase).
     pub fingerprint_hits: u64,
-    /// Number of exact [`CanonicalKey`] constructions.  With the
-    /// fingerprint filter enabled this is typically a small fraction of
-    /// [`match_attempts`](WarpingOutcome::match_attempts).
+    /// Number of exact [`CanonicalKey`] constructions: one per fingerprint
+    /// hit, plus one per attempt whose warped dimension is beyond the
+    /// fingerprints' tracked range (see [`MAX_TRACKED_DIMS`]).
     pub exact_key_builds: u64,
     /// Number of levels, summed over applied warps, whose stale (frozen)
     /// labels were matched through epoch normalisation — levels holding
@@ -128,45 +128,6 @@ impl WarpingOutcome {
     }
 }
 
-/// Warp-plan hints a finished run exports for a *similar* future run —
-/// typically the next instance of the same kernel family in a tile-size
-/// sweep, where the loop structure is identical and only the bounds move.
-///
-/// Hints are keyed by loop **depth** (the only structural coordinate that
-/// transfers across instances whose ASTs differ) and only influence the
-/// match-*attempt* schedule: a depth the donor found barren skips the
-/// eager phase and probes on the backoff cadence alone, saving the
-/// fingerprint/key work that dominates non-warping loops.  Every count a
-/// hinted run produces is bit-identical to a cold run's — any warp that
-/// does fire is sound regardless of when it was attempted, and skipped
-/// attempts only forgo speed, never correctness.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WarpHints {
-    /// Depths at which the donor run applied at least one warp, sorted.
-    pub warped_depths: Vec<usize>,
-    /// Depths at which some loop exhausted its fruitless-attempt budget
-    /// without ever warping (and no sibling loop at the depth warped
-    /// either), sorted.
-    pub barren_depths: Vec<usize>,
-}
-
-impl WarpHints {
-    /// Whether the donor saw the depth warp.
-    pub fn is_warped(&self, depth: usize) -> bool {
-        self.warped_depths.binary_search(&depth).is_ok()
-    }
-
-    /// Whether the donor gave up on the depth without a single warp.
-    pub fn is_barren(&self, depth: usize) -> bool {
-        self.barren_depths.binary_search(&depth).is_ok()
-    }
-
-    /// Whether the hints carry any information at all.
-    pub fn is_empty(&self) -> bool {
-        self.warped_depths.is_empty() && self.barren_depths.is_empty()
-    }
-}
-
 /// Tuning knobs of the warping simulator.
 ///
 /// The defaults keep the overhead of key construction small on loops that
@@ -192,16 +153,11 @@ pub struct WarpingOptions {
     /// warp.  An attempt counts as costly when it paid for an exact
     /// canonical-key construction, or when it could not even remember the
     /// state because the match map was full; attempts that the fingerprint
-    /// filter dismisses cheaply do not count, since the knob exists to cap
+    /// phase dismisses cheaply do not count, since the knob exists to cap
     /// overhead, not opportunity.  This bounds the cost on loops whose
     /// states never recur while still allowing matches that only appear
     /// after the cache has warmed up.
     pub max_fruitless_attempts: u64,
-    /// Whether match attempts run the cheap fingerprint phase before
-    /// constructing exact canonical keys.  Disabling it restores the
-    /// exhaustive key-per-attempt pipeline (useful for differential testing
-    /// and ablation); results are bit-identical either way.
-    pub fingerprint_filter: bool,
 }
 
 impl Default for WarpingOptions {
@@ -219,7 +175,6 @@ impl WarpingOptions {
         max_map_entries: 4096,
         min_trip_count: 24,
         max_fruitless_attempts: 512,
-        fingerprint_filter: true,
     };
 
     /// Checks the options for values that would make the simulator loop or
@@ -319,13 +274,10 @@ pub struct WarpingSimulator {
     /// Match attempts that did not result in a warp during the current
     /// run, per loop ([`CompiledLoop::index`]).
     fruitless: Vec<u64>,
-    /// Donor hints from a similar earlier run (see [`WarpHints`]); `None`
-    /// runs the cold schedule.
-    hints: Option<WarpHints>,
-    /// Depths at which this run applied at least one warp.
-    warped_depths: HashSet<usize>,
-    /// Depths at which some loop exhausted its fruitless budget.
-    exhausted_depths: HashSet<usize>,
+    /// Skips the fingerprint phase on every attempt: the exhaustive
+    /// key-per-attempt pipeline, kept as the unit oracle of the filter.
+    #[cfg(test)]
+    exhaustive: bool,
 }
 
 impl WarpingSimulator {
@@ -352,9 +304,8 @@ impl WarpingSimulator {
             warp_apply_ns: 0,
             scratch: WalkScratch::default(),
             fruitless: Vec::new(),
-            hints: None,
-            warped_depths: HashSet::new(),
-            exhausted_depths: HashSet::new(),
+            #[cfg(test)]
+            exhaustive: false,
         }
     }
 
@@ -370,34 +321,6 @@ impl WarpingSimulator {
         }
         self.options = options;
         self
-    }
-
-    /// Seeds the match-attempt schedule with a donor run's [`WarpHints`].
-    /// Depths the donor found barren skip the eager phase (attempts run on
-    /// the backoff cadence alone); everything else is unchanged.  All
-    /// simulation counts stay bit-identical to a cold run.
-    pub fn with_hints(mut self, hints: WarpHints) -> Self {
-        self.hints = if hints.is_empty() { None } else { Some(hints) };
-        self
-    }
-
-    /// Exports this run's warp-plan facts for donation to a similar future
-    /// run (see [`WarpHints`]).  A depth only counts as barren when no loop
-    /// at that depth warped, so mixed evidence errs on the side of
-    /// attempting.
-    pub fn export_hints(&self) -> WarpHints {
-        let mut warped: Vec<usize> = self.warped_depths.iter().copied().collect();
-        warped.sort_unstable();
-        let mut barren: Vec<usize> = self
-            .exhausted_depths
-            .difference(&self.warped_depths)
-            .copied()
-            .collect();
-        barren.sort_unstable();
-        WarpHints {
-            warped_depths: warped,
-            barren_depths: barren,
-        }
     }
 
     /// Simulates a SCoP and returns the outcome.  The cache state persists
@@ -473,6 +396,10 @@ impl WarpingSimulator {
     /// exact-key matching.
     fn combined_fingerprint(&mut self, warp_depth: usize) -> Option<u64> {
         let dim = warp_depth - 1;
+        #[cfg(test)]
+        if self.exhaustive {
+            return None;
+        }
         if dim >= MAX_TRACKED_DIMS {
             return None;
         }
@@ -514,7 +441,6 @@ impl WarpingSimulator {
         let Some(entry) = l.entry(self.scratch.iv()) else {
             return;
         };
-        let depth = l.depth;
         // Cheap gating: warping at this loop can only ever succeed if every
         // access below it shifts by the same amount per iteration (see
         // `plan_warp`), and it can only pay off if the loop has enough
@@ -526,13 +452,6 @@ impl WarpingSimulator {
             && entry.trip_count() >= self.options.min_trip_count
             && l.uniform_coefficient().is_some();
         let mut fruitless = self.fruitless[l.index];
-        // Donor hints demote the eager phase on depths a similar run
-        // already probed exhaustively without a single warp; a depth the
-        // donor saw warp (or never saw at all) keeps the cold schedule.
-        let eager = match &self.hints {
-            Some(hints) => !hints.is_barren(depth) || hints.is_warped(depth),
-            None => true,
-        };
         let mut map: HashMap<u64, MatchEntry> = HashMap::new();
         let mut iteration_index: u64 = 0;
         let mut v = entry.first;
@@ -540,7 +459,7 @@ impl WarpingSimulator {
         loop {
             if warpable
                 && fruitless < self.options.max_fruitless_attempts
-                && self.should_attempt(iteration_index, eager)
+                && self.should_attempt(iteration_index)
             {
                 if let Some(jump) =
                     self.attempt_match(l, nodes, v, entry.last, &mut map, &mut fruitless)
@@ -570,9 +489,6 @@ impl WarpingSimulator {
         }
         l.leave(&mut self.scratch);
         if warpable {
-            if fruitless >= self.options.max_fruitless_attempts {
-                self.exhausted_depths.insert(depth);
-            }
             self.fruitless[l.index] = fruitless;
         }
     }
@@ -594,24 +510,22 @@ impl WarpingSimulator {
         // The per-level label normalisers of this attempt's key: the level
         // epochs (or the current iterator value, see `epoch_normalizers`).
         let normalizers = self.epoch_normalizers(depth, v1);
-        // Phase 1: the cheap rolling fingerprint (when enabled and the
-        // warped dimension is tracked); otherwise fall back to hashing the
-        // exact key, i.e. the exhaustive pipeline.  Only attempts that pay
-        // for an exact key — or that cannot even be remembered — count
-        // toward the fruitless-attempt budget: the budget caps overhead,
-        // and fingerprint-dismissed attempts are nearly free.
-        let filtered = self.options.fingerprint_filter;
-        let (slot, mut current_key) =
-            match filtered.then(|| self.combined_fingerprint(depth)).flatten() {
-                Some(fp) => (fp, None),
-                None => {
-                    *fruitless += 1;
-                    let key = self.build_key(l.accesses(), depth, &normalizers);
-                    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                    key.hash(&mut hasher);
-                    (hasher.finish(), Some(key))
-                }
-            };
+        // Phase 1: the cheap rolling fingerprint (when the warped dimension
+        // is tracked); otherwise fall back to hashing the exact key, i.e.
+        // the exhaustive pipeline.  Only attempts that pay for an exact key
+        // — or that cannot even be remembered — count toward the
+        // fruitless-attempt budget: the budget caps overhead, and
+        // fingerprint-dismissed attempts are nearly free.
+        let (slot, mut current_key) = match self.combined_fingerprint(depth) {
+            Some(fp) => (fp, None),
+            None => {
+                *fruitless += 1;
+                let key = self.build_key(l.accesses(), depth, &normalizers);
+                let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                key.hash(&mut hasher);
+                (hasher.finish(), Some(key))
+            }
+        };
         let Some(entry) = map.get(&slot) else {
             if map.len() < self.options.max_map_entries {
                 map.insert(
@@ -744,13 +658,12 @@ impl WarpingSimulator {
             .filter(|(level, mode)| **mode == LevelWarpMode::Frozen && level.occupied_len() > 0)
             .count() as u64;
         self.warps += 1;
-        self.warped_depths.insert(depth);
         self.warp_apply_ns += warp_start.elapsed().as_nanos() as u64;
         Some(plan.chunks * period)
     }
 
-    fn should_attempt(&self, iteration_index: u64, eager: bool) -> bool {
-        (eager && iteration_index < self.options.eager_attempts)
+    fn should_attempt(&self, iteration_index: u64) -> bool {
+        iteration_index < self.options.eager_attempts
             || iteration_index.is_multiple_of(self.options.backoff_interval)
     }
 }
@@ -974,18 +887,10 @@ mod tests {
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
         ])
         .unwrap();
-        let filtered = WarpingSimulator::new(memory.clone())
-            .with_options(WarpingOptions {
-                fingerprint_filter: true,
-                ..WarpingOptions::default()
-            })
-            .run(&scop);
-        let exhaustive = WarpingSimulator::new(memory)
-            .with_options(WarpingOptions {
-                fingerprint_filter: false,
-                ..WarpingOptions::default()
-            })
-            .run(&scop);
+        let filtered = WarpingSimulator::new(memory.clone()).run(&scop);
+        let mut oracle = WarpingSimulator::new(memory);
+        oracle.exhaustive = true;
+        let exhaustive = oracle.run(&scop);
         assert_eq!(
             filtered.result, exhaustive.result,
             "the filter must not change any simulation count"
@@ -1006,61 +911,33 @@ mod tests {
     }
 
     #[test]
-    fn donor_hints_keep_counts_bit_identical() {
-        // The donor run exports its warp-plan facts; a hinted rerun of a
-        // *different* (neighbouring) instance must produce exactly the
-        // counts a cold run produces — hints only reschedule attempts.
-        let memory = MemoryConfig::new(vec![
-            CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
-            CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
-        ])
-        .unwrap();
-        let mut donor_sim = WarpingSimulator::new(memory.clone());
-        let donor_outcome = donor_sim.run(&stencil(4000));
-        assert!(donor_outcome.warps >= 1);
-        let hints = donor_sim.export_hints();
-        assert!(
-            hints.is_warped(1),
-            "the stencil warps at depth 1: {hints:?}"
-        );
-
-        for n in [3500, 4500] {
-            let scop = stencil(n);
-            let cold = WarpingSimulator::new(memory.clone()).run(&scop);
-            let hinted = WarpingSimulator::new(memory.clone())
-                .with_hints(hints.clone())
-                .run(&scop);
-            assert_eq!(
-                hinted.result, cold.result,
-                "hints must not change any simulation count (n = {n})"
-            );
-        }
-
-        // A barren hint demotes the eager phase: fewer match attempts on a
-        // loop that never warps, same counts.  The triangular matvec's
-        // inner loop exhausts its budget without warping on a tiny cache.
-        let tri = parse_scop(
-            "double A[200][200]; double x[200]; double c[200];\n\
-             for (i = 0; i < 200; i++) {\n\
-               c[i] = 0;\n\
-               for (j = i; j < 200; j++) c[i] = c[i] + A[i][j] * x[j];\n\
-             }",
+    fn untracked_depths_fall_back_to_exhaustive_matching() {
+        // The fingerprints track the first MAX_TRACKED_DIMS dimensions; a
+        // loop nested deeper matches on exact keys alone.  The outer loops
+        // are too short to attempt, so every attempt is at depth 5.
+        let scop = parse_scop(
+            "double A[4000]; double B[4000];\n\
+             for (a = 0; a < 2; a++)\n\
+               for (b = 0; b < 2; b++)\n\
+                 for (c = 0; c < 2; c++)\n\
+                   for (d = 0; d < 2; d++)\n\
+                     for (i = 1; i < 3999; i++) B[i-1] = A[i-1] + A[i];",
         )
         .unwrap();
-        let tiny = MemoryConfig::from(CacheConfig::with_sets(2, 2, 64, ReplacementPolicy::Lru));
-        let mut cold_sim = WarpingSimulator::new(tiny.clone());
-        let cold = cold_sim.run(&tri);
-        let tri_hints = cold_sim.export_hints();
-        if !tri_hints.barren_depths.is_empty() {
-            let hinted = WarpingSimulator::new(tiny).with_hints(tri_hints).run(&tri);
-            assert_eq!(hinted.result, cold.result);
-            assert!(
-                hinted.match_attempts <= cold.match_attempts,
-                "barren hints must not add attempts ({} > {})",
-                hinted.match_attempts,
-                cold.match_attempts
-            );
-        }
+        assert_eq!(
+            MAX_TRACKED_DIMS, 4,
+            "the nest must reach past the tracked range"
+        );
+        let config = MemoryConfig::from(CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru));
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config).run(&scop);
+        assert_eq!(outcome.result, reference);
+        assert!(outcome.warps >= 1, "the depth-5 loop must warp");
+        assert_eq!(outcome.fingerprint_hits, 0);
+        assert_eq!(
+            outcome.exact_key_builds, outcome.match_attempts,
+            "untracked depths build a key per attempt"
+        );
     }
 
     #[test]

@@ -121,7 +121,6 @@ fn eager() -> WarpingOptions {
         max_map_entries: 1 << 16,
         min_trip_count: 0,
         max_fruitless_attempts: u64::MAX,
-        ..WarpingOptions::default()
     }
 }
 
@@ -234,14 +233,7 @@ fn stencil_exact_across_policies_and_geometries() {
             let config = MemoryConfig::from(CacheConfig::with_sets(sets, assoc, line, policy));
             let reference = simulate_memory(&scop, &config);
             let outcome = WarpingSimulator::new(config.clone())
-                .with_options(WarpingOptions {
-                    eager_attempts: u64::MAX,
-                    backoff_interval: 1,
-                    max_map_entries: 1 << 16,
-                    min_trip_count: 0,
-                    max_fruitless_attempts: u64::MAX,
-                    ..WarpingOptions::default()
-                })
+                .with_options(eager())
                 .run(&scop);
             assert_eq!(
                 outcome.result, reference,

@@ -6,10 +6,8 @@
 //!    applications, the dirty-row-tracked rolling fingerprint of a
 //!    [`SymLevel`] equals a from-scratch rebuild over its rows.
 //! 2. **Filter neutrality** — fingerprint-filtered matching produces
-//!    bit-identical per-level statistics to the exhaustive
-//!    key-per-attempt pipeline on random kernels, geometries and policies
-//!    (warp opportunities may be found at slightly different iterations;
-//!    the counts never change).
+//!    per-level statistics bit-identical to classic simulation on random
+//!    kernels, geometries and policies.
 
 use cache_model::{AccessKind, CacheConfig, MemBlock, MemoryConfig, ReplacementPolicy};
 use polyhedra::Aff;
@@ -17,7 +15,7 @@ use proptest::prelude::*;
 use scop::parse_scop;
 use simulate::simulate_memory;
 use warping::fingerprint::rebuild_level_fingerprint;
-use warping::{SymLevel, WarpingOptions, WarpingSimulator};
+use warping::{SymLevel, WarpingSimulator};
 
 const NUM_NODES: usize = 3;
 const LINE_SIZE: u64 = 8;
@@ -138,20 +136,7 @@ proptest! {
         .unwrap();
         let config = MemoryConfig::from(CacheConfig::with_sets(sets, assoc, line, policy));
         let reference = simulate_memory(&scop, &config);
-        for filter in [true, false] {
-            let outcome = WarpingSimulator::new(config.clone())
-                .with_options(WarpingOptions {
-                    fingerprint_filter: filter,
-                    ..WarpingOptions::default()
-                })
-                .run(&scop);
-            prop_assert_eq!(
-                &outcome.result,
-                &reference,
-                "filter={} config={:?}",
-                filter,
-                config
-            );
-        }
+        let outcome = WarpingSimulator::new(config.clone()).run(&scop);
+        prop_assert_eq!(&outcome.result, &reference, "config={:?}", config);
     }
 }
