@@ -8,9 +8,9 @@
 //!   shard-local read lock and a report clone).  The acceptance bar for
 //!   this PR is warm ≥ 10× cold; in practice it is orders of magnitude.
 //! * `batch_workers` — a duplicate-heavy 32-request batch through
-//!   `SimService::run_batch` with 1 worker vs `available_parallelism`
-//!   workers, against the `Engine::run_batch` baseline (no cache, no
-//!   dedup, static fan-out).
+//!   `SimService::run_batch` (the service's shared-FIFO worker pool) with
+//!   1 worker vs `available_parallelism` workers, against the
+//!   `Engine::run_batch` baseline (no cache, no dedup, scoped fan-out).
 //!
 //! Run with `cargo bench --bench serve_throughput`; CI compiles it via
 //! `cargo bench --no-run`.
@@ -116,7 +116,7 @@ fn bench_batch_workers(criterion: &mut Criterion) {
         );
     }
 
-    // Baseline: the engine's static fan-out with neither cache nor dedup.
+    // Baseline: the engine's scoped fan-out with neither cache nor dedup.
     group.bench_function("batch/engine_baseline", |b| {
         let engine = Engine::new();
         b.iter(|| black_box(engine.run_batch(&duplicate_heavy_batch())))

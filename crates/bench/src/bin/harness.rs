@@ -56,7 +56,7 @@
 //! `gemm` of `polybench::parametric`) is parsed ONCE and registered as a
 //! kernel family with the serving layer; every grid point is a binding of
 //! its `param`s stamped out by substitution, so the sweep never re-parses
-//! source.  Points fan out through the service's work-stealing pool and
+//! source.  Points fan out through the service's worker pool and
 //! stream back as they finish (rows arrive out of grid order).  After the
 //! grid drains, the harness prints, per hierarchy × policy, the Pareto
 //! front of (tile configuration, per-level miss counts): the configs no
@@ -80,7 +80,7 @@
 //! content-addressed report cache or coalesced onto an in-flight
 //! simulation.  `{"cmd":"stats"}` and end of input report a
 //! `{"serve_stats":{…}}` summary.  `--cache-cap` bounds the report cache
-//! in entries and `--workers` sizes the work-stealing pool (env defaults:
+//! in entries and `--workers` sizes the worker pool (env defaults:
 //! WARPSIM_SERVE_CACHE_CAP, WARPSIM_SERVE_WORKERS); `--workers 0` and
 //! `--cache-cap 0` are rejected up front (a zero-worker pool would never
 //! run anything; a zero-entry cache would re-simulate every request).
@@ -703,8 +703,9 @@ fn explore_command(flags: &Flags) {
         }
     }
 
-    // Submit the valid points to the service's work-stealing pool in grid
+    // Submit the valid points to the service's worker pool in grid
     // order; rows print as points finish, so they may arrive out of order.
+    // A point whose simulation fails, a panic included, prints an error row.
     let (tx, rx) = mpsc::channel();
     for index in (0..points.len()).filter(|&i| point_errors[i].is_none()) {
         let service = service.clone();

@@ -85,6 +85,8 @@ pub enum EngineError {
     },
     /// The backend's tuning options (warping or sampling) fail validation.
     InvalidOptions(String),
+    /// The simulation panicked; the payload is the panic message.
+    Panicked(String),
 }
 
 impl fmt::Display for EngineError {
@@ -102,6 +104,9 @@ impl fmt::Display for EngineError {
             EngineError::InvalidOptions(message) => {
                 write!(f, "invalid backend options: {message}")
             }
+            EngineError::Panicked(message) => {
+                write!(f, "internal error: the simulation panicked: {message}")
+            }
         }
     }
 }
@@ -114,15 +119,9 @@ impl std::error::Error for EngineError {}
 pub struct WarmOutcome {
     /// Calibration measured by this run (sampled backend only).
     pub calibration: Option<Calibration>,
-    /// Whether a calibration prior was consulted.
-    pub calibration_seeded: bool,
     /// Whether some seeded quantity failed validation and fell back to
     /// the full cold path.
     pub calibration_fallback: bool,
-    /// Sampled runs the adaptive rate selection made (`0` for
-    /// non-sampled backends, `1` when the first rate already met the
-    /// target or no target was set, `2` when the bound overshot once).
-    pub sampled_attempts: u32,
 }
 
 /// The backend-polymorphic simulation engine.
@@ -274,8 +273,9 @@ impl Engine {
                 if let Some(rate) = sampling::suggest_rate(prior, &opts) {
                     opts.rate_ppm = rate;
                 }
+                let mut attempts = 0;
                 let (result, approx, cal) = loop {
-                    warm.sampled_attempts += 1;
+                    attempts += 1;
                     let (result, approx, cal) =
                         sampling::run_sampled_with(&scop, memory, &opts, prior);
                     let worst = approx
@@ -286,7 +286,7 @@ impl Engine {
                         .unwrap_or(0);
                     if opts.max_error == 0
                         || worst <= opts.max_error
-                        || warm.sampled_attempts >= 2
+                        || attempts >= 2
                         || opts.rate_ppm >= PPM
                     {
                         break (result, approx, cal);
@@ -306,7 +306,6 @@ impl Engine {
                     };
                 };
                 warm.calibration = cal.measured;
-                warm.calibration_seeded = cal.seeded;
                 warm.calibration_fallback = cal.fallback;
                 // Sampling that covered the whole iteration space (rate
                 // 1.0, or a kernel too small to sample) is exact;

@@ -253,8 +253,6 @@ pub struct CalibrationOutcome {
     /// The calibration this run measured (from its largest sampled loop),
     /// ready to donate; `None` when no loop was actually sampled.
     pub measured: Option<Calibration>,
-    /// Whether a usable prior was consulted.
-    pub seeded: bool,
     /// Whether any seeded quantity failed validation and fell back to the
     /// full cold path (the run is still sound — just slower).
     pub fallback: bool,
@@ -308,7 +306,6 @@ pub(crate) fn run_sampled_with(
         measured_intervals: 0,
         estimated_intervals: 0,
         period: 0,
-        seeded: false,
         fallback: false,
         measured_cal: None,
         scratch,
@@ -342,8 +339,6 @@ struct Sampler<'a> {
     measured_intervals: u64,
     estimated_intervals: u64,
     period: u64,
-    /// Whether any loop consulted the prior.
-    seeded: bool,
     /// Whether any seeded quantity failed validation.
     fallback: bool,
     /// Calibration measured by the largest sampled loop so far.
@@ -485,12 +480,10 @@ impl<'a> Sampler<'a> {
         // instance, donor included.
         let p = match self.prior {
             Some(c) if validates_period(&trace[c.prefix_settle.min(trace.len())..], c.period) => {
-                self.seeded = true;
                 loop_seeded = true;
                 c.period
             }
             Some(_) => {
-                self.seeded = true;
                 self.fallback = true;
                 self.trace_prefix(cl, &iters, base, prefix..full_prefix, &mut trace);
                 prefix = full_prefix;
@@ -923,7 +916,6 @@ impl<'a> Sampler<'a> {
             approx,
             CalibrationOutcome {
                 measured: self.measured_cal,
-                seeded: self.seeded,
                 fallback: self.fallback,
             },
         )
@@ -1188,7 +1180,7 @@ mod tests {
         let options = SamplingOptions::DEFAULT;
         let donor = streaming().build().expect("donor builds");
         let (_, _, cold) = run_sampled_with(&donor, &memory, &options, None);
-        assert!(!cold.seeded && !cold.fallback);
+        assert!(!cold.fallback);
         let cal = cold.measured.expect("a sampled run measures a calibration");
         assert!(cal.period >= 1 && cal.intervals > 0);
 
@@ -1201,7 +1193,6 @@ mod tests {
         .expect("neighbour builds");
         let classic = simulate(&neighbour, &mut MultiLevelSystem::new(memory.clone()));
         let (result, approx, out) = run_sampled_with(&neighbour, &memory, &options, Some(&cal));
-        assert!(out.seeded, "a usable prior must be consulted");
         assert!(!out.fallback, "a same-shape neighbour validates cleanly");
         for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
             let err = classic.levels[level]
@@ -1211,7 +1202,8 @@ mod tests {
         }
         assert_eq!(classic.accesses, result.accesses);
         // The seeded schedule does strictly less exact work than a cold
-        // run of the same kernel — that is the whole point.
+        // run of the same kernel — that is the whole point, and it shows
+        // the usable prior was consulted.
         let (_, cold_approx, _) = run_sampled_with(&neighbour, &memory, &options, None);
         assert!(
             approx.measured_intervals < cold_approx.measured_intervals,
@@ -1243,9 +1235,9 @@ mod tests {
         .build()
         .expect("tri builds");
         let (cold_result, cold_approx, cold_out) = run_sampled_with(&tri, &memory, &options, None);
-        assert!(!cold_out.seeded);
+        assert!(!cold_out.fallback);
         let (result, approx, out) = run_sampled_with(&tri, &memory, &options, Some(&cal));
-        assert!(out.seeded, "the prior was consulted");
+        // Only a consulted prior can fall back.
         assert!(out.fallback, "a foreign prior must fail validation");
         assert_eq!(result, cold_result);
         assert_eq!(approx, cold_approx);

@@ -37,9 +37,9 @@ impl Slot {
 type SlotMap = Arc<Mutex<HashMap<u128, Arc<Slot>>>>;
 
 /// The leader's obligation to publish: consumed by [`PendingMap::complete`].
-/// Dropping it unpublished (a panicking simulation) still removes the
-/// in-flight slot and wakes followers, with an error instead of leaving
-/// them blocked forever.
+/// Dropping it unpublished (a leader unwinding past the service's panic
+/// boundary) still removes the in-flight slot and wakes followers, with an
+/// error instead of leaving them blocked forever.
 pub struct LeaderToken {
     key: u128,
     slot: Arc<Slot>,
@@ -61,10 +61,9 @@ impl LeaderToken {
 impl Drop for LeaderToken {
     fn drop(&mut self) {
         if !self.published {
-            self.publish(Err(EngineError::Kernel {
-                kernel: String::new(),
-                message: "the serving worker aborted before publishing a result".to_string(),
-            }));
+            self.publish(Err(EngineError::Panicked(
+                "the serving worker aborted before publishing a result".to_string(),
+            )));
         }
     }
 }
@@ -228,7 +227,7 @@ mod tests {
         };
         drop(token);
         let outcome = follower.wait();
-        assert!(matches!(outcome, Err(EngineError::Kernel { .. })));
+        assert!(matches!(outcome, Err(EngineError::Panicked(_))));
         // The aborted leadership must not wedge the key.
         assert_eq!(map.in_flight(), 0);
         assert!(matches!(map.claim(9), Claim::Leader(_)));

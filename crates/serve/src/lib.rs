@@ -16,8 +16,8 @@
 //!   family registry to their cached reports, and each sampled instance
 //!   donates its calibration to the next instance under the same memory ×
 //!   backend coordinate ([`CalibrationCache`], [`ServeConfig::warm_paths`]);
-//! * a **work-stealing worker pool** ([`pool::WorkerPool`]) replacing
-//!   `run_batch`'s static fan-out, recording per-request queue latency;
+//! * a **worker pool** ([`pool::WorkerPool`]) on one shared FIFO queue,
+//!   recording per-request queue latency;
 //! * a **JSON-lines wire protocol** ([`wire::serve_lines`]) streaming
 //!   reports back out of order as they finish, with a GraphBrew-style
 //!   [`ServeStats`] JSON summary on shutdown;
@@ -71,8 +71,9 @@ use family::{FamilyEntry, FamilyRegistry};
 use engine::{Backend, Engine, EngineError, KernelSpec, SamplingOptions, SimReport, SimRequest};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// How the serving layer answered a submission.
@@ -211,7 +212,8 @@ pub struct ServeStats {
     pub simulated: u64,
     /// Submissions answered from the report cache.
     pub cache_hits: u64,
-    /// First-probe cache misses (simulated + coalesced + errored).
+    /// First-probe cache misses (simulated + coalesced + errored, less
+    /// submissions that panicked before probing the cache).
     pub cache_misses: u64,
     /// Submissions that coalesced onto an in-flight identical request.
     pub coalesced: u64,
@@ -221,7 +223,9 @@ pub struct ServeStats {
     pub cache_entries: u64,
     /// Cache bound, in entries.
     pub cache_capacity: u64,
-    /// Submissions that returned an error (errors are never cached).
+    /// Submissions whose simulation failed, and submissions that panicked
+    /// anywhere ([`EngineError::Panicked`]).  Errors are never cached; a
+    /// follower handed its leader's error is not counted again.
     pub errors: u64,
     /// Wire lines answered with an error envelope before any submission:
     /// unparsable lines, family requests whose family or bindings do not
@@ -234,8 +238,6 @@ pub struct ServeStats {
     pub degraded: u64,
     /// Worker threads in the scheduling pool.
     pub workers: u64,
-    /// Jobs a worker stole from another worker's deque.
-    pub steals: u64,
     /// Kernel families registered (explicitly or on first parametric
     /// submission).
     pub families: u64,
@@ -254,6 +256,15 @@ pub struct ServeStats {
     pub calibration_fallbacks: u64,
 }
 
+/// The text of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|message| message.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "no message".to_string())
+}
+
 type Runner = Box<dyn Fn(&SimRequest) -> Result<SimReport, EngineError> + Send + Sync>;
 
 /// What one submission resolves to: the report and how it was served, or
@@ -261,7 +272,7 @@ type Runner = Box<dyn Fn(&SimRequest) -> Result<SimReport, EngineError> + Send +
 pub type Outcome = Result<(SimReport, Served), EngineError>;
 
 /// The simulation service: an [`Engine`] behind a content-addressed report
-/// cache, an in-flight dedup map and a work-stealing scheduler.
+/// cache, an in-flight dedup map and a worker pool.
 ///
 /// The service is `Sync`: share one per process (typically behind an
 /// [`Arc`], which [`SimService::run_batch`] and the wire protocol require)
@@ -340,22 +351,59 @@ impl SimService {
     ///
     /// # Errors
     ///
-    /// Whatever the engine reports ([`EngineError`]); errors are published
-    /// to coalesced followers but never cached, so a transiently failing
-    /// request is retried on its next submission.
-    pub fn submit(&self, request: &SimRequest) -> Result<(SimReport, Served), EngineError> {
+    /// Whatever the engine reports ([`EngineError`]), or
+    /// [`EngineError::Panicked`] when the submission panicked; errors are
+    /// published to coalesced followers but never cached, so a transiently
+    /// failing request is retried on its next submission.
+    pub fn submit(&self, request: &SimRequest) -> Outcome {
         self.submit_queued(request, None)
     }
 
     /// [`SimService::submit`] with the scheduler-measured queue latency of
     /// the request, which is stamped into the report (and therefore into
     /// the cache) when this submission ends up simulating.
-    pub fn submit_queued(
-        &self,
-        request: &SimRequest,
-        queue_ns: Option<u64>,
-    ) -> Result<(SimReport, Served), EngineError> {
+    ///
+    /// This is the service's one panic boundary: a panic anywhere in the
+    /// submission, the runner or engine call included, becomes an
+    /// [`EngineError::Panicked`] outcome.  Leadership of an in-flight key
+    /// is held out here, so a leader whose simulation panicked publishes
+    /// that same error to its followers.
+    pub fn submit_queued(&self, request: &SimRequest, queue_ns: Option<u64>) -> Outcome {
         self.requests.fetch_add(1, Ordering::SeqCst);
+        let mut leader = None;
+        let caught = catch_unwind(AssertUnwindSafe(|| self.resolve(request, &mut leader)));
+        let panicked = caught.is_err();
+        let mut outcome =
+            caught.unwrap_or_else(|payload| Err(EngineError::Panicked(panic_message(&*payload))));
+        let Some((token, key)) = leader else {
+            // A cache hit, a coalesced wait, or a panic before simulating.
+            if panicked {
+                self.errors.fetch_add(1, Ordering::SeqCst);
+            }
+            return outcome;
+        };
+        match &mut outcome {
+            Ok((report, _)) => {
+                if queue_ns.is_some() {
+                    report.queue_ns = queue_ns;
+                }
+                self.simulated.fetch_add(1, Ordering::SeqCst);
+                self.cache.insert(key, report.clone());
+            }
+            Err(_) => {
+                self.errors.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        self.pending
+            .complete(token, outcome.clone().map(|(report, _)| report));
+        outcome
+    }
+
+    /// Answers a request from the cache or an identical in-flight
+    /// simulation, or leads its simulation: then `leader` holds the
+    /// in-flight token and the cache address before the simulation runs,
+    /// and [`SimService::submit_queued`] caches and publishes the result.
+    fn resolve(&self, request: &SimRequest, leader: &mut Option<(LeaderToken, u128)>) -> Outcome {
         let degraded = self.degrade(request);
         let request = match &degraded {
             Some(rewritten) => {
@@ -385,24 +433,12 @@ impl SimService {
                     self.pending.complete(token, Ok(report.clone()));
                     return Ok((report, Served::CacheHit));
                 }
-                let mut outcome = match &self.runner {
+                *leader = Some((token, key));
+                let report = match &self.runner {
                     Some(runner) => runner(request),
                     None => self.run_warm(request),
-                };
-                match &mut outcome {
-                    Ok(report) => {
-                        if queue_ns.is_some() {
-                            report.queue_ns = queue_ns;
-                        }
-                        self.simulated.fetch_add(1, Ordering::SeqCst);
-                        self.cache.insert(key, report.clone());
-                    }
-                    Err(_) => {
-                        self.errors.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                self.pending.complete(token, outcome.clone());
-                outcome.map(|report| (report, Served::Simulated))
+                }?;
+                Ok((report, Served::Simulated))
             }
         }
     }
@@ -592,71 +628,36 @@ impl SimService {
         self.families.snapshot()
     }
 
-    /// Serves a batch through the work-stealing pool: requests are placed
-    /// round-robin on the workers' deques (each worker gets a private run;
-    /// stealing rebalances stragglers), identical requests within the batch
-    /// dedup/cache exactly like wire submissions, and every simulated
-    /// report carries its measured queue latency
-    /// ([`SimReport::queue_ns`](engine::SimReport)).
+    /// Serves a batch through the worker pool: requests are queued in
+    /// input order, identical requests within the batch dedup/cache
+    /// exactly like wire submissions, and every simulated report carries
+    /// its measured queue latency ([`SimReport::queue_ns`](engine::SimReport)).
     ///
     /// Results come back in input order, like
     /// [`Engine::run_batch`](engine::Engine::run_batch).
     pub fn run_batch(self: &Arc<Self>, requests: &[SimRequest]) -> Vec<Outcome> {
-        struct BatchState {
-            slots: Vec<Mutex<Option<Outcome>>>,
-            remaining: Mutex<usize>,
-            done: Condvar,
-        }
-        let state = Arc::new(BatchState {
-            slots: requests.iter().map(|_| Mutex::new(None)).collect(),
-            remaining: Mutex::new(requests.len()),
-            done: Condvar::new(),
-        });
+        let (tx, rx) = mpsc::channel();
         for (index, request) in requests.iter().enumerate() {
-            let service = self.clone();
-            let state = state.clone();
-            let request = request.clone();
+            let (service, request, tx) = (self.clone(), request.clone(), tx.clone());
             let enqueued = Instant::now();
-            self.pool.spawn_at(index, move || {
+            self.pool.spawn(move || {
                 let queue_ns = enqueued.elapsed().as_nanos() as u64;
                 let outcome = service.submit_queued(&request, Some(queue_ns));
-                *state.slots[index].lock().expect("batch slot not poisoned") = Some(outcome);
-                let mut remaining = state.remaining.lock().expect("batch not poisoned");
-                *remaining -= 1;
-                if *remaining == 0 {
-                    state.done.notify_all();
-                }
+                // Released first, so no job holds the service once the
+                // batch has returned.
+                drop(service);
+                let _ = tx.send((index, outcome));
             });
         }
-        let mut remaining = state.remaining.lock().expect("batch not poisoned");
-        while *remaining > 0 {
-            remaining = state.done.wait(remaining).expect("batch not poisoned");
+        drop(tx);
+        let mut slots: Vec<Option<Outcome>> = requests.iter().map(|_| None).collect();
+        for (index, outcome) in rx {
+            slots[index] = Some(outcome);
         }
-        drop(remaining);
-        Arc::try_unwrap(state)
-            .map(|state| {
-                state
-                    .slots
-                    .into_iter()
-                    .map(|slot| {
-                        slot.into_inner()
-                            .expect("batch slot not poisoned")
-                            .expect("every batch slot was filled")
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|state| {
-                state
-                    .slots
-                    .iter()
-                    .map(|slot| {
-                        slot.lock()
-                            .expect("batch slot not poisoned")
-                            .clone()
-                            .expect("every batch slot was filled")
-                    })
-                    .collect()
-            })
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every batch job sends its outcome"))
+            .collect()
     }
 
     /// The scheduling pool (used by the wire protocol to run line jobs).
@@ -667,7 +668,6 @@ impl SimService {
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServeStats {
         let cache = self.cache.counters();
-        let pool = self.pool.counters();
         let (family_requests, family_hits) = self.families.totals();
         let (calibration_hits, calibration_misses, calibration_fallbacks) =
             self.calibrations.totals();
@@ -683,8 +683,7 @@ impl SimService {
             errors: self.errors.load(Ordering::SeqCst),
             rejected: self.rejected.load(Ordering::SeqCst),
             degraded: self.degraded.load(Ordering::SeqCst),
-            workers: pool.workers,
-            steals: pool.steals,
+            workers: self.pool.workers() as u64,
             families: self.families.len(),
             family_requests,
             family_hits,

@@ -1,30 +1,21 @@
-//! A work-stealing worker pool built on `std` only.
+//! The serving layer's worker pool, built on `std` only.
 //!
-//! [`Engine::run_batch`](engine::Engine::run_batch) fans a batch out with a
-//! shared atomic cursor: every worker contends on one counter and a
-//! one-slow-request tail leaves the other workers idle only at the very
-//! end.  The serving layer replaces that static fan-out with the classic
-//! crossbeam-deque shape (reimplemented here because the build is offline
-//! and may not add dependencies):
+//! One FIFO queue under one mutex, paired with one condvar: [`WorkerPool::spawn`]
+//! appends a job and wakes one idle worker, and every worker takes the
+//! oldest queued job.  A worker blocked on a slow simulation therefore
+//! never strands queued work: whichever worker is free runs the next job.
+//! Each job here is a whole simulation (microseconds to seconds), so one
+//! lock per job is noise.
 //!
-//! * each worker owns a deque and pops **LIFO** from its back (locality:
-//!   the jobs it was just handed);
-//! * a shared injector queue receives externally submitted jobs (the wire
-//!   protocol's line-at-a-time arrivals) and is drained FIFO;
-//! * an idle worker **steals FIFO** from the front of a victim's deque, so
-//!   long runs of queued work migrate to whoever is free.
-//!
-//! The deques are small mutex-protected ring buffers rather than lock-free
-//! Chase–Lev deques — each job here is a whole simulation (microseconds to
-//! seconds), so queue overhead is noise; what matters is that a stalled
-//! worker never strands queued jobs, which stealing guarantees.
+//! [`Engine::run_batch`](engine::Engine::run_batch) keeps its own scoped
+//! fan-out: it borrows its requests, which a `'static` pool job cannot,
+//! and its atomic cursor is already a shared FIFO.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -36,96 +27,54 @@ pub struct PoolCounters {
     /// Jobs run, including jobs that panicked (the panic is contained and
     /// the worker keeps serving).
     pub executed: u64,
-    /// Jobs a worker took from another worker's deque.
-    pub steals: u64,
+}
+
+/// The queue and the shutdown flag, under one lock so an idle worker
+/// cannot miss either a new job or the shutdown.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
 struct Shared {
-    /// Per-worker deques: the owner pops the back, thieves pop the front.
-    local: Vec<Mutex<VecDeque<Job>>>,
-    /// Externally submitted jobs, drained FIFO by whoever is free.
-    injector: Mutex<VecDeque<Job>>,
-    /// Paired with `injector`: idle workers park here.  Waits use a short
-    /// timeout so a stealable job pushed to a *local* deque (whose lock is
-    /// deliberately not held while notifying) is picked up promptly even
-    /// under missed-wakeup races.
-    wakeup: Condvar,
-    /// Jobs pushed but not yet dequeued, for the shutdown drain check.
-    queued: AtomicUsize,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Idle workers wait here for a job or the shutdown.
+    ready: Condvar,
     executed: AtomicU64,
-    steals: AtomicU64,
 }
 
 impl Shared {
-    fn next_job(&self, own: usize) -> Option<Job> {
-        // 1. Own deque, newest first.
-        if let Some(job) = self.local[own]
-            .lock()
-            .expect("worker deque not poisoned")
-            .pop_back()
-        {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        // 2. The injector, oldest first.
-        if let Some(job) = self
-            .injector
-            .lock()
-            .expect("injector not poisoned")
-            .pop_front()
-        {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        // 3. Steal from a victim, oldest first.
-        let n = self.local.len();
-        for offset in 1..n {
-            let victim = (own + offset) % n;
-            if let Some(job) = self.local[victim]
-                .lock()
-                .expect("worker deque not poisoned")
-                .pop_front()
-            {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.steals.fetch_add(1, Ordering::SeqCst);
+    /// The oldest queued job; `None` once the pool is shut down and the
+    /// queue is drained.
+    fn next_job(&self) -> Option<Job> {
+        let mut queue = self.queue.lock().expect("job queue not poisoned");
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
                 return Some(job);
             }
+            if queue.shutdown {
+                return None;
+            }
+            queue = self.ready.wait(queue).expect("job queue not poisoned");
         }
-        None
     }
 
-    fn worker_loop(&self, own: usize) {
-        loop {
-            if let Some(job) = self.next_job(own) {
-                // A panicking job must not take its worker down with it:
-                // the thread would be gone for good and the jobs queued on
-                // it stranded.  Jobs own everything they touch, so nothing
-                // half-updated outlives the unwind.
-                let _ = catch_unwind(AssertUnwindSafe(job));
-                self.executed.fetch_add(1, Ordering::SeqCst);
-                continue;
-            }
-            let guard = self.injector.lock().expect("injector not poisoned");
-            if self.queued.load(Ordering::SeqCst) > 0 {
-                // Something was pushed between our scan and the lock.
-                continue;
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let (_guard, _timeout) = self
-                .wakeup
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("injector not poisoned");
+    fn worker_loop(&self) {
+        while let Some(job) = self.next_job() {
+            // A panicking job must not take its worker down with it: the
+            // thread would be gone for good and fewer workers would serve
+            // the queue.  Jobs own everything they touch, so nothing
+            // half-updated outlives the unwind.
+            let _ = catch_unwind(AssertUnwindSafe(job));
+            self.executed.fetch_add(1, Ordering::SeqCst);
         }
     }
 }
 
-/// The work-stealing pool.  Dropping it drains every queued job, then joins
-/// the workers — all but the dropping thread itself when the last owner
-/// lets go inside one of the pool's own jobs: that worker is detached and
-/// exits on its own once the job returns and the queue is empty.
+/// The worker pool.  Dropping it drains every queued job, then joins the
+/// workers — all but the dropping thread itself when the last owner lets
+/// go inside one of the pool's own jobs: that worker is detached and exits
+/// on its own once the job returns and the queue is empty.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -134,22 +83,20 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// A pool of `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            local: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            wakeup: Condvar::new(),
-            queued: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
             executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|idx| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{idx}"))
-                    .spawn(move || shared.worker_loop(idx))
+                    .spawn(move || shared.worker_loop())
                     .expect("worker threads spawn")
             })
             .collect();
@@ -164,29 +111,15 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Submits a job through the shared injector (the path for jobs that
-    /// arrive one at a time, e.g. wire-protocol lines).
+    /// Queues a job behind every job queued before it.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.shared.queued.fetch_add(1, Ordering::SeqCst);
         self.shared
-            .injector
+            .queue
             .lock()
-            .expect("injector not poisoned")
+            .expect("job queue not poisoned")
+            .jobs
             .push_back(Box::new(job));
-        self.shared.wakeup.notify_one();
-    }
-
-    /// Submits a job directly onto worker `worker % workers()`'s deque (the
-    /// path for batch distribution: round-robin placement gives every
-    /// worker a private run of jobs, and stealing rebalances the tail).
-    pub fn spawn_at(&self, worker: usize, job: impl FnOnce() + Send + 'static) {
-        let worker = worker % self.workers.len();
-        self.shared.queued.fetch_add(1, Ordering::SeqCst);
-        self.shared.local[worker]
-            .lock()
-            .expect("worker deque not poisoned")
-            .push_back(Box::new(job));
-        self.shared.wakeup.notify_all();
+        self.shared.ready.notify_one();
     }
 
     /// A snapshot of the pool counters.
@@ -194,15 +127,18 @@ impl WorkerPool {
         PoolCounters {
             workers: self.workers.len() as u64,
             executed: self.shared.executed.load(Ordering::SeqCst),
-            steals: self.shared.steals.load(Ordering::SeqCst),
         }
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wakeup.notify_all();
+        self.shared
+            .queue
+            .lock()
+            .expect("job queue not poisoned")
+            .shutdown = true;
+        self.shared.ready.notify_all();
         // Joining the current thread would fail with a deadlock error, so
         // a worker dropping the pool leaves its own handle detached.
         let current = std::thread::current().id();
@@ -218,6 +154,7 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn executes_injected_jobs() {
@@ -238,9 +175,9 @@ mod tests {
     fn drop_drains_queued_jobs() {
         let pool = WorkerPool::new(2);
         let (tx, rx) = mpsc::channel();
-        for i in 0..50usize {
+        for _ in 0..50usize {
             let tx = tx.clone();
-            pool.spawn_at(i, move || tx.send(()).expect("receiver alive"));
+            pool.spawn(move || tx.send(()).expect("receiver alive"));
         }
         drop(tx);
         drop(pool);
@@ -248,33 +185,31 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_from_a_blocked_owner() {
-        // Deterministic stealing with two workers: both jobs land on worker
-        // 0's deque and the first blocks until the second has run.  Whether
-        // worker 0 or worker 1 ends up holding the blocking job, the other
-        // can only reach the second job by stealing it (steals ≥ 1), and
-        // the test only terminates if it does.
+    fn a_free_worker_runs_the_job_queued_behind_a_blocked_one() {
+        // Two workers: the first job blocks its worker until the second
+        // job has run, so the test only terminates if the other, free
+        // worker takes the second job off the shared queue.
         let pool = WorkerPool::new(2);
+        let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let (done_tx, done_rx) = mpsc::channel::<()>();
-        pool.spawn_at(0, move || {
-            release_rx.recv().expect("stolen job releases the owner");
+        pool.spawn(move || {
+            started_tx.send(()).expect("test alive");
+            release_rx.recv().expect("the test releases this job");
         });
-        // Wait until a worker has dequeued (and blocked inside) job 1, so
-        // job 2 cannot be handed to it.
-        while pool.shared.queued.load(Ordering::SeqCst) > 0 {
-            std::thread::yield_now();
-        }
-        pool.spawn_at(0, move || {
+        // The first job is dequeued and blocking before the second is
+        // queued.
+        started_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the first job starts");
+        pool.spawn(move || {
             done_tx.send(()).expect("test alive");
         });
         done_rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("the queued job must run while its owner blocks");
-        let steals = pool.counters().steals;
-        release_tx.send(()).expect("owner still blocked");
+            .expect("the queued job must run while the other worker blocks");
+        release_tx.send(()).expect("first job still blocked");
         drop(pool);
-        assert!(steals >= 1, "the second job can only have been stolen");
     }
 
     #[test]

@@ -39,9 +39,8 @@ use crate::{ServeStats, Served, SimService};
 use engine::{Backend, MemoryConfig, SimRequest};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// Knobs of [`serve_lines_with`] that shape the output stream without
@@ -197,50 +196,6 @@ fn stats_line(service: &SimService, stats: &ServeStats) -> Value {
     Value::Object(vec![("serve_stats".to_string(), Value::Object(fields))])
 }
 
-/// Tracks in-flight line jobs so end-of-input can drain them.
-struct WaitGroup {
-    pending: Mutex<usize>,
-    drained: Condvar,
-}
-
-impl WaitGroup {
-    fn new() -> Self {
-        WaitGroup {
-            pending: Mutex::new(0),
-            drained: Condvar::new(),
-        }
-    }
-
-    fn add(&self) {
-        *self.pending.lock().expect("waitgroup not poisoned") += 1;
-    }
-
-    fn done(&self) {
-        let mut pending = self.pending.lock().expect("waitgroup not poisoned");
-        *pending -= 1;
-        if *pending == 0 {
-            self.drained.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut pending = self.pending.lock().expect("waitgroup not poisoned");
-        while *pending > 0 {
-            pending = self.drained.wait(pending).expect("waitgroup not poisoned");
-        }
-    }
-}
-
-/// Signals its [`WaitGroup`] when dropped, so a line job counts as done on
-/// every path out of it, unwinding included.
-struct JobDone(Arc<WaitGroup>);
-
-impl Drop for JobDone {
-    fn drop(&mut self) {
-        self.0.done();
-    }
-}
-
 /// Answers a line the service never saw with its error envelope and counts
 /// it in [`ServeStats::rejected`](crate::ServeStats::rejected).
 fn reject<W: Write>(service: &SimService, writer: &Mutex<W>, envelope: Value) {
@@ -248,41 +203,25 @@ fn reject<W: Write>(service: &SimService, writer: &Mutex<W>, envelope: Value) {
     write_line(writer, &envelope);
 }
 
-/// The text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("no message")
-}
-
 /// Enqueues one request on the pool; its envelope streams out when it
-/// finishes.  A simulation that panics is answered with an error envelope
-/// like any other failure.
+/// finishes.  The job holds a clone of `done` until its envelope is
+/// written, so the channel disconnects once every job has replied.
 fn spawn_request<W>(
     service: &Arc<SimService>,
     writer: &Arc<Mutex<W>>,
-    jobs: &Arc<WaitGroup>,
+    done: &mpsc::Sender<()>,
     options: WireOptions,
     id: Value,
     request: SimRequest,
 ) where
     W: Write + Send + 'static,
 {
-    let service = service.clone();
-    let writer = writer.clone();
+    let (job_service, writer, done) = (service.clone(), writer.clone(), done.clone());
     let arrived = Instant::now();
-    jobs.add();
-    let done = JobDone(jobs.clone());
-    service.clone().pool().spawn(move || {
-        let _done = done;
+    service.pool().spawn(move || {
         let queue_ns = arrived.elapsed().as_nanos() as u64;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            service.submit_queued(&request, Some(queue_ns))
-        }));
-        let envelope = match outcome {
-            Ok(Ok((report, served))) => {
+        let envelope = match job_service.submit_queued(&request, Some(queue_ns)) {
+            Ok((report, served)) => {
                 let mut fields = vec![
                     ("id".to_string(), id),
                     ("served".to_string(), Value::Str(served.label().to_string())),
@@ -311,20 +250,10 @@ fn spawn_request<W>(
                 fields.push(("report".to_string(), report.serialize_value()));
                 Value::Object(fields)
             }
-            Ok(Err(error)) => error_envelope(id, error.to_string()),
-            Err(payload) => {
-                // The unwind skipped `submit_queued`'s own error count.
-                service.errors.fetch_add(1, Ordering::SeqCst);
-                error_envelope(
-                    id,
-                    format!(
-                        "internal error: the simulation panicked: {}",
-                        panic_message(&*payload)
-                    ),
-                )
-            }
+            Err(error) => error_envelope(id, error.to_string()),
         };
         write_line(&writer, &envelope);
+        drop(done);
     });
 }
 
@@ -366,7 +295,7 @@ where
     W: Write + Send + 'static,
 {
     let writer = Arc::new(Mutex::new(writer));
-    let jobs = Arc::new(WaitGroup::new());
+    let (done, drained) = mpsc::channel::<()>();
     let mut shutdown = false;
     for (index, line) in reader.lines().enumerate() {
         let line = line?;
@@ -375,7 +304,7 @@ where
         }
         match parse_line(&line, index as u64 + 1) {
             Ok(Line::Request { id, request }) => {
-                spawn_request(service, &writer, &jobs, options, id, request);
+                spawn_request(service, &writer, &done, options, id, request);
             }
             Ok(Line::FamilyRequest {
                 id,
@@ -386,7 +315,7 @@ where
             }) => match service.family_kernel(&family, &bindings) {
                 Ok(kernel) => {
                     let request = SimRequest::new(kernel, memory, backend);
-                    spawn_request(service, &writer, &jobs, options, id, request);
+                    spawn_request(service, &writer, &done, options, id, request);
                 }
                 Err(message) => reject(service, &writer, error_envelope(id, message)),
             },
@@ -424,7 +353,10 @@ where
             Err((id, message)) => reject(service, &writer, error_envelope(id, message)),
         }
     }
-    jobs.wait();
+    // Every queued line job holds a sender until its envelope is written;
+    // none sends, so receiving returns once the last job has replied.
+    drop(done);
+    while drained.recv().is_ok() {}
     let stats = service.stats();
     write_line(&writer, &stats_line(service, &stats));
     Ok((stats, shutdown))

@@ -1,13 +1,14 @@
 //! End-to-end service behaviour: thundering-herd coalescing, cache-hit
-//! bit-identity under α-renaming, and batch scheduling through the
-//! work-stealing pool.
+//! bit-identity under α-renaming, batch scheduling through the worker
+//! pool, and panicking simulations answered as errors.
 
 use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use engine::{Backend, Engine, KernelSpec, SimRequest};
 use serve::{ServeConfig, Served, SimService};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 fn memory() -> MemoryConfig {
     MemoryConfig::single(CacheConfig::with_sets(4, 8, 64, ReplacementPolicy::Lru))
@@ -194,6 +195,108 @@ fn batch_results_are_ordered_deduped_and_queue_stamped() {
         12,
         "every duplicate was deduped or cached"
     );
+}
+
+/// A batch whose runner panics on one kernel still returns every slot: the
+/// panicked slot is an error carrying the panic text, the others are
+/// served.  The batch runs on a helper thread, so a batch that never
+/// returns fails the test instead of stalling the suite.
+#[test]
+fn a_panicking_batch_request_fills_its_slot_with_an_error() {
+    let service = Arc::new(
+        SimService::new(ServeConfig {
+            workers: 2,
+            cache_capacity: 16,
+            exact_budget: None,
+            warm_paths: true,
+        })
+        .with_runner(|request| match request.kernel.name().as_str() {
+            "boom" => panic!("simulator bug"),
+            _ => Engine::new().run(request),
+        }),
+    );
+    let boom = SimRequest::new(
+        KernelSpec::source("boom", "double B[8]; for (i = 0; i < 8; i++) B[i] = B[i];"),
+        memory(),
+        Backend::warping(),
+    );
+    let requests = vec![
+        request("double A[16]; for (i = 0; i < 16; i++) A[i] = A[i];"),
+        boom,
+        request("double A[32]; for (i = 0; i < 32; i++) A[i] = A[i];"),
+    ];
+    let (tx, rx) = mpsc::channel();
+    let batch_service = service.clone();
+    thread::spawn(move || {
+        let _ = tx.send(batch_service.run_batch(&requests));
+    });
+    let outcomes = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("run_batch returns although one of its jobs panicked");
+    assert_eq!(outcomes.len(), 3);
+    let error = outcomes[1]
+        .as_ref()
+        .expect_err("the panicked slot is an error")
+        .to_string();
+    assert!(error.contains("simulator bug"), "{error}");
+    for slot in [0, 2] {
+        let (_, how) = outcomes[slot].as_ref().expect("the other slots are served");
+        assert_eq!(*how, Served::Simulated);
+    }
+    assert_eq!(service.stats().errors, 1);
+}
+
+/// A follower coalesced onto a leader whose simulation panics receives the
+/// leader's error, panic text included.  The leader is gated until the
+/// follower has coalesced, as in the thundering-herd test.
+#[test]
+fn a_coalesced_follower_gets_its_panicking_leaders_error() {
+    let release = Arc::new(AtomicBool::new(false));
+    let service = {
+        let release = release.clone();
+        Arc::new(
+            SimService::new(ServeConfig {
+                workers: 1,
+                cache_capacity: 8,
+                exact_budget: None,
+                warm_paths: true,
+            })
+            .with_runner(move |_| {
+                while !release.load(Ordering::SeqCst) {
+                    thread::yield_now();
+                }
+                panic!("simulator bug")
+            }),
+        )
+    };
+    let submitters: Vec<_> = (0..2)
+        .map(|_| {
+            let service = service.clone();
+            thread::spawn(move || service.submit(&request(KERNEL)))
+        })
+        .collect();
+    while service.stats().coalesced < 1 {
+        thread::yield_now();
+    }
+    release.store(true, Ordering::SeqCst);
+    let errors: Vec<_> = submitters
+        .into_iter()
+        .map(|handle| {
+            handle
+                .join()
+                .expect("the panic stays inside the service")
+                .expect_err("a panicked simulation is an error")
+        })
+        .collect();
+    assert_eq!(errors[0], errors[1], "the follower gets the leader's error");
+    assert!(
+        errors[0].to_string().contains("simulator bug"),
+        "{}",
+        errors[0]
+    );
+    let stats = service.stats();
+    assert_eq!((stats.coalesced, stats.errors), (1, 1));
+    assert_eq!(stats.cache_entries, 0, "errors are never cached");
 }
 
 /// The loop extent encoded in the bodies of

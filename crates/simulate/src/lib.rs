@@ -80,24 +80,12 @@ pub trait MemorySystem {
     fn reset(&mut self);
 
     /// Performs a run of `count` accesses starting at `base` with a
-    /// constant byte `stride`.  The default expands the run one access
-    /// at a time; systems with a batched fast path (the depth-N
-    /// [`MultiLevelSystem`]) override it.
-    fn access_run(&mut self, base: u64, stride: i64, count: u64, kind: AccessKind) {
-        let mut address = base as i64;
-        for _ in 0..count {
-            self.access(address as u64, kind);
-            address += stride;
-        }
-    }
+    /// constant byte `stride`, in order.
+    fn access_run(&mut self, base: u64, stride: i64, count: u64, kind: AccessKind);
 
     /// Performs a run group: its streams advanced in lockstep, round by
-    /// round.  The default flattens the group into runs
-    /// ([`RunGroup::for_each_run`]); the depth-N [`MultiLevelSystem`]
-    /// replays the rounds with its lockstep fast path.
-    fn access_group(&mut self, group: &RunGroup) {
-        group.for_each_run(|run| self.access_run(run.base, run.stride, run.count, run.kind));
-    }
+    /// round.
+    fn access_group(&mut self, group: &RunGroup);
 }
 
 /// An N-level non-inclusive non-exclusive memory system driven by a
