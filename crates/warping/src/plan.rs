@@ -24,7 +24,15 @@
 //!    domain of every descendant access node, restricted to the current
 //!    values of the outer iterators, must be invariant under translation by
 //!    `period` within the warp window.  The earliest violation truncates the
-//!    window.
+//!    window.  Most loop-nest domains answer this in closed form: when the
+//!    domain is one conjunction and no constraint on the warped dimension
+//!    involves a deeper one, it is an interval on the warped dimension times
+//!    a slice that does not depend on it, and the interval comes from the
+//!    domain's [`BoundRows`] at the outer values.  An empty domain, or an
+//!    interval that covers the window, never truncates it.  Union domains,
+//!    coupled constraints (`j <= i` below a warped `i`) and interval
+//!    boundaries inside the window take the polyhedral query instead: two
+//!    set differences and their lexicographic minima.
 //!
 //! Cross-node conflicts (the `FurthestByOverlap` check of the paper) cannot
 //! arise under condition 1, because all nodes shift by the same amount.
@@ -33,7 +41,7 @@
 //! simulation, which keeps the miss counts exact.
 
 use crate::symstate::SymLevel;
-use polyhedra::{LexResult, Set};
+use polyhedra::{BoundRows, LexResult, Set};
 use scop::AccessNode;
 
 /// A validated warp: jump `chunks` periods ahead.
@@ -73,9 +81,9 @@ pub enum LevelWarpMode {
 
 /// Decides whether and how far the simulation may warp.
 ///
-/// * `descendant_nodes` — the access nodes below the warping loop.
-/// * `descendant_ids` — their ids in ascending order (for label
-///   classification).
+/// * `nodes` — every access node of the program, indexed by id.
+/// * `descendant_ids` — the ids of the access nodes below the warping loop,
+///   in ascending order.
 /// * `levels` — the symbolic cache levels, innermost first.
 /// * `modes` — how each level participates (parallel to `levels`); frozen
 ///   levels are exempt from cache agreement, see [`LevelWarpMode`].
@@ -91,7 +99,7 @@ pub enum LevelWarpMode {
 /// Panics if `modes` is shorter than `levels`.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_warp(
-    descendant_nodes: &[&AccessNode],
+    nodes: &[&AccessNode],
     descendant_ids: &[usize],
     levels: &[SymLevel],
     modes: &[LevelWarpMode],
@@ -103,15 +111,16 @@ pub fn plan_warp(
 ) -> Option<WarpPlan> {
     assert!(modes.len() >= levels.len(), "one mode per level");
     let period = v1 - v0;
-    if period <= 0 || descendant_nodes.is_empty() {
+    if period <= 0 || descendant_ids.is_empty() {
         return None;
     }
+    let descendants = || descendant_ids.iter().map(|&id| nodes[id]);
     let line_size = levels.first()?.config.line_size() as i64;
 
     // 1. Uniform, line-aligned shift across all access nodes of the body.
     let dim = warp_depth - 1;
     let mut shift: Option<i64> = None;
-    for node in descendant_nodes {
+    for node in descendants() {
         let node_shift = node.address.coeff(dim) * period;
         match shift {
             None => shift = Some(node_shift),
@@ -155,11 +164,11 @@ pub fn plan_warp(
     // 3. Domain periodicity of every access node over the warp window, and
     //    the resulting furthest iteration.
     let mut v_fence = v_last + 1;
-    for node in descendant_nodes {
-        match domain_periodicity_fence(node, outer, dim, period, v0, v_last) {
-            Some(fence) => v_fence = v_fence.min(fence),
-            None => return None,
-        }
+    for node in descendants() {
+        let domain = &node.domain;
+        let fence = closed_form_fence(domain, outer, dim, v0, v_last)
+            .or_else(|| domain_periodicity_fence(domain, outer, dim, period, v0, v_last))?;
+        v_fence = v_fence.min(fence);
     }
 
     if v_fence <= v1 {
@@ -175,13 +184,42 @@ pub fn plan_warp(
     })
 }
 
-/// Checks that `node`'s iteration domain (with the outer iterators fixed) is
-/// invariant under translation by `period` along `dim` within
-/// `[v0, v_last]`.  Returns the first iterator value at which periodicity is
-/// violated (or `v_last + 1` if it never is), and `None` if the check could
-/// not be decided.
+/// The fence of [`domain_periodicity_fence`] read off the bound rows of
+/// `dim`, for any period: `Some(v_last + 1)` when `domain` is one
+/// conjunction whose constraints on `dim` involve no deeper dimension, and
+/// at the `outer` values it is either empty or its interval on `dim`
+/// covers `[v0, v_last]`.  `None` means the closed form does not apply.
+///
+/// Such a domain is `{ (v, y) | v ∈ I, y ∈ S }` with the slice `S`
+/// independent of `v`.  If it is empty, both sides of the periodicity
+/// check are.  If `I ⊇ [v0, v_last]`, the window's shifted start and its
+/// end are both `[v0 + period, v_last] × S`.
+fn closed_form_fence(domain: &Set, outer: &[i64], dim: usize, v0: i64, v_last: i64) -> Option<i64> {
+    let [basic] = domain.basics() else {
+        return None;
+    };
+    let constraints = basic.constraints();
+    if constraints
+        .iter()
+        .any(|c| c.aff().coeff(dim) != 0 && !c.aff().involves_only_dims_below(dim + 1))
+    {
+        return None;
+    }
+    let covered = match BoundRows::new(constraints, dim).interval(outer) {
+        // A constraint on the outer iterators alone fails.
+        None => true,
+        Some((Some(lo), Some(hi))) if lo > hi => true,
+        Some((lo, hi)) => lo.is_none_or(|lo| lo <= v0) && hi.is_none_or(|hi| hi >= v_last),
+    };
+    covered.then_some(v_last + 1)
+}
+
+/// Checks that `domain` (with the outer iterators fixed) is invariant under
+/// translation by `period` along `dim` within `[v0, v_last]`.  Returns the
+/// first iterator value at which periodicity is violated (or `v_last + 1`
+/// if it never is), and `None` if the check could not be decided.
 fn domain_periodicity_fence(
-    node: &AccessNode,
+    domain: &Set,
     outer: &[i64],
     dim: usize,
     period: i64,
@@ -189,7 +227,7 @@ fn domain_periodicity_fence(
     v_last: i64,
 ) -> Option<i64> {
     // Fix the outer iterators to their current values.
-    let mut domain = node.domain.clone();
+    let mut domain = domain.clone();
     for (d, v) in outer.iter().enumerate() {
         domain = domain.fix_dim(d, *v);
     }
@@ -229,14 +267,15 @@ fn domain_periodicity_fence(
 mod tests {
     use super::*;
     use cache_model::{AccessKind, CacheConfig, MemBlock, ReplacementPolicy};
+    use polyhedra::{Aff, BasicSet};
     use scop::parse_scop;
 
-    /// Parses a single-loop SCoP and lists its access ids, ascending.
-    fn nodes_of(src: &str) -> (scop::Scop, Vec<usize>) {
-        let scop = parse_scop(src).unwrap();
-        let mut ids: Vec<usize> = scop.access_nodes().map(|a| a.id).collect();
-        ids.sort_unstable();
-        (scop, ids)
+    /// The id-indexed access table of `scop` and its ids, ascending.
+    fn table(scop: &scop::Scop) -> (Vec<&AccessNode>, Vec<usize>) {
+        let mut nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        nodes.sort_unstable_by_key(|a| a.id);
+        let ids = nodes.iter().map(|a| a.id).collect();
+        (nodes, ids)
     }
 
     fn empty_level() -> SymLevel {
@@ -250,11 +289,12 @@ mod tests {
 
     #[test]
     fn stencil_warps_to_the_end() {
-        let (scop, ids) = nodes_of(
+        let scop = parse_scop(
             "double A[1000]; double B[1000];\n\
              for (i = 1; i < 999; i++) B[i-1] = A[i-1] + A[i];",
-        );
-        let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        )
+        .unwrap();
+        let (nodes, ids) = table(&scop);
         let levels = vec![empty_level()];
         let plan = plan_warp(&nodes, &ids, &levels, &shifted(&levels), 1, &[], 5, 6, 998)
             .expect("warpable");
@@ -266,11 +306,12 @@ mod tests {
     fn mixed_coefficients_are_rejected() {
         // A[i] and A[2*i] shift differently per iteration: no single
         // bijection relates consecutive iterations (the example of §5.2).
-        let (scop, ids) = nodes_of(
+        let scop = parse_scop(
             "double A[4000];\n\
              for (i = 0; i < 1000; i++) A[i] = A[2*i];",
-        );
-        let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        )
+        .unwrap();
+        let (nodes, ids) = table(&scop);
         let levels = vec![empty_level()];
         assert!(plan_warp(&nodes, &ids, &levels, &shifted(&levels), 1, &[], 5, 6, 999).is_none());
     }
@@ -279,11 +320,12 @@ mod tests {
     fn unaligned_shift_is_rejected_until_period_matches() {
         // With 64-byte lines and 8-byte elements, a period of 1 shifts by 8
         // bytes (not line aligned), but a period of 8 shifts by a full line.
-        let (scop, ids) = nodes_of(
+        let scop = parse_scop(
             "double A[4000]; double B[4000];\n\
              for (i = 1; i < 3999; i++) B[i-1] = A[i-1] + A[i];",
-        );
-        let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        )
+        .unwrap();
+        let (nodes, ids) = table(&scop);
         let levels = vec![SymLevel::new(CacheConfig::with_sets(
             8,
             2,
@@ -308,11 +350,12 @@ mod tests {
 
     #[test]
     fn stale_cache_lines_block_warping() {
-        let (scop, ids) = nodes_of(
+        let scop = parse_scop(
             "double A[1000]; double B[1000];\n\
              for (i = 1; i < 999; i++) B[i-1] = A[i-1] + A[i];",
-        );
-        let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        )
+        .unwrap();
+        let (nodes, ids) = table(&scop);
         let mut level = empty_level();
         // A line labelled by an access node that is not part of the loop.
         level.access(MemBlock(123_456), AccessKind::Read, 99, &[0]);
@@ -326,11 +369,12 @@ mod tests {
         // froze after warm-up and holds lines — stale and descendant alike —
         // that do not shift.  As a shifted level the stale line would veto
         // any non-zero shift; marked frozen the plan goes through.
-        let (scop, ids) = nodes_of(
+        let scop = parse_scop(
             "double A[4000]; double B[4000];\n\
              for (i = 1; i < 3999; i++) B[i-1] = A[i-1] + A[i];",
-        );
-        let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        )
+        .unwrap();
+        let (nodes, ids) = table(&scop);
         let l1 = SymLevel::new(CacheConfig::with_sets(8, 2, 64, ReplacementPolicy::Lru));
         let mut outer = SymLevel::new(CacheConfig::with_sets(64, 4, 64, ReplacementPolicy::Lru));
         outer.access(MemBlock(123_456), AccessKind::Read, 99, &[0]);
@@ -351,28 +395,131 @@ mod tests {
     fn guarded_domains_truncate_the_window() {
         // The access only executes for i < 500; beyond that the pattern
         // changes, so warping must stop before the guard boundary.
-        let (scop, ids) = nodes_of(
+        let scop = parse_scop(
             "double A[2000]; double B[2000];\n\
              for (i = 1; i < 999; i++) if (i < 500) B[i-1] = A[i-1] + A[i];",
-        );
-        let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        )
+        .unwrap();
+        let (nodes, ids) = table(&scop);
         let levels = vec![empty_level()];
         let plan = plan_warp(&nodes, &ids, &levels, &shifted(&levels), 1, &[], 5, 6, 998)
             .expect("warp until guard");
         assert!(6 + plan.chunks < 500);
         assert!(6 + plan.chunks >= 498);
+        // The guard bounds the interval inside the window, so the
+        // polyhedral query, not the closed form, placed the fence.
+        for node in &nodes {
+            assert_eq!(closed_form_fence(&node.domain, &[], 0, 5, 998), None);
+        }
     }
 
     #[test]
     fn invariant_bodies_warp_with_zero_shift() {
         // The body touches the same element every iteration: π is the
         // identity and warping covers the whole loop.
-        let (scop, ids) = nodes_of("double A[10];\nfor (i = 0; i < 100; i++) A[0] = A[0];");
-        let nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        let scop = parse_scop("double A[10];\nfor (i = 0; i < 100; i++) A[0] = A[0];").unwrap();
+        let (nodes, ids) = table(&scop);
         let levels = vec![empty_level()];
         let plan = plan_warp(&nodes, &ids, &levels, &shifted(&levels), 1, &[], 1, 2, 99)
             .expect("identity warp");
         assert_eq!(plan.byte_shift_per_chunk, 0);
         assert_eq!(plan.chunks, 97);
+    }
+
+    /// A deterministic SplitMix64 stream of small integers.
+    struct Draw(u64);
+
+    impl Draw {
+        /// A value in `[lo, hi]`.
+        fn int(&mut self, lo: i64, hi: i64) -> i64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            lo + ((z ^ (z >> 31)) % (hi - lo + 1) as u64) as i64
+        }
+
+        fn rect(&mut self, dims: usize) -> BasicSet {
+            let bounds: Vec<(i64, i64)> = (0..dims)
+                .map(|_| {
+                    let lo = self.int(0, 3);
+                    (lo, lo + self.int(3, 12))
+                })
+                .collect();
+            BasicSet::rect(&bounds)
+        }
+
+        /// A box over `dims` dimensions with up to three extra constraints
+        /// (a triangular bound `x_b <= x_a`, a guard `x_d < c` or
+        /// `x_d >= c` on any dimension, the warped one and the outer ones
+        /// included, or an equality), sometimes joined by a second box.
+        fn domain(&mut self, dims: usize) -> Set {
+            let x = |d: usize| Aff::var(dims, d);
+            let mut basic = self.rect(dims);
+            for _ in 0..self.int(0, 3) {
+                let a = self.int(0, dims as i64 - 2) as usize;
+                let b = self.int(a as i64 + 1, dims as i64 - 1) as usize;
+                let d = self.int(0, dims as i64 - 1) as usize;
+                let c = self.int(0, 12);
+                basic = match self.int(0, 4) {
+                    0 => basic.with_ge(x(a).sub(&x(b))),
+                    1 => basic.with_gt(Aff::constant(dims, c).sub(&x(d))),
+                    2 => basic.with_ge(x(d).offset(-c)),
+                    3 => basic.with_eq(x(b).sub(&x(a)).offset(-self.int(-2, 2))),
+                    _ => basic.with_eq(x(d).offset(-c)),
+                };
+            }
+            let domain = Set::from_basic(basic);
+            if self.int(0, 4) == 0 {
+                domain.union(&Set::from_basic(self.rect(dims)))
+            } else {
+                domain
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_fence_agrees_with_the_polyhedral_oracle() {
+        let mut draw = Draw(23);
+        let (mut answered, mut nonempty, mut fallback) = (0, 0, 0);
+        for case in 0..1500 {
+            let dims = draw.int(2, 3) as usize;
+            let dim = draw.int(0, dims as i64 - 1) as usize;
+            let domain = draw.domain(dims);
+            let outer: Vec<i64> = (0..dim).map(|_| draw.int(-1, 8)).collect();
+            let period = draw.int(1, 4);
+            let v0 = draw.int(-1, 8);
+            let v_last = v0 + draw.int(0, 6);
+            let oracle = domain_periodicity_fence(&domain, &outer, dim, period, v0, v_last);
+            let Some(fence) = closed_form_fence(&domain, &outer, dim, v0, v_last) else {
+                fallback += 1;
+                continue;
+            };
+            assert_eq!(
+                Some(fence),
+                oracle,
+                "case {case}: {domain:?} at outer {outer:?}, dim {dim}, \
+                 period {period}, window [{v0}, {v_last}]"
+            );
+            answered += 1;
+            let mut window = domain.intersect_basic(
+                &BasicSet::universe(dims)
+                    .with_ge(Aff::var(dims, dim).offset(-v0))
+                    .with_ge(Aff::constant(dims, v_last).sub(&Aff::var(dims, dim))),
+            );
+            for (d, &v) in outer.iter().enumerate() {
+                window = window.fix_dim(d, v);
+            }
+            if window.is_empty() == Some(false) {
+                nonempty += 1;
+            }
+        }
+        // Both paths run, and the closed form answers windows that hold
+        // points, not only empty ones.
+        assert!(
+            answered >= 300 && fallback >= 300,
+            "{answered} / {fallback}"
+        );
+        assert!(nonempty >= 100, "{nonempty} of {answered}");
     }
 }

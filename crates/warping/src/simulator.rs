@@ -597,9 +597,8 @@ impl WarpingSimulator {
                 return None;
             }
         }
-        let descendants: Vec<&AccessNode> = l.accesses().iter().map(|&id| nodes[id]).collect();
         let plan = plan_warp(
-            &descendants,
+            nodes,
             l.accesses(),
             &self.levels,
             &modes,

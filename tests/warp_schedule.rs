@@ -68,6 +68,15 @@ fn fdtd_2d_plru() {
 }
 
 #[test]
+fn fdtd_2d_lru() {
+    check(
+        Kernel::Fdtd2d,
+        ReplacementPolicy::Lru,
+        (120, 5_295, 1_776, 1_776),
+    );
+}
+
+#[test]
 fn adi_plru() {
     check(
         Kernel::Adi,
