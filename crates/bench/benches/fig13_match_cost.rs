@@ -17,12 +17,12 @@ use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use engine::{Backend, Engine, KernelSpec, SimRequest};
 use std::time::Duration;
-use warping::WarpingOptions;
 
 /// A long-running kernel that re-scans a 4 KiB array: it overflows the
 /// 1 KiB L1 (so the outer level keeps being touched and its symbolic labels
 /// stay fresh) while occupying only 64 sets of any L3 — O(1) relative to
-/// the size sweep — and warps at the outer loop.
+/// the size sweep — and warps once at the outer loop (after 252 match
+/// attempts, at every outer size of the sweep).
 fn o1_touch_kernel() -> KernelSpec {
     KernelSpec::source(
         "rescan-512",
@@ -40,17 +40,6 @@ fn memory(outer_kib: u64) -> MemoryConfig {
     .unwrap()
 }
 
-/// Eager options so the match pipeline is exercised on every outer
-/// iteration until the warp lands.
-fn eager() -> WarpingOptions {
-    WarpingOptions {
-        eager_attempts: u64::MAX,
-        backoff_interval: 1,
-        min_trip_count: 0,
-        ..WarpingOptions::default()
-    }
-}
-
 fn bench_match_cost(criterion: &mut Criterion) {
     let engine = Engine::new();
     let kernel = o1_touch_kernel();
@@ -66,7 +55,7 @@ fn bench_match_cost(criterion: &mut Criterion) {
             |b, memory| {
                 b.iter(|| {
                     let request =
-                        SimRequest::new(kernel.clone(), memory.clone(), Backend::Warping(eager()));
+                        SimRequest::new(kernel.clone(), memory.clone(), Backend::warping());
                     black_box(engine.run(&request).expect("warping request"))
                 })
             },

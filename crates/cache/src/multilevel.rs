@@ -334,62 +334,6 @@ fn fills(config: &MemoryConfig, kind: AccessKind) -> bool {
     kind != AccessKind::Write || config.write_policy().allocates_on_write()
 }
 
-/// An epoch-aware snapshot of a [`MultiLevelState`].
-///
-/// A snapshot captures the full hierarchy state plus, per level, the epoch
-/// stamp of the last payload write (as maintained by
-/// [`MultiLevelState::access_stamped`]).  Interval samplers use the epochs
-/// to decide, on resumption, which levels are *live* (written recently
-/// enough that skipping ahead leaves them wrong — they need a warm-up
-/// prefix) and which are *stale* (untouched since before the skipped
-/// region — safe to carry forward unchanged, exactly the frozen-level
-/// argument of relative-label addressing).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StateSnapshot {
-    levels: Vec<FlatLevel>,
-}
-
-impl StateSnapshot {
-    /// Captures the current state of `state`, epochs included.  O(touched
-    /// rows): [`FlatLevel`]'s clone copies the slab and rebuilds a zeroed
-    /// directory.
-    pub fn capture(state: &MultiLevelState) -> Self {
-        StateSnapshot {
-            levels: state.levels.clone(),
-        }
-    }
-
-    /// Number of captured levels.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The scalar epoch of level `idx`: the stamp of its last payload
-    /// write, or `i64::MIN` if the level was never stamped.
-    pub fn level_epoch(&self, idx: usize) -> i64 {
-        self.levels[idx].epoch()
-    }
-
-    /// Indices of levels whose last payload write predates `horizon` —
-    /// the levels provably unaffected by anything that happened at or
-    /// after that stamp.
-    pub fn stale_levels(&self, horizon: i64) -> Vec<usize> {
-        (0..self.levels.len())
-            .filter(|&idx| self.level_epoch(idx) < horizon)
-            .collect()
-    }
-
-    /// Whether every captured level is stale relative to `horizon`.
-    pub fn all_stale(&self, horizon: i64) -> bool {
-        self.stale_levels(horizon).len() == self.levels.len()
-    }
-
-    /// Reconstructs a [`MultiLevelState`] from the snapshot.
-    pub fn restore(&self) -> MultiLevelState {
-        MultiLevelState::from_levels(self.levels.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,18 +393,13 @@ mod tests {
         let mut state = MultiLevelState::new(&config);
         // A cold miss consults (and fills) every level: all stamped.
         state.access_stamped(&config, Access::read(0), 7);
-        let snap = StateSnapshot::capture(&state);
-        assert_eq!(snap.level_epoch(0), 7);
-        assert_eq!(snap.level_epoch(1), 7);
-        assert_eq!(snap.level_epoch(2), 7);
+        let epochs = |state: &MultiLevelState| -> Vec<i64> {
+            state.levels().iter().map(FlatLevel::epoch).collect()
+        };
+        assert_eq!(epochs(&state), vec![7, 7, 7]);
         // An L1 hit touches only the L1: outer levels keep their stamp.
         state.access_stamped(&config, Access::read(0), 9);
-        let snap = StateSnapshot::capture(&state);
-        assert_eq!(snap.level_epoch(0), 9);
-        assert_eq!(snap.level_epoch(1), 7);
-        assert_eq!(snap.stale_levels(8), vec![1, 2]);
-        assert!(!snap.all_stale(8));
-        assert!(snap.all_stale(10));
+        assert_eq!(epochs(&state), vec![9, 7, 7]);
     }
 
     #[test]
@@ -468,14 +407,12 @@ mod tests {
         let config = tiny_three_level().with_write_policy(WritePolicy::WriteThroughNoAllocate);
         let mut state = MultiLevelState::new(&config);
         state.access_stamped(&config, Access::write(0), 3);
-        let snap = StateSnapshot::capture(&state);
-        assert_eq!(snap.level_epoch(0), i64::MIN, "nothing was written");
+        assert_eq!(state.levels()[0].epoch(), i64::MIN, "nothing was written");
         // After a read allocates, a write hit stamps the hitting level only.
         state.access_stamped(&config, Access::read(0), 4);
         state.access_stamped(&config, Access::write(0), 5);
-        let snap = StateSnapshot::capture(&state);
-        assert_eq!(snap.level_epoch(0), 5);
-        assert_eq!(snap.level_epoch(1), 4);
+        assert_eq!(state.levels()[0].epoch(), 5);
+        assert_eq!(state.levels()[1].epoch(), 4);
     }
 
     #[test]
@@ -485,14 +422,17 @@ mod tests {
         for b in [0u64, 2, 4, 0, 6] {
             state.access_stamped(&config, Access::read(b * 64), b as i64);
         }
-        let snap = StateSnapshot::capture(&state);
-        let restored = snap.restore();
-        assert_eq!(restored, state);
-        // The restored copy diverges independently of the original.
-        let mut forked = snap.restore();
+        let snap = state.clone();
+        assert_eq!(snap, state);
+        // `FlatLevel` equality ignores epochs, so compare them one by one.
+        for (a, b) in snap.levels().iter().zip(state.levels()) {
+            assert_eq!(a.epoch(), b.epoch());
+        }
+        // A copy of the snapshot diverges independently of the original.
+        let mut forked = snap.clone();
         forked.access_block(MemBlock(99));
         assert_ne!(forked, state);
-        assert_eq!(snap.restore(), state, "snapshot itself is unchanged");
+        assert_eq!(snap, state, "snapshot itself is unchanged");
     }
 
     #[test]

@@ -200,10 +200,6 @@ impl SimRequest {
     pub fn config_text(&self) -> String {
         let memory = serde_json::to_string(&self.memory).expect("memory configs serialize");
         let backend = match &self.backend {
-            // Every warping option shapes the report (the tuning knobs
-            // change the telemetry block even when miss counts agree), so
-            // the whole option record is part of the address.
-            Backend::Warping(options) => format!("warping:{options:?}"),
             // The sampling knobs change the extrapolated counts and the
             // error bound, so approximate reports at different rates never
             // share an address — and, crucially, never share one with an
@@ -230,7 +226,6 @@ impl SimRequest {
 mod tests {
     use super::*;
     use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy, WritePolicy};
-    use warping::WarpingOptions;
 
     fn request(code: &str) -> SimRequest {
         SimRequest::new(
@@ -302,13 +297,6 @@ mod tests {
         let mut other = base.clone();
         other.backend = Backend::Classic;
         assert_ne!(base_hash, other.canonical_hash(), "backend");
-
-        let mut other = base.clone();
-        other.backend = Backend::Warping(WarpingOptions {
-            eager_attempts: WarpingOptions::DEFAULT.eager_attempts + 1,
-            ..WarpingOptions::default()
-        });
-        assert_ne!(base_hash, other.canonical_hash(), "warping options");
     }
 
     const TEMPLATE: &str = "param N;\n\

@@ -83,7 +83,7 @@ pub enum EngineError {
         /// What is unsupported.
         message: String,
     },
-    /// The backend's tuning options (warping or sampling) fail validation.
+    /// The sampling backend's options fail validation.
     InvalidOptions(String),
     /// The simulation panicked; the payload is the panic message.
     Panicked(String),
@@ -168,7 +168,7 @@ impl Engine {
     /// [`EngineError::Kernel`] if the kernel does not build,
     /// [`EngineError::UnsupportedMemory`] if the backend cannot simulate
     /// the requested memory system, and [`EngineError::InvalidOptions`] for
-    /// degenerate warping options.
+    /// invalid sampling options.
     pub fn run(&self, request: &SimRequest) -> Result<SimReport, EngineError> {
         self.run_warm(request, None).map(|(report, _)| report)
     }
@@ -212,13 +212,8 @@ impl Engine {
                 let result = simulate(&scop, &mut system);
                 (result, None, true, None)
             }
-            Backend::Warping(options) => {
-                options
-                    .validate()
-                    .map_err(|e| EngineError::InvalidOptions(e.to_string()))?;
-                let outcome = WarpingSimulator::new(memory.clone())
-                    .with_options(*options)
-                    .run(&scop);
+            Backend::Warping => {
+                let outcome = WarpingSimulator::new(memory.clone()).run(&scop);
                 let stats = WarpingStats::from(&outcome);
                 (outcome.result, Some(stats), true, None)
             }
@@ -567,23 +562,6 @@ mod tests {
             .run(&SimRequest::new(stencil(), plru, Backend::PolyCache))
             .unwrap_err();
         assert!(matches!(err, EngineError::UnsupportedMemory { .. }));
-    }
-
-    #[test]
-    fn invalid_warping_options_are_rejected() {
-        let engine = Engine::new();
-        let options = warping::WarpingOptions {
-            backoff_interval: 0,
-            ..warping::WarpingOptions::default()
-        };
-        let err = engine
-            .run(&SimRequest::new(
-                stencil(),
-                fa_lru(),
-                Backend::Warping(options),
-            ))
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidOptions(_)));
     }
 
     #[test]

@@ -6,7 +6,6 @@ use cache_model::MemoryConfig;
 use polybench::{Dataset, Kernel};
 use scop::{parse_scop, ParamBindings, ParametricScop, Scop};
 use serde::{Deserialize, Serialize, Value};
-use warping::WarpingOptions;
 
 /// The kernel a request simulates.
 #[derive(Clone, PartialEq, Debug)]
@@ -145,7 +144,7 @@ pub enum Backend {
     Classic,
     /// Warping symbolic simulation (Algorithm 2); exact for any memory
     /// depth.
-    Warping(WarpingOptions),
+    Warping,
     /// HayStack-style stack-distance model of a fully-associative LRU
     /// cache; single-level memory systems.
     Haystack,
@@ -165,20 +164,20 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The paper's five evaluated backends, warping with default options
-    /// (in the order of the paper's evaluation).  The approximate
-    /// [`Backend::Sampled`] is deliberately not part of this list.
+    /// The paper's five evaluated backends (in the order of the paper's
+    /// evaluation).  The approximate [`Backend::Sampled`] is deliberately
+    /// not part of this list.
     pub const ALL: [Backend; 5] = [
         Backend::Classic,
-        Backend::Warping(WarpingOptions::DEFAULT),
+        Backend::Warping,
         Backend::Haystack,
         Backend::PolyCache,
         Backend::Trace,
     ];
 
-    /// The warping backend with default tuning options.
+    /// The warping backend.
     pub fn warping() -> Self {
-        Backend::Warping(WarpingOptions::default())
+        Backend::Warping
     }
 
     /// The sampling backend with default tuning options (~10% rate, one
@@ -191,7 +190,7 @@ impl Backend {
     pub fn label(&self) -> &'static str {
         match self {
             Backend::Classic => "classic",
-            Backend::Warping(_) => "warping",
+            Backend::Warping => "warping",
             Backend::Haystack => "haystack",
             Backend::PolyCache => "polycache",
             Backend::Trace => "trace",
@@ -199,8 +198,8 @@ impl Backend {
         }
     }
 
-    /// Parses a backend from its [`label`](Backend::label) (warping and
-    /// sampled get their default options).
+    /// Parses a backend from its [`label`](Backend::label) (sampled gets
+    /// its default options).
     pub fn by_name(name: &str) -> Option<Backend> {
         match name {
             "classic" => Some(Backend::Classic),
@@ -401,9 +400,8 @@ pub fn dataset_by_name(name: &str) -> Option<Dataset> {
 
 impl Serialize for Backend {
     fn serialize_value(&self) -> Value {
-        // Backends at their default options stay bare name strings (the
-        // historical wire form); only non-default sampling options need
-        // the object form.
+        // Backends stay bare name strings (the historical wire form); only
+        // non-default sampling options need the object form.
         if let Backend::Sampled(options) = self {
             if *options != SamplingOptions::DEFAULT {
                 return Value::Object(vec![
@@ -430,12 +428,22 @@ impl Deserialize for Backend {
             return Backend::by_name(name).ok_or_else(|| format!("unknown backend `{name}`"));
         }
         // Object form: `{"name":"sampled","rate_ppm":…,"warmup":…,
-        // "max_error":…}` — every field beyond `name` optional, defaulted.
+        // "max_error":…}` — every field beyond `name` optional, defaulted,
+        // and any other key refused rather than silently ignored.
         let name = value
             .get("name")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("expected a backend name or object, got {value:?}"))?;
         let backend = Backend::by_name(name).ok_or_else(|| format!("unknown backend `{name}`"))?;
+        let keys: &[&str] = match backend {
+            Backend::Sampled(_) => &["name", "rate_ppm", "warmup", "max_error"],
+            _ => &["name"],
+        };
+        if let Value::Object(fields) = value {
+            if let Some((key, _)) = fields.iter().find(|(key, _)| !keys.contains(&key.as_str())) {
+                return Err(format!("backend `{name}` has no option `{key}`"));
+            }
+        }
         let Backend::Sampled(mut options) = backend else {
             return Ok(backend);
         };
@@ -565,6 +573,27 @@ mod tests {
             &serde_json::from_str::<serde::Value>(text).expect("valid JSON"),
         )
         .expect_err("zero rate must be rejected");
+    }
+
+    #[test]
+    fn backend_objects_refuse_unknown_keys() {
+        for (text, key) in [
+            (r#"{"name":"sampled","rate":0.01}"#, "rate"),
+            (r#"{"name":"warping","eager_attempts":1}"#, "eager_attempts"),
+            (r#"{"name":"classic","rate_ppm":1000}"#, "rate_ppm"),
+        ] {
+            let err = Backend::deserialize_value(
+                &serde_json::from_str::<serde::Value>(text).expect("valid JSON"),
+            )
+            .expect_err("unknown keys must be rejected");
+            assert!(err.contains(&format!("`{key}`")), "{text}: {err}");
+        }
+        let text = r#"{"name":"warping"}"#;
+        let bare = Backend::deserialize_value(
+            &serde_json::from_str::<serde::Value>(text).expect("valid JSON"),
+        )
+        .expect("a name-only object deserializes");
+        assert_eq!(bare, Backend::Warping);
     }
 
     #[test]

@@ -45,10 +45,8 @@
 //! How much warm-up is needed depends on how much of the hierarchy is
 //! *live*: before each resumption the sampler reads every level's epoch
 //! (the stamp of its last payload write, maintained by
-//! [`MultiLevelState::access_stamped`] — the same signal
-//! [`StateSnapshot::stale_levels`] exposes on a captured snapshot) and
-//! counts the levels whose epoch reaches back into the last measured
-//! interval.
+//! [`MultiLevelState::access_stamped`]) and counts the levels whose epoch
+//! reaches back into the last measured interval.
 //! Levels untouched since before it are frozen — the relative-label
 //! argument of the warping pipeline says carrying them forward is safe —
 //! so the warm-up width is `warmup × live_levels`, clamped to the gap:
@@ -88,7 +86,7 @@
 //! reproduces the classic backend bit-for-bit.
 
 use crate::report::ApproxStats;
-use cache_model::{LevelStats, MemoryConfig, MultiLevelState, StateSnapshot};
+use cache_model::{LevelStats, MemoryConfig, MultiLevelState};
 use scop::{compile, for_each_group_at, CompiledLoop, CompiledNode, Scop, WalkScratch};
 use simulate::{simulate, MultiLevelSystem, SimulationResult};
 use warping::fingerprint::concrete_fingerprint;
@@ -354,10 +352,8 @@ impl<'a> Sampler<'a> {
     }
 
     /// Levels whose last payload write reaches `horizon` or later — the
-    /// re-convergence set of a resumption.  The in-place equivalent of
-    /// [`StateSnapshot::stale_levels`]: reading the epochs directly keeps
-    /// the per-gap check free of the two full-state clones a
-    /// capture/restore round trip would cost.
+    /// re-convergence set of a resumption.  The epochs are read in place,
+    /// so the per-gap check copies no state.
     fn live_levels(&self, horizon: i64) -> usize {
         self.state
             .levels()
@@ -650,7 +646,7 @@ impl<'a> Sampler<'a> {
                 // bound tightness.
                 let last = (si + 1).min(schedule.len() - 1);
                 let region_start = prev_end;
-                let rewind = StateSnapshot::capture(&self.state);
+                let rewind = self.state.clone();
                 let mut shadow = vec![LevelStats::default(); depth];
                 let mut left = measured
                     .last()
@@ -678,7 +674,7 @@ impl<'a> Sampler<'a> {
                     left = probe;
                     sprev_end = sj + 1;
                 }
-                self.state = rewind.restore();
+                self.state = rewind;
                 let mut truth = vec![LevelStats::default(); depth];
                 for &tj in &schedule[si..=last] {
                     let tgap = tj - prev_end;

@@ -252,16 +252,5 @@ proptest! {
             let other = request(render(&shape, &spelling), memory.clone(), backend);
             prop_assert!(base_hash != other.canonical_hash());
         }
-        let mut options = warping::WarpingOptions::default();
-        options.eager_attempts += 1;
-        let other = request(
-            render(&shape, &spelling),
-            memory.clone(),
-            Backend::Warping(options),
-        );
-        prop_assert!(
-            base_hash != other.canonical_hash(),
-            "warping option changes must re-address the request"
-        );
     }
 }

@@ -491,7 +491,7 @@ impl SimService {
         let budget = self.exact_budget?;
         if !matches!(
             request.backend,
-            Backend::Classic | Backend::Warping(_) | Backend::Trace
+            Backend::Classic | Backend::Warping | Backend::Trace
         ) {
             return None;
         }

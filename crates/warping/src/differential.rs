@@ -4,12 +4,12 @@
 //! policies.  This is the central correctness property of the paper: warping
 //! only accelerates the simulation, it never changes its outcome.
 
+use crate::WarpingSimulator;
 use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use proptest::prelude::*;
 use scop::ast::{access, assign, for_loop_strided, Expr, Program, Statement};
 use scop::{elaborate, ElaborateOptions, Scop};
 use simulate::simulate_memory;
-use warping::{WarpingOptions, WarpingSimulator};
 
 /// A randomly generated affine index expression `c0 + c1*i (+ c2*j)`.
 fn arb_index(depth: usize) -> impl Strategy<Value = Expr> {
@@ -112,18 +112,6 @@ fn arb_cache() -> impl Strategy<Value = CacheConfig> {
         .prop_map(|(policy, sets, assoc, line)| CacheConfig::with_sets(sets, assoc, line, policy))
 }
 
-/// Aggressive options so that warping is attempted as often as possible,
-/// maximising the chance of exposing an unsound warp.
-fn eager() -> WarpingOptions {
-    WarpingOptions {
-        eager_attempts: u64::MAX,
-        backoff_interval: 1,
-        max_map_entries: 1 << 16,
-        min_trip_count: 0,
-        max_fruitless_attempts: u64::MAX,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -132,7 +120,7 @@ proptest! {
         let scop = build(&program);
         let memory = MemoryConfig::from(config.clone());
         let reference = simulate_memory(&scop, &memory);
-        let outcome = WarpingSimulator::new(memory).with_options(eager()).run(&scop);
+        let outcome = WarpingSimulator::new(memory).eager().run(&scop);
         prop_assert_eq!(outcome.result, reference, "config: {:?}", config);
         prop_assert_eq!(
             outcome.non_warped_accesses + outcome.warped_accesses,
@@ -154,7 +142,7 @@ proptest! {
         .unwrap();
         let reference = simulate_memory(&scop, &config);
         let outcome = WarpingSimulator::new(config)
-            .with_options(eager())
+            .eager()
             .run(&scop);
         prop_assert_eq!(outcome.result, reference);
     }
@@ -190,7 +178,7 @@ proptest! {
         );
         // The same holds through the warping simulator.
         let warped = WarpingSimulator::new(extended)
-            .with_options(eager())
+            .eager()
             .run(&scop);
         prop_assert_eq!(warped.result, with);
     }
@@ -214,7 +202,7 @@ proptest! {
         let scop = build(&program);
         let memory = MemoryConfig::from(config);
         let reference = simulate_memory(&scop, &memory);
-        let outcome = WarpingSimulator::new(memory).with_options(eager()).run(&scop);
+        let outcome = WarpingSimulator::new(memory).eager().run(&scop);
         prop_assert_eq!(outcome.result, reference);
     }
 }
@@ -232,9 +220,7 @@ fn stencil_exact_across_policies_and_geometries() {
         for (sets, assoc, line) in [(1, 2, 8), (4, 2, 8), (64, 8, 64), (16, 4, 32)] {
             let config = MemoryConfig::from(CacheConfig::with_sets(sets, assoc, line, policy));
             let reference = simulate_memory(&scop, &config);
-            let outcome = WarpingSimulator::new(config.clone())
-                .with_options(eager())
-                .run(&scop);
+            let outcome = WarpingSimulator::new(config.clone()).eager().run(&scop);
             assert_eq!(
                 outcome.result, reference,
                 "policy {policy}, sets {sets}, assoc {assoc}, line {line}"

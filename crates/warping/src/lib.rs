@@ -62,6 +62,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod differential;
 pub mod fingerprint;
 pub mod key;
 pub mod plan;
@@ -71,5 +73,5 @@ pub mod symstate;
 pub use fingerprint::FingerprintTracker;
 pub use key::CanonicalKey;
 pub use plan::{LevelWarpMode, WarpPlan};
-pub use simulator::{InvalidWarpingOptions, WarpingOptions, WarpingOutcome, WarpingSimulator};
+pub use simulator::{WarpingOutcome, WarpingSimulator};
 pub use symstate::{SymLabel, SymLevel, SymSet};

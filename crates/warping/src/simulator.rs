@@ -21,6 +21,32 @@
 //! third sighting can match exactly and warp.  Loops whose states never
 //! recur therefore never pay for key construction at all.
 //!
+//! # The match schedule
+//!
+//! Soundness never depends on when matches are attempted: a warp needs an
+//! exact key match whatever the schedule.  The schedule only trades the
+//! cost of attempts against the chance of finding a period, and it is one
+//! set of constants:
+//!
+//! * **Eager attempts (32).**  Each loop execution attempts a match on its
+//!   first 32 iterations, so periods of up to 32 iterations — a few cache
+//!   lines of a unit-stride stencil — are found on the shortest path.
+//! * **Backoff (16).**  After the eager phase, attempts happen every 16th
+//!   iteration.  Longer periods are still found (as multiples of 16),
+//!   while a loop that never warps pays for 1 attempt in 16 iterations.
+//! * **Map cap (4,096).**  At most 4,096 states are remembered per loop
+//!   execution, which bounds the memory of a loop whose states never
+//!   recur; a state that cannot be remembered counts as fruitless.
+//! * **Minimum trip count (24).**  Loop entries with fewer iterations are
+//!   walked without attempts: a warp could skip too little to repay the
+//!   fingerprints and keys of the attempts before it.
+//! * **Fruitless budget (512).**  A loop node stops attempting after 512
+//!   costly attempts without a warp, summed over its executions.  An
+//!   attempt is costly when it built an exact key or could not remember
+//!   its state; attempts the fingerprint dismisses are nearly free and do
+//!   not count, so matches that appear only after the cache warms up are
+//!   still found.  A warp resets the count.
+//!
 //! # The explicit walk
 //!
 //! Between warps the simulator walks the compiled SCoP ([`scop::compile()`])
@@ -56,7 +82,6 @@ use cache_model::{LevelStats, MemoryConfig};
 use scop::{compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, Scop, WalkScratch};
 use simulate::SimulationResult;
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
@@ -128,96 +153,42 @@ impl WarpingOutcome {
     }
 }
 
-/// Tuning knobs of the warping simulator.
-///
-/// The defaults keep the overhead of key construction small on loops that
-/// never warp while still finding matches whose period is a small multiple
-/// of the cache-line phase.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct WarpingOptions {
-    /// Number of initial iterations of each loop execution during which a
-    /// match is attempted on every iteration.
-    pub eager_attempts: u64,
-    /// After the eager phase, matches are attempted every `backoff_interval`
-    /// iterations.  This bounds the overhead of key construction on loops
-    /// that never warp.
-    pub backoff_interval: u64,
-    /// Maximum number of symbolic states remembered per loop execution.
-    pub max_map_entries: usize,
-    /// Loops whose trip count (for the current outer iteration) is below
-    /// this threshold are simulated without attempting to warp: the possible
-    /// gain cannot amortise the cost of key construction.
-    pub min_trip_count: i64,
-    /// Warping is abandoned for a loop node after this many *costly* match
-    /// attempts (across all executions of the node) that did not lead to a
-    /// warp.  An attempt counts as costly when it paid for an exact
-    /// canonical-key construction, or when it could not even remember the
-    /// state because the match map was full; attempts that the fingerprint
-    /// phase dismisses cheaply do not count, since the knob exists to cap
-    /// overhead, not opportunity.  This bounds the cost on loops whose
-    /// states never recur while still allowing matches that only appear
-    /// after the cache has warmed up.
-    pub max_fruitless_attempts: u64,
+/// When to attempt a match, how many states to remember and when to give
+/// up (see the module documentation for the reasons behind each value).
+struct Schedule {
+    /// Attempts on each loop execution before the backoff starts.
+    eager_attempts: u64,
+    /// Iterations between attempts after the eager phase.
+    backoff_interval: u64,
+    /// States remembered per loop execution.
+    max_map_entries: usize,
+    /// Loop entries with fewer iterations never attempt a match.
+    min_trip_count: i64,
+    /// Costly attempts without a warp after which a loop node stops
+    /// attempting.
+    max_fruitless_attempts: u64,
 }
 
-impl Default for WarpingOptions {
-    fn default() -> Self {
-        WarpingOptions::DEFAULT
-    }
-}
+/// The one match schedule.
+const SCHEDULE: Schedule = Schedule {
+    eager_attempts: 32,
+    backoff_interval: 16,
+    max_map_entries: 4096,
+    min_trip_count: 24,
+    max_fruitless_attempts: 512,
+};
 
-impl WarpingOptions {
-    /// The default tuning, as a `const` so it can appear in constant
-    /// contexts (e.g. backend tables).
-    pub const DEFAULT: WarpingOptions = WarpingOptions {
-        eager_attempts: 32,
-        backoff_interval: 16,
-        max_map_entries: 4096,
-        min_trip_count: 24,
-        max_fruitless_attempts: 512,
-    };
-
-    /// Checks the options for values that would make the simulator loop or
-    /// thrash instead of warping.
-    ///
-    /// # Errors
-    ///
-    /// * `backoff_interval == 0` — the match-attempt schedule would divide
-    ///   by zero once the eager phase ends.
-    /// * `max_map_entries == 0` — no symbolic state could ever be
-    ///   remembered, so every match attempt would pay the key-construction
-    ///   cost without any chance of a warp.
-    pub fn validate(&self) -> Result<(), InvalidWarpingOptions> {
-        if self.backoff_interval == 0 {
-            return Err(InvalidWarpingOptions {
-                message: "backoff_interval must be positive (0 would divide by zero in the \
-                          match-attempt schedule)",
-            });
-        }
-        if self.max_map_entries == 0 {
-            return Err(InvalidWarpingOptions {
-                message: "max_map_entries must be positive (0 would attempt matches without \
-                          ever remembering a state, thrashing instead of warping)",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// An invalid [`WarpingOptions`] value, reported by
-/// [`WarpingOptions::validate`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct InvalidWarpingOptions {
-    message: &'static str,
-}
-
-impl fmt::Display for InvalidWarpingOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.message)
-    }
-}
-
-impl std::error::Error for InvalidWarpingOptions {}
+/// The differential oracle's schedule: attempt on every iteration of every
+/// loop, remember up to 65,536 states and never give up, maximising the
+/// chance of exposing an unsound warp.
+#[cfg(test)]
+const EAGER: Schedule = Schedule {
+    eager_attempts: u64::MAX,
+    backoff_interval: 1,
+    max_map_entries: 1 << 16,
+    min_trip_count: 0,
+    max_fruitless_attempts: u64::MAX,
+};
 
 /// Per-entry bookkeeping of the per-loop match map of Algorithm 2, keyed by
 /// the rolling fingerprint.
@@ -259,7 +230,6 @@ struct Counters {
 #[derive(Clone, Debug)]
 pub struct WarpingSimulator {
     levels: Vec<SymLevel>,
-    options: WarpingOptions,
     accesses: u64,
     warped_accesses: u64,
     warps: u64,
@@ -278,6 +248,9 @@ pub struct WarpingSimulator {
     /// key-per-attempt pipeline, kept as the unit oracle of the filter.
     #[cfg(test)]
     exhaustive: bool,
+    /// Runs the [`EAGER`] schedule instead of [`SCHEDULE`].
+    #[cfg(test)]
+    eager: bool,
 }
 
 impl WarpingSimulator {
@@ -293,7 +266,6 @@ impl WarpingSimulator {
                 .iter()
                 .map(|level| SymLevel::new(level.clone()))
                 .collect(),
-            options: WarpingOptions::default(),
             accesses: 0,
             warped_accesses: 0,
             warps: 0,
@@ -306,21 +278,24 @@ impl WarpingSimulator {
             fruitless: Vec::new(),
             #[cfg(test)]
             exhaustive: false,
+            #[cfg(test)]
+            eager: false,
         }
     }
 
-    /// Overrides the tuning options.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the options fail [`WarpingOptions::validate`]
-    /// (`backoff_interval == 0` or `max_map_entries == 0`).
-    pub fn with_options(mut self, options: WarpingOptions) -> Self {
-        if let Err(e) = options.validate() {
-            panic!("invalid warping options: {e}");
-        }
-        self.options = options;
+    /// Switches to the [`EAGER`] schedule of the differential oracle.
+    #[cfg(test)]
+    pub(crate) fn eager(mut self) -> Self {
+        self.eager = true;
         self
+    }
+
+    fn schedule(&self) -> &'static Schedule {
+        #[cfg(test)]
+        if self.eager {
+            return &EAGER;
+        }
+        &SCHEDULE
     }
 
     /// Simulates a SCoP and returns the outcome.  The cache state persists
@@ -449,7 +424,7 @@ impl WarpingSimulator {
         // iterators (the match map stores the *earlier* state), and
         // extending it to negative periods is an open ROADMAP item.
         let warpable = l.stride > 0
-            && entry.trip_count() >= self.options.min_trip_count
+            && entry.trip_count() >= self.schedule().min_trip_count
             && l.uniform_coefficient().is_some();
         let mut fruitless = self.fruitless[l.index];
         let mut map: HashMap<u64, MatchEntry> = HashMap::new();
@@ -458,7 +433,7 @@ impl WarpingSimulator {
         l.enter(&mut self.scratch, v);
         loop {
             if warpable
-                && fruitless < self.options.max_fruitless_attempts
+                && fruitless < self.schedule().max_fruitless_attempts
                 && self.should_attempt(iteration_index)
             {
                 if let Some(jump) =
@@ -527,7 +502,7 @@ impl WarpingSimulator {
             }
         };
         let Some(entry) = map.get(&slot) else {
-            if map.len() < self.options.max_map_entries {
+            if map.len() < self.schedule().max_map_entries {
                 map.insert(
                     slot,
                     MatchEntry {
@@ -662,8 +637,9 @@ impl WarpingSimulator {
     }
 
     fn should_attempt(&self, iteration_index: u64) -> bool {
-        iteration_index < self.options.eager_attempts
-            || iteration_index.is_multiple_of(self.options.backoff_interval)
+        let schedule = self.schedule();
+        iteration_index < schedule.eager_attempts
+            || iteration_index.is_multiple_of(schedule.backoff_interval)
     }
 }
 
@@ -776,39 +752,6 @@ mod tests {
         let reference = simulate_memory(&scop, &config);
         let outcome = WarpingSimulator::new(config).run(&scop);
         assert_eq!(outcome.result, reference);
-    }
-
-    #[test]
-    fn options_validation_rejects_degenerate_knobs() {
-        assert!(WarpingOptions::default().validate().is_ok());
-        let zero_backoff = WarpingOptions {
-            backoff_interval: 0,
-            ..WarpingOptions::default()
-        };
-        assert!(zero_backoff
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("backoff_interval"));
-        let zero_map = WarpingOptions {
-            max_map_entries: 0,
-            ..WarpingOptions::default()
-        };
-        assert!(zero_map
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("max_map_entries"));
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff_interval")]
-    fn with_options_panics_on_zero_backoff() {
-        let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let _ = WarpingSimulator::new(MemoryConfig::from(config)).with_options(WarpingOptions {
-            backoff_interval: 0,
-            ..WarpingOptions::default()
-        });
     }
 
     #[test]

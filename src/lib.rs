@@ -100,5 +100,5 @@ pub mod prelude {
         simulate, simulate_memory, MemorySystem, MultiLevelSystem, SimulationResult,
     };
     pub use trace_sim::{dinero_style_simulation, generate_trace, HardwareReference};
-    pub use warping::{WarpingOptions, WarpingOutcome, WarpingSimulator};
+    pub use warping::{WarpingOutcome, WarpingSimulator};
 }
