@@ -308,9 +308,9 @@ impl MultiLevelState {
 }
 
 /// The number of accesses of a stream at `addr` moving `stride` bytes per
-/// access that stay on `addr`'s line, that one included (`u64::MAX` for a
-/// zero stride).
-fn line_span(addr: i64, stride: i64, line: i64) -> u64 {
+/// access that stay on `addr`'s line of `line` bytes, that one included
+/// (`u64::MAX` for a zero stride).
+pub fn line_span(addr: i64, stride: i64, line: i64) -> u64 {
     if stride == 0 {
         return u64::MAX;
     }

@@ -35,7 +35,8 @@
 //!   the entry where a clipped interval starts or ends, and emits one
 //!   [`RunGroup`] per piece: the accesses whose guards hold there, in
 //!   program order, as streams advanced in lockstep (`base`, `stride`
-//!   per stream, one `count`).  Every other access is a one-access group.
+//!   per stream, one `count`, and the iterator value `first` of the
+//!   first round).  Every other access is a one-access group.
 //!   The cache layer replays a group round by round and counts the
 //!   rounds of a same-line stretch arithmetically once one is all L1
 //!   hits (see `MultiLevelState::access_group`); [`AccessRun`]s
@@ -46,9 +47,11 @@
 //! [`CompiledLoop::entry`] gives its first and last value in walk order
 //! (decreasing loops walk lexmax-first) and whether every grid value is
 //! in the domain.  The group stream ([`CompiledScop::for_each_group`]),
-//! the warping simulator's explicit walk (one iteration at a time, so its
-//! match attempts see every iteration) and the sampler's outer-iteration
-//! enumeration all step compiled nodes through it, with
+//! the warping simulator's explicit walk (one iteration at a time wherever
+//! a match attempt can fire, so its attempts see every iteration, and one
+//! entry's groups at a time elsewhere, [`CompiledLoop::for_each_group`])
+//! and the sampler's outer-iteration enumeration all step compiled nodes
+//! through it, with
 //! [`CompiledLoop::enter`]/[`advance`](CompiledLoop::advance)/
 //! [`leave`](CompiledLoop::leave) carrying the strength-reduced
 //! addresses of a [`WalkScratch`] along.
@@ -97,7 +100,8 @@ impl AccessRun {
 /// order.  The walk emits one group per guard-uniform stretch of an
 /// innermost loop whose body is all accesses (the streams are the accesses
 /// whose guards hold there, in program order), and a `k = 1` group of
-/// one access everywhere else.
+/// one access everywhere else.  Round `r` runs at innermost iterator value
+/// `first + r·stride`, where `stride` is the loop's.
 #[derive(Clone, Copy, Debug)]
 pub struct RunGroup<'a> {
     /// Id of the access node of each stream.
@@ -110,6 +114,9 @@ pub struct RunGroup<'a> {
     pub kinds: &'a [AccessKind],
     /// Number of rounds (always ≥ 1).
     pub count: u64,
+    /// The innermost iterator value of the first round (0 for an access
+    /// outside every loop).
+    pub first: i64,
 }
 
 impl RunGroup<'_> {
@@ -396,6 +403,23 @@ impl CompiledLoop {
         for &(slot, c) in &self.deltas {
             scratch.bases[slot] += c * by;
         }
+    }
+
+    /// Walks the run groups of one entry of a group-walked loop (a body of
+    /// accesses only, see [`RunGroup`]), with `scratch` positioned at the
+    /// entry's outer iteration vector, as [`CompiledLoop::entry`] derived
+    /// it.  Returns the number of dynamic accesses covered, or `None`
+    /// (visiting nothing) when the loop has no group body.
+    pub fn for_each_group(
+        &self,
+        entry: &LoopEntry,
+        scratch: &mut WalkScratch,
+        mut visit: impl FnMut(&RunGroup),
+    ) -> Option<u64> {
+        let body = self.group.as_deref()?;
+        let mut count = 0;
+        emit_groups(self, body, entry, scratch, &mut visit, &mut count);
+        Some(count)
     }
 
     /// Closes the loop's dimension, undoing its contribution to the bases.
@@ -733,6 +757,7 @@ fn walk(
                     strides: &[0],
                     kinds: slice::from_ref(&a.kind),
                     count: 1,
+                    first: scratch.iv.last().copied().unwrap_or(0),
                 });
                 *count += 1;
             }
@@ -832,6 +857,7 @@ fn emit_groups(
                 strides: &body.strides,
                 kinds: &body.kinds,
                 count: (end - start) as u64,
+                first,
             }
         } else {
             RunGroup {
@@ -840,6 +866,7 @@ fn emit_groups(
                 strides: &scratch.strides,
                 kinds: &scratch.kinds,
                 count: (end - start) as u64,
+                first,
             }
         };
         *count += group.accesses();
@@ -1165,6 +1192,48 @@ mod tests {
              for (i = 0; i < 10; i++) for (j = i; j < 10; j++) A[i][j] = 0;",
         );
         assert_eq!(compile(&tri).static_access_count(), None);
+    }
+
+    #[test]
+    fn group_first_values_match_the_reference_iterators() {
+        // Round `r` of a group runs at `first + r·stride`: expanded round
+        // by round, the groups must repeat the reference walk's accesses
+        // and innermost iterator values, across guard cuts, strides and
+        // directions.
+        for (src, stride) in [
+            (
+                "double A[100]; double B[100];\n\
+                 for (i = 0; i < 100; i++) { if (i >= 30) A[i] = 0; if (i < 70) B[i] = A[i]; }",
+                1,
+            ),
+            (
+                "double A[100]; for (i = 2; i < 100; i += 3) A[i] = A[i-1];",
+                3,
+            ),
+            (
+                "double A[8][40];\n\
+                 for (i = 0; i < 8; i++) for (j = 39; j >= i; j--) if (j < 30) A[i][j] = 0;",
+                -1,
+            ),
+        ] {
+            let scop = scop_of(src);
+            let mut reference = Vec::new();
+            crate::walk::for_each_access_at(&scop, |acc, iv| {
+                reference.push((acc.node.id, acc.address, *iv.last().unwrap()));
+            });
+            let compiled = compile(&scop);
+            let mut scratch = compiled.new_scratch();
+            let mut grouped = Vec::new();
+            compiled.for_each_group(&mut scratch, |group| {
+                for r in 0..group.count as i64 {
+                    for s in 0..group.nodes.len() {
+                        let address = (group.bases[s] as i64 + r * group.strides[s]) as u64;
+                        grouped.push((group.nodes[s], address, group.first + r * stride));
+                    }
+                }
+            });
+            assert_eq!(grouped, reference, "{src}");
+        }
     }
 
     #[test]

@@ -29,6 +29,15 @@ pub struct DynamicAccess<'a> {
 /// replaced by the callback: loop nodes iterate from `initial` to `final`
 /// with their stride, checking domain membership to honour guards.
 pub fn for_each_access<'a>(scop: &'a Scop, mut visit: impl FnMut(DynamicAccess<'a>)) -> u64 {
+    for_each_access_at(scop, |access, _| visit(access))
+}
+
+/// [`for_each_access`], also passing each access's iteration vector (one
+/// value per enclosing loop).
+pub(crate) fn for_each_access_at<'a>(
+    scop: &'a Scop,
+    mut visit: impl FnMut(DynamicAccess<'a>, &[i64]),
+) -> u64 {
     let mut count = 0;
     let mut pool = Vec::new();
     for root in scop.roots() {
@@ -66,17 +75,20 @@ fn walk_node<'a>(
     node: &'a Node,
     outer: &[i64],
     pool: &mut Vec<Vec<i64>>,
-    visit: &mut impl FnMut(DynamicAccess<'a>),
+    visit: &mut impl FnMut(DynamicAccess<'a>, &[i64]),
     count: &mut u64,
 ) {
     match node {
         Node::Access(a) => {
             if a.domain.contains(outer) {
-                visit(DynamicAccess {
-                    node: a,
-                    address: a.address_at(outer),
-                    kind: a.kind,
-                });
+                visit(
+                    DynamicAccess {
+                        node: a,
+                        address: a.address_at(outer),
+                        kind: a.kind,
+                    },
+                    outer,
+                );
                 *count += 1;
             }
         }

@@ -58,6 +58,18 @@
 //! warp planning reads the source tree: the polyhedral domains of the
 //! access nodes below the warping loop.
 //!
+//! A loop entry that can attempt a match steps one iteration at a time, so
+//! its attempts see every iteration.  Every other entry of an innermost
+//! loop whose body is all accesses — one that cannot warp (decreasing, too
+//! short, or without a uniform coefficient) or whose fruitless budget is
+//! spent — replays as run groups ([`CompiledLoop::for_each_group`],
+//! [`SymLevel::access_group`]): the rounds of a same-line stretch after an
+//! all-L1-hit round are counted, and only the stretch's last round is
+//! replayed, which leaves the state bit-identical.  Attempts fire only
+//! between the iterations of the attempting loop, and such a body holds
+//! no loop, so the grouped replay moves no attempt, fingerprint, key or
+//! warp.  Both paths walk the hierarchy through one inclusive walk.
+//!
 //! # Relative-label addressing
 //!
 //! Keys normalise each level's descendant labels by that **level's epoch**
@@ -78,8 +90,11 @@ use crate::fingerprint::MAX_TRACKED_DIMS;
 use crate::key::CanonicalKey;
 use crate::plan::{plan_warp, LevelWarpMode};
 use crate::symstate::SymLevel;
-use cache_model::{LevelStats, MemoryConfig};
-use scop::{compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, Scop, WalkScratch};
+use cache_model::{line_span, AccessKind, LevelStats, MemoryConfig};
+use scop::{
+    compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, LoopEntry, RunGroup, Scop,
+    WalkScratch,
+};
 use simulate::SimulationResult;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -241,6 +256,10 @@ pub struct WarpingSimulator {
     /// The explicit walk's iteration vector and strength-reduced access
     /// addresses, for the SCoP currently being simulated.
     scratch: WalkScratch,
+    /// The iteration vector of a group-replayed loop entry.
+    group_iv: Vec<i64>,
+    /// Per-stream line crossings of the group being replayed.
+    crossings: Vec<u64>,
     /// Match attempts that did not result in a warp during the current
     /// run, per loop ([`CompiledLoop::index`]).
     fruitless: Vec<u64>,
@@ -275,6 +294,8 @@ impl WarpingSimulator {
             stale_label_renorms: 0,
             warp_apply_ns: 0,
             scratch: WalkScratch::default(),
+            group_iv: Vec::new(),
+            crossings: Vec::new(),
             fruitless: Vec::new(),
             #[cfg(test)]
             exhaustive: false,
@@ -355,14 +376,20 @@ impl WarpingSimulator {
         }
         let address = self.scratch.address(a);
         self.accesses += 1;
-        // The inclusive walk of the N-level hierarchy: each level is only
-        // consulted — and updated — when the previous one misses.
-        for level in &mut self.levels {
-            let block = level.block_of_address(address);
-            if level.access(block, a.kind, a.id, iv) {
-                break;
-            }
-        }
+        walk(&mut self.levels, address, a.kind, a.id, iv);
+    }
+
+    /// Replays a loop entry as run groups ([`SymLevel::access_group`]).
+    /// Returns `false`, replaying nothing, when the loop has no group body.
+    fn replay_groups(&mut self, l: &CompiledLoop, entry: &LoopEntry) -> bool {
+        self.group_iv.clear();
+        self.group_iv.extend_from_slice(self.scratch.iv());
+        self.group_iv.push(entry.first);
+        let (levels, iv, crossings) = (&mut self.levels, &mut self.group_iv, &mut self.crossings);
+        let covered = l.for_each_group(entry, &mut self.scratch, |group| {
+            SymLevel::access_group(levels, group, entry.stride, iv, crossings);
+        });
+        covered.inspect(|n| self.accesses += n).is_some()
     }
 
     /// Combines the per-level rolling fingerprints for a warp attempt at
@@ -427,6 +454,14 @@ impl WarpingSimulator {
             && entry.trip_count() >= self.schedule().min_trip_count
             && l.uniform_coefficient().is_some();
         let mut fruitless = self.fruitless[l.index];
+        // Attempts fire only here, between this loop's own iterations, and
+        // a group body holds no loops: an entry that cannot attempt replays
+        // as run groups without moving any attempt, key or warp.
+        if !(warpable && fruitless < self.schedule().max_fruitless_attempts)
+            && self.replay_groups(l, &entry)
+        {
+            return;
+        }
         let mut map: HashMap<u64, MatchEntry> = HashMap::new();
         let mut iteration_index: u64 = 0;
         let mut v = entry.first;
@@ -640,6 +675,90 @@ impl WarpingSimulator {
         let schedule = self.schedule();
         iteration_index < schedule.eager_attempts
             || iteration_index.is_multiple_of(schedule.backoff_interval)
+    }
+}
+
+/// The inclusive walk of the N-level hierarchy `levels` (L1 first): each
+/// level is only consulted — and updated — when the previous one misses.
+/// Returns whether the L1 hit.
+#[inline]
+fn walk(levels: &mut [SymLevel], address: u64, kind: AccessKind, node: usize, iv: &[i64]) -> bool {
+    for (idx, level) in levels.iter_mut().enumerate() {
+        let block = level.block_of_address(address);
+        if level.access(block, kind, node, iv) {
+            return idx == 0;
+        }
+    }
+    false
+}
+
+impl SymLevel {
+    /// Replays a run group against the hierarchy `levels` (L1 first): the
+    /// symbolic twin of `MultiLevelState::access_group`, bit-identical to
+    /// walking every access of the group round by round.  `iv` is the
+    /// iteration vector of the group's loop; its last entry is overwritten
+    /// with each round's value `group.first + r·stride`, which labels the
+    /// round's lines.  `crossings` is scratch space.  Returns the number of
+    /// accesses recorded arithmetically instead of performed.
+    ///
+    /// A *stretch* is a maximal run of rounds in which no stream changes
+    /// its line.  Once a round of a stretch is all L1 hits, every later
+    /// round of the stretch hits the same ways and leaves the tags and
+    /// policy bits as they are (the fixed point of the classic replay).
+    /// Those rounds are recorded as L1 hits, except the stretch's last
+    /// round, which is replayed: every stream stays on its line, so the
+    /// last round rewrites the labels, the L1 epoch, `mru_set` and the
+    /// fingerprint dirty rows that the skipped rounds would have written,
+    /// with the values they would have left.  Outer levels are not
+    /// consulted by any round of the stretch.
+    ///
+    /// Each stream's next line crossing is kept across rounds and
+    /// recomputed only once the stream reaches it.
+    pub fn access_group(
+        levels: &mut [SymLevel],
+        group: &RunGroup,
+        stride: i64,
+        iv: &mut [i64],
+        crossings: &mut Vec<u64>,
+    ) -> u64 {
+        let line = levels[0].config.line_size() as i64;
+        let k = group.nodes.len();
+        let dim = iv.len() - 1;
+        crossings.clear();
+        crossings.resize(k, 0);
+        let mut counted = 0;
+        let mut round = 0;
+        while round < group.count {
+            let r = round as i64;
+            iv[dim] = group.first + r * stride;
+            let mut settled = true;
+            for s in 0..k {
+                let address = (group.bases[s] as i64 + r * group.strides[s]) as u64;
+                settled &= walk(levels, address, group.kinds[s], group.nodes[s], iv);
+            }
+            if settled {
+                // The stretch ends where the first stream leaves its line.
+                let mut end = u64::MAX;
+                for (s, crossing) in crossings.iter_mut().enumerate() {
+                    if *crossing <= round {
+                        let address = group.bases[s] as i64 + r * group.strides[s];
+                        let span = line_span(address, group.strides[s], line);
+                        *crossing = round.saturating_add(span);
+                    }
+                    end = end.min(*crossing);
+                }
+                let last = end.min(group.count) - 1;
+                if last > round + 1 {
+                    let skipped = (last - round - 1) * k as u64;
+                    levels[0].stats.record_n(true, skipped);
+                    counted += skipped;
+                    round = last;
+                    continue;
+                }
+            }
+            round += 1;
+        }
+        counted
     }
 }
 

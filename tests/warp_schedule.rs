@@ -143,3 +143,23 @@ fn decreasing_outer_loop_lru() {
         (16, 2_592, 480, 480),
     );
 }
+
+// Most explicit accesses of these three slices fall in loop entries that
+// cannot attempt a match (too short, non-uniform or out of fruitless
+// budget), which the simulator replays as run groups: the pins hold the
+// grouped replay to the attempts and keys of the per-iteration walk.
+
+#[test]
+fn heat_3d_plru() {
+    check(Kernel::Heat3d, ReplacementPolicy::Plru, (1, 10, 5, 5));
+}
+
+#[test]
+fn syrk_lru() {
+    check(Kernel::Syrk, ReplacementPolicy::Lru, (0, 610, 512, 512));
+}
+
+#[test]
+fn atax_lru() {
+    check(Kernel::Atax, ReplacementPolicy::Lru, (0, 38, 28, 28));
+}
