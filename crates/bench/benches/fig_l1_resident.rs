@@ -11,10 +11,10 @@
 //! end-to-end time stays near-flat across a 256 KiB → 64 MiB outer-level
 //! sweep.
 //!
-//! Before timing anything the bench asserts the acceptance criteria once:
-//! on the 64 MiB outer level the warping backend applies at least one warp,
-//! renormalises at least one frozen level, and reports miss counts
-//! bit-identical to classic simulation.
+//! The acceptance criteria of the 64 MiB point (at least one warp, at least
+//! one renormalised frozen level, miss counts bit-identical to classic
+//! simulation) are pinned by `l1_resident_over_64_mib` in
+//! `tests/warp_schedule.rs`.
 //!
 //! Run with `cargo bench --bench fig_l1_resident`; CI compiles it via
 //! `cargo bench --no-run`.
@@ -48,35 +48,8 @@ fn memory(outer_kib: u64) -> MemoryConfig {
 
 const SWEEP_KIB: [u64; 4] = [256, 2048, 16 * 1024, 64 * 1024];
 
-fn assert_acceptance(engine: &Engine) {
-    let kernel = l1_resident_kernel();
-    let memory = memory(64 * 1024);
-    let classic = engine
-        .run(&SimRequest::new(
-            kernel.clone(),
-            memory.clone(),
-            Backend::Classic,
-        ))
-        .expect("classic request");
-    let warping = engine
-        .run(&SimRequest::new(kernel, memory, Backend::warping()))
-        .expect("warping request");
-    assert_eq!(
-        warping.result.levels, classic.result.levels,
-        "warping must stay bit-identical to classic on the 64 MiB sweep point"
-    );
-    let stats = warping.warping.expect("warping stats");
-    assert!(stats.warps >= 1, "the time loop must warp");
-    assert!(
-        stats.stale_label_renorms >= 1,
-        "the frozen outer levels must be matched via renormalisation"
-    );
-}
-
 fn bench_l1_resident(criterion: &mut Criterion) {
     let engine = Engine::new();
-    assert_acceptance(&engine);
-
     let kernel = l1_resident_kernel();
     let mut group = criterion.benchmark_group("fig_l1_resident");
     group

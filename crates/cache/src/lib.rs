@@ -60,6 +60,6 @@ pub use block::{Access, AccessKind, MemBlock};
 pub use cache::{walk_access, CacheConfig, CacheState, LevelStats};
 pub use flat::{FlatLevel, FlatSet, Slot, Touch, MAX_ASSOC, MAX_SETS};
 pub use memory::{MemoryConfig, MemoryConfigError, WritePolicy};
-pub use multilevel::{line_span, MultiAccessOutcome, MultiLevelState};
+pub use multilevel::{stretch_end, MultiAccessOutcome, MultiLevelState};
 pub use policy::{PolicyState, ReplacementPolicy};
 pub use set::SetState;

@@ -10,6 +10,7 @@ use crate::block::{Access, AccessKind, MemBlock};
 use crate::cache::LevelStats;
 use crate::flat::FlatLevel;
 use crate::memory::MemoryConfig;
+use std::hash::{Hash, Hasher};
 
 /// The outcome of an access walking an N-level hierarchy from the L1
 /// downwards: the access consulted levels `0..levels_consulted` and either
@@ -34,9 +35,28 @@ impl MultiAccessOutcome {
 
 /// The state of an N-level non-inclusive non-exclusive hierarchy of
 /// concrete blocks, one [`FlatLevel`] per level.  Level 0 is the L1.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+///
+/// Equality and hashing compare the levels only.
+#[derive(Clone, Debug)]
 pub struct MultiLevelState {
     levels: Vec<FlatLevel>,
+    /// Per-stream next line crossings of the run group being replayed
+    /// (see [`stretch_end`]); scratch space, not state.
+    crossings: Vec<u64>,
+}
+
+impl PartialEq for MultiLevelState {
+    fn eq(&self, other: &Self) -> bool {
+        self.levels == other.levels
+    }
+}
+
+impl Eq for MultiLevelState {}
+
+impl Hash for MultiLevelState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.levels.hash(state);
+    }
 }
 
 impl MultiLevelState {
@@ -54,7 +74,10 @@ impl MultiLevelState {
     /// Panics if `levels` is empty.
     pub fn from_levels(levels: Vec<FlatLevel>) -> Self {
         assert!(!levels.is_empty(), "a hierarchy needs at least one level");
-        MultiLevelState { levels }
+        MultiLevelState {
+            levels,
+            crossings: Vec::new(),
+        }
     }
 
     /// Number of cache levels.
@@ -217,6 +240,8 @@ impl MultiLevelState {
         }
         let line = config.line_size() as i64;
         let k = bases.len() as u64;
+        self.crossings.clear();
+        self.crossings.resize(bases.len(), 0);
         let mut tail = 0;
         let mut round = 0;
         while round < count {
@@ -232,18 +257,15 @@ impl MultiLevelState {
                 }
                 settled &= outcome.hit && outcome.levels_consulted == 1;
             }
-            round += 1;
             if settled {
                 // Every later round of the stretch repeats this one.
-                let stretch = (0..bases.len())
-                    .map(|s| line_span(bases[s] as i64 + offset * strides[s], strides[s], line))
-                    .min()
-                    .unwrap_or(u64::MAX);
-                let rest = (stretch - 1).min(count - round);
+                let end = stretch_end(&mut self.crossings, round, bases, strides, line);
+                let rest = (end - round - 1).min(count - round - 1);
                 stats[0].record_n(true, rest * k);
                 tail += rest * k;
                 round += rest;
             }
+            round += 1;
         }
         tail
     }
@@ -307,10 +329,36 @@ impl MultiLevelState {
     }
 }
 
+/// The first round after `round` at which some stream of a run group leaves
+/// the line it is on at `round` (`u64::MAX` if none ever does).  Stream `s`
+/// accesses `bases[s] + r·strides[s]` in round `r`, on lines of `line`
+/// bytes.  `crossings[s]` keeps stream `s`'s next crossing across calls of
+/// one group replay, with rounds increasing: it is recomputed only once
+/// the stream reaches it, so a stream costs a division per line, not per
+/// round.  Zero it before the replay's first call.
+#[inline]
+pub fn stretch_end(
+    crossings: &mut [u64],
+    round: u64,
+    bases: &[u64],
+    strides: &[i64],
+    line: i64,
+) -> u64 {
+    let mut end = u64::MAX;
+    for (s, crossing) in crossings.iter_mut().enumerate() {
+        if *crossing <= round {
+            let address = bases[s] as i64 + round as i64 * strides[s];
+            *crossing = round.saturating_add(line_span(address, strides[s], line));
+        }
+        end = end.min(*crossing);
+    }
+    end
+}
+
 /// The number of accesses of a stream at `addr` moving `stride` bytes per
 /// access that stay on `addr`'s line of `line` bytes, that one included
 /// (`u64::MAX` for a zero stride).
-pub fn line_span(addr: i64, stride: i64, line: i64) -> u64 {
+fn line_span(addr: i64, stride: i64, line: i64) -> u64 {
     if stride == 0 {
         return u64::MAX;
     }

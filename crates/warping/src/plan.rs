@@ -184,6 +184,20 @@ pub fn plan_warp(
     })
 }
 
+/// The line phase of iteration `v` of a loop whose accesses all move
+/// `coefficient` bytes per iteration, on lines of `line` bytes:
+/// `coefficient · v` modulo `line`.  Two iterations share a phase exactly
+/// when `coefficient · (v1 − v0)` is a multiple of `line`, the line-aligned
+/// shift [`plan_warp`] requires, so a state can only warp against a state
+/// of its own phase.  Computed on residues, so no coefficient or iterator
+/// value overflows.
+pub(crate) fn line_phase(coefficient: i64, v: i64, line: u64) -> u64 {
+    let line = i128::from(line);
+    let c = i128::from(coefficient).rem_euclid(line) as u128;
+    let v = i128::from(v).rem_euclid(line) as u128;
+    (c * v % line as u128) as u64
+}
+
 /// The fence of [`domain_periodicity_fence`] read off the bound rows of
 /// `dim`, for any period: `Some(v_last + 1)` when `domain` is one
 /// conjunction whose constraints on `dim` involve no deeper dimension, and
@@ -320,6 +334,9 @@ mod tests {
     fn unaligned_shift_is_rejected_until_period_matches() {
         // With 64-byte lines and 8-byte elements, a period of 1 shifts by 8
         // bytes (not line aligned), but a period of 8 shifts by a full line.
+        // So a pair of states plans exactly when its period is a multiple
+        // of 8, which is when both states have the same line phase: the
+        // fact the simulator's phase-keyed match slots rely on.
         let scop = parse_scop(
             "double A[4000]; double B[4000];\n\
              for (i = 1; i < 3999; i++) B[i-1] = A[i-1] + A[i];",
@@ -332,20 +349,38 @@ mod tests {
             64,
             ReplacementPolicy::Lru,
         ))];
-        assert!(plan_warp(&nodes, &ids, &levels, &shifted(&levels), 1, &[], 5, 6, 3998).is_none());
-        let plan = plan_warp(
-            &nodes,
-            &ids,
-            &levels,
-            &shifted(&levels),
-            1,
-            &[],
-            2,
-            10,
-            3998,
-        )
-        .expect("period 8 warps");
+        let modes = shifted(&levels);
+        for v0 in 1..17 {
+            for v1 in v0 + 1..v0 + 33 {
+                let plan = plan_warp(&nodes, &ids, &levels, &modes, 1, &[], v0, v1, 3998);
+                let same_phase = line_phase(8, v0, 64) == line_phase(8, v1, 64);
+                assert_eq!(same_phase, (v1 - v0) % 8 == 0, "{v0} -> {v1}");
+                assert_eq!(plan.is_some(), same_phase, "{v0} -> {v1}");
+            }
+        }
+        let plan =
+            plan_warp(&nodes, &ids, &levels, &modes, 1, &[], 2, 10, 3998).expect("period 8 warps");
         assert_eq!(plan.byte_shift_per_chunk, 64);
+    }
+
+    #[test]
+    fn line_phase_is_the_residue_of_the_byte_offset() {
+        for (c, v, line) in [
+            (8, 5, 64),
+            (8, -3, 64),
+            (i64::MAX, -1, 64),
+            (i64::MAX - 7, i64::MIN, 64),
+            (-24, 1_000_003, 48),
+            (i64::MIN, i64::MAX, u64::MAX),
+        ] {
+            let expected = (i128::from(c) * i128::from(v)).rem_euclid(i128::from(line));
+            assert_eq!(
+                line_phase(c, v, line) as i128,
+                expected,
+                "{c} * {v} mod {line}"
+            );
+        }
+        assert_eq!(line_phase(i64::MAX, -1, 64), 1);
     }
 
     #[test]

@@ -21,6 +21,16 @@
 //! third sighting can match exactly and warp.  Loops whose states never
 //! recur therefore never pay for key construction at all.
 //!
+//! The match map is keyed by the fingerprint *and the line phase* of the
+//! attempt's iteration, `c · v mod L` for the loop's uniform coefficient
+//! `c` and line size `L` (see [`plan_warp`]'s uniform-shift condition).
+//! The fingerprints drop the warped-dimension value by design, so without
+//! the phase, states a fraction of a line apart would share a slot: they
+//! would build keys that can never warp (a warp needs a whole number of
+//! lines per period) and re-anchor each other's slots.  Soundness is
+//! untouched, as a warp still needs exact key equality, and no warp is
+//! lost: the plan rejects every pair of different phases.
+//!
 //! # The match schedule
 //!
 //! Soundness never depends on when matches are attempted: a warp needs an
@@ -41,11 +51,15 @@
 //!   walked without attempts: a warp could skip too little to repay the
 //!   fingerprints and keys of the attempts before it.
 //! * **Fruitless budget (512).**  A loop node stops attempting after 512
-//!   costly attempts without a warp, summed over its executions.  An
-//!   attempt is costly when it built an exact key or could not remember
-//!   its state; attempts the fingerprint dismisses are nearly free and do
-//!   not count, so matches that appear only after the cache warms up are
-//!   still found.  A warp resets the count.
+//!   attempts without a warp, summed over its executions.  An attempt that
+//!   built an exact key or could not remember its state counts at once.  An
+//!   attempt the fingerprint dismissed (its state was remembered) counts
+//!   when its loop entry ends: within one entry such attempts are what
+//!   warm-up is made of — a stream on a large cache may need over a
+//!   thousand of them before its states recur — and the map cap already
+//!   bounds them, while a loop whose many short entries never warp (the
+//!   inner loops of gemm, syrk or a stencil) still stops after 512.  A warp
+//!   resets the count, and the entry's uncharged attempts with it.
 //!
 //! # The explicit walk
 //!
@@ -88,9 +102,9 @@
 
 use crate::fingerprint::MAX_TRACKED_DIMS;
 use crate::key::CanonicalKey;
-use crate::plan::{plan_warp, LevelWarpMode};
+use crate::plan::{line_phase, plan_warp, LevelWarpMode};
 use crate::symstate::SymLevel;
-use cache_model::{line_span, AccessKind, LevelStats, MemoryConfig};
+use cache_model::{stretch_end, AccessKind, LevelStats, MemoryConfig};
 use scop::{
     compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, LoopEntry, RunGroup, Scop,
     WalkScratch,
@@ -179,8 +193,8 @@ struct Schedule {
     max_map_entries: usize,
     /// Loop entries with fewer iterations never attempt a match.
     min_trip_count: i64,
-    /// Costly attempts without a warp after which a loop node stops
-    /// attempting.
+    /// Attempts without a warp after which a loop node stops attempting
+    /// (dismissed ones are charged when their loop entry ends).
     max_fruitless_attempts: u64,
 }
 
@@ -205,8 +219,27 @@ const EAGER: Schedule = Schedule {
     max_fruitless_attempts: u64::MAX,
 };
 
+/// A slot of the per-loop match map: the line phase of the state's
+/// iteration and its rolling fingerprint (or, at untracked depths, the
+/// hash of its exact key).
+type Slot = (u64, u64);
+
+/// How a match attempt ended, and so how it is charged to the fruitless
+/// budget.
+enum Attempt {
+    /// Warped across this many iterator units; the caller advances the
+    /// loop, and the budget starts afresh.
+    Warped(i64),
+    /// The fingerprint dismissed the state, which was remembered: charged
+    /// when the loop entry ends.
+    Dismissed,
+    /// Built an exact key without warping, or could not remember the
+    /// state: charged at once.
+    Costly,
+}
+
 /// Per-entry bookkeeping of the per-loop match map of Algorithm 2, keyed by
-/// the rolling fingerprint.
+/// [`Slot`].
 #[derive(Clone, Debug)]
 struct MatchEntry {
     /// Warped-iterator value at which the state was recorded.
@@ -454,6 +487,9 @@ impl WarpingSimulator {
             && entry.trip_count() >= self.schedule().min_trip_count
             && l.uniform_coefficient().is_some();
         let mut fruitless = self.fruitless[l.index];
+        // Dismissed attempts of this entry, charged to `fruitless` when the
+        // entry ends (see "The match schedule").
+        let mut dismissed = 0;
         // Attempts fire only here, between this loop's own iterations, and
         // a group body holds no loops: an entry that cannot attempt replays
         // as run groups without moving any attempt, key or warp.
@@ -462,7 +498,7 @@ impl WarpingSimulator {
         {
             return;
         }
-        let mut map: HashMap<u64, MatchEntry> = HashMap::new();
+        let mut map: HashMap<Slot, MatchEntry> = HashMap::new();
         let mut iteration_index: u64 = 0;
         let mut v = entry.first;
         l.enter(&mut self.scratch, v);
@@ -471,18 +507,21 @@ impl WarpingSimulator {
                 && fruitless < self.schedule().max_fruitless_attempts
                 && self.should_attempt(iteration_index)
             {
-                if let Some(jump) =
-                    self.attempt_match(l, nodes, v, entry.last, &mut map, &mut fruitless)
-                {
-                    // A plan never jumps past the entry's last value.
-                    debug_assert!(v + jump <= entry.last);
-                    l.advance(&mut self.scratch, jump);
-                    v += jump;
-                    fruitless = 0;
-                    iteration_index += (jump / l.stride) as u64;
-                    // Do not consume this iteration: the landed-on
-                    // iteration is simulated (or warped again).
-                    continue;
+                match self.attempt_match(l, nodes, v, entry.last, &mut map) {
+                    Attempt::Warped(jump) => {
+                        // A plan never jumps past the entry's last value.
+                        debug_assert!(v + jump <= entry.last);
+                        l.advance(&mut self.scratch, jump);
+                        v += jump;
+                        fruitless = 0;
+                        dismissed = 0;
+                        iteration_index += (jump / l.stride) as u64;
+                        // Do not consume this iteration: the landed-on
+                        // iteration is simulated (or warped again).
+                        continue;
+                    }
+                    Attempt::Dismissed => dismissed += 1,
+                    Attempt::Costly => fruitless += 1,
                 }
             }
             if entry.dense || l.contains(self.scratch.iv()) {
@@ -499,66 +538,73 @@ impl WarpingSimulator {
         }
         l.leave(&mut self.scratch);
         if warpable {
-            self.fruitless[l.index] = fruitless;
+            self.fruitless[l.index] = fruitless + dismissed;
         }
     }
 
-    /// One two-phase match attempt at iterator value `v1`.  Returns the
-    /// number of iterator units warped across on success (the caller
-    /// advances the loop), `None` otherwise.
+    /// One two-phase match attempt at iterator value `v1`: warps, or says
+    /// how the attempt is charged to the fruitless budget.
     fn attempt_match(
         &mut self,
         l: &CompiledLoop,
         nodes: &[&AccessNode],
         v1: i64,
         v_last: i64,
-        map: &mut HashMap<u64, MatchEntry>,
-        fruitless: &mut u64,
-    ) -> Option<i64> {
+        map: &mut HashMap<Slot, MatchEntry>,
+    ) -> Attempt {
         let depth = l.depth;
         self.match_attempts += 1;
+        let coefficient = l
+            .uniform_coefficient()
+            .expect("attempts are gated on a uniform coefficient");
+        // Only states of the same line phase can warp against each other
+        // (see `line_phase`), so the phase is part of the slot: states of
+        // other phases neither build keys against this one nor re-anchor
+        // its slot.
+        let phase = line_phase(coefficient, v1, self.levels[0].config.line_size());
         // The per-level label normalisers of this attempt's key: the level
         // epochs (or the current iterator value, see `epoch_normalizers`).
         let normalizers = self.epoch_normalizers(depth, v1);
         // Phase 1: the cheap rolling fingerprint (when the warped dimension
         // is tracked); otherwise fall back to hashing the exact key, i.e.
-        // the exhaustive pipeline.  Only attempts that pay for an exact key
-        // — or that cannot even be remembered — count toward the
-        // fruitless-attempt budget: the budget caps overhead, and
-        // fingerprint-dismissed attempts are nearly free.
-        let (slot, mut current_key) = match self.combined_fingerprint(depth) {
+        // the exhaustive pipeline.
+        let (digest, mut current_key) = match self.combined_fingerprint(depth) {
             Some(fp) => (fp, None),
             None => {
-                *fruitless += 1;
                 let key = self.build_key(l.accesses(), depth, &normalizers);
                 let mut hasher = std::collections::hash_map::DefaultHasher::new();
                 key.hash(&mut hasher);
                 (hasher.finish(), Some(key))
             }
         };
+        let slot = (phase, digest);
         let Some(entry) = map.get(&slot) else {
-            if map.len() < self.schedule().max_map_entries {
-                map.insert(
-                    slot,
-                    MatchEntry {
-                        v: v1,
-                        counters: self.counters(),
-                        epochs: normalizers,
-                        key: current_key,
-                    },
-                );
-            } else {
+            if map.len() >= self.schedule().max_map_entries {
                 // Pure overhead with no future benefit: the state cannot be
                 // remembered, so this attempt can never enable a warp.
-                *fruitless += 1;
+                return Attempt::Costly;
             }
-            return None;
+            let attempt = if current_key.is_some() {
+                Attempt::Costly
+            } else {
+                Attempt::Dismissed
+            };
+            map.insert(
+                slot,
+                MatchEntry {
+                    v: v1,
+                    counters: self.counters(),
+                    epochs: normalizers,
+                    key: current_key,
+                },
+            );
+            return attempt;
         };
         if current_key.is_none() {
             self.fingerprint_hits += 1;
-            *fruitless += 1;
         }
-        // Phase 2: the exact canonical key decides.
+        // Phase 2: the exact canonical key decides.  From here on the
+        // attempt built a key, so unless it warps it is costly.
         let key = current_key
             .take()
             .unwrap_or_else(|| self.build_key(l.accesses(), depth, &normalizers));
@@ -575,7 +621,7 @@ impl WarpingSimulator {
                     key: Some(key),
                 },
             );
-            return None;
+            return Attempt::Costly;
         }
         let period = v1 - entry.v;
         // Equal keys say each level's labels moved uniformly; the normaliser
@@ -587,10 +633,7 @@ impl WarpingSimulator {
         // the level saw no traffic during the chunk (the repeating access
         // pattern never descends to it, so it stays untouched across the
         // window).  Any other per-level shift is inconsistent with a warp.
-        let byte_shift_per_period = l
-            .uniform_coefficient()
-            .expect("attempts are gated on a uniform coefficient")
-            * period;
+        let byte_shift_per_period = coefficient * period;
         let chunk = self.counters();
         let mut modes = Vec::with_capacity(self.levels.len());
         for (idx, (&now, &then)) in normalizers.iter().zip(&entry.epochs).enumerate() {
@@ -600,14 +643,14 @@ impl WarpingSimulator {
             } else if label_shift == 0 {
                 let chunk_traffic = chunk.level[idx].accesses - entry.counters.level[idx].accesses;
                 if byte_shift_per_period != 0 && chunk_traffic != 0 {
-                    return None;
+                    return Attempt::Costly;
                 }
                 modes.push(LevelWarpMode::Frozen);
             } else {
-                return None;
+                return Attempt::Costly;
             }
         }
-        let plan = plan_warp(
+        let Some(plan) = plan_warp(
             nodes,
             l.accesses(),
             &self.levels,
@@ -617,7 +660,9 @@ impl WarpingSimulator {
             entry.v,
             v1,
             v_last,
-        )?;
+        ) else {
+            return Attempt::Costly;
+        };
         debug_assert_eq!(
             plan.byte_shift_per_chunk, byte_shift_per_period,
             "the plan's shift must agree with the gating coefficient"
@@ -668,7 +713,7 @@ impl WarpingSimulator {
             .count() as u64;
         self.warps += 1;
         self.warp_apply_ns += warp_start.elapsed().as_nanos() as u64;
-        Some(plan.chunks * period)
+        Attempt::Warped(plan.chunks * period)
     }
 
     fn should_attempt(&self, iteration_index: u64) -> bool {
@@ -712,8 +757,8 @@ impl SymLevel {
     /// with the values they would have left.  Outer levels are not
     /// consulted by any round of the stretch.
     ///
-    /// Each stream's next line crossing is kept across rounds and
-    /// recomputed only once the stream reaches it.
+    /// Each stream's next line crossing is kept across rounds
+    /// ([`stretch_end`]), the rule of the classic replay.
     pub fn access_group(
         levels: &mut [SymLevel],
         group: &RunGroup,
@@ -738,15 +783,7 @@ impl SymLevel {
             }
             if settled {
                 // The stretch ends where the first stream leaves its line.
-                let mut end = u64::MAX;
-                for (s, crossing) in crossings.iter_mut().enumerate() {
-                    if *crossing <= round {
-                        let address = group.bases[s] as i64 + r * group.strides[s];
-                        let span = line_span(address, group.strides[s], line);
-                        *crossing = round.saturating_add(span);
-                    }
-                    end = end.min(*crossing);
-                }
+                let end = stretch_end(crossings, round, group.bases, group.strides, line);
                 let last = end.min(group.count) - 1;
                 if last > round + 1 {
                     let skipped = (last - round - 1) * k as u64;
