@@ -3,15 +3,12 @@
 //! A cache state that allocated every (empty) set up front made
 //! constructing a simulator over a 64 MiB outer level cost ~6 ms — once per
 //! `SimRequest`, multiplying under batch fan-out — even when the kernel
-//! would touch a handful of sets.  Neither store does that now:
-//!
-//! * symbolic warping keeps the sparse `CacheState` (touched sets only,
-//!   plus one shared empty-set template): construction is O(1) in the
-//!   number of sets;
-//! * the classic `MultiLevelSystem` (like the trace and sampled backends)
-//!   runs on the flat concrete store, `FlatLevel`: one zeroed directory of
-//!   four bytes per set, whose pages stay untouched until a set fills,
-//!   plus rows appended per filled set.
+//! would touch a handful of sets.  The one store every simulator runs on,
+//! `FlatLevel`, does not: it costs one zeroed directory of four bytes per
+//! set, whose pages stay untouched until a set fills, plus rows appended
+//! per filled set.  The classic `MultiLevelSystem` (like the trace and
+//! sampled backends) runs on it directly, and symbolic warping keeps its
+//! labels in a slab parallel to its rows.
 //!
 //! Both series below must therefore stay flat across the 256 KiB → 64 MiB
 //! sweep:

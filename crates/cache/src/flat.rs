@@ -15,12 +15,12 @@
 //!   recently used / last-in line), exactly like [`SetState`].
 //!
 //! Every update is bit-identical to the [`SetState`] logic, which stays the
-//! reference (`tests/flat_vs_sparse.rs` diffs the two).  [`FlatLevel::touch`]
-//! reports where each access left its line ([`Touch`]), so data kept
-//! parallel to the rows — the symbolic labels of warping — follows the
-//! replacement policy without a second copy of its logic, and
-//! [`FlatLevel::shift_rows`] moves the rows in place when a warp rotates
-//! the sets.
+//! reference (`tests/flat_vs_sparse.rs` diffs the two through
+//! [`FlatSet::to_set_state`]).  [`FlatLevel::touch`] reports where each
+//! access left its line ([`Touch`]), so data kept parallel to the rows —
+//! the symbolic labels of warping — follows the replacement policy without
+//! a second copy of its logic, and [`FlatLevel::shift_rows`] moves the rows
+//! in place when a warp rotates the sets.
 
 use crate::block::MemBlock;
 use crate::cache::CacheConfig;
@@ -406,30 +406,9 @@ impl FlatLevel {
         }
     }
 
-    /// The level with every set and block renamed: set `s` moves to
-    /// `set_map(s)` and every line's block `b` becomes `block_map(b)`;
-    /// positions, policy metadata and the epoch are kept.  O(occupied).
-    /// `set_map` must be a bijection on the set indices.
-    pub fn relabel(
-        &self,
-        set_map: impl Fn(usize) -> usize,
-        block_map: impl Fn(MemBlock) -> MemBlock,
-    ) -> FlatLevel {
-        let mut out = self.clone();
-        out.dir.fill(0);
-        for (row, set) in out.row_sets.iter_mut().enumerate() {
-            let moved = set_map(*set as usize);
-            *set = moved as u32;
-            out.dir[moved] = row as u32 + 1;
-        }
-        for tag in out.tags.iter_mut().filter(|t| **t != 0) {
-            *tag = block_map(MemBlock(*tag - 1)).0 + 1;
-        }
-        out
-    }
-
-    /// The in-place form of [`relabel`](FlatLevel::relabel) for a uniform
-    /// block shift, as a warp applies it: every occupied set `s` moves to
+    /// Renames the level by a uniform block shift, in place, as a warp
+    /// applies it (the bijection `π` of the paper's data-independence
+    /// theorems when every line shifts): every occupied set `s` moves to
     /// `(s + rotation) % num_sets`, and every line for which
     /// `shifts(slot, block)` holds (`slot = row * assoc + way`) has its
     /// block advanced by `block_shift`.  `shifts` sees every occupied line
@@ -755,14 +734,18 @@ mod tests {
     }
 
     #[test]
-    fn relabel_moves_sets_and_renames_blocks() {
+    fn shift_rows_moves_sets_and_renames_blocks() {
         let config = CacheConfig::with_sets(4, 1, 1, ReplacementPolicy::Lru);
         let mut level = FlatLevel::new(&config);
         level.access(MemBlock(1), true);
         level.access(MemBlock(2), true);
-        let moved = level.relabel(|s| (s + 1) % 4, |b| MemBlock(b.0 + 1));
-        assert_eq!(moved.set_state(2).lines()[0], Some(MemBlock(2)));
-        assert_eq!(moved.set_state(3).lines()[0], Some(MemBlock(3)));
-        assert!(moved.set(1).is_none());
+        level.stamp_epoch(7);
+        level.shift_rows(1, 1, |_, _| true);
+        assert_eq!(level.set_state(2).lines()[0], Some(MemBlock(2)));
+        assert_eq!(level.set_state(3).lines()[0], Some(MemBlock(3)));
+        assert!(level.set(1).is_none());
+        assert_eq!(level.epoch(), 7);
+        // The moved blocks answer at their new sets.
+        assert!(level.access(MemBlock(3), true));
     }
 }

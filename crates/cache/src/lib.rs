@@ -10,26 +10,21 @@
 //!   [`ReplacementPolicy::Plru`] and [`ReplacementPolicy::Qlru`],
 //! * individual cache sets ([`SetState`], generic over the line payload:
 //!   the reference update logic of every policy),
-//! * two cache stores with modulo placement ([`CacheConfig`]):
-//!   - [`FlatLevel`], the **flat store** behind every simulator: a zeroed
-//!     per-set directory plus a slab of `assoc`-wide tag rows with packed
-//!     policy metadata, bit-identical to [`SetState`].  Concrete simulation
-//!     (classic, trace, sampled) uses it directly; warping keeps its
-//!     symbolic labels in a slab parallel to its rows, kept in step through
-//!     [`FlatLevel::touch`] and [`FlatLevel::shift_rows`];
-//!   - [`CacheState`], the **sparse reference store** of touched sets plus
-//!     one shared empty-set template, generic over the payload: the
-//!     [`SetState`] logic the flat store is tested against, and the store
-//!     of the data-independence theorems ([`bijection`]),
+//! * one cache store with modulo placement ([`CacheConfig`]): [`FlatLevel`],
+//!   a zeroed per-set directory plus a slab of `assoc`-wide tag rows with
+//!   packed policy metadata, bit-identical to [`SetState`]
+//!   ([`FlatLevel::set_state`] is the bridge the differential suites diff
+//!   through).  Concrete simulation (classic, trace, sampled) uses it
+//!   directly; warping keeps its symbolic labels in a slab parallel to its
+//!   rows, kept in step through [`FlatLevel::touch`], and renames it by a
+//!   block shift with [`FlatLevel::shift_rows`], the bijection of the
+//!   data-independence theorems,
 //! * the memory system: [`MemoryConfig`], the one description of a
 //!   memory hierarchy, holds any number of non-inclusive non-exclusive
 //!   cache levels (with write-allocate and no-write-allocate
 //!   [`WritePolicy`], a conversion from a single [`CacheConfig`], the
 //!   paper's presets and JSON (de)serialization) and [`MultiLevelState`]
-//!   simulates it on flat levels through one inclusive access path,
-//! * block bijections and rotations ([`bijection`]) and the reference
-//!   [`walk_access`] over sparse [`CacheState`]s, used to state and test
-//!   the data-independence theorems.
+//!   simulates it on flat levels through one inclusive access path.
 //!
 //! # Example
 //!
@@ -47,7 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bijection;
+mod bijection;
 mod block;
 mod cache;
 mod flat;
@@ -57,7 +52,7 @@ mod policy;
 mod set;
 
 pub use block::{Access, AccessKind, MemBlock};
-pub use cache::{walk_access, CacheConfig, CacheState, LevelStats};
+pub use cache::{CacheConfig, LevelStats};
 pub use flat::{FlatLevel, FlatSet, Slot, Touch, MAX_ASSOC, MAX_SETS};
 pub use memory::{MemoryConfig, MemoryConfigError, WritePolicy};
 pub use multilevel::{stretch_end, MultiAccessOutcome, MultiLevelState};

@@ -2,26 +2,27 @@
 //! reference.
 //!
 //! `MultiLevelState` keeps one `FlatLevel` (set directory + row slab with
-//! packed policy metadata) per level.  This suite drives it next to a
-//! `Vec<CacheState<MemBlock>>` walked by the reference `walk_access`, over
-//! random accesses and run groups of one to three streams (one stream is a
-//! run), for all four policies, both write
-//! policies, power-of-two and other set counts and line sizes,
-//! associativity 1 and 128-way PLRU (multi-word tree bits), at depths 1 to
-//! 3.  After every step the two must agree on each access's outcome, the
-//! per-level counters, the per-level epochs and every set's lines and
-//! policy metadata.
+//! packed policy metadata) per level.  This suite drives it next to a dense
+//! reference, one `Vec<SetState<MemBlock>>` per level walked set by set,
+//! over random accesses and run groups of one to three streams (one stream
+//! is a run), for all four policies, both write policies, power-of-two and
+//! other set counts and line sizes, associativity 1 and 128-way PLRU
+//! (multi-word tree bits), at depths 1 to 3.  After every step the two must
+//! agree on each access's outcome, the per-level counters, the per-level
+//! epochs and every set's lines and policy metadata.
 
 use cache_model::{
-    walk_access, Access, AccessKind, CacheConfig, CacheState, LevelStats, MemBlock, MemoryConfig,
-    MultiLevelState, ReplacementPolicy, WritePolicy,
+    Access, AccessKind, CacheConfig, LevelStats, MemBlock, MemoryConfig, MultiAccessOutcome,
+    MultiLevelState, ReplacementPolicy, SetState, WritePolicy,
 };
 use proptest::prelude::*;
 
-/// The reference hierarchy: sparse `CacheState`s on the `SetState` logic.
+/// The reference hierarchy: every set of every level as a `SetState`, plus
+/// an explicit per-level epoch (`i64::MIN` until first written).
 struct Reference {
     config: MemoryConfig,
-    levels: Vec<CacheState<MemBlock>>,
+    levels: Vec<Vec<SetState<MemBlock>>>,
+    epochs: Vec<i64>,
     stats: Vec<LevelStats>,
 }
 
@@ -29,46 +30,76 @@ impl Reference {
     fn new(config: &MemoryConfig) -> Self {
         Reference {
             config: config.clone(),
-            levels: config.levels().iter().map(CacheState::new).collect(),
+            levels: config
+                .levels()
+                .iter()
+                .map(|level| vec![SetState::new(level.policy(), level.assoc()); level.num_sets()])
+                .collect(),
+            epochs: vec![i64::MIN; config.depth()],
             stats: vec![LevelStats::default(); config.depth()],
         }
     }
 
-    fn access(&mut self, access: Access, stamp: i64) -> cache_model::MultiAccessOutcome {
+    /// The inclusive walk: each level is consulted until one hits; a miss
+    /// fills only when `fill` is set, and every level the access wrote
+    /// takes `stamp` as its epoch.
+    fn walk(&mut self, block: MemBlock, fill: bool, stamp: i64) -> MultiAccessOutcome {
+        let levels = self.config.levels().iter().zip(&mut self.levels);
+        for (idx, (level, sets)) in levels.enumerate() {
+            let set = &mut sets[level.index(block)];
+            let hit = match set.find(|b| *b == block) {
+                Some(way) => {
+                    set.on_hit(level.policy(), way);
+                    true
+                }
+                None if fill => {
+                    set.on_miss_insert(level.policy(), block);
+                    false
+                }
+                None => false,
+            };
+            if hit || fill {
+                self.epochs[idx] = stamp;
+            }
+            if hit {
+                return MultiAccessOutcome {
+                    levels_consulted: idx + 1,
+                    hit,
+                };
+            }
+        }
+        MultiAccessOutcome {
+            levels_consulted: self.levels.len(),
+            hit: false,
+        }
+    }
+
+    fn access(&mut self, access: Access, stamp: i64) -> MultiAccessOutcome {
         let block = self.config.l1().block_of_address(access.address);
         let fill =
             access.kind != AccessKind::Write || self.config.write_policy().allocates_on_write();
-        let outcome = walk_access(
-            self.config.levels().iter().zip(self.levels.iter_mut()),
-            block,
-            fill,
-        );
+        let outcome = self.walk(block, fill, stamp);
         outcome.record_into(&mut self.stats);
-        let written = if fill {
-            0..outcome.levels_consulted
-        } else if outcome.hit {
-            outcome.levels_consulted - 1..outcome.levels_consulted
-        } else {
-            0..0
-        };
-        for level in &mut self.levels[written] {
-            level.stamp_epoch(&[stamp]);
-        }
         outcome
     }
 }
 
 fn assert_same(flat: &MultiLevelState, stats: &[LevelStats], reference: &Reference) {
     assert_eq!(stats, &reference.stats[..], "per-level counters diverged");
-    for (idx, (level, sparse)) in flat.levels().iter().zip(&reference.levels).enumerate() {
-        let epoch = sparse.epoch().first().copied().unwrap_or(i64::MIN);
-        assert_eq!(level.epoch(), epoch, "level {idx}: epoch diverged");
-        assert_eq!(level.occupied_len(), sparse.occupied_len(), "level {idx}");
-        for set in 0..level.num_sets() {
+    let levels = flat.levels().iter().zip(&reference.levels);
+    for (idx, (level, sets)) in levels.enumerate() {
+        assert_eq!(
+            level.epoch(),
+            reference.epochs[idx],
+            "level {idx}: epoch diverged"
+        );
+        let occupied = sets.iter().filter(|set| !set.is_empty()).count();
+        assert_eq!(level.occupied_len(), occupied, "level {idx}");
+        for (idx_set, set) in sets.iter().enumerate() {
             assert_eq!(
-                level.set_state(set),
-                *sparse.set(set),
-                "level {idx}, set {set} diverged"
+                level.set_state(idx_set),
+                *set,
+                "level {idx}, set {idx_set} diverged"
             );
         }
     }

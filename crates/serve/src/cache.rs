@@ -24,9 +24,9 @@ use std::sync::RwLock;
 pub struct CacheCounters {
     /// Lookups that found a stored report.
     pub hits: u64,
-    /// Lookups that found nothing (counted on the first probe of each
-    /// submission; the serving layer's quiet re-probe under the dedup lock
-    /// is not counted).
+    /// Lookups that found nothing.  Only first probes count: a re-probe
+    /// ([`ReportCache::reprobe`]) that finds the report turns its caller's
+    /// miss into a hit, so `hits + misses` is the number of first probes.
     pub misses: u64,
     /// Entries displaced to keep a shard within its capacity share.
     pub evictions: u64,
@@ -112,11 +112,15 @@ impl ReportCache {
         }
     }
 
-    /// Looks `key` up without touching the hit/miss counters (used for the
-    /// leader's re-probe under the dedup lock, which would otherwise count
-    /// every simulated request as two misses).  Still refreshes recency.
-    pub fn get_quiet(&self, key: u128) -> Option<SimReport> {
-        self.probe(key)
+    /// Looks `key` up again after this caller's [`ReportCache::get`]
+    /// missed (the leader's re-probe under the dedup lock).  A report found
+    /// now turns that miss into a hit; finding nothing counts nothing, so
+    /// a simulated request stays one miss.  Refreshes recency like `get`.
+    pub fn reprobe(&self, key: u128) -> Option<SimReport> {
+        let report = self.probe(key)?;
+        self.misses.fetch_sub(1, Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(report)
     }
 
     fn probe(&self, key: u128) -> Option<SimReport> {
@@ -233,9 +237,26 @@ mod tests {
         assert!(cache.get(0).is_some());
         cache.insert(32, report(32));
         assert_eq!(cache.counters().evictions, 1);
-        assert!(cache.get_quiet(0).is_some(), "recently used entry survives");
-        assert!(cache.get_quiet(32).is_some(), "new entry is stored");
-        assert!(cache.get_quiet(16).is_none(), "stalest entry was evicted");
+        assert!(cache.get(0).is_some(), "recently used entry survives");
+        assert!(cache.get(32).is_some(), "new entry is stored");
+        assert!(cache.get(16).is_none(), "stalest entry was evicted");
+    }
+
+    #[test]
+    fn reprobe_turns_the_earlier_miss_into_a_hit() {
+        let cache = ReportCache::new(8);
+        let counts = |cache: &ReportCache| {
+            let counters = cache.counters();
+            (counters.hits, counters.misses)
+        };
+        assert!(cache.get(1).is_none());
+        // Still absent: the first probe stays the one miss.
+        assert!(cache.reprobe(1).is_none());
+        assert_eq!(counts(&cache), (0, 1));
+        // A racing leader cached the report between probe and re-probe.
+        cache.insert(1, report(1));
+        assert!(cache.reprobe(1).is_some());
+        assert_eq!(counts(&cache), (1, 0), "hits + misses == first probes");
     }
 
     #[test]

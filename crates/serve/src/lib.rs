@@ -210,10 +210,13 @@ pub struct ServeStats {
     pub requests: u64,
     /// Submissions that ran a simulation.
     pub simulated: u64,
-    /// Submissions answered from the report cache.
+    /// Submissions answered from the report cache, at their first probe
+    /// or at a leader's re-probe.  Without errors, `cache_hits + coalesced
+    /// + simulated == requests`.
     pub cache_hits: u64,
-    /// First-probe cache misses (simulated + coalesced + errored, less
-    /// submissions that panicked before probing the cache).
+    /// First probes that missed and stayed misses (simulated + coalesced +
+    /// errored, less submissions that panicked before probing the cache);
+    /// `cache_hits + cache_misses` is the number of first probes.
     pub cache_misses: u64,
     /// Submissions that coalesced onto an in-flight identical request.
     pub coalesced: u64,
@@ -424,9 +427,9 @@ impl SimService {
             Claim::Follower(follower) => follower.wait().map(|report| (report, Served::Coalesced)),
             Claim::Leader(token) => {
                 // The leader that raced us may have published + cached
-                // between our probe and our claim; quiet so the common
-                // path does not double-count misses.
-                if let Some(report) = self.cache.get_quiet(key) {
+                // between our probe and our claim: then this submission
+                // is a cache hit after all, and its miss becomes one.
+                if let Some(report) = self.cache.reprobe(key) {
                     if let Some(entry) = &family {
                         entry.count_hit();
                     }

@@ -195,6 +195,11 @@ fn batch_results_are_ordered_deduped_and_queue_stamped() {
         12,
         "every duplicate was deduped or cached"
     );
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        16,
+        "hits + misses == first probes"
+    );
 }
 
 /// A batch whose runner panics on one kernel still returns every slot: the

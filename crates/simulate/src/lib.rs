@@ -76,8 +76,6 @@ pub trait MemorySystem {
     fn access(&mut self, address: u64, kind: AccessKind);
     /// The statistics accumulated so far.
     fn result(&self) -> SimulationResult;
-    /// Resets the cache contents and statistics.
-    fn reset(&mut self);
 
     /// Performs a run of `count` accesses starting at `base` with a
     /// constant byte `stride`, in order.
@@ -121,16 +119,6 @@ impl MultiLevelSystem {
             accesses: 0,
         }
     }
-
-    /// The (normalized) memory configuration.
-    pub fn config(&self) -> &MemoryConfig {
-        &self.config
-    }
-
-    /// Per-level statistics, L1 first.
-    pub fn level_stats(&self) -> &[LevelStats] {
-        &self.stats
-    }
 }
 
 impl MemorySystem for MultiLevelSystem {
@@ -170,12 +158,6 @@ impl MemorySystem for MultiLevelSystem {
             accesses: self.accesses,
             levels: self.stats.clone(),
         }
-    }
-
-    fn reset(&mut self) {
-        self.state = MultiLevelState::new(&self.config);
-        self.stats.fill(LevelStats::default());
-        self.accesses = 0;
     }
 }
 
@@ -280,16 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let mut memory = MultiLevelSystem::new(MemoryConfig::from(config));
-        let first = simulate(&stencil(), &mut memory);
-        memory.reset();
-        let second = simulate(&stencil(), &mut memory);
-        assert_eq!(first, second);
-    }
-
-    #[test]
     fn write_policy_overrides_per_level_flags() {
         // The hierarchy-wide write policy governs, even if the levels' own
         // flags disagree: a write-allocate hierarchy whose levels say
@@ -314,10 +286,8 @@ mod tests {
             CacheConfig::with_sets(64, 8, 8, ReplacementPolicy::Lru),
         ])
         .unwrap();
-        let mut memory = MultiLevelSystem::new(config);
-        let result = simulate(&stencil(), &mut memory);
+        let result = simulate_memory(&stencil(), &config);
         assert_eq!(result.depth(), 3);
-        assert_eq!(result.levels, memory.level_stats());
         // Each level only sees the misses of the previous one.
         assert_eq!(result.levels[1].accesses, result.levels[0].misses);
         assert_eq!(result.levels[2].accesses, result.levels[1].misses);

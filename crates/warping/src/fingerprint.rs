@@ -412,7 +412,6 @@ impl FingerprintTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::CacheState;
 
     /// A reference line: `(block, node, iter)`.
     type Line = (u64, usize, Vec<i64>);
@@ -591,15 +590,15 @@ mod tests {
     /// depend on the store.
     #[test]
     fn concrete_fingerprint_equals_the_set_state_reference() {
-        let reference = |levels: &[CacheState<MemBlock>]| {
+        let reference = |levels: &[Vec<SetState<MemBlock>>]| {
             let mut h = FNV_OFFSET;
-            for state in levels {
-                let mut sum = 0u64;
-                for (_, set) in state.occupied_entries() {
-                    sum = sum.wrapping_add(digest_concrete_set(set));
-                }
+            for sets in levels {
+                let occupied: Vec<_> = sets.iter().filter(|set| !set.is_empty()).collect();
+                let sum = occupied
+                    .iter()
+                    .fold(0u64, |sum, set| sum.wrapping_add(digest_concrete_set(set)));
                 h = mix(h, sum);
-                h = mix(h, state.occupied_len() as u64);
+                h = mix(h, occupied.len() as u64);
             }
             finalize(h)
         };
@@ -610,8 +609,10 @@ mod tests {
                     CacheConfig::with_sets(sets * 2, assoc, 64, policy),
                 ];
                 let mut flat: Vec<FlatLevel> = configs.iter().map(FlatLevel::new).collect();
-                let mut sparse: Vec<CacheState<MemBlock>> =
-                    configs.iter().map(CacheState::new).collect();
+                let mut dense: Vec<Vec<SetState<MemBlock>>> = configs
+                    .iter()
+                    .map(|c| vec![SetState::new(c.policy(), c.assoc()); c.num_sets()])
+                    .collect();
                 let mut x = 7u64;
                 for step in 0..600 {
                     // A small LCG over a working set larger than the levels.
@@ -619,7 +620,12 @@ mod tests {
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
                     let block = MemBlock((x >> 33) % 300);
-                    cache_model::walk_access(configs.iter().zip(sparse.iter_mut()), block, true);
+                    // The inclusive walk: each level until one hits.
+                    for (config, sets) in configs.iter().zip(&mut dense) {
+                        if sets[config.index(block)].access(config.policy(), block) {
+                            break;
+                        }
+                    }
                     for level in &mut flat {
                         if level.access(block, true) {
                             break;
@@ -628,7 +634,7 @@ mod tests {
                     if step % 50 == 0 {
                         assert_eq!(
                             concrete_fingerprint(&flat),
-                            reference(&sparse),
+                            reference(&dense),
                             "{policy} {sets}x{assoc} after {step} accesses"
                         );
                     }

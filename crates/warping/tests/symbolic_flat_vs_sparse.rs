@@ -3,9 +3,9 @@
 //!
 //! `SymLevel` keeps its tags and policy metadata in a `FlatLevel` and its
 //! labels in a slab parallel to the rows.  The reference below is the
-//! symbolic store as it was written on the sparse `CacheState`, with one
-//! `(block, node, iteration vector)` payload per line and the `SetState`
-//! update logic.  Both are driven through random access streams with random
+//! symbolic store written set by set: one `SetState` per cache set, with
+//! one `(block, node, iteration vector)` payload per line and the
+//! `SetState` update logic, plus an explicit epoch.  Both are driven through random access streams with random
 //! warps in between: all four policies, both write policies, 1–4-set L1s
 //! growing ×1–×3 per level at depths 1–3, associativity 1–16 (powers of two
 //! for PLRU), label depths 1–4.  After every step they must agree on each
@@ -16,7 +16,7 @@
 //! be equal exactly when the reference encodings are.
 
 use cache_model::{
-    AccessKind, CacheConfig, CacheState, LevelStats, MemBlock, PolicyState, ReplacementPolicy,
+    AccessKind, CacheConfig, LevelStats, MemBlock, PolicyState, ReplacementPolicy, SetState,
 };
 use polyhedra::Aff;
 use proptest::prelude::*;
@@ -26,12 +26,14 @@ use warping::{CanonicalKey, SymLabel, SymLevel};
 /// A reference line: the block, the access node and its iteration vector.
 type Line = (MemBlock, usize, Vec<i64>);
 
-/// One symbolic level on the sparse store: the update, epoch and warp logic
-/// of the set-by-set implementation.
+/// One symbolic level, set by set: the update, epoch and warp logic of the
+/// set-by-set implementation.
 #[derive(Clone)]
 struct Reference {
     config: CacheConfig,
-    state: CacheState<Line>,
+    sets: Vec<SetState<Line>>,
+    /// The iteration vector of the last payload write, empty until then.
+    epoch: Vec<i64>,
     mru_set: usize,
     stats: LevelStats,
 }
@@ -39,20 +41,28 @@ struct Reference {
 impl Reference {
     fn new(config: CacheConfig) -> Self {
         Reference {
-            state: CacheState::new(&config),
+            sets: vec![SetState::new(config.policy(), config.assoc()); config.num_sets()],
             config,
+            epoch: Vec::new(),
             mru_set: 0,
             stats: LevelStats::default(),
         }
+    }
+
+    fn occupied(&self) -> impl Iterator<Item = (usize, &SetState<Line>)> {
+        self.sets
+            .iter()
+            .enumerate()
+            .filter(|(_, set)| !set.is_empty())
     }
 
     fn access(&mut self, block: MemBlock, kind: AccessKind, node: usize, iter: &[i64]) -> bool {
         let set_idx = self.config.index(block);
         self.mru_set = set_idx;
         let policy = self.config.policy();
-        let hit = match self.state.set(set_idx).find(|l| l.0 == block) {
+        let set = &mut self.sets[set_idx];
+        let hit = match set.find(|l| l.0 == block) {
             Some(way) => {
-                let set = self.state.set_mut(set_idx);
                 set.on_hit(policy, way);
                 // A hit replaces the line's label by the fresh one.
                 *set = set.map_payloads(|l| {
@@ -62,15 +72,13 @@ impl Reference {
                         l.clone()
                     }
                 });
-                self.state.stamp_epoch(iter);
+                self.epoch = iter.to_vec();
                 true
             }
             None => {
                 if kind != AccessKind::Write || self.config.write_allocate() {
-                    self.state
-                        .set_mut(set_idx)
-                        .on_miss_insert(policy, (block, node, iter.to_vec()));
-                    self.state.stamp_epoch(iter);
+                    set.on_miss_insert(policy, (block, node, iter.to_vec()));
+                    self.epoch = iter.to_vec();
                 }
                 false
             }
@@ -85,20 +93,25 @@ impl Reference {
         let rotation = block_shift.rem_euclid(self.config.num_sets() as i64);
         let dim = warp.depth - 1;
         let advance = warp.period * warp.chunks;
-        self.state = self.state.rotate_sets(rotation).map_payloads(|l| {
-            if warp.moves(l.1, l.2.len()) {
-                let mut iter = l.2.clone();
-                iter[dim] += advance;
-                let block = MemBlock((addresses[l.1].eval(&iter) / line_size) as u64);
-                assert_eq!(block.0 as i64, l.0 .0 as i64 + block_shift);
-                (block, l.1, iter)
-            } else {
-                assert_eq!(block_shift, 0, "stale lines require a zero shift");
-                l.clone()
-            }
-        });
+        self.sets.rotate_right(rotation as usize);
+        for set in &mut self.sets {
+            *set = set.map_payloads(|l| {
+                if warp.moves(l.1, l.2.len()) {
+                    let mut iter = l.2.clone();
+                    iter[dim] += advance;
+                    let block = MemBlock((addresses[l.1].eval(&iter) / line_size) as u64);
+                    assert_eq!(block.0 as i64, l.0 .0 as i64 + block_shift);
+                    (block, l.1, iter)
+                } else {
+                    assert_eq!(block_shift, 0, "stale lines require a zero shift");
+                    l.clone()
+                }
+            });
+        }
         self.mru_set = (self.mru_set + rotation as usize) % self.config.num_sets();
-        self.state.shift_epoch(dim, advance);
+        if let Some(v) = self.epoch.get_mut(dim) {
+            *v += advance;
+        }
     }
 
     /// Whether a warp may move this level: a non-zero shift needs every
@@ -106,16 +119,16 @@ impl Reference {
     fn admits(&self, warp: &Warp) -> bool {
         warp.byte_shift == 0
             || self
-                .state
-                .occupied_entries()
-                .flat_map(|(_, set)| set.lines().iter().flatten())
+                .sets
+                .iter()
+                .flat_map(|set| set.lines().iter().flatten())
                 .all(|l| warp.moves(l.1, l.2.len()))
     }
 
     /// Every fingerprint word, rebuilt over all sets of the level.
     fn fingerprint(&self) -> [u64; MAX_TRACKED_DIMS] {
         let mut sums = [0u64; MAX_TRACKED_DIMS];
-        for (_, set) in self.state.sets() {
+        for set in &self.sets {
             let lines = set.lines().iter().map(|l| {
                 l.as_ref().map(|(block, node, iter)| SymLabel {
                     block: *block,
@@ -131,16 +144,15 @@ impl Reference {
         sums
     }
 
-    /// The canonical-key encoding of the level, written against the sparse
-    /// store: occupied sets by offset from the MRU set, labels with the
+    /// The canonical-key encoding of the level, written set by set:
+    /// occupied sets by offset from the MRU set, labels with the
     /// descendants' warped dimension relative to `normalizer`, policy
     /// metadata verbatim.
     fn encode(&self, descendants: &[usize], depth: usize, normalizer: i64) -> Vec<i64> {
         let num_sets = self.config.num_sets();
         let mut data = vec![i64::MIN + 1];
         let mut sets: Vec<_> = self
-            .state
-            .occupied_entries()
+            .occupied()
             .map(|(s, set)| ((s + num_sets - self.mru_set) % num_sets, set))
             .collect();
         sets.sort_unstable_by_key(|(offset, _)| *offset);
@@ -230,10 +242,9 @@ fn assert_same(sym: &[SymLevel], reference: &[Reference], step: usize) {
         let at = format!("level {idx} after step {step}");
         assert_eq!(level.stats, rf.stats, "{at}: counters");
         assert_eq!(level.mru_set, rf.mru_set, "{at}: MRU set");
-        assert_eq!(level.epoch(), rf.state.epoch(), "{at}: epoch");
-        assert_eq!(level.occupied_len(), rf.state.occupied_len(), "{at}");
-        for s in 0..level.config.num_sets() {
-            let expected = rf.state.set(s);
+        assert_eq!(level.epoch(), rf.epoch, "{at}: epoch");
+        assert_eq!(level.occupied_len(), rf.occupied().count(), "{at}");
+        for (s, expected) in rf.sets.iter().enumerate() {
             let Some(set) = level.set(s) else {
                 assert!(expected.is_empty(), "{at}: set {s} lost its lines");
                 continue;
@@ -288,7 +299,7 @@ fn assert_key_agreement(
         levels
             .iter()
             .flat_map(|l| {
-                let normalizer = l.state.epoch().get(depth - 1).copied().unwrap_or(0);
+                let normalizer = l.epoch.get(depth - 1).copied().unwrap_or(0);
                 l.encode(descendants, depth, normalizer)
             })
             .collect()

@@ -87,8 +87,8 @@ pub use warping;
 pub mod prelude {
     pub use analytical::{HaystackModel, PolyCacheModel};
     pub use cache_model::{
-        Access, AccessKind, CacheConfig, CacheState, LevelStats, MemBlock, MemoryConfig,
-        MemoryConfigError, MultiAccessOutcome, MultiLevelState, ReplacementPolicy, WritePolicy,
+        Access, AccessKind, CacheConfig, LevelStats, MemBlock, MemoryConfig, MemoryConfigError,
+        MultiAccessOutcome, MultiLevelState, ReplacementPolicy, WritePolicy,
     };
     pub use engine::{
         Backend, Engine, EngineError, KernelSpec, SimReport, SimRequest, WarpingStats,
