@@ -75,9 +75,7 @@
 //! match attempt — not to the total number of sets of an 8 MiB L3.
 
 use crate::symstate::{SymLabel, SymLevel, SymSet};
-use cache_model::{
-    CacheConfig, FlatLevel, FlatSet, MemBlock, PolicyState, ReplacementPolicy, SetState,
-};
+use cache_model::{CacheConfig, FlatLevel, FlatSet, MemBlock, PolicyState, ReplacementPolicy};
 
 /// Number of candidate warped dimensions a digest covers.  Loops nested
 /// deeper than this cannot use the fingerprint filter and fall back to
@@ -215,27 +213,14 @@ fn digest_words<'a>(
     SetDigest(words)
 }
 
-/// Digests one set of a *concrete* cache state (payload = memory blocks
-/// instead of symbolic lines).  The encoding mirrors [`digest_set`]'s
-/// shift-invariant core: the occupancy pattern, the pairwise differences of
-/// consecutive occupied blocks (invariant under a uniform block shift) and
-/// the replacement-policy metadata verbatim.  Absolute block numbers are
-/// deliberately dropped, so a streaming kernel that advances through memory
-/// at a constant rate digests identically from one period to the next.
-///
-/// This is the reference encoding over [`SetState`]; [`digest_flat_set`]
-/// computes the same value on the flat concrete store.
-pub fn digest_concrete_set(set: &SetState<MemBlock>) -> u64 {
-    let lines = set.lines().iter().copied();
-    match set.policy_state() {
-        PolicyState::None => digest_concrete(lines, 0, std::iter::empty()),
-        PolicyState::PlruBits(bits) => digest_concrete(lines, 1, bits.iter().map(|&b| b.into())),
-        PolicyState::Ages(ages) => digest_concrete(lines, 2, ages.iter().map(|&a| a.into())),
-    }
-}
-
-/// [`digest_concrete_set`] on one occupied set of a [`FlatLevel`]: the same
-/// `u64` as the digest of the equivalent [`SetState`].
+/// Digests one occupied set of a *concrete* cache state (payload = memory
+/// blocks instead of symbolic lines).  The encoding mirrors
+/// [`digest_set`]'s shift-invariant core: the occupancy pattern, the
+/// pairwise differences of consecutive occupied blocks (invariant under a
+/// uniform block shift) and the replacement-policy metadata verbatim.
+/// Absolute block numbers are deliberately dropped, so a streaming kernel
+/// that advances through memory at a constant rate digests identically
+/// from one period to the next.
 pub fn digest_flat_set(set: &FlatSet<'_>) -> u64 {
     let lines = set.lines();
     match set.policy() {
@@ -247,8 +232,8 @@ pub fn digest_flat_set(set: &FlatSet<'_>) -> u64 {
     }
 }
 
-/// The concrete-set encoding shared by [`digest_concrete_set`] and
-/// [`digest_flat_set`]: the lines in policy order, then the policy tag
+/// The concrete-set encoding of [`digest_flat_set`] (and of the tests'
+/// `SetState` reference): the lines in policy order, then the policy tag
 /// (`TAG_POLICY[policy]`) and its metadata words (PLRU tree bits or QLRU
 /// ages; none for LRU/FIFO).
 fn digest_concrete(
@@ -412,6 +397,7 @@ impl FingerprintTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_model::SetState;
 
     /// A reference line: `(block, node, iter)`.
     type Line = (u64, usize, Vec<i64>);
@@ -582,6 +568,19 @@ mod tests {
             concrete_fingerprint(&[a.clone(), fewer.clone()]),
             concrete_fingerprint(&[fewer, a])
         );
+    }
+
+    /// The reference encoding of one concrete set over [`SetState`]:
+    /// [`digest_flat_set`] must give the same value on the flat store.
+    fn digest_concrete_set(set: &SetState<MemBlock>) -> u64 {
+        let lines = set.lines().iter().copied();
+        match set.policy_state() {
+            PolicyState::None => digest_concrete(lines, 0, std::iter::empty()),
+            PolicyState::PlruBits(bits) => {
+                digest_concrete(lines, 1, bits.iter().map(|&b| b.into()))
+            }
+            PolicyState::Ages(ages) => digest_concrete(lines, 2, ages.iter().map(|&a| a.into())),
+        }
     }
 
     /// The flat-store fingerprint is the one the `SetState` reference

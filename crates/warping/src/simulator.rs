@@ -77,12 +77,15 @@
 //! loop whose body is all accesses — one that cannot warp (decreasing, too
 //! short, or without a uniform coefficient) or whose fruitless budget is
 //! spent — replays as run groups ([`CompiledLoop::for_each_group`],
-//! [`SymLevel::access_group`]): the rounds of a same-line stretch after an
-//! all-L1-hit round are counted, and only the stretch's last round is
-//! replayed, which leaves the state bit-identical.  Attempts fire only
-//! between the iterations of the attempting loop, and such a body holds
-//! no loop, so the grouped replay moves no attempt, fingerprint, key or
-//! warp.  Both paths walk the hierarchy through one inclusive walk.
+//! [`SymLevel::access_group`]): each round labels its L1 lines with one
+//! fresh stamp of the round's iteration vector, and the rounds of a
+//! same-line stretch after an all-L1-hit round are counted, the last one
+//! included.  The settled round's stamp is then rewritten to the last
+//! round's iterator, which leaves the state bit-identical to walking every
+//! round.  Attempts fire only between the iterations of the attempting
+//! loop, and such a body holds no loop, so the grouped replay moves no
+//! attempt, fingerprint, key or warp.  Both paths walk the hierarchy
+//! through one inclusive walk.
 //!
 //! # Relative-label addressing
 //!
@@ -737,25 +740,54 @@ fn walk(levels: &mut [SymLevel], address: u64, kind: AccessKind, node: usize, iv
     false
 }
 
+/// [`walk`] labelling the L1 line with `l1_stamp`, a stamp of the L1's log
+/// holding `iv`.
+#[inline]
+fn walk_stamped(
+    levels: &mut [SymLevel],
+    address: u64,
+    kind: AccessKind,
+    node: usize,
+    l1_stamp: u32,
+    iv: &[i64],
+) -> bool {
+    let (l1, outer) = levels.split_first_mut().expect("a hierarchy has an L1");
+    let block = l1.block_of_address(address);
+    if l1.access_stamped(block, kind, node, l1_stamp) {
+        return true;
+    }
+    walk(outer, address, kind, node, iv);
+    false
+}
+
 impl SymLevel {
     /// Replays a run group against the hierarchy `levels` (L1 first): the
     /// symbolic twin of `MultiLevelState::access_group`, bit-identical to
     /// walking every access of the group round by round.  `iv` is the
     /// iteration vector of the group's loop; its last entry is overwritten
     /// with each round's value `group.first + r·stride`, which labels the
-    /// round's lines.  `crossings` is scratch space.  Returns the number of
-    /// accesses recorded arithmetically instead of performed.
+    /// round's lines, and ends on the last round's value.  `crossings` is
+    /// scratch space.  Returns the number of accesses recorded
+    /// arithmetically instead of performed: every round of a stretch after
+    /// its settled round, the stretch's last round included.
+    ///
+    /// Each round appends one fresh stamp of `iv` to the L1's log and
+    /// labels every L1 line of the round with it, without comparing
+    /// vectors; outer levels stamp as [`SymLevel::access`] does.
     ///
     /// A *stretch* is a maximal run of rounds in which no stream changes
     /// its line.  Once a round of a stretch is all L1 hits, every later
-    /// round of the stretch hits the same ways and leaves the tags and
-    /// policy bits as they are (the fixed point of the classic replay).
-    /// Those rounds are recorded as L1 hits, except the stretch's last
-    /// round, which is replayed: every stream stays on its line, so the
-    /// last round rewrites the labels, the L1 epoch, `mru_set` and the
-    /// fingerprint dirty rows that the skipped rounds would have written,
-    /// with the values they would have left.  Outer levels are not
-    /// consulted by any round of the stretch.
+    /// round of the stretch hits the same ways in the same order and
+    /// leaves the tags and policy bits as they are (the fixed point of the
+    /// classic replay), so all of them are recorded as L1 hits and none is
+    /// replayed.  They would write the same nodes to the same lines, the
+    /// same `mru_set` and the same dirty rows as the settled round, and
+    /// differ from it only in the iterator: the settled round's stamp,
+    /// which no label or epoch outside the round holds, is rewritten in
+    /// place to the last round's value, which leaves the labels and the
+    /// L1 epoch as the last round would.  No compaction runs between the
+    /// stamp's append and its rewrite.  Outer levels are not consulted by
+    /// any round of the stretch.
     ///
     /// Each stream's next line crossing is kept across rounds
     /// ([`stretch_end`]), the rule of the classic replay.
@@ -776,21 +808,23 @@ impl SymLevel {
         while round < group.count {
             let r = round as i64;
             iv[dim] = group.first + r * stride;
+            let stamp = levels[0].push_stamp(iv);
             let mut settled = true;
             for s in 0..k {
                 let address = (group.bases[s] as i64 + r * group.strides[s]) as u64;
-                settled &= walk(levels, address, group.kinds[s], group.nodes[s], iv);
+                settled &= walk_stamped(levels, address, group.kinds[s], group.nodes[s], stamp, iv);
             }
             if settled {
                 // The stretch ends where the first stream leaves its line.
                 let end = stretch_end(crossings, round, group.bases, group.strides, line);
                 let last = end.min(group.count) - 1;
-                if last > round + 1 {
-                    let skipped = (last - round - 1) * k as u64;
+                if last > round {
+                    let skipped = (last - round) * k as u64;
                     levels[0].stats.record_n(true, skipped);
                     counted += skipped;
+                    iv[dim] = group.first + last as i64 * stride;
+                    levels[0].restamp(stamp, dim, iv[dim]);
                     round = last;
-                    continue;
                 }
             }
             round += 1;

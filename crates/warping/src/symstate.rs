@@ -23,13 +23,28 @@
 //!
 //! A [`SymLevel`] is a flat [`FlatLevel`] — the same tag store concrete
 //! simulation uses, with one update routine per replacement policy — plus
-//! a **label slab** parallel to its rows.  Per way the slab holds a `u32`
-//! access-node id, a `u8` label length and a fixed-width window of an `i64`
-//! iteration arena, as wide as the deepest access simulated so far (a
-//! deeper access re-strides the arena once).  [`FlatLevel::touch`] reports
-//! where each access left its line and whether the row rotated, and the
-//! slab applies the same move, so no line owns heap memory and the policy
-//! logic exists once.  The epoch is a fixed buffer of the same width.
+//! a **label slab** parallel to its rows.  Per way the slab holds two
+//! `u32`s: the access-node id and a **stamp**, the index of an iteration
+//! vector in the level's append-only **log**.  [`FlatLevel::touch`]
+//! reports where each access left its line and whether the row rotated,
+//! and the slab applies the same move, so a label write is eight bytes
+//! whatever the loop depth, no line owns heap memory and the policy logic
+//! exists once.  The epoch is a stamp too.
+//!
+//! Labels written at the same iteration share a stamp: an access reuses
+//! the newest stamp when its vector is equal, and a grouped replay
+//! ([`SymLevel::access_group`]) appends one fresh L1 stamp per round.  A
+//! stamp's vector changes only where every holder must change with it.
+//! A fresh stamp belongs to its round alone, so once the round settles
+//! the replay rewrites its vector in place to the stretch's last iterator
+//! instead of replaying the last round.  A warp is copy-on-write: a stamp
+//! that only moving labels hold advances in place, and one that a staying
+//! label holds too (a sibling loop's access at an equal vector) gets a
+//! derived stamp for its moving holders.  When the log outgrows twice the
+//! slab (plus 256 entries), it is compacted to the stamps the labels and
+//! the epoch still hold.  That happens only before an append and at the
+//! end of a warp, so a stamp a replay round holds is never remapped under
+//! it.
 //!
 //! Rows are only ever appended, so the occupied-set view costs O(occupied)
 //! however many sets a level has — canonical keys and warp plans never
@@ -55,6 +70,19 @@ pub struct SymLabel<'a> {
     pub iter: &'a [i64],
 }
 
+/// The stamp of no iteration vector: the label of a way that never held a
+/// line, and the epoch of a level no label write reached.
+const NO_STAMP: u32 = u32::MAX;
+
+/// Log entries allowed beyond twice the label slab before a compaction.
+const LOG_SLACK: usize = 256;
+
+/// The labels holding a stamp during a warp: moving ones, staying ones,
+/// or both.
+const MOVES: u8 = 1;
+const STAYS: u8 = 2;
+const BOTH: u8 = MOVES | STAYS;
+
 /// One cache level simulated symbolically.
 #[derive(Clone)]
 pub struct SymLevel {
@@ -69,19 +97,19 @@ pub struct SymLevel {
     flat: FlatLevel,
     /// The labels, parallel to `flat`'s rows.
     labels: Labels,
-    /// The level epoch: the iteration vector of the last label write, in
-    /// the first `epoch_len` entries of a buffer `labels.width` wide
-    /// (`epoch_len` is 0 until the first label write).
-    epoch: Vec<i64>,
-    epoch_len: usize,
+    /// The iteration vectors the labels and the epoch point into.
+    log: Log,
+    /// The level epoch: the stamp of the last label write, [`NO_STAMP`]
+    /// until the first one.
+    epoch: u32,
     /// Incrementally maintained per-row digests and level fingerprints.
     tracker: FingerprintTracker,
 }
 
 impl SymLevel {
     /// An empty symbolic level.  Costs one zeroed directory of four bytes
-    /// per set (untouched pages stay unmapped); the tags, the label slab
-    /// and the fingerprint tracker grow with the rows.
+    /// per set (untouched pages stay unmapped); the tags, the label slab,
+    /// the log and the fingerprint tracker grow with the rows.
     pub fn new(config: CacheConfig) -> Self {
         let flat = FlatLevel::unreserved(&config);
         let tracker = FingerprintTracker::new(&config);
@@ -91,8 +119,8 @@ impl SymLevel {
             mru_set: 0,
             stats: LevelStats::default(),
             flat,
-            epoch: Vec::new(),
-            epoch_len: 0,
+            log: Log::default(),
+            epoch: NO_STAMP,
             tracker,
         }
     }
@@ -115,49 +143,118 @@ impl SymLevel {
     ///
     /// # Panics
     ///
-    /// Panics if `node` exceeds `u32::MAX` or `iter` is deeper than 255.
+    /// Panics if `node` exceeds `u32::MAX`.
     #[inline]
     pub fn access(&mut self, block: MemBlock, kind: AccessKind, node: usize, iter: &[i64]) -> bool {
-        if iter.len() > self.labels.width {
-            self.widen(iter.len());
-        }
+        self.access_with(block, kind, node, |level| level.stamp_of(iter))
+    }
+
+    /// [`SymLevel::access`] labelling the touched line with `stamp`, a
+    /// stamp of this level's log.
+    #[inline]
+    pub(crate) fn access_stamped(
+        &mut self,
+        block: MemBlock,
+        kind: AccessKind,
+        node: usize,
+        stamp: u32,
+    ) -> bool {
+        self.access_with(block, kind, node, |_| stamp)
+    }
+
+    /// The access shared by [`SymLevel::access`] and
+    /// [`SymLevel::access_stamped`]; `stamp` is only asked for when the
+    /// access writes a label.
+    #[inline(always)]
+    fn access_with(
+        &mut self,
+        block: MemBlock,
+        kind: AccessKind,
+        node: usize,
+        stamp: impl FnOnce(&mut Self) -> u32,
+    ) -> bool {
         self.mru_set = self.flat.index(block);
         let fill = kind != AccessKind::Write || self.config.write_allocate();
-        let hit = match self.flat.touch(block, fill) {
-            Touch::Hit(slot) => {
-                // The paper's SymUpSet replaces the hit line's symbolic
-                // block by the freshly accessed one.
-                self.write_label(slot, node, iter);
-                true
+        // The paper's SymUpSet replaces a hit line's symbolic block by the
+        // freshly accessed one, as a fill does.
+        let (hit, slot) = match self.flat.touch(block, fill) {
+            Touch::Hit(slot) => (true, slot),
+            Touch::Fill(slot) => (false, slot),
+            Touch::Bypass => {
+                self.stats.record(false);
+                return false;
             }
-            Touch::Fill(slot) => {
-                self.write_label(slot, node, iter);
-                false
-            }
-            Touch::Bypass => false,
         };
+        let stamp = stamp(self);
+        self.write_label(slot, node, stamp);
         self.stats.record(hit);
         hit
     }
 
-    #[inline]
-    fn write_label(&mut self, slot: Slot, node: usize, iter: &[i64]) {
+    #[inline(always)]
+    fn write_label(&mut self, slot: Slot, node: usize, stamp: u32) {
         if slot.row == self.labels.rows {
             self.labels.push_row();
         }
-        self.labels.write(slot, node, iter);
-        copy_small(&mut self.epoch[..iter.len()], iter);
-        self.epoch_len = iter.len();
+        let node = u32::try_from(node).expect("access node ids fit in u32");
+        self.labels.write(slot, Label { node, stamp });
+        self.epoch = stamp;
         self.tracker.mark_dirty(slot.row);
     }
 
-    /// Re-strides the label arena (and the epoch buffer) for iteration
-    /// vectors `width` deep.
+    /// The stamp of `iter`: the newest one when its vector is equal, else
+    /// a new one.
+    #[inline]
+    fn stamp_of(&mut self, iter: &[i64]) -> u32 {
+        match self.log.newest() {
+            Some(newest) if equal_small(self.log.get(newest), iter) => newest,
+            _ => self.push_stamp(iter),
+        }
+    }
+
+    /// Appends `iter` to the log as a fresh stamp, which no label shares
+    /// until it is written with it.  Compacts the log first when it
+    /// outgrew its bound.
+    pub(crate) fn push_stamp(&mut self, iter: &[i64]) -> u32 {
+        if self.log.len() >= self.log_bound() {
+            self.compact();
+        }
+        self.log.push(iter)
+    }
+
+    /// Rewrites entry `dim` of `stamp`'s iteration vector to `value`, for
+    /// every label and epoch holding the stamp.  Only sound on a stamp of
+    /// [`SymLevel::push_stamp`] whose every holder should move: the
+    /// labels of one replayed round, and the epoch it left.
+    pub(crate) fn restamp(&mut self, stamp: u32, dim: usize, value: i64) {
+        self.log.get_mut(stamp)[dim] = value;
+    }
+
+    /// The log size beyond which [`SymLevel::push_stamp`] compacts: about
+    /// twice the slab, so live stamps (one per way, plus the epoch's) fill
+    /// at most half of it after a compaction and its cost is amortised
+    /// over the appends that refill it.
+    fn log_bound(&self) -> usize {
+        2 * self.labels.ways.len() + LOG_SLACK
+    }
+
+    /// Drops the log entries no label and not the epoch refers to.
     #[cold]
-    fn widen(&mut self, width: usize) {
-        assert!(width <= usize::from(u8::MAX), "labels deeper than 255");
-        self.labels.widen(width);
-        self.epoch.resize(width, 0);
+    fn compact(&mut self) {
+        let mut remap = vec![NO_STAMP; self.log.len()];
+        let held = self.labels.ways.iter().map(|label| label.stamp);
+        for stamp in held.chain([self.epoch]).filter(|&s| s != NO_STAMP) {
+            remap[stamp as usize] = 0;
+        }
+        self.log.retain(&mut remap);
+        for label in &mut self.labels.ways {
+            if label.stamp != NO_STAMP {
+                label.stamp = remap[label.stamp as usize];
+            }
+        }
+        if self.epoch != NO_STAMP {
+            self.epoch = remap[self.epoch as usize];
+        }
     }
 
     /// The level epoch's value on iterator dimension `dim`: the warped-dim
@@ -174,7 +271,10 @@ impl SymLevel {
     /// The whole level epoch: the iteration vector of the last label write,
     /// empty if no label was ever written.
     pub fn epoch(&self) -> &[i64] {
-        &self.epoch[..self.epoch_len]
+        match self.epoch {
+            NO_STAMP => &[],
+            stamp => self.log.get(stamp),
+        }
     }
 
     /// Number of cache sets holding at least one line.
@@ -209,16 +309,16 @@ impl SymLevel {
 
     /// Row `row` (first-fill order) of the level.
     fn row(&self, row: usize) -> SymSet<'_> {
-        SymSet::new(&self.flat, &self.labels, row)
+        SymSet::new(&self.flat, &self.labels, &self.log, row)
     }
 
     /// Brings the fingerprint tracker up to date with the cache state
     /// (recomputing the digests of rows dirtied since the last call).
     /// Must be called before [`SymLevel::fingerprint`].
     pub fn prepare_match(&mut self) {
-        let (flat, labels) = (&self.flat, &self.labels);
+        let (flat, labels, log) = (&self.flat, &self.labels, &self.log);
         self.tracker
-            .flush(|row| digest_set(&SymSet::new(flat, labels, row)));
+            .flush(|row| digest_set(&SymSet::new(flat, labels, log, row)));
     }
 
     /// The rolling level fingerprint with iterator dimension
@@ -240,7 +340,10 @@ impl SymLevel {
     ///
     /// One in-place pass over the rows: the directory rotates, the tags
     /// shift and the labels advance; rows keep their slab positions, so
-    /// the cost is O(occupied lines) whatever the number of sets.
+    /// the cost is O(occupied lines) whatever the number of sets.  A label
+    /// advances copy-on-write: a stamp that only moving labels (and the
+    /// epoch) hold advances in place, and one that a staying label holds
+    /// too gets one derived stamp, which every moving holder takes.
     /// `address_of` (the byte address an access node touches at an
     /// iteration vector) is only called by debug assertions, which check
     /// that every advanced label concretises to its shifted block.
@@ -262,18 +365,24 @@ impl SymLevel {
         let rotation = total_block_shift.rem_euclid(num_sets as i64) as usize;
         let dim = warp_depth - 1;
         let advance = chunks * period;
-        let labels = &mut self.labels;
-        let width = labels.width;
+        let (labels, log) = (&mut self.labels, &mut self.log);
+        let moves = |log: &Log, label: Label| {
+            log.get(label.stamp).len() >= warp_depth
+                && descendants.binary_search(&(label.node as usize)).is_ok()
+        };
+        // Per stamp, whether moving labels (MOVES), staying ones (STAYS) or
+        // both hold it.
+        let mut holders = vec![0u8; log.len()];
         self.flat
             .shift_rows(rotation, total_block_shift, |slot, block| {
-                let node = labels.nodes[slot] as usize;
-                let moves = usize::from(labels.lens[slot]) >= warp_depth
-                    && descendants.binary_search(&node).is_ok();
-                if moves {
-                    let iter = &mut labels.iters[slot * width..][..usize::from(labels.lens[slot])];
+                let label = labels.ways[slot];
+                let moves = moves(log, label);
+                holders[label.stamp as usize] |= if moves { MOVES } else { STAYS };
+                if cfg!(debug_assertions) && moves {
+                    let mut iter = log.get(label.stamp).to_vec();
                     iter[dim] += advance;
-                    debug_assert_eq!(
-                        address_of(node, iter) / line_size,
+                    assert_eq!(
+                        address_of(label.node as usize, &iter) / line_size,
                         block.0 as i64 + total_block_shift,
                         "warped label concretisation must shift uniformly"
                     );
@@ -282,6 +391,31 @@ impl SymLevel {
                 }
                 moves
             });
+        // A stamp only moving labels hold advances in place.  One a staying
+        // label holds too (labels at equal vectors share a stamp, so a
+        // sibling loop's label can hold a descendant's) is copied, and its
+        // moving labels take the copy; `copies` pairs each such stamp with
+        // its copy, in stamp order.
+        let mut copies = Vec::new();
+        for (stamp, &held) in holders.iter().enumerate() {
+            let stamp = stamp as u32;
+            match held {
+                MOVES => log.get_mut(stamp)[dim] += advance,
+                BOTH => copies.push((stamp, log.derive(stamp, dim, advance))),
+                _ => {}
+            }
+        }
+        let copy_of = |stamp: u32| {
+            let at = copies.binary_search_by_key(&stamp, |&(old, _)| old);
+            at.ok().map(|at| copies[at].1)
+        };
+        if !copies.is_empty() {
+            for label in &mut labels.ways {
+                if let Some(copy) = copy_of(label.stamp).filter(|_| moves(log, *label)) {
+                    label.stamp = copy;
+                }
+            }
+        }
         for row in 0..self.flat.occupied_len() {
             self.tracker.mark_dirty(row);
         }
@@ -294,8 +428,17 @@ impl SymLevel {
         // fell back to the current iterator, classifying it as shifted),
         // and its too-shallow stamp deliberately stays put so later
         // attempts keep using the same fallback.
-        if dim < self.epoch_len {
-            self.epoch[dim] += advance;
+        if dim < self.epoch().len() {
+            let epoch = self.epoch;
+            match holders[epoch as usize] {
+                MOVES => {}
+                BOTH => self.epoch = copy_of(epoch).expect("a held stamp was copied"),
+                STAYS => self.epoch = self.log.derive(epoch, dim, advance),
+                _ => self.log.get_mut(epoch)[dim] += advance,
+            }
+        }
+        if self.log.len() > self.log_bound() {
+            self.compact();
         }
     }
 
@@ -318,94 +461,139 @@ impl fmt::Debug for SymLevel {
     }
 }
 
-/// The label slab: per way of every row, the access node, the label
-/// length and a `width`-wide window of the iteration arena.  Ways that
-/// never held a line have length 0 (a real label can have length 0 too —
-/// an access outside every loop — but then no warp can move it).
+/// The label of one way: its access node and the stamp of its iteration
+/// vector ([`NO_STAMP`] for a way that never held a line).
+#[derive(Clone, Copy)]
+struct Label {
+    node: u32,
+    stamp: u32,
+}
+
+/// The label slab: one [`Label`] per way of every row.
 #[derive(Clone)]
 struct Labels {
     assoc: usize,
-    width: usize,
     rows: usize,
-    nodes: Vec<u32>,
-    lens: Vec<u8>,
-    iters: Vec<i64>,
+    ways: Vec<Label>,
 }
 
 impl Labels {
     fn new(assoc: usize) -> Self {
         Labels {
             assoc,
-            width: 0,
             rows: 0,
-            nodes: Vec::new(),
-            lens: Vec::new(),
-            iters: Vec::new(),
+            ways: Vec::new(),
         }
     }
 
     fn push_row(&mut self) {
         self.rows += 1;
-        let ways = self.rows * self.assoc;
-        self.nodes.resize(ways, 0);
-        self.lens.resize(ways, 0);
-        self.iters.resize(ways * self.width, 0);
+        let empty = Label {
+            node: 0,
+            stamp: NO_STAMP,
+        };
+        self.ways.resize(self.rows * self.assoc, empty);
     }
 
     /// Applies the row move of `slot` and labels the touched line.
     #[inline]
-    fn write(&mut self, slot: Slot, node: usize, iter: &[i64]) {
+    fn write(&mut self, slot: Slot, label: Label) {
         let base = slot.row * self.assoc;
-        let width = self.width;
         if slot.rotated && slot.way > 0 {
             // Ways 0..way move back by one; way 0 is overwritten below, so
-            // the rotated-in label never needs to be copied.  Rows and
-            // labels are a few entries wide, where plain loops beat the
-            // library's memmove.
+            // the rotated-in label never needs to be copied.  Rows are a
+            // few ways wide, where a plain loop beats the library's
+            // memmove.
             for way in (base + 1..=base + slot.way).rev() {
-                self.nodes[way] = self.nodes[way - 1];
-                self.lens[way] = self.lens[way - 1];
-            }
-            let window = &mut self.iters[base * width..(base + slot.way + 1) * width];
-            for k in (width..window.len()).rev() {
-                window[k] = window[k - width];
+                self.ways[way] = self.ways[way - 1];
             }
         }
-        let line = base + slot.line();
-        self.nodes[line] = u32::try_from(node).expect("access node ids fit in u32");
-        self.lens[line] = iter.len() as u8;
-        copy_small(&mut self.iters[line * width..][..iter.len()], iter);
-    }
-
-    /// Re-strides the iteration arena to `width` entries per way.
-    fn widen(&mut self, width: usize) {
-        let old = self.width;
-        let mut iters = vec![0; self.nodes.len() * width];
-        if old > 0 {
-            for (new, old) in iters.chunks_mut(width).zip(self.iters.chunks(old)) {
-                new[..old.len()].copy_from_slice(old);
-            }
-        }
-        self.iters = iters;
-        self.width = width;
-    }
-
-    fn label(&self, slot: usize) -> (usize, &[i64]) {
-        let len = usize::from(self.lens[slot]);
-        (
-            self.nodes[slot] as usize,
-            &self.iters[slot * self.width..][..len],
-        )
+        self.ways[base + slot.line()] = label;
     }
 }
 
-/// `dst.copy_from_slice(src)` for the few entries of an iteration vector,
-/// where a plain loop beats a call to the library's memcpy.
-#[inline]
-fn copy_small(dst: &mut [i64], src: &[i64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = *s;
+/// The append-only log of iteration vectors: stamp `s` names
+/// `iters[spans[s].0..spans[s].1]`.
+#[derive(Clone, Default)]
+struct Log {
+    spans: Vec<(u32, u32)>,
+    iters: Vec<i64>,
+}
+
+impl Log {
+    fn len(&self) -> usize {
+        self.spans.len()
     }
+
+    fn newest(&self) -> Option<u32> {
+        self.spans.len().checked_sub(1).map(|s| s as u32)
+    }
+
+    #[inline]
+    fn get(&self, stamp: u32) -> &[i64] {
+        let (start, end) = self.spans[stamp as usize];
+        &self.iters[start as usize..end as usize]
+    }
+
+    fn get_mut(&mut self, stamp: u32) -> &mut [i64] {
+        let (start, end) = self.spans[stamp as usize];
+        &mut self.iters[start as usize..end as usize]
+    }
+
+    /// Appends `iter` and returns its stamp.
+    #[inline]
+    fn push(&mut self, iter: &[i64]) -> u32 {
+        let start = self.iters.len();
+        // A few entries, where a plain loop beats the library's memcpy.
+        self.iters.reserve(iter.len());
+        for &v in iter {
+            self.iters.push(v);
+        }
+        let end = u32::try_from(self.iters.len()).expect("the log fits in u32 entries");
+        self.spans.push((start as u32, end));
+        (self.spans.len() - 1) as u32
+    }
+
+    /// Appends a copy of `stamp`'s vector advanced by `advance` along
+    /// `dim` and returns its stamp.
+    fn derive(&mut self, stamp: u32, dim: usize, advance: i64) -> u32 {
+        let (start, end) = self.spans[stamp as usize];
+        let at = self.iters.len();
+        self.iters.extend_from_within(start as usize..end as usize);
+        self.iters[at + dim] += advance;
+        self.spans.push((at as u32, self.iters.len() as u32));
+        (self.spans.len() - 1) as u32
+    }
+
+    /// Keeps the entries whose `remap` entry is not [`NO_STAMP`], in
+    /// order, and writes each kept entry's new stamp into `remap`.
+    fn retain(&mut self, remap: &mut [u32]) {
+        let (mut kept, mut end) = (0, 0);
+        for (stamp, new) in remap.iter_mut().enumerate() {
+            if *new == NO_STAMP {
+                continue;
+            }
+            let (start, stop) = self.spans[stamp];
+            let len = (stop - start) as usize;
+            // Entries are a few wide, where a plain loop beats memmove.
+            for k in 0..len {
+                self.iters[end + k] = self.iters[start as usize + k];
+            }
+            self.spans[kept] = (end as u32, (end + len) as u32);
+            *new = kept as u32;
+            kept += 1;
+            end += len;
+        }
+        self.spans.truncate(kept);
+        self.iters.truncate(end);
+    }
+}
+
+/// `a == b` for the few entries of an iteration vector, where a plain loop
+/// beats a call to the library's memcmp.
+#[inline]
+fn equal_small(a: &[i64], b: &[i64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
 }
 
 /// A borrowed view of one occupied set of a [`SymLevel`]: its lines with
@@ -415,14 +603,16 @@ pub struct SymSet<'a> {
     row: usize,
     set: FlatSet<'a>,
     labels: &'a Labels,
+    log: &'a Log,
 }
 
 impl<'a> SymSet<'a> {
-    fn new(flat: &'a FlatLevel, labels: &'a Labels, row: usize) -> Self {
+    fn new(flat: &'a FlatLevel, labels: &'a Labels, log: &'a Log, row: usize) -> Self {
         SymSet {
             row,
             set: flat.row(row),
             labels,
+            log,
         }
     }
 
@@ -439,11 +629,13 @@ impl<'a> SymSet<'a> {
     /// The lines in policy order (as [`cache_model::SetState::lines`]
     /// orders them), each with its label.
     pub fn lines(&self) -> impl Iterator<Item = Option<SymLabel<'a>>> + 'a {
-        let (labels, base) = (self.labels, self.row * self.labels.assoc);
-        self.set.lines().enumerate().map(move |(way, block)| {
-            block.map(|block| {
-                let (node, iter) = labels.label(base + way);
-                SymLabel { block, node, iter }
+        let (log, base) = (self.log, self.row * self.labels.assoc);
+        let ways = &self.labels.ways[base..base + self.labels.assoc];
+        self.set.lines().zip(ways).map(move |(block, label)| {
+            block.map(|block| SymLabel {
+                block,
+                node: label.node as usize,
+                iter: log.get(label.stamp),
             })
         })
     }
@@ -499,7 +691,7 @@ mod tests {
         assert_eq!(
             (lines[1].block, lines[1].node, lines[1].iter),
             (MemBlock(4), 2, &[5][..]),
-            "a deeper access re-strides the arena and keeps older labels"
+            "a deeper access keeps older, shallower labels"
         );
     }
 
@@ -595,6 +787,122 @@ mod tests {
             l.access(MemBlock(3), AccessKind::Read, 0, &[3]),
             "the shifted tag hits"
         );
+        l.prepare_match();
+        let rebuilt = rebuild_level_fingerprint(&l);
+        assert_eq!(l.fingerprint(0), Some(rebuilt[0]));
+    }
+
+    /// An owned label: `(block, node, iter)`.
+    type Line = (u64, usize, Vec<i64>);
+
+    /// The labels of every occupied set, owned and by set index.
+    fn owned_labels(l: &SymLevel) -> Vec<(usize, Vec<Line>)> {
+        let mut sets: Vec<_> = l
+            .sets()
+            .map(|set| {
+                let lines = set.lines().flatten();
+                let lines = lines.map(|line| (line.block.0, line.node, line.iter.to_vec()));
+                (set.index(), lines.collect())
+            })
+            .collect();
+        sets.sort();
+        sets
+    }
+
+    #[test]
+    fn compaction_keeps_labels_epoch_and_fingerprints() {
+        // Accesses and warps over blocks 0..6; every node at `iter`
+        // touches block `iter[0] mod 6`, so a warp of 6 iterations shifts
+        // no block.
+        let address_of = |_: usize, iter: &[i64]| 64 * iter[0].rem_euclid(6);
+        for sets in [1, 2] {
+            let mut l = SymLevel::new(CacheConfig::with_sets(sets, 2, 64, ReplacementPolicy::Lru));
+            // An LRU reference: per set, the lines MRU first.
+            let mut model: Vec<Vec<Line>> = vec![Vec::new(); sets];
+            let mut epoch = Vec::new();
+            let check = |l: &mut SymLevel, model: &[Vec<_>], epoch: &[i64], at: &str| {
+                assert!(
+                    l.log.len() <= l.log_bound(),
+                    "{at}: the log outgrew its bound"
+                );
+                let expected: Vec<_> = (0..sets)
+                    .filter(|&s| !model[s].is_empty())
+                    .map(|s| (s, model[s].clone()))
+                    .collect();
+                assert_eq!(owned_labels(l), expected, "{at}: labels");
+                assert_eq!(l.epoch(), epoch, "{at}: epoch");
+                l.prepare_match();
+                let rebuilt = rebuild_level_fingerprint(l);
+                for (d, word) in rebuilt.iter().enumerate() {
+                    assert_eq!(l.fingerprint(d), Some(*word), "{at}: dim {d}");
+                }
+            };
+            let (mut by_access, mut by_warp, mut x) = (0, 0, 11u64);
+            let mut iter = vec![0];
+            for step in 0..8_000i64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Every third access repeats the previous vector (with
+                // another node), so stamps are shared as well as appended.
+                if step % 3 != 1 {
+                    let depth = 1 + (x >> 50) % 3;
+                    iter = (0..depth)
+                        .map(|d| (x >> 33) as i64 % 6 + 6 * step + d as i64)
+                        .collect();
+                }
+                let block = address_of(0, &iter) as u64 / 64;
+                let node = ((x >> 40) % 3) as usize;
+                let before = l.log.len();
+                l.access(MemBlock(block), AccessKind::Read, node, &iter);
+                by_access += usize::from(l.log.len() < before);
+                let set = &mut model[block as usize % sets];
+                set.retain(|line| line.0 != block);
+                set.insert(0, (block, node, iter.clone()));
+                set.truncate(2);
+                epoch.clone_from(&iter);
+                check(&mut l, &model, &epoch, &format!("access {step}"));
+                if step % 2 == 1 {
+                    let before = l.log.len();
+                    // Node 2's labels stay, so shared stamps are copied.
+                    l.apply_warp(address_of, &[0, 1], 1, 6, 1, 0);
+                    by_warp += usize::from(l.log.len() < before);
+                    for line in model.iter_mut().flatten().filter(|line| line.1 != 2) {
+                        line.2[0] += 6;
+                    }
+                    epoch[0] += 6;
+                    check(&mut l, &model, &epoch, &format!("warp {step}"));
+                }
+            }
+            assert!(
+                by_access >= 3 && by_warp >= 3,
+                "{sets} sets: {by_access} compactions by accesses, {by_warp} by warps"
+            );
+        }
+    }
+
+    #[test]
+    fn warps_move_shared_stamps_copy_on_write() {
+        let mut l = level();
+        // Node 0 (a descendant) and node 1 (not one) write at the same
+        // iteration, so their labels share one stamp, as does the epoch.
+        l.access(MemBlock(1), AccessKind::Read, 0, &[3]);
+        l.access(MemBlock(2), AccessKind::Read, 1, &[3]);
+        let stamp = |l: &SymLevel, set: usize| l.labels.ways[l.flat.row_of(set).unwrap() * 2].stamp;
+        assert_eq!(stamp(&l, 1), stamp(&l, 2), "one shared stamp");
+        assert_eq!(stamp(&l, 2), l.epoch);
+        // Node 0 reads 8-byte elements from byte 64: two iterations stay
+        // on block 1, so the warp shifts no block.
+        l.apply_warp(|_, iv: &[i64]| 64 + 8 * iv[0], &[0], 1, 1, 2, 0);
+        assert_eq!(first_label(&l, 1), (0, vec![5]), "the descendant moves");
+        assert_eq!(first_label(&l, 2), (1, vec![3]), "the other label stays");
+        assert_eq!(l.epoch(), &[5], "the epoch advances");
+        // Now only the staying label holds the epoch's stamp.
+        l.access(MemBlock(2), AccessKind::Read, 1, &[7]);
+        l.apply_warp(|_, iv: &[i64]| 64 + 8 * iv[0], &[0], 1, 1, 2, 0);
+        assert_eq!(first_label(&l, 1), (0, vec![7]));
+        assert_eq!(first_label(&l, 2), (1, vec![7]), "the other label stays");
+        assert_eq!(l.epoch(), &[9], "the epoch advances alone");
         l.prepare_match();
         let rebuilt = rebuild_level_fingerprint(&l);
         assert_eq!(l.fingerprint(0), Some(rebuilt[0]));

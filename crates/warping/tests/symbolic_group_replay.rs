@@ -2,8 +2,8 @@
 //! per-access symbolic simulation.
 //!
 //! `SymLevel::access_group` records the rounds of a same-line stretch as L1
-//! hits once one round is all L1 hits, and replays only the stretch's last
-//! round.  The oracle below walks every access of every round through
+//! hits once one round is all L1 hits, the stretch's last round included,
+//! and moves the settled round's labels to the last round's iterator.  The oracle below walks every access of every round through
 //! `SymLevel::access`, level by level.  Random multi-stream groups — forward,
 //! backward, zero-stride and line-crossing streams, reads and writes — run
 //! on hierarchies of depth 1–3 under all four policies and both write
@@ -224,4 +224,45 @@ fn settled_stretches_are_counted() {
         counted += run(seed, policy, true, 2, 4, 64, 2, 8);
     }
     assert!(counted > 0, "no round was recorded arithmetically");
+}
+
+/// A settling group whose first round repeats the iteration vector of the
+/// one-round group before it: its labels move to its last round, and the
+/// earlier group's labels, written at the same vector, stay where they
+/// are.
+#[test]
+fn a_settling_group_leaves_an_equal_earlier_round_alone() {
+    let config = CacheConfig::with_sets(2, 2, 64, ReplacementPolicy::Lru);
+    let streams = |nodes: Vec<usize>, bases: Vec<u64>, strides: Vec<i64>| Streams {
+        kinds: vec![AccessKind::Read; nodes.len()],
+        nodes,
+        bases,
+        strides,
+        first: 5,
+    };
+    // Block 128 (set 0) and block 129 (set 1), at iteration [0, 5].
+    let earlier = streams(vec![0, 1], vec![8192, 8256], vec![0, 0]);
+    // Block 129 again from the same iteration on: an L1 hit that settles
+    // at once and stays on its line for all four rounds.
+    let settling = streams(vec![2], vec![8256], vec![8]);
+    let mut levels = vec![SymLevel::new(config)];
+    let mut oracle = levels.clone();
+    let (mut iv, mut oracle_iv) = (vec![0, 0], vec![0, 0]);
+    let mut crossings = Vec::new();
+    SymLevel::access_group(&mut levels, &earlier.group(1), 1, &mut iv, &mut crossings);
+    earlier.round(&mut oracle, &mut oracle_iv, 1, 0);
+    let counted =
+        SymLevel::access_group(&mut levels, &settling.group(4), 1, &mut iv, &mut crossings);
+    for r in 0..4 {
+        settling.round(&mut oracle, &mut oracle_iv, 1, r);
+    }
+    assert_eq!(counted, 3, "rounds 1-3 are recorded as hits");
+    assert_eq!(iv, [0, 8]);
+    assert_same(&levels, &oracle, "after the settling group");
+    let first = |set: usize| {
+        let line = levels[0].set(set).unwrap().lines().next().unwrap().unwrap();
+        (line.node, line.iter.to_vec())
+    };
+    assert_eq!(first(0), (0, vec![0, 5]), "the earlier group's label");
+    assert_eq!(first(1), (2, vec![0, 8]), "the settled label");
 }
