@@ -16,8 +16,8 @@
 //!   per-set, per-level decomposition.
 //!
 //! The runtime of these stand-ins is `O(N log N)` in the number of accesses
-//! rather than problem-size-independent; EXPERIMENTS.md discusses how this
-//! affects the runtime comparisons of Fig. 8 and Fig. 9.
+//! rather than problem-size-independent, so the runtime comparisons of
+//! Fig. 8 and Fig. 9 time these stand-ins, not the original tools.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

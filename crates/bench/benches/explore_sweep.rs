@@ -92,7 +92,7 @@ fn warm_service(grid: &[(i64, i64)]) -> SimService {
         workers: 1,
         cache_capacity: 128,
         exact_budget: None,
-        warm_paths: true,
+        ..ServeConfig::default()
     });
     service
         .register_family("tiled-gemm", TILED_GEMM)

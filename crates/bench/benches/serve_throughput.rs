@@ -67,7 +67,7 @@ fn bench_warm_vs_cold(criterion: &mut Criterion) {
                 workers: 1,
                 cache_capacity: 16,
                 exact_budget: None,
-                warm_paths: true,
+                ..ServeConfig::default()
             });
             black_box(service.submit(&request).expect("request served"))
         })
@@ -79,7 +79,7 @@ fn bench_warm_vs_cold(criterion: &mut Criterion) {
             workers: 1,
             cache_capacity: 16,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         });
         let request = request(0);
         service.submit(&request).expect("priming run succeeds");
@@ -108,7 +108,7 @@ fn bench_batch_workers(criterion: &mut Criterion) {
                         workers,
                         cache_capacity: 64,
                         exact_budget: None,
-                        warm_paths: true,
+                        ..ServeConfig::default()
                     }));
                     black_box(service.run_batch(&duplicate_heavy_batch()))
                 })

@@ -888,7 +888,6 @@ fn explore_command(flags: &Flags) {
         if latencies.is_some() {
             output.push(("pareto_time", json_time_fronts.serialize_value()));
         }
-        output.push(("calibration", service.calibration_stats().serialize_value()));
         output.push(("serve_stats", stats.serialize_value()));
         println!(
             "{}",
@@ -901,10 +900,6 @@ fn explore_command(flags: &Flags) {
             stats.family_requests,
             stats.family_hits,
             stats.simulated
-        );
-        println!(
-            "warm paths: calibration hits {}, misses {}, fallbacks {}",
-            stats.calibration_hits, stats.calibration_misses, stats.calibration_fallbacks
         );
     }
 }

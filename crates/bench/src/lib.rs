@@ -14,8 +14,8 @@
 //!
 //! Absolute runtimes depend on the host; what is expected to reproduce is
 //! the *shape* of each figure — which simulator wins, by roughly what
-//! factor, and where the crossovers fall.  EXPERIMENTS.md records the
-//! measured outcomes next to the paper's.
+//! factor, and where the crossovers fall.  The README's "Reproducing the
+//! paper's figures" section shows how to regenerate each figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,8 +6,10 @@
 //! ([`scop::canonicalize`]: α-renamed variables, normalised affine
 //! expressions and bounds) × the memory configuration × the backend and its
 //! options.  Two requests with equal hashes produce bit-identical
-//! [`SimReport`](crate::SimReport)s (up to wall-clock timing fields), so a
-//! cached report can be replayed for any request that hashes the same.
+//! [`SimReport`](crate::SimReport)s (up to wall-clock timing fields):
+//! every backend, the sampled one included, answers from the request
+//! alone and carries no state from one request to the next.  So a cached
+//! report can be replayed for any request that hashes the same.
 //!
 //! The digest is FNV-1a/128 over a deterministic rendering of those three
 //! components.  FNV is stable across processes, platforms and Rust

@@ -54,7 +54,7 @@ pub use cache_model::{MemoryConfig, MemoryConfigError};
 pub use canon::CanonicalHash;
 pub use report::{ApproxStats, SimReport, WarpingStats};
 pub use request::{dataset_by_name, Backend, KernelSpec, SimRequest};
-pub use sampling::{Calibration, SamplingOptions, PPM};
+pub use sampling::{SamplingOptions, PPM};
 
 use analytical::{HaystackModel, PolyCacheModel};
 use cache_model::{LevelStats, ReplacementPolicy, WritePolicy};
@@ -113,17 +113,6 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// What a [`Engine::run_warm`] call learned, ready to donate to the next
-/// similar request, plus how it interacted with the provided prior.
-#[derive(Clone, Debug, Default)]
-pub struct WarmOutcome {
-    /// Calibration measured by this run (sampled backend only).
-    pub calibration: Option<Calibration>,
-    /// Whether some seeded quantity failed validation and fell back to
-    /// the full cold path.
-    pub calibration_fallback: bool,
-}
-
 /// The backend-polymorphic simulation engine.
 ///
 /// An `Engine` is cheap to construct and stateless between requests; share
@@ -170,27 +159,6 @@ impl Engine {
     /// the requested memory system, and [`EngineError::InvalidOptions`] for
     /// invalid sampling options.
     pub fn run(&self, request: &SimRequest) -> Result<SimReport, EngineError> {
-        self.run_warm(request, None).map(|(report, _)| report)
-    }
-
-    /// [`Engine::run`] with a calibration prior from a *similar* earlier
-    /// request (typically a neighbouring instance of the same kernel
-    /// family): the prior seeds a sampled request's schedule (period,
-    /// stabilisation depth, audit bias), every seeded quantity is
-    /// validated in-run, and demoted work falls back to the cold path on
-    /// mismatch, so a stale or foreign prior costs time, never
-    /// correctness.  Other backends ignore the prior.  The returned
-    /// [`WarmOutcome`] carries what this run learned for the next one.
-    /// Without a prior the report is identical to [`Engine::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Engine::run`].
-    pub fn run_warm(
-        &self,
-        request: &SimRequest,
-        prior: Option<&Calibration>,
-    ) -> Result<(SimReport, WarmOutcome), EngineError> {
         let kernel = request.kernel.name();
         let serve_start = Instant::now();
         let build_start = Instant::now();
@@ -205,7 +173,6 @@ impl Engine {
 
         let memory = &request.memory;
         let sim_start = Instant::now();
-        let mut warm = WarmOutcome::default();
         let (result, warping, exact, approx) = match &request.backend {
             Backend::Classic => {
                 let mut system = MultiLevelSystem::new(memory.clone());
@@ -261,18 +228,13 @@ impl Engine {
             Backend::Sampled(options) => {
                 options.validate().map_err(EngineError::InvalidOptions)?;
                 let mut opts = *options;
-                // Adaptive rate selection: with a positive target, a
-                // calibration prior picks the starting rate from its
-                // jitter; an overshooting bound gets one boosted re-run
-                // (straight to exact when the overshoot is hopeless).
-                if let Some(rate) = sampling::suggest_rate(prior, &opts) {
-                    opts.rate_ppm = rate;
-                }
+                // With a positive error-bound target, an overshooting bound
+                // gets one boosted re-run (straight to exact when the
+                // overshoot is hopeless).
                 let mut attempts = 0;
-                let (result, approx, cal) = loop {
+                let (result, approx) = loop {
                     attempts += 1;
-                    let (result, approx, cal) =
-                        sampling::run_sampled_with(&scop, memory, &opts, prior);
+                    let (result, approx) = sampling::run_sampled_with(&scop, memory, &opts);
                     let worst = approx
                         .per_level_error_bound
                         .iter()
@@ -284,7 +246,7 @@ impl Engine {
                         || attempts >= 2
                         || opts.rate_ppm >= PPM
                     {
-                        break (result, approx, cal);
+                        break (result, approx);
                     }
                     // Bounds scale roughly with the skipped share; boost
                     // proportionally to the overshoot (at least 2×), and
@@ -300,8 +262,6 @@ impl Engine {
                             .expect("clamped to PPM")
                     };
                 };
-                warm.calibration = cal.measured;
-                warm.calibration_fallback = cal.fallback;
                 // Sampling that covered the whole iteration space (rate
                 // 1.0, or a kernel too small to sample) is exact;
                 // anything extrapolated is not, however tight the bound.
@@ -320,24 +280,21 @@ impl Engine {
         };
         let sim_ms = sim_start.elapsed().as_secs_f64() * 1e3;
 
-        Ok((
-            SimReport {
-                kernel,
-                backend: request.backend.label().to_string(),
-                memory: memory.clone(),
-                result,
-                warping,
-                exact,
-                build_ms,
-                sim_ms,
-                wall_ns: Some(serve_start.elapsed().as_nanos() as u64),
-                // Stamped by schedulers that queue requests (the serving
-                // layer's worker pool); a direct `run` never queues.
-                queue_ns: None,
-                approx,
-            },
-            warm,
-        ))
+        Ok(SimReport {
+            kernel,
+            backend: request.backend.label().to_string(),
+            memory: memory.clone(),
+            result,
+            warping,
+            exact,
+            build_ms,
+            sim_ms,
+            wall_ns: Some(serve_start.elapsed().as_nanos() as u64),
+            // Stamped by schedulers that queue requests (the serving
+            // layer's worker pool); a direct `run` never queues.
+            queue_ns: None,
+            approx,
+        })
     }
 
     /// Serves a batch of requests, fanning them out across

@@ -84,6 +84,10 @@
 //! vanish, and the extrapolation is exact — which is what the accuracy
 //! suite asserts.  A `rate` of `1.0` bypasses sampling entirely and
 //! reproduces the classic backend bit-for-bit.
+//!
+//! The schedule — prefix, period, stabilisation depth, audit — is derived
+//! from the kernel, the memory system and the [`SamplingOptions`] alone,
+//! never from an earlier run, so one request always gets one report.
 
 use crate::report::ApproxStats;
 use cache_model::{LevelStats, MemoryConfig, MultiLevelState};
@@ -127,9 +131,8 @@ pub struct SamplingOptions {
     /// carried state unconditionally — cheapest, widest cold-state bias.
     pub warmup: u32,
     /// Target per-level miss-count error bound; `0` means no target.  A
-    /// positive target makes the engine pick `rate_ppm` adaptively (from a
-    /// calibration prior when one is available), re-running at a boosted
-    /// rate at most once when the reported bound overshoots.  The reported
+    /// positive target makes the engine re-run at a boosted rate at most
+    /// once when the bound reported at `rate_ppm` overshoots.  The reported
     /// bound is always honest either way; the target steers effort, it
     /// does not clip the report.
     pub max_error: u64,
@@ -203,80 +206,20 @@ impl Default for SamplingOptions {
     }
 }
 
-/// What one calibrated sampling run learned about a kernel family's
-/// behaviour — the facts a *neighbouring* instance (same family, same
-/// hierarchy and policy, nearby bindings) can seed its schedule from
-/// instead of re-deriving them with the exact prefix, the stride-spaced
-/// stabilisation scan and the shadow/truth audit.
-///
-/// Every seeded quantity is validated against the new instance before it
-/// is trusted (period by a short exact trace, stabilisation by flat
-/// occupancy checkpoints, the audit by a measured spot check); any
-/// mismatch falls back to the full cold path, so a stale or foreign prior
-/// costs time, never soundness.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Calibration {
-    /// Detected behaviour period, in outer iterations.
-    pub period: usize,
-    /// Leading prefix iterations whose behaviour signature had not yet
-    /// turned periodic on the donor (cold-start fills live here).  A
-    /// donee's shortened prefix must reach past this depth, or its
-    /// validation window would sit inside the fill and reject every
-    /// period.
-    pub prefix_settle: usize,
-    /// Intervals simulated exactly before per-level occupancy flattened
-    /// (the growth phase only, excluding flat confirmation checkpoints).
-    pub stable_depth: usize,
-    /// Whole intervals the calibrated loop spanned.
-    pub intervals: u64,
-    /// Per-level `(accesses, misses)` of the first steady measured
-    /// interval — the unit other quantities are scaled by.
-    pub interval_stats: Vec<(u64, u64)>,
-    /// Per-level largest miss-count difference between adjacent measured
-    /// intervals.
-    pub jitter: Vec<u64>,
-    /// Per-level signed `(accesses, misses)` audit discrepancy summed over
-    /// [`audit_units`](Calibration::audit_units) intervals, in the units
-    /// of [`interval_stats`](Calibration::interval_stats).
-    pub bias: Vec<(i64, i64)>,
-    /// Intervals the audit covered; `0` when no audit ever ran along the
-    /// donor chain.
-    pub audit_units: u64,
-}
-
-/// How a sampling run interacted with its calibration prior, plus the
-/// calibration it measured for future donees.
-#[derive(Clone, Debug, Default)]
-pub struct CalibrationOutcome {
-    /// The calibration this run measured (from its largest sampled loop),
-    /// ready to donate; `None` when no loop was actually sampled.
-    pub measured: Option<Calibration>,
-    /// Whether any seeded quantity failed validation and fell back to the
-    /// full cold path (the run is still sound — just slower).
-    pub fallback: bool,
-}
-
 /// Runs the sampling backend: simulates representative intervals and
-/// extrapolates the rest, optionally seeding the schedule from a
-/// calibration prior donated by a neighbouring family instance; returns
-/// what this run measured alongside the report.  `options` must already
-/// be validated.
+/// extrapolates the rest.  The schedule depends only on the kernel, the
+/// memory system and `options`, which must already be validated.
 pub(crate) fn run_sampled_with(
     scop: &Scop,
     memory: &MemoryConfig,
     options: &SamplingOptions,
-    prior: Option<&Calibration>,
-) -> (SimulationResult, ApproxStats, CalibrationOutcome) {
+) -> (SimulationResult, ApproxStats) {
     let depth = memory.depth();
     if options.rate_ppm >= PPM {
         // Full rate: run the classic path verbatim so the counts are
         // bit-identical by construction, not merely by argument.
         let result = simulate(scop, &mut MultiLevelSystem::new(memory.clone()));
-        return (
-            result,
-            ApproxStats::exact(depth),
-            CalibrationOutcome::default(),
-        );
+        return (result, ApproxStats::exact(depth));
     }
     // The exact and measured intervals replay the compiled run stream
     // (batched same-line updates).
@@ -285,16 +228,6 @@ pub(crate) fn run_sampled_with(
     let mut sampler = Sampler {
         config: memory,
         options: *options,
-        // A prior is only usable when it describes the same hierarchy
-        // depth and a representable period; anything else is ignored
-        // outright rather than half-trusted.
-        prior: prior.filter(|c| {
-            c.interval_stats.len() == depth
-                && c.jitter.len() == depth
-                && c.bias.len() == depth
-                && c.period >= 1
-                && c.period <= MAX_PERIOD
-        }),
         state: MultiLevelState::new(memory),
         totals: vec![LevelStats::default(); depth],
         bounds: vec![0; depth],
@@ -304,8 +237,6 @@ pub(crate) fn run_sampled_with(
         measured_intervals: 0,
         estimated_intervals: 0,
         period: 0,
-        fallback: false,
-        measured_cal: None,
         scratch,
     };
     for root in compiled.roots() {
@@ -320,9 +251,6 @@ pub(crate) fn run_sampled_with(
 struct Sampler<'a> {
     config: &'a MemoryConfig,
     options: SamplingOptions,
-    /// Calibration prior from a neighbouring family instance, already
-    /// depth-checked; `None` runs the cold path.
-    prior: Option<&'a Calibration>,
     state: MultiLevelState,
     /// Extrapolated per-level totals (measured + estimated).
     totals: Vec<LevelStats>,
@@ -337,10 +265,6 @@ struct Sampler<'a> {
     measured_intervals: u64,
     estimated_intervals: u64,
     period: u64,
-    /// Whether any seeded quantity failed validation.
-    fallback: bool,
-    /// Calibration measured by the largest sampled loop so far.
-    measured_cal: Option<Calibration>,
     /// Reusable compiled-walk scratch (iteration vector + per-slot base
     /// addresses), kept across intervals so resumptions allocate nothing.
     scratch: WalkScratch,
@@ -421,8 +345,8 @@ impl<'a> Sampler<'a> {
             .unwrap_or(usize::MAX)
     }
 
-    /// Simulates outer iterations `range` exactly (counts trusted) and
-    /// appends each iteration's behaviour signature to `trace`.
+    /// Simulates the first `prefix` outer iterations exactly (counts
+    /// trusted) and returns each iteration's behaviour signature.
     ///
     /// The period signature hashes each iteration's per-level counts, not
     /// the cache state: behaviour is periodic from the very first
@@ -436,18 +360,19 @@ impl<'a> Sampler<'a> {
         cl: &CompiledLoop,
         iters: &[i64],
         base: i64,
-        range: std::ops::Range<usize>,
-        trace: &mut Vec<u64>,
-    ) {
-        for idx in range {
-            let local = self.run_iters(cl, iters, base, idx..idx + 1, true);
-            let mut signature = 0xcbf2_9ce4_8422_2325u64;
-            for stats in &local {
-                signature = (signature ^ stats.misses).wrapping_mul(0x0000_0100_0000_01b3);
-                signature = (signature ^ stats.accesses).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            trace.push(signature);
-        }
+        prefix: usize,
+    ) -> Vec<u64> {
+        (0..prefix)
+            .map(|idx| {
+                let local = self.run_iters(cl, iters, base, idx..idx + 1, true);
+                let mut signature = 0xcbf2_9ce4_8422_2325u64;
+                for stats in &local {
+                    signature = (signature ^ stats.misses).wrapping_mul(0x0000_0100_0000_01b3);
+                    signature = (signature ^ stats.accesses).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                signature
+            })
+            .collect()
     }
 
     /// Samples one top-level loop (or simulates it exactly when it is too
@@ -458,42 +383,11 @@ impl<'a> Sampler<'a> {
         let base = self.clock;
         self.clock = base + total as i64;
 
-        // Phase 1: exact prefix.  A calibration prior shortens it to just
-        // enough iterations to *validate* the donor's period instead of
-        // re-detecting one from scratch; a failed validation extends the
-        // trace back to the full cold prefix and re-detects, so a foreign
-        // prior degrades speed, never the counts.
-        let full_prefix = total.min(MAX_PREFIX);
-        let mut prefix = match self.prior {
-            Some(c) => (c.prefix_settle + 2 * c.period + 2).max(4).min(full_prefix),
-            None => full_prefix,
-        };
-        let mut trace = Vec::with_capacity(full_prefix);
-        self.trace_prefix(cl, &iters, base, 0..prefix, &mut trace);
-        let mut loop_seeded = false;
-        // Validation skips the donor's settle depth: those iterations are
-        // the cold-start fill, whose signatures are not periodic on any
-        // instance, donor included.
-        let p = match self.prior {
-            Some(c) if validates_period(&trace[c.prefix_settle.min(trace.len())..], c.period) => {
-                loop_seeded = true;
-                c.period
-            }
-            Some(_) => {
-                self.fallback = true;
-                self.trace_prefix(cl, &iters, base, prefix..full_prefix, &mut trace);
-                prefix = full_prefix;
-                detect_period(&trace)
-            }
-            None => detect_period(&trace),
-        };
-        // The settle depth this run will donate: its own trace's cold
-        // head, floored by the donor's so the depth never decays along a
-        // donation chain (a validated short trace can understate it).
-        let settle = match self.prior {
-            Some(c) if loop_seeded => settle_of(&trace, p).max(c.prefix_settle),
-            _ => settle_of(&trace, p),
-        };
+        // Phase 1: exact prefix, then period detection over its
+        // behaviour signatures.
+        let prefix = total.min(MAX_PREFIX);
+        let trace = self.trace_prefix(cl, &iters, base, prefix);
+        let p = detect_period(&trace);
         let remaining = total - prefix;
         let n = remaining / p;
         let stride = self.interval_stride();
@@ -522,41 +416,6 @@ impl<'a> Sampler<'a> {
         let mut stable = 0usize;
         let mut streak = 0u32;
         let mut occ_prev = occupancy(&self.state);
-        // End of the last growth evidence, exported as the calibration's
-        // stabilisation depth.
-        let mut growth_end = 0usize;
-        if loop_seeded {
-            // Seeded stabilisation: the donor's depth bounds the fill, so
-            // walk interval-by-interval — an occupancy scan is cheap next
-            // to simulating an interval at these working-set sizes — and
-            // stop at the first [`STABLE_STREAK`] flat intervals.  The
-            // donor's depth is usually a loose stride-granular bound, so
-            // the precise walk ends far earlier than `depth + 2`, and the
-            // exact depth observed here is what this run donates onward.
-            // The budget adds the prefix deficit (the donor measured its
-            // depth after a full cold prefix; this run's is shorter, so
-            // the same fill reaches deeper in interval terms).  Occupancy
-            // still growing past the budget says the prior does not
-            // describe this instance: fall back to the stride-spaced scan.
-            let c = self.prior.expect("loop_seeded implies a usable prior");
-            let deficit = (full_prefix - prefix) / p;
-            let budget = (c.stable_depth + deficit + STABLE_STREAK as usize).min(n);
-            while stable < budget && streak < STABLE_STREAK {
-                self.run_iters(cl, &iters, base, grow_range(stable), true);
-                stable += 1;
-                let occ = occupancy(&self.state);
-                if occ == occ_prev {
-                    streak += 1;
-                } else {
-                    occ_prev = occ;
-                    streak = 0;
-                    growth_end = stable;
-                }
-            }
-            if streak < STABLE_STREAK && stable < n {
-                self.fallback = true;
-            }
-        }
         while stable < n && streak < STABLE_STREAK {
             let step = stride.min(n - stable);
             self.run_iters(
@@ -571,7 +430,6 @@ impl<'a> Sampler<'a> {
                 streak += 1;
             } else {
                 streak = 0;
-                growth_end = stable + step;
             }
             occ_prev = occ;
             stable += step;
@@ -599,9 +457,10 @@ impl<'a> Sampler<'a> {
         let mut measured: Vec<Vec<LevelStats>> = Vec::with_capacity(schedule.len());
         let mut gaps: Vec<usize> = Vec::with_capacity(schedule.len());
         let mut fingerprints: Vec<u64> = Vec::with_capacity(schedule.len());
-        let mut prev_end = 0usize; // one past the last simulated interval
-                                   // Start stamp of the last measured interval, in absolute outer
-                                   // iterations (schedule indices below are relative to `stable`).
+        // One past the last simulated interval.
+        let mut prev_end = 0usize;
+        // Start stamp of the last measured interval, in absolute outer
+        // iterations (schedule indices below are relative to `stable`).
         let start_stamp = |i: usize| base + (prefix + (stable + i) * p) as i64;
         let mut horizon = start_stamp(0);
         // The audit (see the module docs): per-level signed
@@ -611,20 +470,11 @@ impl<'a> Sampler<'a> {
         let mut bias = vec![(0i64, 0i64); depth];
         let mut audit_units = 0u64;
         let mut audit_end = 0usize; // first interval after the audited region
-                                    // Audit demotion (seeded runs only): skip the shadow/truth double
-                                    // simulation and validate the prior instead — the first post-skip
-                                    // measurement must agree with the pre-skip one within the donor's
-                                    // jitter.  A failed spot check re-arms the full audit, which then
-                                    // fires at the next gap; a passed one adopts the donor's bias at
-                                    // the end of the loop (recentring + widening, like a live audit).
-        let mut demote = loop_seeded && streak >= STABLE_STREAK && !self.fallback;
-        let mut donor_audited = false;
-        let mut spot_checked = false;
         let mut si = 0usize;
         while si < schedule.len() {
             let j = schedule[si];
             let gap = j - prev_end;
-            if gap > 0 && audit_units == 0 && !demote {
+            if gap > 0 && audit_units == 0 {
                 // ---- Audit: calibrate the cold-state bias. ----
                 // Warm-started measurement after a skip can be
                 // systematically off in ways no spread or jitter term can
@@ -723,27 +573,6 @@ impl<'a> Sampler<'a> {
             measured.push(stats);
             gaps.push(gap);
             prev_end = j + 1;
-            if demote && gap > 0 && !spot_checked {
-                // The demoted audit's validation pass: the first measured
-                // interval after a skip must agree with the last pre-skip
-                // measurement within the donor's observed jitter.  Drift
-                // beyond it says the prior does not describe this
-                // instance; re-arm the full audit (it fires at the next
-                // gap) instead of trusting the donor's bias.
-                spot_checked = true;
-                let pre = &measured[measured.len() - 2];
-                let post = &measured[measured.len() - 1];
-                let c = self.prior.expect("demotion implies a usable prior");
-                let agrees = (0..depth).all(|level| {
-                    post[level].misses.abs_diff(pre[level].misses) <= c.jitter[level] + 1
-                });
-                if agrees {
-                    donor_audited = true;
-                } else {
-                    demote = false;
-                    self.fallback = true;
-                }
-            }
             si += 1;
         }
         self.measured_intervals += schedule.len() as u64;
@@ -814,79 +643,10 @@ impl<'a> Sampler<'a> {
                 t.hits = t.accesses - t.misses;
                 self.bounds[level] += (dm.unsigned_abs() * scale).div_ceil(audit_units);
             }
-        } else if donor_audited {
-            // Demoted audit: adopt the donor's per-interval bias, scaled
-            // to this instance's interval size (the donor's units are its
-            // own interval access counts).  The whole schedule follows the
-            // cadence the donor audited, so the bias recenters all of
-            // `n_rest` and its magnitude widens the bound the same way a
-            // live audit's would.
-            let c = self.prior.expect("a donor audit implies a usable prior");
-            if c.audit_units > 0 {
-                let scale = n_rest as u64;
-                for (level, &(da, dm)) in c.bias.iter().enumerate() {
-                    let (acc_donor, _) = c.interval_stats[level];
-                    let acc_here = measured[0][level].accesses;
-                    let den = c.audit_units as i128 * acc_donor.max(1) as i128;
-                    let rescale = |d: i64| -> i64 {
-                        (d as i128 * scale as i128 * acc_here as i128 / den) as i64
-                    };
-                    let (shift_a, shift_m) = (rescale(da), rescale(dm));
-                    let t = &mut self.totals[level];
-                    t.accesses = t.accesses.saturating_add_signed(shift_a);
-                    t.misses = t.misses.saturating_add_signed(shift_m).min(t.accesses);
-                    t.hits = t.accesses - t.misses;
-                    self.bounds[level] +=
-                        (dm.unsigned_abs() as u128 * scale as u128 * acc_here as u128)
-                            .div_ceil(den as u128) as u64;
-                }
-            }
-        }
-
-        // Export what this loop measured for future donees.  A live audit
-        // donates its own bias; a demoted one forwards the donor's,
-        // rescaled into this instance's interval units so chained
-        // donations stay dimensionally consistent.
-        let (out_bias, out_units) = if audit_units > 0 {
-            (bias.clone(), audit_units)
-        } else if donor_audited {
-            let c = self.prior.expect("a donor audit implies a usable prior");
-            let forwarded = c
-                .bias
-                .iter()
-                .enumerate()
-                .map(|(level, &(da, dm))| {
-                    let (acc_donor, _) = c.interval_stats[level];
-                    let acc_here = measured[0][level].accesses;
-                    let rescale =
-                        |d: i64| (d as i128 * acc_here as i128 / acc_donor.max(1) as i128) as i64;
-                    (rescale(da), rescale(dm))
-                })
-                .collect();
-            (forwarded, c.audit_units)
-        } else {
-            (vec![(0i64, 0i64); depth], 0)
-        };
-        let cal = Calibration {
-            period: p,
-            prefix_settle: settle,
-            stable_depth: growth_end,
-            intervals: n as u64,
-            interval_stats: measured[0].iter().map(|s| (s.accesses, s.misses)).collect(),
-            jitter: jitter.clone(),
-            bias: out_bias,
-            audit_units: out_units,
-        };
-        if self
-            .measured_cal
-            .as_ref()
-            .is_none_or(|prev| prev.intervals <= cal.intervals)
-        {
-            self.measured_cal = Some(cal);
         }
     }
 
-    fn finish(self) -> (SimulationResult, ApproxStats, CalibrationOutcome) {
+    fn finish(self) -> (SimulationResult, ApproxStats) {
         let accesses = self.totals.first().map_or(0, |l1| l1.accesses);
         let sampled_fraction = if accesses == 0 {
             1.0
@@ -910,10 +670,6 @@ impl<'a> Sampler<'a> {
                 levels: self.totals,
             },
             approx,
-            CalibrationOutcome {
-                measured: self.measured_cal,
-                fallback: self.fallback,
-            },
         )
     }
 }
@@ -944,63 +700,6 @@ fn outer_iterations(l: &CompiledLoop) -> Vec<i64> {
             None => return iters,
         }
     }
-}
-
-/// Whether the trace is `p`-periodic beyond its first (coldest)
-/// iteration — the cheap validation a calibration prior's period gets
-/// against a shortened prefix.  Stricter than [`detect_period`] in that
-/// the whole tail must repeat, looser in that `p` need not be minimal (a
-/// donor period that is a multiple of the true one still yields sound
-/// intervals, just coarser ones).
-fn validates_period(trace: &[u64], p: usize) -> bool {
-    if trace.len() < p + 2 {
-        return false;
-    }
-    (1..trace.len() - p).all(|i| trace[i] == trace[i + p])
-}
-
-/// The trace's cold head: the smallest index from which the remainder is
-/// `p`-periodic.  Donated as [`Calibration::prefix_settle`] so a donee
-/// knows how much of its shortened prefix to exclude from validation.
-fn settle_of(trace: &[u64], p: usize) -> usize {
-    let len = trace.len();
-    if len < p + 1 {
-        return len;
-    }
-    let mut s = len - p;
-    while s > 0 && trace[s - 1] == trace[s - 1 + p] {
-        s -= 1;
-    }
-    s
-}
-
-/// The `rate_ppm` a calibration prior suggests for a positive
-/// [`SamplingOptions::max_error`] target: the jitter term dominates the
-/// reported bound (each skipped interval charges the donor-observed
-/// jitter `J`), so the schedule may skip at most `target / (2·J)`
-/// intervals — the other half of the budget is left for spread and bias.
-/// Never below the requested rate; `None` when no usable prior or no
-/// target.
-pub(crate) fn suggest_rate(prior: Option<&Calibration>, options: &SamplingOptions) -> Option<u32> {
-    let c = prior?;
-    if options.max_error == 0 {
-        return None;
-    }
-    let jitter = c.jitter.iter().copied().max().unwrap_or(0);
-    if jitter == 0 {
-        // A jitter-free donor reports (near-)zero bounds at any rate.
-        return Some(options.rate_ppm);
-    }
-    let n = c.intervals.max(1);
-    let allowed_skipped = (options.max_error / 2) / jitter;
-    if allowed_skipped >= n {
-        return Some(options.rate_ppm);
-    }
-    let measured_needed = n - allowed_skipped;
-    let stride = (n / measured_needed).max(1);
-    // Invert `interval_stride()`: stride = ⌈(warmup+1)·PPM / rate⌉.
-    let rate = ((u64::from(options.warmup) + 1) * u64::from(PPM)).div_ceil(stride);
-    Some(rate.clamp(u64::from(options.rate_ppm), u64::from(PPM)) as u32)
 }
 
 /// The smallest period `p ≤ MAX_PERIOD` over which the fingerprint trace's
@@ -1168,74 +867,5 @@ mod tests {
         let ramp: Vec<u64> = (0..32).collect();
         assert_eq!(detect_period(&ramp), 1, "aperiodic traces fall back to 1");
         assert_eq!(detect_period(&[]), 1);
-    }
-
-    #[test]
-    fn calibration_prior_seeds_neighbours_within_bounds() {
-        let memory = memory();
-        let options = SamplingOptions::DEFAULT;
-        let donor = streaming().build().expect("donor builds");
-        let (_, _, cold) = run_sampled_with(&donor, &memory, &options, None);
-        assert!(!cold.fallback);
-        let cal = cold.measured.expect("a sampled run measures a calibration");
-        assert!(cal.period >= 1 && cal.intervals > 0);
-
-        // A neighbouring family instance: same shape, smaller footprint.
-        let neighbour = KernelSpec::source(
-            "streaming-n",
-            "double A[61440]; for (i = 0; i < 61440; i++) A[i] = A[i];",
-        )
-        .build()
-        .expect("neighbour builds");
-        let classic = simulate(&neighbour, &mut MultiLevelSystem::new(memory.clone()));
-        let (result, approx, out) = run_sampled_with(&neighbour, &memory, &options, Some(&cal));
-        assert!(!out.fallback, "a same-shape neighbour validates cleanly");
-        for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
-            let err = classic.levels[level]
-                .misses
-                .abs_diff(result.levels[level].misses);
-            assert!(err <= *bound, "level {level}: error {err} > bound {bound}");
-        }
-        assert_eq!(classic.accesses, result.accesses);
-        // The seeded schedule does strictly less exact work than a cold
-        // run of the same kernel — that is the whole point, and it shows
-        // the usable prior was consulted.
-        let (_, cold_approx, _) = run_sampled_with(&neighbour, &memory, &options, None);
-        assert!(
-            approx.measured_intervals < cold_approx.measured_intervals,
-            "seeded {} vs cold {}",
-            approx.measured_intervals,
-            cold_approx.measured_intervals
-        );
-        // The seeded run still measures a calibration for the next donee.
-        assert!(out.measured.is_some());
-    }
-
-    #[test]
-    fn foreign_priors_fall_back_to_the_cold_path_bit_exactly() {
-        let memory = memory();
-        let options = SamplingOptions::DEFAULT;
-        let donor = streaming().build().expect("donor builds");
-        let (_, _, cold) = run_sampled_with(&donor, &memory, &options, None);
-        let cal = cold.measured.expect("donor calibration");
-
-        // A triangular kernel has an aperiodic behaviour signature: the
-        // donor's period cannot validate, so the run must fall back to the
-        // full cold prefix — and from there the schedule is identical to a
-        // cold run, so the counts are bit-identical, not merely bounded.
-        let tri = KernelSpec::source(
-            "tri",
-            "double A[600]; double x[600];\n\
-             for (i = 0; i < 600; i++) for (j = 0; j <= i; j++) x[i] = x[i] + A[j];",
-        )
-        .build()
-        .expect("tri builds");
-        let (cold_result, cold_approx, cold_out) = run_sampled_with(&tri, &memory, &options, None);
-        assert!(!cold_out.fallback);
-        let (result, approx, out) = run_sampled_with(&tri, &memory, &options, Some(&cal));
-        // Only a consulted prior can fall back.
-        assert!(out.fallback, "a foreign prior must fail validation");
-        assert_eq!(result, cold_result);
-        assert_eq!(approx, cold_approx);
     }
 }

@@ -24,7 +24,6 @@
 //! counters also cover clients that ship full parametric specs instead of
 //! registering first.
 
-use engine::{Calibration, WarmOutcome};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,131 +110,6 @@ impl Serialize for FamilyStats {
             ("hits".to_string(), Value::UInt(self.hits)),
             ("instances".to_string(), Value::UInt(self.instances)),
         ])
-    }
-}
-
-/// One calibration slot: the calibration the last sampled simulation under
-/// a given `(family, config)` coordinate measured, plus per-slot counters.
-#[derive(Default)]
-struct CalibrationSlot {
-    calibration: Option<Calibration>,
-    hits: u64,
-    fallbacks: u64,
-}
-
-/// A JSON-serializable snapshot of one calibration slot's counters,
-/// exported so sweep drivers can assert reuse per (hierarchy, policy)
-/// coordinate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CalibrationStats {
-    /// The 128-bit family address, hex-encoded.
-    pub family: String,
-    /// The memory × backend coordinate (the request's canonical config
-    /// text) this slot is keyed by.
-    pub config: String,
-    /// Submissions that consulted this slot's stored state.
-    pub hits: u64,
-    /// Seeded submissions whose validation failed and re-calibrated cold.
-    pub fallbacks: u64,
-    /// Whether the slot currently holds a sampling calibration.
-    pub has_calibration: bool,
-}
-
-impl Serialize for CalibrationStats {
-    fn serialize_value(&self) -> Value {
-        Value::Object(vec![
-            ("family".to_string(), Value::Str(self.family.clone())),
-            ("config".to_string(), Value::Str(self.config.clone())),
-            ("hits".to_string(), Value::UInt(self.hits)),
-            ("fallbacks".to_string(), Value::UInt(self.fallbacks)),
-            (
-                "has_calibration".to_string(),
-                Value::Bool(self.has_calibration),
-            ),
-        ])
-    }
-}
-
-/// The cross-instance calibration store of the family tier: per
-/// `(family, hierarchy × policy × backend)` coordinate, the sampling
-/// calibration ([`engine::Calibration`]) the previous instance measured,
-/// ready to donate to the next binding.
-///
-/// The key includes the request's canonical config text, so a calibration
-/// measured under one hierarchy or replacement policy is *never* offered
-/// to a request under another — changing either simply addresses a fresh
-/// slot (and the seeded engine re-validates every donated quantity anyway,
-/// so even a stale same-key donation costs time, never soundness).
-#[derive(Default)]
-pub struct CalibrationCache {
-    slots: Mutex<HashMap<(u128, String), CalibrationSlot>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    fallbacks: AtomicU64,
-}
-
-impl CalibrationCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        CalibrationCache::default()
-    }
-
-    /// The stored calibration for a `(family, config)` coordinate (`None`
-    /// when nothing has been donated yet), counting a hit or a miss.
-    pub fn lookup(&self, family: u128, config: &str) -> Option<Calibration> {
-        let mut slots = self.slots.lock().expect("calibration cache not poisoned");
-        let slot = slots.entry((family, config.to_string())).or_default();
-        if slot.calibration.is_some() {
-            slot.hits += 1;
-            self.hits.fetch_add(1, Ordering::SeqCst);
-        } else {
-            self.misses.fetch_add(1, Ordering::SeqCst);
-        }
-        slot.calibration.clone()
-    }
-
-    /// Records what a sampled simulation left behind for the next instance
-    /// under the same coordinate: a measured calibration replaces the
-    /// stored one (the newest instance is the nearest donor in a sweep),
-    /// and a seeded run that fell back to cold calibration bumps the
-    /// fallback counters.
-    pub fn store(&self, family: u128, config: &str, outcome: &WarmOutcome) {
-        let mut slots = self.slots.lock().expect("calibration cache not poisoned");
-        let slot = slots.entry((family, config.to_string())).or_default();
-        if let Some(calibration) = &outcome.calibration {
-            slot.calibration = Some(calibration.clone());
-        }
-        if outcome.calibration_fallback {
-            slot.fallbacks += 1;
-            self.fallbacks.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Aggregate (hits, misses, fallbacks).
-    pub fn totals(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::SeqCst),
-            self.misses.load(Ordering::SeqCst),
-            self.fallbacks.load(Ordering::SeqCst),
-        )
-    }
-
-    /// Per-slot snapshots, sorted by (family, config) for deterministic
-    /// output.
-    pub fn snapshot(&self) -> Vec<CalibrationStats> {
-        let slots = self.slots.lock().expect("calibration cache not poisoned");
-        let mut stats: Vec<CalibrationStats> = slots
-            .iter()
-            .map(|((family, config), slot)| CalibrationStats {
-                family: format!("{family:032x}"),
-                config: config.clone(),
-                hits: slot.hits,
-                fallbacks: slot.fallbacks,
-                has_calibration: slot.calibration.is_some(),
-            })
-            .collect();
-        stats.sort_by(|a, b| (&a.family, &a.config).cmp(&(&b.family, &b.config)));
-        stats
     }
 }
 

@@ -13,9 +13,7 @@
 //! * **in-flight dedup** ([`dedup::PendingMap`]) — a thundering herd of one
 //!   kernel coalesces onto a single simulation;
 //! * a **family tier** ([`family`]) — parametric kernels resolve through a
-//!   family registry to their cached reports, and each sampled instance
-//!   donates its calibration to the next instance under the same memory ×
-//!   backend coordinate ([`CalibrationCache`], [`ServeConfig::warm_paths`]);
+//!   family registry to their cached reports;
 //! * a **worker pool** ([`pool::WorkerPool`]) on one shared FIFO queue,
 //!   recording per-request queue latency;
 //! * a **JSON-lines wire protocol** ([`wire::serve_lines`]) streaming
@@ -28,6 +26,11 @@
 //!   worker.  Degraded reports are cached under the sampled request's own
 //!   canonical address (cached exact reports are never silently replaced)
 //!   and their wire envelopes are marked `"approx": true`.
+//!
+//! The service keeps no simulation state between requests: a report
+//! depends only on its request, so the same request gets the same report
+//! whatever was submitted before it, and a cached report stands in for a
+//! fresh run.
 //!
 //! # Example
 //!
@@ -62,7 +65,7 @@ pub mod wire;
 
 pub use cache::{CacheCounters, ReportCache};
 pub use dedup::{Claim, Follower, LeaderToken, PendingMap};
-pub use family::{CalibrationCache, CalibrationStats, FamilyStats};
+pub use family::FamilyStats;
 pub use pool::{PoolCounters, WorkerPool};
 pub use wire::{serve_lines, serve_lines_with, WireOptions};
 
@@ -115,13 +118,10 @@ pub struct ServeConfig {
     /// the wire protocol marks their envelopes `"approx": true`.  `None`
     /// (the default) serves every request exactly as asked.
     pub exact_budget: Option<u64>,
-    /// Cross-instance calibration reuse ([`CalibrationCache`]): sampled
-    /// parametric submissions donate their measured sampling calibration
-    /// to the next instance of their family under the same memory ×
-    /// backend coordinate.  Exact backends never consult it, and every
-    /// seeded sampling quantity is re-validated in-run, so this is on by
-    /// default; turning it off exists for A/B benchmarking the reuse
-    /// itself.
+    /// Has no effect: every request runs on [`Engine::run`], which
+    /// carries no state from one request to the next.  Kept so that the
+    /// existing `ServeConfig { .. }` literals of the benchmark package
+    /// still compile; it goes once they drop it.
     pub warm_paths: bool,
 }
 
@@ -151,9 +151,6 @@ impl ServeConfig {
         }
         if let Some(budget) = env_u64("WARPSIM_SERVE_EXACT_BUDGET") {
             config.exact_budget = Some(budget);
-        }
-        if let Some(warm) = env_usize("WARPSIM_SERVE_WARM_PATHS") {
-            config.warm_paths = warm != 0;
         }
         config
     }
@@ -248,14 +245,11 @@ pub struct ServeStats {
     pub family_requests: u64,
     /// Family-tier submissions answered from the report cache.
     pub family_hits: u64,
-    /// Sampled family submissions seeded from a stored calibration
-    /// ([`CalibrationCache`]).
+    /// Always 0: no request is seeded from an earlier one.  Kept so that
+    /// the benchmark package's serve metrics still compile; it goes once
+    /// they stop reading it.
     pub calibration_hits: u64,
-    /// Sampled family submissions that found no stored calibration and
-    /// calibrated cold (the first instance per coordinate).
-    pub calibration_misses: u64,
-    /// Seeded submissions whose donated state failed validation and fell
-    /// back to full cold calibration (sound, just slower).
+    /// Always 0, like [`ServeStats::calibration_hits`].
     pub calibration_fallbacks: u64,
 }
 
@@ -286,7 +280,6 @@ pub struct SimService {
     pending: PendingMap,
     pool: WorkerPool,
     families: FamilyRegistry,
-    calibrations: CalibrationCache,
     runner: Option<Runner>,
     exact_budget: Option<u64>,
     /// Memoised budget verdicts, keyed by the request's canonical hash:
@@ -295,7 +288,6 @@ pub struct SimService {
     /// service), so repeat submissions of an oversized kernel skip the
     /// build + probe entirely.
     budget_verdicts: Mutex<HashMap<u128, bool>>,
-    warm_paths: bool,
     requests: AtomicU64,
     simulated: AtomicU64,
     errors: AtomicU64,
@@ -317,11 +309,9 @@ impl SimService {
             pending: PendingMap::new(),
             pool: WorkerPool::new(config.workers),
             families: FamilyRegistry::new(),
-            calibrations: CalibrationCache::new(),
             runner: None,
             exact_budget: config.exact_budget,
             budget_verdicts: Mutex::new(HashMap::new()),
-            warm_paths: config.warm_paths,
             requests: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -439,37 +429,11 @@ impl SimService {
                 *leader = Some((token, key));
                 let report = match &self.runner {
                     Some(runner) => runner(request),
-                    None => self.run_warm(request),
+                    None => self.engine.run(request),
                 }?;
                 Ok((report, Served::Simulated))
             }
         }
-    }
-
-    /// Runs a cold-cache request on the engine, threading calibrations
-    /// through the family tier's [`CalibrationCache`]: a sampled
-    /// parametric request looks up the calibration its `(family, config)`
-    /// predecessor left behind, runs seeded, and stores what it measured
-    /// for its own successor.  Every other request (or every request, with
-    /// warm paths disabled) runs plain.
-    fn run_warm(&self, request: &SimRequest) -> Result<SimReport, EngineError> {
-        let family = match request.family_hash() {
-            Some(family) if self.warm_paths && matches!(request.backend, Backend::Sampled(_)) => {
-                family.as_u128()
-            }
-            _ => return self.engine.run(request),
-        };
-        let config = request.config_text();
-        let prior = self.calibrations.lookup(family, &config);
-        let (report, warm) = self.engine.run_warm(request, prior.as_ref())?;
-        self.calibrations.store(family, &config, &warm);
-        Ok(report)
-    }
-
-    /// Per-coordinate calibration counters (slots, their hits and
-    /// fallbacks), sorted by (family, config).
-    pub fn calibration_stats(&self) -> Vec<CalibrationStats> {
-        self.calibrations.snapshot()
     }
 
     /// Applies the exact-simulation budget ([`ServeConfig::exact_budget`]):
@@ -672,8 +636,6 @@ impl SimService {
     pub fn stats(&self) -> ServeStats {
         let cache = self.cache.counters();
         let (family_requests, family_hits) = self.families.totals();
-        let (calibration_hits, calibration_misses, calibration_fallbacks) =
-            self.calibrations.totals();
         ServeStats {
             requests: self.requests.load(Ordering::SeqCst),
             simulated: self.simulated.load(Ordering::SeqCst),
@@ -690,9 +652,8 @@ impl SimService {
             families: self.families.len(),
             family_requests,
             family_hits,
-            calibration_hits,
-            calibration_misses,
-            calibration_fallbacks,
+            calibration_hits: 0,
+            calibration_fallbacks: 0,
         }
     }
 }

@@ -408,7 +408,7 @@ mod tests {
             workers: 2,
             cache_capacity: 64,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         }));
         let input = format!(
             "{}\n{}\n{}\n",
@@ -450,7 +450,7 @@ mod tests {
             workers: 1,
             cache_capacity: 4,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         }));
         let input = format!(
             "not json\n{{\"cmd\":\"stats\"}}\n{{\"cmd\":\"shutdown\"}}\n{}\n",
@@ -486,7 +486,7 @@ mod tests {
                 workers: 1,
                 cache_capacity: 4,
                 exact_budget: None,
-                warm_paths: true,
+                ..ServeConfig::default()
             },
         ));
         let sink = Sink(Arc::new(Mutex::new(Vec::new())));
@@ -527,7 +527,7 @@ mod tests {
             workers: 1,
             cache_capacity: 4,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         }));
         let sink = Sink(Arc::new(Mutex::new(Vec::new())));
         let input = format!("{}\n{}\n", "[".repeat(50_000), request_line(2));
@@ -557,7 +557,7 @@ mod tests {
             workers: 2,
             cache_capacity: 64,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         }));
         let template = "param N; double A[N]; for (i = 0; i < N; i++) A[i] = A[i];";
         let register = format!(r#"{{"cmd":"register_family","name":"scan","code":"{template}"}}"#);
@@ -627,7 +627,7 @@ mod tests {
             workers: 1,
             cache_capacity: 16,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         }));
         let template = "param N; double A[N]; for (i = 0; i < N; i++) A[i] = A[i];";
         let register = format!(r#"{{"cmd":"register_family","name":"scan","code":"{template}"}}"#);
@@ -694,7 +694,7 @@ mod tests {
             workers: 1,
             cache_capacity: 16,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         }));
         let template = "param N; double A[N]; for (i = 0; i < N; i++) A[i] = A[i];";
         let register = format!(r#"{{"cmd":"register_family","name":"scan","code":"{template}"}}"#);
@@ -747,7 +747,7 @@ mod tests {
             workers: 1,
             cache_capacity: 16,
             exact_budget: Some(100),
-            warm_paths: true,
+            ..ServeConfig::default()
         }));
         let big = "double A[4096]; for (i = 0; i < 4096; i++) A[i] = A[i];";
         let line = format!(
@@ -802,7 +802,7 @@ mod tests {
             workers: 1,
             cache_capacity: 8,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         }));
         let input = [
             copy_request(
@@ -849,7 +849,7 @@ mod tests {
                 workers: 1,
                 cache_capacity: 8,
                 exact_budget: None,
-                warm_paths: true,
+                ..ServeConfig::default()
             })
             .with_runner(|request| match request.kernel.name().as_str() {
                 "boom" => panic!("simulator bug"),
@@ -997,7 +997,7 @@ mod tests {
                 workers: 1,
                 cache_capacity: 8,
                 exact_budget: None,
-                warm_paths: true,
+                ..ServeConfig::default()
             }));
             let sink = Sink(Arc::default());
             let (stats, shutdown) =

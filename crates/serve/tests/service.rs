@@ -40,7 +40,7 @@ fn thundering_herd_coalesces_onto_one_simulation() {
                 workers: 2,
                 cache_capacity: 16,
                 exact_budget: None,
-                warm_paths: true,
+                ..ServeConfig::default()
             })
             .with_runner(move |request| {
                 runs.fetch_add(1, Ordering::SeqCst);
@@ -106,7 +106,7 @@ fn renamed_resubmission_hits_the_cache_bit_identically() {
         workers: 1,
         cache_capacity: 8,
         exact_budget: None,
-        warm_paths: true,
+        ..ServeConfig::default()
     });
     let (cold, how) = service.submit(&request(KERNEL)).expect("cold run succeeds");
     assert_eq!(how, Served::Simulated);
@@ -130,7 +130,7 @@ fn errors_are_not_cached() {
             workers: 1,
             cache_capacity: 8,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         })
         .with_runner(move |request| {
             if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -155,7 +155,7 @@ fn batch_results_are_ordered_deduped_and_queue_stamped() {
         workers: 4,
         cache_capacity: 32,
         exact_budget: None,
-        warm_paths: true,
+        ..ServeConfig::default()
     }));
     let distinct = [
         "double A[16]; for (i = 0; i < 16; i++) A[i] = A[i];",
@@ -213,7 +213,7 @@ fn a_panicking_batch_request_fills_its_slot_with_an_error() {
             workers: 2,
             cache_capacity: 16,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         })
         .with_runner(|request| match request.kernel.name().as_str() {
             "boom" => panic!("simulator bug"),
@@ -264,7 +264,7 @@ fn a_coalesced_follower_gets_its_panicking_leaders_error() {
                 workers: 1,
                 cache_capacity: 8,
                 exact_budget: None,
-                warm_paths: true,
+                ..ServeConfig::default()
             })
             .with_runner(move |_| {
                 while !release.load(Ordering::SeqCst) {
@@ -338,7 +338,7 @@ fn family_tier_memoises_instances_and_shares_reports() {
         workers: 1,
         cache_capacity: 32,
         exact_budget: None,
-        warm_paths: true,
+        ..ServeConfig::default()
     });
     let parametric = |n: i64, t: i64| {
         SimRequest::new(
@@ -390,7 +390,7 @@ fn family_registration_is_idempotent_and_validated() {
         workers: 1,
         cache_capacity: 8,
         exact_budget: None,
-        warm_paths: true,
+        ..ServeConfig::default()
     });
     let a = service
         .register_family(
@@ -428,7 +428,7 @@ fn degenerate_serve_configs_are_rejected_with_clear_errors() {
         workers: 0,
         cache_capacity: 64,
         exact_budget: None,
-        warm_paths: true,
+        ..ServeConfig::default()
     }
     .validate()
     .expect_err("zero workers is a misconfiguration");
@@ -437,7 +437,7 @@ fn degenerate_serve_configs_are_rejected_with_clear_errors() {
         workers: 2,
         cache_capacity: 0,
         exact_budget: None,
-        warm_paths: true,
+        ..ServeConfig::default()
     }
     .validate()
     .expect_err("zero cache capacity is a misconfiguration");
@@ -446,7 +446,7 @@ fn degenerate_serve_configs_are_rejected_with_clear_errors() {
         workers: 2,
         cache_capacity: 64,
         exact_budget: Some(0),
-        warm_paths: true,
+        ..ServeConfig::default()
     }
     .validate()
     .expect_err("a zero access budget would degrade everything");
@@ -466,7 +466,7 @@ fn exact_budget_degrades_oversized_requests_onto_sampling() {
         workers: 1,
         cache_capacity: 16,
         exact_budget: Some(1000),
-        warm_paths: true,
+        ..ServeConfig::default()
     });
 
     // 8192 dynamic accesses blow the 1000-access budget: the classic
@@ -529,43 +529,77 @@ fn exact_budget_degrades_oversized_requests_onto_sampling() {
     assert_eq!(service.stats().degraded, 1);
 }
 
-/// The cross-instance warm path: a sweep of a parametric family donates
-/// each sampled instance's calibration to the next, every point after the
-/// first per coordinate is a calibration hit, and exact backends never
-/// consult the calibration cache.
+/// A sampled report depends only on its request: a family sweep served in
+/// order on one service answers every instance exactly as a fresh service
+/// answers it alone, and each report stays within its own bound of the
+/// exact counts.  Exact family backends are bit-identical the same way,
+/// and so are sampled instances of one family under different hierarchies
+/// and policies, interleaved on one service.
 #[test]
-fn family_sweeps_reuse_warm_state_soundly() {
-    const FAMILY: &str = "param N, T;\n\
+fn sampled_family_reports_do_not_depend_on_submission_order() {
+    const TILED: &str = "param N, T;\n\
         double A[N]; double B[N];\n\
         for (ii = 0; ii < N; ii += T)\n\
             for (i = ii; i < ii + T; i++)\n\
                 if (i < N) B[i] = A[i] + B[i];";
-    let config = |warm_paths| ServeConfig {
+    const SCAN: &str = "param N; double A[N]; for (i = 0; i < N; i++) A[i] = A[i - 1] + A[i];";
+    let config = ServeConfig {
         workers: 1,
         cache_capacity: 64,
         exact_budget: None,
-        warm_paths,
+        ..ServeConfig::default()
     };
-    let warm = SimService::new(config(true));
-    let cold = SimService::new(config(false));
+    let tiled = |t: i64, backend: Backend| {
+        SimRequest::new(
+            KernelSpec::parametric("tiled", TILED, [("N", 4096), ("T", t)]),
+            memory(),
+            backend,
+        )
+    };
+    let lru = memory();
+    let plru = MemoryConfig::single(CacheConfig::with_sets(4, 8, 64, ReplacementPolicy::Plru));
+    let two_level = MemoryConfig::new(vec![
+        CacheConfig::with_sets(4, 8, 64, ReplacementPolicy::Lru),
+        CacheConfig::with_sets(32, 8, 64, ReplacementPolicy::Lru),
+    ])
+    .unwrap();
+    let scan = |n: i64, memory: &MemoryConfig| {
+        SimRequest::new(
+            KernelSpec::parametric("scan", SCAN, [("N", n)]),
+            memory.clone(),
+            Backend::sampled(),
+        )
+    };
     let tiles = [8i64, 16, 24, 32];
-    let requests: Vec<SimRequest> = tiles
+    let sampled: Vec<SimRequest> = tiles
         .iter()
-        .map(|&t| {
-            SimRequest::new(
-                KernelSpec::parametric("tiled", FAMILY, [("N", 4096), ("T", t)]),
-                memory(),
-                Backend::sampled(),
-            )
-        })
+        .map(|&t| tiled(t, Backend::sampled()))
+        .chain([
+            scan(60_000, &lru),
+            scan(61_000, &lru),
+            scan(60_000, &plru),
+            scan(60_000, &two_level),
+        ])
         .collect();
-    for request in &requests {
-        let (warm_report, how) = warm.submit(request).expect("warm run succeeds");
+
+    let shared = SimService::new(config);
+    for (point, request) in sampled.iter().enumerate() {
+        let (in_order, how) = shared.submit(request).expect("sweep point succeeds");
         assert_eq!(how, Served::Simulated);
-        let (cold_report, _) = cold.submit(request).expect("cold run succeeds");
-        // Sampled counts may differ between seeded and cold schedules,
-        // but both must stay within their own reported bounds of the
-        // exact counts.
+        let (alone, _) = SimService::new(config)
+            .submit(request)
+            .expect("lone point succeeds");
+        let label = format!(
+            "point {point} ({} {})",
+            request.kernel.name(),
+            request.kernel.param_bindings().key()
+        );
+        assert!(
+            in_order.same_outcome(&alone),
+            "{label}: in order {:?} vs alone {:?}",
+            in_order.approx,
+            alone.approx
+        );
         let exact = Engine::new()
             .run(&SimRequest::new(
                 request.kernel.clone(),
@@ -573,84 +607,27 @@ fn family_sweeps_reuse_warm_state_soundly() {
                 Backend::Classic,
             ))
             .expect("exact run succeeds");
-        for (report, label) in [(&warm_report, "warm"), (&cold_report, "cold")] {
-            let approx = report
-                .approx
-                .as_ref()
-                .expect("sampled reports carry approx");
-            for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
-                let err = exact.result.levels[level]
-                    .misses
-                    .abs_diff(report.result.levels[level].misses);
-                assert!(err <= *bound, "{label} level {level}: {err} > {bound}");
-            }
+        let approx = in_order
+            .approx
+            .as_ref()
+            .expect("sampled reports carry approx");
+        for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
+            let err = exact.result.levels[level]
+                .misses
+                .abs_diff(in_order.result.levels[level].misses);
+            assert!(err <= *bound, "{label} level {level}: {err} > {bound}");
         }
     }
-    let stats = warm.stats();
-    assert_eq!(stats.calibration_misses, 1, "only the first point is cold");
-    assert_eq!(
-        stats.calibration_hits,
-        tiles.len() as u64 - 1,
-        "every later point seeds from its predecessor"
-    );
-    assert_eq!(cold.stats().calibration_hits, 0);
-    assert_eq!(cold.stats().calibration_misses, 0);
 
-    // Exact backends: bit-identical to a cold service, and no slot.
+    // Exact family backends: bit-identical to a fresh service.
     for &t in &tiles {
-        let request = SimRequest::new(
-            KernelSpec::parametric("tiled", FAMILY, [("N", 4096), ("T", t)]),
-            memory(),
-            Backend::warping(),
-        );
-        let (warm_report, _) = warm.submit(&request).expect("warm run succeeds");
-        let (cold_report, _) = cold.submit(&request).expect("cold run succeeds");
-        assert_eq!(warm_report.result, cold_report.result, "T={t}");
+        let request = tiled(t, Backend::warping());
+        let (in_order, _) = shared.submit(&request).expect("sweep point succeeds");
+        let (alone, _) = SimService::new(config)
+            .submit(&request)
+            .expect("lone point succeeds");
+        assert!(in_order.same_outcome(&alone), "T={t}");
     }
-    assert_eq!(warm.stats().calibration_misses, 1);
-    let slots = warm.calibration_stats();
-    assert_eq!(slots.len(), 1, "only the sampled coordinate has a slot");
-}
-
-/// Satellite: warm state is keyed by the full memory × backend coordinate,
-/// so changing the hierarchy or the replacement policy can never leak a
-/// calibration across configurations.
-#[test]
-fn calibration_cache_invalidates_on_hierarchy_or_policy_change() {
-    let service = SimService::new(ServeConfig {
-        workers: 1,
-        cache_capacity: 64,
-        exact_budget: None,
-        warm_paths: true,
-    });
-    const FAMILY: &str = "param N; double A[N]; for (i = 0; i < N; i++) A[i] = A[i - 1] + A[i];";
-    let lru = MemoryConfig::single(CacheConfig::with_sets(4, 8, 64, ReplacementPolicy::Lru));
-    let plru = MemoryConfig::single(CacheConfig::with_sets(4, 8, 64, ReplacementPolicy::Plru));
-    let two_level = MemoryConfig::new(vec![
-        CacheConfig::with_sets(4, 8, 64, ReplacementPolicy::Lru),
-        CacheConfig::with_sets(32, 8, 64, ReplacementPolicy::Lru),
-    ])
-    .unwrap();
-    let submit = |memory: &MemoryConfig, n: i64| {
-        let request = SimRequest::new(
-            KernelSpec::parametric("scan", FAMILY, [("N", n)]),
-            memory.clone(),
-            Backend::sampled(),
-        );
-        service.submit(&request).expect("run succeeds")
-    };
-    submit(&lru, 60_000);
-    // Same policy, neighbouring binding: a hit.
-    submit(&lru, 61_000);
-    assert_eq!(service.stats().calibration_hits, 1);
-    // New policy and new hierarchy: both must calibrate cold (a fresh
-    // slot each), not reuse the LRU calibration.
-    submit(&plru, 60_000);
-    submit(&two_level, 60_000);
-    let stats = service.stats();
-    assert_eq!(stats.calibration_hits, 1, "no cross-coordinate reuse");
-    assert_eq!(stats.calibration_misses, 3);
-    assert_eq!(service.calibration_stats().len(), 3);
 }
 
 /// The caller drops its handle while a job on the service's own pool still
@@ -665,7 +642,7 @@ fn dropping_the_last_handle_inside_a_job_does_not_panic() {
             workers: 1,
             cache_capacity: 16,
             exact_budget: None,
-            warm_paths: true,
+            ..ServeConfig::default()
         },
     ));
     let (released_tx, released_rx) = std::sync::mpsc::channel::<()>();

@@ -10,7 +10,10 @@
 //! policies.  After every round the replay of the group cut at that round
 //! must agree with the oracle on the tags and policy metadata, every
 //! label, the epochs, the MRU sets, the per-level counters and every
-//! fingerprint word.
+//! fingerprint word.  A second, *chained* hierarchy replays each whole
+//! group on its own state, never reset to the oracle, so consecutive
+//! replays meet each other's labels and stamps; after every group it must
+//! agree with the oracle too.
 
 use cache_model::{AccessKind, CacheConfig, ReplacementPolicy};
 use proptest::prelude::*;
@@ -134,7 +137,12 @@ fn assert_same(grouped: &[SymLevel], oracle: &[SymLevel], at: &str) {
 }
 
 /// Runs `groups` random groups in sequence on one hierarchy and returns
-/// the number of accesses the replay recorded arithmetically.
+/// the number of accesses the cut replays recorded arithmetically.  Each
+/// cut replay starts from the oracle's state; the chained hierarchy
+/// replays every group whole, on the state its own earlier replays left.
+/// With `continue_iterators`, every group after the first starts at the
+/// iteration vector the previous one ended on, so its first round repeats
+/// the newest stamp of the log.
 #[allow(clippy::too_many_arguments)]
 fn run(
     seed: u64,
@@ -145,6 +153,7 @@ fn run(
     line: u64,
     depth: usize,
     groups: usize,
+    continue_iterators: bool,
 ) -> u64 {
     let mut rng = Lcg(seed);
     let mut sets = l1_sets;
@@ -156,6 +165,8 @@ fn run(
             SymLevel::new(config)
         })
         .collect();
+    let mut chained = levels.clone();
+    let mut last_iv: Vec<i64> = Vec::new();
     let mut crossings = Vec::new();
     let mut counted = 0;
     for g in 0..groups {
@@ -163,14 +174,20 @@ fn run(
         // so groups start both from flushed and from dirty trackers.
         if rng.below(2) == 0 {
             levels.iter_mut().for_each(SymLevel::prepare_match);
+            chained.iter_mut().for_each(SymLevel::prepare_match);
         }
-        let streams = Streams::random(&mut rng);
+        let mut streams = Streams::random(&mut rng);
         let stride = [1, 2, 3, -1][rng.below(4) as usize];
         let iv_depth = 1 + rng.below(3) as usize;
         let mut iv: Vec<i64> = (0..iv_depth).map(|_| rng.below(4) as i64).collect();
+        if continue_iterators && g > 0 {
+            iv = last_iv.clone();
+            streams.first = *iv.last().expect("iteration vectors are not empty");
+        }
         let count = 1 + rng.below(40);
         let mut oracle = levels.clone();
         let mut oracle_iv = iv.clone();
+        let mut chained_iv = iv.clone();
         for c in 1..=count {
             streams.round(&mut oracle, &mut oracle_iv, stride, c as i64 - 1);
             let mut grouped = levels.clone();
@@ -188,7 +205,17 @@ fn run(
             );
             assert_same(&grouped, &oracle, &format!("group {g} after {c} rounds"));
         }
+        SymLevel::access_group(
+            &mut chained,
+            &streams.group(count),
+            stride,
+            &mut chained_iv,
+            &mut crossings,
+        );
+        assert_eq!(chained_iv, oracle_iv, "group {g}: chained iterator");
+        assert_same(&chained, &oracle, &format!("group {g}, chained"));
         levels = oracle;
+        last_iv = oracle_iv;
     }
     counted
 }
@@ -211,7 +238,7 @@ proptest! {
         depth in 1usize..4,
     ) {
         let assoc = [1, 2, 4][assoc_pick];
-        run(seed, policy, write_allocate, l1_sets, assoc, line, depth, 8);
+        run(seed, policy, write_allocate, l1_sets, assoc, line, depth, 8, false);
     }
 }
 
@@ -221,9 +248,29 @@ proptest! {
 fn settled_stretches_are_counted() {
     let mut counted = 0;
     for (seed, policy) in (0..16u64).zip(ReplacementPolicy::ALL.into_iter().cycle()) {
-        counted += run(seed, policy, true, 2, 4, 64, 2, 8);
+        counted += run(seed, policy, true, 2, 4, 64, 2, 8, false);
     }
     assert!(counted > 0, "no round was recorded arithmetically");
+}
+
+/// Chained groups that each start where the previous one ended: the
+/// grouped replay must not reuse a stamp that earlier labels hold.
+#[test]
+fn chained_groups_continuing_an_iterator_match_per_access_simulation() {
+    for (seed, policy) in (0..64u64).zip(ReplacementPolicy::ALL.into_iter().cycle()) {
+        let (l1_sets, assoc) = [(1, 2), (2, 2), (2, 4), (4, 1)][seed as usize % 4];
+        run(
+            seed,
+            policy,
+            seed % 3 != 0,
+            l1_sets,
+            assoc,
+            64,
+            1 + seed as usize % 3,
+            8,
+            true,
+        );
+    }
 }
 
 /// A settling group whose first round repeats the iteration vector of the
