@@ -529,33 +529,103 @@ fn exact_budget_degrades_oversized_requests_onto_sampling() {
     assert_eq!(service.stats().degraded, 1);
 }
 
-/// A sampled report depends only on its request: a family sweep served in
-/// order on one service answers every instance exactly as a fresh service
-/// answers it alone, and each report stays within its own bound of the
-/// exact counts.  Exact family backends are bit-identical the same way,
-/// and so are sampled instances of one family under different hierarchies
-/// and policies, interleaved on one service.
-#[test]
-fn sampled_family_reports_do_not_depend_on_submission_order() {
-    const TILED: &str = "param N, T;\n\
-        double A[N]; double B[N];\n\
-        for (ii = 0; ii < N; ii += T)\n\
-            for (i = ii; i < ii + T; i++)\n\
-                if (i < N) B[i] = A[i] + B[i];";
-    const SCAN: &str = "param N; double A[N]; for (i = 0; i < N; i++) A[i] = A[i - 1] + A[i];";
-    let config = ServeConfig {
+const TILED: &str = "param N, T;\n\
+    double A[N]; double B[N];\n\
+    for (ii = 0; ii < N; ii += T)\n\
+        for (i = ii; i < ii + T; i++)\n\
+            if (i < N) B[i] = A[i] + B[i];";
+
+fn tiled(t: i64, backend: Backend) -> SimRequest {
+    SimRequest::new(
+        KernelSpec::parametric("tiled", TILED, [("N", 4096), ("T", t)]),
+        memory(),
+        backend,
+    )
+}
+
+fn family_config() -> ServeConfig {
+    ServeConfig {
         workers: 1,
         cache_capacity: 64,
         exact_budget: None,
         ..ServeConfig::default()
+    }
+}
+
+/// Serves `request` on `shared`, after whatever it served before, and
+/// requires the outcome a fresh service gives the request alone.  A
+/// sampled report must also stay within its own bound of the exact counts.
+fn assert_served_as_alone(shared: &SimService, request: &SimRequest) {
+    let label = format!(
+        "{} {} {:?}",
+        request.kernel.name(),
+        request.kernel.param_bindings().key(),
+        request.backend
+    );
+    let (in_order, how) = shared.submit(request).expect("sweep point succeeds");
+    assert_eq!(how, Served::Simulated, "{label}");
+    let (alone, _) = SimService::new(family_config())
+        .submit(request)
+        .expect("lone point succeeds");
+    assert!(
+        in_order.same_outcome(&alone),
+        "{label}: in order {:?} vs alone {:?}",
+        in_order.approx,
+        alone.approx
+    );
+    let Some(approx) = in_order.approx.as_ref() else {
+        return;
     };
-    let tiled = |t: i64, backend: Backend| {
-        SimRequest::new(
-            KernelSpec::parametric("tiled", TILED, [("N", 4096), ("T", t)]),
-            memory(),
-            backend,
-        )
-    };
+    let exact = Engine::new()
+        .run(&SimRequest::new(
+            request.kernel.clone(),
+            request.memory.clone(),
+            Backend::Classic,
+        ))
+        .expect("exact run succeeds");
+    for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
+        let err = exact.result.levels[level]
+            .misses
+            .abs_diff(in_order.result.levels[level].misses);
+        assert!(err <= *bound, "{label} level {level}: {err} > {bound}");
+    }
+}
+
+/// A sampled report depends only on its request: a family sweep served in
+/// order on one service answers every instance exactly as a fresh service
+/// answers it alone, and each report stays within its own bound of the
+/// exact counts.
+#[test]
+fn sampled_family_reports_do_not_depend_on_submission_order() {
+    let shared = SimService::new(family_config());
+    for t in [8i64, 16, 24, 32] {
+        assert_served_as_alone(&shared, &tiled(t, Backend::sampled()));
+    }
+}
+
+/// A family sweep on one service stays sound with no state carried from
+/// one instance to the next: after a sampled sweep, the exact warping
+/// instances of the same family are bit-identical to a fresh service's,
+/// and the sampled ones stay within their bounds.
+#[test]
+fn family_sweeps_reuse_warm_state_soundly() {
+    let shared = SimService::new(family_config());
+    let tiles = [8i64, 16, 24, 32];
+    for &t in &tiles {
+        assert_served_as_alone(&shared, &tiled(t, Backend::sampled()));
+    }
+    for &t in &tiles {
+        assert_served_as_alone(&shared, &tiled(t, Backend::warping()));
+    }
+}
+
+/// Nothing learned under one hierarchy or policy reaches another: sampled
+/// instances of one family under LRU (two bindings), PLRU and a two-level
+/// hierarchy, interleaved on one service, each equal a fresh service's
+/// report, and the service counts no calibration use.
+#[test]
+fn calibration_cache_invalidates_on_hierarchy_or_policy_change() {
+    const SCAN: &str = "param N; double A[N]; for (i = 0; i < N; i++) A[i] = A[i - 1] + A[i];";
     let lru = memory();
     let plru = MemoryConfig::single(CacheConfig::with_sets(4, 8, 64, ReplacementPolicy::Plru));
     let two_level = MemoryConfig::new(vec![
@@ -570,64 +640,18 @@ fn sampled_family_reports_do_not_depend_on_submission_order() {
             Backend::sampled(),
         )
     };
-    let tiles = [8i64, 16, 24, 32];
-    let sampled: Vec<SimRequest> = tiles
-        .iter()
-        .map(|&t| tiled(t, Backend::sampled()))
-        .chain([
-            scan(60_000, &lru),
-            scan(61_000, &lru),
-            scan(60_000, &plru),
-            scan(60_000, &two_level),
-        ])
-        .collect();
-
-    let shared = SimService::new(config);
-    for (point, request) in sampled.iter().enumerate() {
-        let (in_order, how) = shared.submit(request).expect("sweep point succeeds");
-        assert_eq!(how, Served::Simulated);
-        let (alone, _) = SimService::new(config)
-            .submit(request)
-            .expect("lone point succeeds");
-        let label = format!(
-            "point {point} ({} {})",
-            request.kernel.name(),
-            request.kernel.param_bindings().key()
-        );
-        assert!(
-            in_order.same_outcome(&alone),
-            "{label}: in order {:?} vs alone {:?}",
-            in_order.approx,
-            alone.approx
-        );
-        let exact = Engine::new()
-            .run(&SimRequest::new(
-                request.kernel.clone(),
-                request.memory.clone(),
-                Backend::Classic,
-            ))
-            .expect("exact run succeeds");
-        let approx = in_order
-            .approx
-            .as_ref()
-            .expect("sampled reports carry approx");
-        for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
-            let err = exact.result.levels[level]
-                .misses
-                .abs_diff(in_order.result.levels[level].misses);
-            assert!(err <= *bound, "{label} level {level}: {err} > {bound}");
-        }
+    let shared = SimService::new(family_config());
+    for request in [
+        scan(60_000, &lru),
+        scan(61_000, &lru),
+        scan(60_000, &plru),
+        scan(60_000, &two_level),
+    ] {
+        assert_served_as_alone(&shared, &request);
     }
-
-    // Exact family backends: bit-identical to a fresh service.
-    for &t in &tiles {
-        let request = tiled(t, Backend::warping());
-        let (in_order, _) = shared.submit(&request).expect("sweep point succeeds");
-        let (alone, _) = SimService::new(config)
-            .submit(&request)
-            .expect("lone point succeeds");
-        assert!(in_order.same_outcome(&alone), "T={t}");
-    }
+    let stats = shared.stats();
+    assert_eq!(stats.calibration_hits, 0);
+    assert_eq!(stats.calibration_fallbacks, 0);
 }
 
 /// The caller drops its handle while a job on the service's own pool still
